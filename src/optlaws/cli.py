@@ -93,7 +93,8 @@ def _default_seed() -> int:
 
 
 def _dump_json(payload, path=None) -> str:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # NaN and infinities are not JSON; refuse them rather than print them
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -152,19 +153,36 @@ def _config_schedule(cfg: dict, lr_scale: float) -> Schedule:
 
 
 def _load_config(cfg: dict, law: FittedLaw) -> RunConfig:
-    schedule = _config_schedule(cfg, law.lr_scale)
-    pre = None
-    if "pre" in cfg and cfg["pre"] is not None:
-        pre_sched = _config_schedule(cfg["pre"], law.lr_scale)
-        pre = PretrainContext(pre_sched)
-    return RunConfig(schedule=schedule, N=cfg["model_B"], pre=pre)
+    try:
+        schedule = _config_schedule(cfg, law.lr_scale)
+        pre = None
+        if "pre" in cfg and cfg["pre"] is not None:
+            pre_sched = _config_schedule(cfg["pre"], law.lr_scale)
+            pre = PretrainContext(pre_sched)
+        return RunConfig(schedule=schedule, N=cfg["model_B"], pre=pre)
+    except KeyError as exc:
+        raise DataError(f"config is missing field {exc}") from None
+    except TypeError as exc:  # not a JSON object, or a field of the wrong type
+        raise DataError(f"malformed config: {exc}") from None
 
 
 def _gate_from_args(args) -> DivergenceParams:
-    if getattr(args, "gate_overrides", None):
+    if not getattr(args, "gate_overrides", None):
+        return DEFAULT_PARAMS
+    try:
         overrides = json.loads(args.gate_overrides)
-        return DivergenceParams(**{**DEFAULT_PARAMS.__dict__, **overrides})
-    return DEFAULT_PARAMS
+    except json.JSONDecodeError as exc:
+        raise DataError(f"--gate-overrides is not JSON: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise DataError("--gate-overrides must be a JSON object")
+    known = DEFAULT_PARAMS.__dict__
+    unknown = sorted(set(overrides) - set(known))
+    if unknown:
+        raise DataError(
+            f"--gate-overrides: unknown parameter(s) {', '.join(unknown)}; "
+            f"known: {', '.join(known)}"
+        )
+    return DivergenceParams(**{**known, **overrides})
 
 
 def sweep_grid(
@@ -315,6 +333,8 @@ def _make_objective(name: str, dim: int):
 
 
 def _cmd_simulate(args) -> int:
+    if args.dim < 1:
+        raise DataError(f"--dim must be at least 1, got {args.dim}")
     objective = _make_objective(args.objective, args.dim)
     noise = sde.NoiseModel.isotropic(args.dim, args.sigma2, D=args.noise_samples)
     if args.schedule_json:

@@ -8,6 +8,8 @@ shipped constants were fitted.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -31,8 +33,12 @@ class DivergenceParams:
 
     def __post_init__(self):
         for name in ("c1_hat", "c2_hat", "c3_hat", "alpha1_hat", "alpha2_hat"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"divergence parameter {name} must be strictly positive")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"divergence parameter {name} must be finite and strictly positive, "
+                    f"got {value!r}"
+                )
 
 
 DEFAULT_PARAMS = DivergenceParams()
@@ -50,8 +56,8 @@ class CriterionResult:
 
 def critical_rate(N: float, S: float, params: DivergenceParams = DEFAULT_PARAMS) -> float:
     """The critical rate c1 * (S^2)^alpha1 / (c2 * N^alpha2), S pre-squaring."""
-    if N <= 0 or S <= 0:
-        raise ValueError(f"N and S must be strictly positive, got N={N}, S={S}")
+    if not (0 < N < math.inf and 0 < S < math.inf):
+        raise ValueError(f"N and S must be finite and strictly positive, got N={N}, S={S}")
     return params.c1_hat * (S * S) ** params.alpha1_hat / (
         params.c2_hat * N ** params.alpha2_hat
     )
@@ -75,9 +81,10 @@ def criterion_R(
 
     R > 1 predicts divergence; R <= 1 (including R = 1 exactly) is stable.
     """
-    if eta_max <= 0 or a1 <= 0 or N <= 0 or S <= 0:
+    inf = math.inf  # each chained test is also false for NaN
+    if not (0 < eta_max < inf and 0 < a1 < inf and 0 < N < inf and 0 < S < inf):
         raise ValueError(
-            f"criterion inputs must be strictly positive, got eta_max={eta_max}, "
+            f"criterion inputs must be finite and strictly positive, got eta_max={eta_max}, "
             f"a1={a1}, N={N}, S={S}"
         )
     s_sq = S * S

@@ -44,7 +44,7 @@ TERM_NAMES = (
     # escape block
     "tail_slope_energy",
     "warmup_slope_energy",
-    "tail_slope_energy",
+    "tail_slope_energy_fourth_root",
     "tokens_x_model",
     # mixed block
     "tail_slope_energy_per_warmup_lr_area",

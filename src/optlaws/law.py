@@ -503,10 +503,10 @@ def prop1_gap(
     h = eta_max
     cos_val = (
         law.c2 * (2.0 / (h * (S - a))) ** law.alpha2
-        + law.c4 * (math.pi ** 2 * h * h / (8.0 * (S - a))) ** law.alpha3
+        + law.c5 * (math.pi ** 2 * h * h / (8.0 * (S - a))) ** law.alpha4
     )
     const_val = (
         law.c2 * (h * (a_c - a) + 0.5 * h * (S - a_c)) ** -law.alpha2
-        + law.c4 * (h * h / (S - a_c)) ** law.alpha3
+        + law.c5 * (h * h / (S - a_c)) ** law.alpha4
     )
     return abs(cos_val - const_val)

@@ -36,8 +36,8 @@ class Objective:
 def quadratic(H: np.ndarray) -> Objective:
     """f(x) = x' H x / 2 for symmetric positive semidefinite H."""
     H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("H must be a square matrix")
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] == 0:
+        raise ValueError("H must be a nonempty square matrix")
     if not np.allclose(H, H.T, atol=1e-12):
         raise ValueError("H must be symmetric")
     dim = H.shape[0]

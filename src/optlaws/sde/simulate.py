@@ -16,6 +16,24 @@ Gaussian increments.
 Each path owns a counter-based Philox stream derived from
 (seed, path index), so ensembles are reproducible and independent of how
 paths are grouped into blocks.
+
+The noise does not depend on the state, so Adam's second moment v follows
+the same deterministic recursion on every path (the deterministic v of the
+Adam SDE in Malladi et al., arXiv 2205.10287).  It is run once per call;
+its ``sqrt(v_k + eps)`` rows feed every path and its minimum is reported
+exactly as ``v_min``.
+
+Paths are stepped in blocks.  One noise buffer of block size is allocated
+per call and refilled in place for every block, path by path from its own
+stream.  When the noise root is diagonal (isotropic noise, which is all
+the CLI uses) the buffer is scaled by that diagonal in place; otherwise it
+is multiplied by the root and the product written back.  The per-step
+updates run in place on preallocated ``(block, dim)`` arrays, in the same
+operation order as the expressions above, so results are bit-identical to
+stepping with fresh arrays and a per-path v.  Peak memory is about one
+noise block (``DEFAULT_BLOCK_BYTES``) plus the ``(n_steps, dim)`` v table;
+a non-diagonal root adds a second block, the copy numpy makes for the
+product it writes back.
 """
 
 from __future__ import annotations
@@ -174,6 +192,32 @@ def _summary(samples: np.ndarray) -> StatSummary:
     return StatSummary(mean, se, n)
 
 
+def _diagonal(root: np.ndarray) -> Optional[np.ndarray]:
+    """The diagonal of ``root`` if every off-diagonal entry is zero, else None."""
+    d = np.diagonal(root)
+    return d if np.array_equal(root, np.diag(d)) else None
+
+
+def _adam_root_v(config: SdeConfig, etas: np.ndarray, diag_sigma: np.ndarray):
+    """Run Adam's second-moment recursion once, for every path at once.
+
+    Returns ``sqrt(v_k + eps)`` for the steps k = 0..n-1 as an
+    ``(n_steps, dim)`` array, the smallest entry of v_1..v_n, and v_n.
+    """
+    root_v = np.empty((etas.size, diag_sigma.size))
+    v = np.zeros(diag_sigma.size)
+    v_min = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, eta_k in enumerate(etas):
+            np.sqrt(v + config.eps, out=root_v[k])
+            step = config.eta0 * eta_k
+            v = v - config.c2 * step * (v - diag_sigma)
+            vm = float(v.min()) if v.size else 0.0
+            if vm < v_min:
+                v_min = vm
+    return root_v, v_min, v
+
+
 def simulate(
     objective: Objective,
     noise: NoiseModel,
@@ -206,66 +250,109 @@ def simulate(
     if block_size is None:
         per_path = max(n_steps * dim * 8, 1)
         block_size = max(1, min(n_paths, DEFAULT_BLOCK_BYTES // per_path))
+    if block_size < 1:
+        raise ValueError(f"block_size must be at least 1, got {block_size}")
+    block_size = min(block_size, n_paths)
 
     adam = config.algorithm == "adam"
     diag_sigma = np.diag(noise.Sigma_g).copy()
     root = noise.root
+    scale = _diagonal(root)
+    v_min = None
+    if adam:
+        root_v, v_min, v_last = _adam_root_v(config, etas, diag_sigma)
+        if not np.isfinite(v_last).all():  # shared by every path: the first one fails
+            raise SimulationDiverged(0)
+        c1_prime = config.c1_prime
+        sqrt_eta0 = math.sqrt(config.eta0)
 
     wgrad = np.empty(n_paths)
     wmom = np.empty(n_paths) if adam else None
     final_sq = np.empty(n_paths)
     final_val = np.empty(n_paths)
     max_abs = 0.0
-    v_min = math.inf if adam else None
     msum = np.zeros((n_steps, dim)) if (adam and config.track_mean_momentum) else None
     msumsq = np.zeros((n_steps, dim)) if msum is not None else None
     traces = [] if config.record_traces else None
+
+    # One noise block and the per-step state, allocated once and reused by
+    # every block; a shorter last block uses leading views of each.
+    noise_buf = np.empty((block_size, n_steps, dim))
+    x_buf = np.empty((block_size, dim))
+    tmp_buf = np.empty((block_size, dim))
+    peak_buf = np.empty((block_size, dim))
+    row_buf = np.empty(block_size)
+    wg_buf = np.empty(block_size)
+    if adam:
+        m_buf = np.empty((block_size, dim))
+        wm_buf = np.empty(block_size)
+    col = np.empty(dim) if msum is not None else None
 
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_paths, block_size):
             stop = min(start + block_size, n_paths)
             B = stop - start
-            xi = np.empty((B, n_steps, dim))
+            z = noise_buf[:B]
             for j in range(B):
-                xi[j] = path_rng(config.seed, start + j).standard_normal((n_steps, dim))
-            z = xi.reshape(-1, dim) @ root
-            z = z.reshape(B, n_steps, dim)
+                path_rng(config.seed, start + j).standard_normal(out=z[j])
+            if scale is not None:
+                z *= scale
+            else:
+                flat = z.reshape(-1, dim)
+                np.matmul(flat, root, out=flat)
 
-            x = np.tile(x0, (B, 1))
-            wg = np.zeros(B)
+            x, tmp, peak, rowsum, wg = (
+                x_buf[:B], tmp_buf[:B], peak_buf[:B], row_buf[:B], wg_buf[:B]
+            )
+            x[:] = x0
+            wg.fill(0.0)
+            peak.fill(0.0)
             if adam:
-                m = np.zeros((B, dim))
-                v = np.zeros((B, dim))
-                wm = np.zeros(B)
+                m, wm = m_buf[:B], wm_buf[:B]
+                m.fill(0.0)
+                wm.fill(0.0)
             if traces is not None:
                 block_trace = np.empty((B, n_steps + 1, 2))
 
+            # Each update keeps the operation order of the textbook
+            # expression in its comment, so every float matches it.
             for k in range(n_steps):
                 eta_k = etas[k]
                 g = objective.gradient(x)
-                wg += eta_k * np.sum(g * g, axis=1)
+                # wg += eta_k * sum(g * g)
+                np.multiply(g, g, out=tmp)
+                np.sum(tmp, axis=1, out=rowsum)
+                rowsum *= eta_k
+                wg += rowsum
                 if traces is not None:
                     block_trace[:, k, 0] = np.linalg.norm(x, axis=1)
                     block_trace[:, k, 1] = np.linalg.norm(g, axis=1)
                 if adam:
-                    wm += eta_k * np.sum(m * m, axis=1)
+                    # wm += eta_k * sum(m * m)
+                    np.multiply(m, m, out=tmp)
                     if msum is not None:
-                        msum[k] += m.sum(axis=0)
-                        msumsq[k] += (m * m).sum(axis=0)
+                        msum[k] += np.sum(m, axis=0, out=col)
+                        msumsq[k] += np.sum(tmp, axis=0, out=col)
+                    np.sum(tmp, axis=1, out=rowsum)
+                    rowsum *= eta_k
+                    wm += rowsum
                     step = config.eta0 * eta_k
-                    x = x - step * m / np.sqrt(v + config.eps)
-                    m = m - config.c1 * step * (m - g) + (
-                        config.c1_prime * eta_k * math.sqrt(config.eta0)
-                    ) * z[:, k, :]
-                    v = v - config.c2 * step * (v - diag_sigma)
-                    vm = float(v.min()) if v.size else 0.0
-                    if vm < v_min:
-                        v_min = vm
+                    # x -= step * m / sqrt(v + eps)
+                    np.multiply(m, step, out=tmp)
+                    tmp /= root_v[k]
+                    x -= tmp
+                    # m = m - c1 * step * (m - g) + c1' * eta_k * sqrt(eta0) * z_k
+                    np.subtract(m, g, out=tmp)
+                    tmp *= config.c1 * step
+                    m -= tmp
+                    np.multiply(z[:, k, :], c1_prime * eta_k * sqrt_eta0, out=tmp)
+                    m += tmp
                 else:
-                    x = x - config.eta0 * eta_k * (g + z[:, k, :])
-                ma = float(np.max(np.abs(x)))
-                if ma > max_abs:
-                    max_abs = ma
+                    # x -= eta0 * eta_k * (g + z_k)
+                    np.add(g, z[:, k, :], out=tmp)
+                    tmp *= config.eta0 * eta_k
+                    x -= tmp
+                np.fmax(peak, np.abs(x, out=tmp), out=peak)
 
             if traces is not None:
                 gT = objective.gradient(x)
@@ -275,9 +362,11 @@ def simulate(
 
             bad = ~np.isfinite(x).all(axis=1) | ~np.isfinite(wg)
             if adam:
-                bad |= ~np.isfinite(m).all(axis=1) | ~np.isfinite(v).all(axis=1)
+                bad |= ~np.isfinite(m).all(axis=1)
             if bad.any():
                 raise SimulationDiverged(start + int(np.argmax(bad)))
+            # every iterate was finite, so the running max ignored no NaN
+            max_abs = max(max_abs, float(peak.max()))
 
             diff = x - x_star
             final_sq[start:stop] = np.sum(diff * diff, axis=1)

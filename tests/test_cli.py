@@ -250,6 +250,41 @@ class TestValidate:
             assert payload[key]["passed"], key
 
 
+class TestBadInput:
+    """Bad input exits 1 with a one-line message, never a traceback."""
+
+    @staticmethod
+    def one_line_error(capsys):
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        return captured
+
+    def test_check_nan_peak_rate_is_not_stable(self, capsys):
+        assert run_cli(["check", "--eta-max", "nan", "--warmup", 8.39,
+                        "--model", 4.05, "--tokens", 100]) == 1
+        captured = self.one_line_error(capsys)
+        assert "stable" not in captured.out
+
+    def test_predict_config_missing_field(self, tmp_path, law_file, capsys):
+        cfg = {"eta2": 6e-3, "a1_B": 1.0, "a2_B": 1.0, "a3_B": 1.0,
+               "tokens_B": 10.0, "model_B": 0.58}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run_cli(["predict", "--law", law_file, "--config", path]) == 1
+        assert "eta1" in self.one_line_error(capsys).err
+
+    def test_unknown_gate_override(self, capsys):
+        assert run_cli(["check", "--eta-max", 0.4, "--warmup", 8.39, "--model", 4.05,
+                        "--tokens", 100, "--gate-overrides", '{"bogus": 1}']) == 1
+        assert "bogus" in self.one_line_error(capsys).err
+
+    def test_simulate_dim_zero(self, capsys):
+        assert run_cli(["simulate", "--dim", 0, "--paths", 4]) == 1
+        assert "--dim" in self.one_line_error(capsys).err
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run_cli(["frobnicate"]) == 1

@@ -32,6 +32,9 @@ class TestParams:
             DivergenceParams(c3_hat=0.0)
         with pytest.raises(ValueError):
             DivergenceParams(alpha1_hat=-0.1)
+        for bad in (float("nan"), float("inf"), "1.0"):
+            with pytest.raises(ValueError):
+                DivergenceParams(c1_hat=bad)
 
     def test_override(self):
         p = DivergenceParams(c1_hat=2.0)
@@ -90,9 +93,15 @@ class TestCriterion:
         assert res_hot.verdict == "diverge"
 
     def test_invalid_inputs(self):
-        for bad in [(0.0, 1, 1, 1), (0.4, 0, 1, 1), (0.4, 1, 0, 1), (0.4, 1, 1, 0)]:
+        nan, inf = float("nan"), float("inf")
+        for bad in [(0.0, 1, 1, 1), (0.4, 0, 1, 1), (0.4, 1, 0, 1), (0.4, 1, 1, 0),
+                    (nan, 1, 1, 1), (inf, 1, 1, 1), (0.4, nan, 1, 1), (0.4, 1, inf, 1),
+                    (0.4, 1, 1, nan)]:
             with pytest.raises(ValueError):
                 criterion_R(*bad)
+        for N, S in [(nan, 1.0), (1.0, inf)]:
+            with pytest.raises(ValueError):
+                critical_rate(N, S)
 
 
 class TestMonotonicity:

@@ -208,6 +208,12 @@ class TestFeatureVector:
         assert [r["power"] for r in recs] == list(DEFAULT_POWERS)
         json.dumps(recs)  # JSON-ready
 
+    def test_term_names_are_unique(self):
+        assert len(TERM_NAMES) == len(set(TERM_NAMES)) == 16
+        s = build_general_schedule(0.4, 0.4, 2.0, 2.0, 2.0, 10.0)
+        names = [r["name"] for r in compute_features(s, default_markers(s), 4.0).as_records()]
+        assert len(set(names)) == 16
+
     def test_rejects_nonfinite(self):
         with pytest.raises(FeatureError):
             FeatureVector((float("nan"),) + (1.0,) * 15)

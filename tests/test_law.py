@@ -393,6 +393,18 @@ class TestSimpleLaw:
         closed = prop1_gap(law, r_a, r_ac, S, eta_max=h)
         assert closed == pytest.approx(direct, rel=1e-12)
 
+    def test_gap_uses_tail_slope_constants(self):
+        # c4/alpha3 weigh the warmup slope energy and c5/alpha4 the tail one;
+        # with them unequal, mixing the pairs up gives 0.0529 here
+        law = SimpleLaw(c1=0.8, c2=2.0, c3_bias=0.5, c4=0.5, c5=3.0,
+                        alpha1=1.1, alpha2=0.7, alpha3=0.6, alpha4=0.3, b=0.2)
+        r_a, r_ac, S, h = 0.05, 0.8, 100.0, 0.5
+        cos = warmup_cosine_schedule(h, r_a * S, S)
+        con = warmup_const_cooldown_schedule(h, r_a * S, r_ac * S, S)
+        direct = abs(simple_law_eval(law, cos) - simple_law_eval(law, con))
+        assert direct == pytest.approx(0.195, abs=5e-4)
+        assert prop1_gap(law, r_a, r_ac, S, eta_max=h) == pytest.approx(direct, rel=1e-12)
+
     def test_gap_vanishes_with_horizon(self):
         law = unit_simple_law()
         gaps = [prop1_gap(law, 0.01, 0.85, 10.0**k) for k in range(2, 9)]

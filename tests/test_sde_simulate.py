@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from optlaws.sde import (
     rosenbrock,
     simulate,
 )
+from util import reference_simulate
 
 
 def constant_schedule(eta, T):
@@ -47,6 +51,10 @@ class TestObjectives:
         obj = make()
         H = obj.hessian_at(np.full(obj.dim, 0.3))
         np.testing.assert_array_equal(H, H.T)
+
+    def test_empty_quadratic_rejected(self):
+        with pytest.raises(ValueError):
+            quadratic(np.zeros((0, 0)))
 
     def test_batched_gradient(self):
         obj = double_well(3)
@@ -164,3 +172,105 @@ class TestDeterminism:
         path_rng(7, 0).standard_normal(100)  # unrelated consumption
         draws_b = path_rng(7, 3).standard_normal(4)
         np.testing.assert_array_equal(draws_a, draws_b)
+
+
+def assert_matches_reference(objective, noise, config, block_size=None):
+    """simulate() and the reference stepper agree bit for bit."""
+    want = reference_simulate(objective, noise, config, block_size=block_size)
+    got = simulate(objective, noise, config, block_size=block_size)
+    assert json.dumps(got.as_dict(), sort_keys=True) == json.dumps(want.as_dict(), sort_keys=True)
+    if want.mean_momentum is None:
+        assert got.mean_momentum is None
+    else:
+        assert got.mean_momentum.keys() == want.mean_momentum.keys()
+        for key, arr in want.mean_momentum.items():
+            assert got.mean_momentum[key].tobytes() == arr.tobytes(), key
+    if want.traces is None:
+        assert got.traces is None
+    else:
+        assert len(got.traces) == len(want.traces)
+        for (i, t, tr), (j, u, ur) in zip(got.traces, want.traces):
+            assert i == j and t.tobytes() == u.tobytes() and tr.tobytes() == ur.tobytes()
+    return got
+
+
+def correlated_system(dim, seed=0):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((dim, dim))
+    return quadratic(A.T @ A / dim + 0.2 * np.eye(dim)), NoiseModel(A @ A.T / dim)
+
+
+class TestReferenceStepper:
+    SCHED = build_general_schedule(0.8, 0.5, 0.5, 1.0, 1.5, 2.0)
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "adam"])
+    def test_non_diagonal_noise(self, algorithm):
+        obj, noise = correlated_system(5)
+        assert np.any(noise.root - np.diag(np.diag(noise.root)))
+        cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=37, seed=4,
+                        algorithm=algorithm, trap_eps=(0.01, 0.1),
+                        track_mean_momentum=algorithm == "adam")
+        assert_matches_reference(obj, noise, cfg, block_size=7)
+
+    def test_adam_with_tracking(self):
+        cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=40, seed=3,
+                        algorithm="adam", c1=2.0, c2=3.0, x0=np.full(4, 1.3),
+                        track_mean_momentum=True, record_traces=True)
+        noise = NoiseModel(np.diag([0.3, 0.05, 1.2, 0.7]))
+        rep = assert_matches_reference(double_well(4), noise, cfg, block_size=11)
+        assert rep.mean_momentum is not None and len(rep.traces) == 40
+
+    @pytest.mark.parametrize("block_size", [1, 6, 13, 53, None])
+    def test_odd_block_sizes(self, block_size):
+        cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=53, seed=8,
+                        record_traces=True, trap_eps=(0.5,))
+        assert_matches_reference(double_well(4), NoiseModel.isotropic(4, 0.1), cfg,
+                                 block_size=block_size)
+
+    @pytest.mark.parametrize("algorithm, variance, eta0, c2, path", [
+        ("sgd", 10.0, 0.14, 1.0, 11),
+        ("adam", 0.5, 0.15, 1.0, 1),
+        ("adam", 0.1, 0.01, 400.0, 0),  # v itself overflows
+    ])
+    def test_diverging_run_names_the_same_path(self, algorithm, variance, eta0, c2, path):
+        cfg = SdeConfig(schedule=constant_schedule(1.0, 10.0), eta0=eta0, n_paths=40,
+                        seed=0, algorithm=algorithm, c2=c2, x0=np.ones(3))
+        noise = NoiseModel.isotropic(3, variance)
+        for run in (reference_simulate, simulate):
+            with pytest.raises(SimulationDiverged) as err:
+                run(double_well(3), noise, cfg, block_size=9)
+            assert err.value.path_index == path
+
+    def test_adam_v_min_matches_closed_form(self):
+        # v_k = diag(Sigma) * (1 - prod_{j<k} (1 - c2*eta0*eta_j)); c2*eta0*eta_j
+        # starts above 1, so v overshoots diag(Sigma) before settling
+        sched = Schedule((Segment("linear", 0.0, 2.0, 1.0, 0.2),), 2.0, (0.0, 0.0, 0.0))
+        d = np.array([0.3, 1.0, 2.5])
+        cfg = SdeConfig(schedule=sched, eta0=0.01, n_paths=3, seed=1, algorithm="adam",
+                        c2=150.0)
+        rep = simulate(isotropic_quadratic(3), NoiseModel(np.diag(d)), cfg)
+        ts = np.minimum(np.arange(cfg.n_steps) * cfg.eta0, sched.S)
+        etas = np.array([sched.value(t) for t in ts])
+        prods = np.cumprod(1.0 - cfg.c2 * cfg.eta0 * etas)
+        closed = float(np.min(np.outer(1.0 - prods, d)))
+        assert closed < 1.5 * d.min()  # the minimum is not simply the first step
+        assert rep.v_min == pytest.approx(closed, rel=1e-12)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("algorithm", ["sgd", "adam"])
+    def test_peak_allocation_is_one_noise_block(self, algorithm):
+        dim, block = 16, 64
+        cfg = SdeConfig(schedule=constant_schedule(0.5, 4.0), eta0=0.01, n_paths=3 * block,
+                        seed=0, algorithm=algorithm, x0=np.full(dim, 1.2))
+        obj, noise = double_well(dim), NoiseModel.isotropic(dim, 0.05)
+        block_bytes = block * cfg.n_steps * dim * 8
+        simulate(obj, noise, cfg, block_size=block)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulate(obj, noise, cfg, block_size=block)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * block_bytes
