@@ -13,18 +13,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import sde
-from .divergence import DEFAULT_PARAMS, DivergenceParams, criterion_R
-from .features import FeatureError, Normalizer
+from .divergence import DEFAULT_PARAMS, DivergenceParams, criterion_R, gated_criterion
+from .features import Normalizer
 from .law import (
     DIVERGED_LOSS,
     FittedLaw,
-    LawFitError,
     PretrainContext,
     RunConfig,
     RunRecord,
@@ -33,53 +30,16 @@ from .law import (
     rank,
 )
 from .numerics import adaptive_simpson
-from .schedule import Schedule, ScheduleError, build_general_schedule
+from .schedule import Schedule, build_general_schedule
+from .sde.objectives import CATALOG
 
-__all__ = ["main", "sweep_grid", "read_runs_csv", "Workspace"]
+__all__ = ["main", "sweep_grid", "read_runs_csv"]
 
 RUNS_COLUMNS = ["model_B", "tokens_B", "eta1", "eta2", "a1_B", "a2_B", "a3_B", "loss", "diverged"]
 
 
 class DataError(Exception):
     """Malformed input file; message carries the offending location."""
-
-
-@dataclass
-class Workspace:
-    """On-disk layout for a batch of experiments.
-
-    Laws live under ``laws/`` keyed by id; reports under ``reports/``.
-    Saving then loading a law is byte-stable (the JSON form is canonical).
-    """
-
-    root: Path
-    runs: Path = field(init=False)
-    laws: Path = field(init=False)
-    reports: Path = field(init=False)
-    active_law: str | None = None
-
-    def __post_init__(self):
-        self.root = Path(self.root)
-        self.runs = self.root / "runs.csv"
-        self.laws = self.root / "laws"
-        self.reports = self.root / "reports"
-        self.laws.mkdir(parents=True, exist_ok=True)
-        self.reports.mkdir(parents=True, exist_ok=True)
-
-    def law_path(self, law_id: str) -> Path:
-        return self.laws / f"{law_id}.json"
-
-    def save_law(self, law_id: str, law: FittedLaw) -> Path:
-        path = self.law_path(law_id)
-        path.write_text(law.to_json(), encoding="utf-8")
-        self.active_law = law_id
-        return path
-
-    def load_law(self, law_id: str | None = None) -> FittedLaw:
-        law_id = law_id or self.active_law
-        if law_id is None:
-            raise DataError("workspace has no active law")
-        return FittedLaw.from_json(self.law_path(law_id).read_text(encoding="utf-8"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,7 +66,7 @@ def read_runs_csv(path: str, token_length=None, batch=None) -> list[RunRecord]:
 
     Default columns carry sizes pre-converted to billions of tokens; when
     ``token_length`` and ``batch`` are given, the size columns are raw step
-    counts converted once here.
+    counts, converted to billions here and nowhere else.
     """
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -118,33 +78,19 @@ def read_runs_csv(path: str, token_length=None, batch=None) -> list[RunRecord]:
         for lineno, row in enumerate(reader, start=2):
             try:
                 vals = {k: float(row[k]) for k in RUNS_COLUMNS[:-1]}
-                diverged = int(row["diverged"]) != 0
                 if token_length is not None and batch is not None:
-                    factor = token_length * batch / 1e9
                     for key in ("tokens_B", "a1_B", "a2_B", "a3_B"):
-                        vals[key] *= factor
-                records.append(
-                    RunRecord.from_billions(
-                        model_B=vals["model_B"],
-                        tokens_B=vals["tokens_B"],
-                        eta1=vals["eta1"],
-                        eta2=vals["eta2"],
-                        a1_B=vals["a1_B"],
-                        a2_B=vals["a2_B"],
-                        a3_B=vals["a3_B"],
-                        loss=vals["loss"] if not diverged else DIVERGED_LOSS,
-                        diverged=diverged,
-                    )
-                )
-            except (KeyError, TypeError, ValueError, ScheduleError) as exc:
+                        vals[key] = Normalizer.tokens_billions(vals[key], token_length, batch)
+                records.append(RunRecord(**vals, diverged=int(row["diverged"]) != 0))
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path} line {lineno}: {exc}") from None
     return records
 
 
-def _config_schedule(cfg: dict, lr_scale: float) -> Schedule:
+def _config_schedule(cfg: dict, normalizer: Normalizer) -> Schedule:
     return build_general_schedule(
-        cfg["eta1"] / lr_scale,
-        cfg["eta2"] / lr_scale,
+        normalizer.normalize_lr(cfg["eta1"]),
+        normalizer.normalize_lr(cfg["eta2"]),
         cfg["a1_B"],
         cfg["a2_B"],
         cfg["a3_B"],
@@ -152,13 +98,12 @@ def _config_schedule(cfg: dict, lr_scale: float) -> Schedule:
     )
 
 
-def _load_config(cfg: dict, law: FittedLaw) -> RunConfig:
+def _load_config(cfg: dict, normalizer: Normalizer) -> RunConfig:
     try:
-        schedule = _config_schedule(cfg, law.lr_scale)
+        schedule = _config_schedule(cfg, normalizer)
         pre = None
         if "pre" in cfg and cfg["pre"] is not None:
-            pre_sched = _config_schedule(cfg["pre"], law.lr_scale)
-            pre = PretrainContext(pre_sched)
+            pre = PretrainContext(_config_schedule(cfg["pre"], normalizer))
         return RunConfig(schedule=schedule, N=cfg["model_B"], pre=pre)
     except KeyError as exc:
         raise DataError(f"config is missing field {exc}") from None
@@ -209,7 +154,7 @@ def sweep_grid(
         for h in eta_values:
             if h <= 0:
                 raise ValueError(f"peak rate {h} must be positive")
-            res = criterion_R(h, a, N, S, gate)
+            res = gated_criterion(h, a, N, S, gate)
             if res.verdict == "diverge":
                 rows.append((h, a, res.R, sentinel))
                 continue
@@ -268,7 +213,7 @@ def _cmd_predict(args) -> int:
         law = FittedLaw.from_json(fh.read())
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    pred = predict(law, _load_config(cfg, law))
+    pred = predict(law, _load_config(cfg, Normalizer(law.lr_scale)))
     sys.stdout.write(_dump_json(pred, args.out))
     return 0
 
@@ -280,7 +225,9 @@ def _cmd_rank(args) -> int:
         cfgs = json.load(fh)
     if not isinstance(cfgs, list) or not cfgs:
         raise DataError(f"{args.configs}: need a nonempty JSON list of configs")
-    ranked = rank(law, [_load_config(c, law) for c in cfgs], gate=_gate_from_args(args))
+    normalizer = Normalizer(law.lr_scale)
+    configs = [_load_config(c, normalizer) for c in cfgs]
+    ranked = rank(law, configs, gate=_gate_from_args(args))
     table = [
         {
             "rank": i + 1,
@@ -299,7 +246,9 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    eta_max = args.eta_max / args.lr_scale if args.raw_lr else args.eta_max
+    eta_max = args.eta_max
+    if args.raw_lr:
+        eta_max = Normalizer(args.lr_scale).normalize_lr(eta_max)
     res = criterion_R(eta_max, args.warmup, args.model, args.tokens, _gate_from_args(args))
     sys.stdout.write(_dump_json(res.as_dict(), args.out))
     return 0
@@ -322,20 +271,36 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _make_objective(name: str, dim: int):
-    if name == "quadratic":
-        return sde.isotropic_quadratic(dim)
-    if name == "double_well":
-        return sde.double_well(dim)
-    if name == "rosenbrock":
-        return sde.rosenbrock(dim)
-    raise DataError(f"unknown objective {name!r}")
+def _convergence_check(objective, noise, config, report):
+    """(name, statistic, bound) of the convergence bound an ensemble must respect.
+
+    SGD's weighted-average squared gradient is held against the gradient
+    bound, Adam's weighted-average squared momentum against the momentum
+    bound; the constants come from the noise model and ``config``.
+    """
+    constants = {"x0": config.x0, "eta0": config.eta0}
+    name, key = "gradient", "weighted_avg_grad_sq"
+    if config.algorithm == "adam":
+        sigma = noise.Sigma_g
+        constants.update(
+            V=float(np.max(np.diag(sigma))) if np.any(sigma) else 0.0,
+            eps=config.eps,
+            c1=config.c1,
+            c2=config.c2,
+            c1_prime=config.c1_prime,
+            sigma_bar=noise.sigma_g ** 2,
+        )
+        name, key = "momentum", "weighted_avg_momentum_sq"
+    bounds = sde.convergence_bound(
+        config.algorithm, objective, noise, config.schedule, config.T, constants
+    )
+    return name, report.stats[key], bounds[name]
 
 
 def _cmd_simulate(args) -> int:
     if args.dim < 1:
         raise DataError(f"--dim must be at least 1, got {args.dim}")
-    objective = _make_objective(args.objective, args.dim)
+    objective = CATALOG[args.objective](args.dim)
     noise = sde.NoiseModel.isotropic(args.dim, args.sigma2, D=args.noise_samples)
     if args.schedule_json:
         with open(args.schedule_json, encoding="utf-8") as fh:
@@ -358,31 +323,10 @@ def _cmd_simulate(args) -> int:
     )
     report = sde.simulate(objective, noise, config, x_star=x_star)
 
-    constants = {"x0": x0, "f0": float(objective.value(x0)), "eta0": args.eta0}
-    if args.algorithm == "adam":
-        constants.update(
-            V=float(np.max(np.diag(noise.Sigma_g))) if np.any(noise.Sigma_g) else 0.0,
-            eps=config.eps,
-            c1=config.c1,
-            c2=config.c2,
-            c1_prime=config.c1_prime,
-            sigma_bar=noise.sigma_g ** 2,
-        )
-    bounds = sde.convergence_bound(
-        args.algorithm, objective, noise, schedule, config.T, constants
-    )
-    checks = {}
+    name, stat, bound = _convergence_check(objective, noise, config, report)
+    checks = {f"{name}_bound_dominates": bool(stat.mean <= bound + 3.0 * stat.std_err)}
     if args.algorithm == "adam":
         checks["v_nonnegative"] = bool(report.v_min >= 0.0)
-        stat = report.stats["weighted_avg_momentum_sq"]
-        checks["momentum_bound_dominates"] = bool(
-            stat.mean <= bounds["momentum"] + 3.0 * stat.std_err
-        )
-    else:
-        stat = report.stats["weighted_avg_grad_sq"]
-        checks["gradient_bound_dominates"] = bool(
-            stat.mean <= bounds["gradient"] + 3.0 * stat.std_err
-        )
     payload = {
         "config": {
             "objective": args.objective,
@@ -394,7 +338,7 @@ def _cmd_simulate(args) -> int:
             "schedule": json.loads(schedule.to_json()),
         },
         "report": report.as_dict(),
-        "bounds": bounds,
+        "bounds": {name: bound},
         "checks": checks,
     }
     sys.stdout.write(_dump_json(payload, args.out))
@@ -464,17 +408,7 @@ def _validate_suites(seed: int, quick: bool) -> dict:
             schedule=schedule, eta0=0.01, n_paths=paths, seed=seed, algorithm=algo, x0=x0
         )
         rep = sde.simulate(obj, noise, config)
-        constants = {"x0": x0, "eta0": 0.01}
-        if algo == "adam":
-            constants.update(
-                V=0.05, eps=config.eps, c1=1.0, c2=1.0,
-                c1_prime=config.c1_prime, sigma_bar=noise.sigma_g ** 2,
-            )
-            stat = rep.stats["weighted_avg_momentum_sq"]
-            bound = sde.convergence_bound(algo, obj, noise, schedule, config.T, constants)["momentum"]
-        else:
-            stat = rep.stats["weighted_avg_grad_sq"]
-            bound = sde.convergence_bound(algo, obj, noise, schedule, config.T, constants)["gradient"]
+        _, stat, bound = _convergence_check(obj, noise, config, rep)
         passed = stat.mean <= bound + 3.0 * stat.std_err
         detail[algo] = {"empirical": stat.mean, "bound": bound, "passed": bool(passed)}
         ok &= passed
@@ -588,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Euler-Maruyama ensemble of SGD/Adam")
     p.add_argument("--objective", default="quadratic",
-                   choices=["quadratic", "double_well", "rosenbrock"])
+                   choices=list(CATALOG))
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--algorithm", default="sgd", choices=["sgd", "adam"])
     p.add_argument("--peak", type=float, default=0.5, help="normalized peak rate")
@@ -625,10 +559,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (DataError, LawFitError, FeatureError, ScheduleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DataError, ValueError, OSError, sde.SimulationDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,7 @@ __all__ = [
     "CriterionResult",
     "criterion_R",
     "critical_rate",
+    "gated_criterion",
     "DEFAULT_PARAMS",
 ]
 
@@ -95,3 +96,25 @@ def criterion_R(
     excess = eta_max - eta_l
     r = s_sq * excess * excess / (params.c3_hat * a_sq * eta_l * eta_l)
     return CriterionResult(R=r, eta_L=eta_l, verdict="diverge" if r > 1.0 else "stable")
+
+
+def gated_criterion(
+    eta_max: float,
+    a1: float,
+    N: float,
+    S: float,
+    params: DivergenceParams = DEFAULT_PARAMS,
+) -> CriterionResult:
+    """The divergence gate: :func:`criterion_R`, extended to a zero warmup.
+
+    The criterion itself requires a1 > 0 (and rejects any other nonzero
+    a1); with no warmup the ratio blows up, so such configs diverge
+    (R = inf) unless the peak rate already sits at or below the critical
+    rate (zero numerator, R = 0 in the limit).
+    """
+    if a1 != 0.0:
+        return criterion_R(eta_max, a1, N, S, params)
+    threshold = critical_rate(N, S, params)
+    if eta_max <= threshold:
+        return CriterionResult(R=0.0, eta_L=eta_max, verdict="stable")
+    return CriterionResult(R=math.inf, eta_L=threshold, verdict="diverge")

@@ -16,6 +16,7 @@ default to the values above but can be overridden per term.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .schedule import Schedule
@@ -84,6 +85,12 @@ class Normalizer:
     """
 
     lr_scale: float = 1.5e-2
+
+    def __post_init__(self):
+        if not (isinstance(self.lr_scale, numbers.Real) and 0 < self.lr_scale < math.inf):
+            raise ValueError(
+                f"lr_scale must be finite and strictly positive, got {self.lr_scale!r}"
+            )
 
     def normalize_lr(self, raw_lr: float) -> float:
         return raw_lr / self.lr_scale

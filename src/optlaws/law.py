@@ -19,13 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divergence import (
-    DEFAULT_PARAMS,
-    CriterionResult,
-    DivergenceParams,
-    criterion_R,
-    critical_rate,
-)
+from .divergence import DEFAULT_PARAMS, DivergenceParams, gated_criterion
 from .features import (
     DEFAULT_POWERS,
     ESCAPE_INDICES,
@@ -80,68 +74,37 @@ class LawFitError(ValueError):
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One training run in raw units.
+    """One training run, as a row of the run-log CSV.
 
-    Learning rates are raw (pre-normalization), phase boundaries and the
-    horizon are optimizer steps, and ``token_length``/``batch`` convert
-    steps to tokens.  ``N`` is billions of learnable parameters.
+    Learning rates are raw (pre-normalization); the warmup, decay and
+    cooldown markers and the horizon are billions of tokens; ``model_B`` is
+    billions of learnable parameters.
     """
 
+    model_B: float
+    tokens_B: float
     eta1: float
     eta2: float
-    a1: float
-    a2: float
-    a3: float
-    S_steps: float
-    token_length: int
-    batch: int
-    N: float
-    final_loss: float
+    a1_B: float
+    a2_B: float
+    a3_B: float
+    loss: float
     diverged: bool = False
 
     def __post_init__(self):
         if self.diverged:
-            object.__setattr__(self, "final_loss", DIVERGED_LOSS)
-        elif not self.final_loss > 0:
-            raise ValueError(f"non-divergent run needs final_loss > 0, got {self.final_loss}")
-
-    @classmethod
-    def from_billions(
-        cls,
-        model_B: float,
-        tokens_B: float,
-        eta1: float,
-        eta2: float,
-        a1_B: float,
-        a2_B: float,
-        a3_B: float,
-        loss: float,
-        diverged: bool = False,
-    ) -> "RunRecord":
-        """Record whose sizes are already billions of tokens."""
-        return cls(
-            eta1=eta1,
-            eta2=eta2,
-            a1=a1_B * 1e9,
-            a2=a2_B * 1e9,
-            a3=a3_B * 1e9,
-            S_steps=tokens_B * 1e9,
-            token_length=1,
-            batch=1,
-            N=model_B,
-            final_loss=loss,
-            diverged=diverged,
-        )
+            object.__setattr__(self, "loss", DIVERGED_LOSS)
+        elif not self.loss > 0:
+            raise ValueError(f"non-divergent run needs loss > 0, got {self.loss}")
 
     def normalized_schedule(self, normalizer: Normalizer = Normalizer()) -> Schedule:
-        conv = lambda steps: normalizer.tokens_billions(steps, self.token_length, self.batch)
         return build_general_schedule(
             normalizer.normalize_lr(self.eta1),
             normalizer.normalize_lr(self.eta2),
-            conv(self.a1),
-            conv(self.a2),
-            conv(self.a3),
-            conv(self.S_steps),
+            self.a1_B,
+            self.a2_B,
+            self.a3_B,
+            self.tokens_B,
         )
 
 
@@ -188,6 +151,7 @@ class FittedLaw:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.policy_rule not in MARKER_RULES:
             raise ValueError(f"unknown marker policy rule {self.policy_rule!r}")
+        Normalizer(self.lr_scale)  # rejects a non-finite or non-positive scale
 
     def as_continual(self) -> "FittedLaw":
         """Same coefficients applied with the continual-training feature map."""
@@ -281,9 +245,9 @@ def _design_matrix(
     feats = []
     for r in rows:
         schedule = r.normalized_schedule(normalizer)
-        feats.append(_featurize(powers, policy_rule, schedule, r.N).values)
+        feats.append(_featurize(powers, policy_rule, schedule, r.model_B).values)
     A = np.array(feats, dtype=float)
-    y = np.log(np.array([r.final_loss for r in rows], dtype=float))
+    y = np.log(np.array([r.loss for r in rows], dtype=float))
     return A, y
 
 
@@ -361,25 +325,6 @@ class RankedConfig:
     loss: float | None
 
 
-def _gate(config: RunConfig, gate: DivergenceParams) -> CriterionResult:
-    """Divergence check for a config, tolerating a zero-length warmup.
-
-    The criterion itself requires a1 > 0; with no warmup the ratio blows
-    up, so such configs diverge unless the peak rate already sits at or
-    below the critical rate (zero numerator, R = 0 in the limit).
-    """
-    schedule = config.schedule
-    h = schedule.eta_max
-    a1 = schedule.markers[0]
-    S = schedule.S
-    threshold = critical_rate(config.N, S, gate)
-    if h <= threshold:
-        return CriterionResult(R=0.0, eta_L=min(h, threshold), verdict="stable")
-    if a1 <= 0.0:
-        return CriterionResult(R=math.inf, eta_L=threshold, verdict="diverge")
-    return criterion_R(h, a1, config.N, S, gate)
-
-
 def rank(
     law: FittedLaw,
     configs,
@@ -396,7 +341,8 @@ def rank(
         raise ValueError("rank needs at least one configuration")
     kept, gated = [], []
     for i, cfg in enumerate(configs):
-        res = _gate(cfg, gate)
+        schedule = cfg.schedule
+        res = gated_criterion(schedule.eta_max, schedule.markers[0], cfg.N, schedule.S, gate)
         if res.verdict == "diverge":
             gated.append(RankedConfig(i, "diverge", res.R, res.eta_L, None, None))
         else:
@@ -404,8 +350,8 @@ def rank(
             kept.append(
                 (
                     pred["log_loss"],
-                    cfg.schedule.eta_max,
-                    cfg.schedule.markers[0],
+                    schedule.eta_max,
+                    schedule.markers[0],
                     i,
                     RankedConfig(i, "ok", res.R, res.eta_L, pred["log_loss"], pred["loss"]),
                 )

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..numerics import gauss_legendre_pieces
 from ..schedule import Schedule
@@ -158,7 +157,8 @@ def closed_form_covariance(
     if symmetric:
         lam, U = np.linalg.eigh(G)
         M = U.T @ Sigma @ U
-        pair = lam[:, None] + lam[None, :]
+    else:
+        from scipy.linalg import expm  # imported on demand: slow, and only needed here
 
     out = []
     for t in t_grid:
@@ -174,7 +174,7 @@ def closed_form_covariance(
             w_s = scale * np.array([schedule.value(s) ** 2 for s in nodes]) * weights
             dphi = phi_t - np.array([_phi(schedule, s) for s in nodes])
             if symmetric:
-                # sum_q w_q * exp(-pair * dphi_q), assembled in the eigenbasis
+                # sum_q w_q * exp(-(lam_i + lam_j) dphi_q), assembled in the eigenbasis
                 E = np.exp(-np.outer(dphi, lam))  # (q, n)
                 I = np.einsum("q,qi,qj->ij", w_s, E, E)
                 return U @ (M * I) @ U.T

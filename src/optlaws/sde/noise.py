@@ -1,4 +1,4 @@
-"""Gradient-noise model: fixed Gaussian covariance plus the empirical estimator."""
+"""Gradient-noise model: a fixed Gaussian covariance and its draws."""
 
 from __future__ import annotations
 
@@ -70,8 +70,3 @@ class NoiseModel:
         """Noise vectors of the given leading shape, last axis = dim."""
         xi = rng.standard_normal((*shape, self.dim))
         return xi @ self._root
-
-    def empirical_covariance(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw of the D-sample covariance estimate Z Z^T / D."""
-        z = self.draw(rng, (self.D,))  # (D, dim)
-        return z.T @ z / self.D

@@ -81,11 +81,9 @@ def random_matrix_checks(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     traces = np.empty(n_trials)
     lmax = np.empty(n_trials)
-    root = model.root
     for start in range(0, n_trials, _CHUNK):
         stop = min(start + _CHUNK, n_trials)
-        xi = rng.standard_normal((stop - start, D, N))
-        z = xi @ root  # rows ~ N(0, Sigma_g)
+        z = model.draw(rng, (stop - start, D))  # rows ~ N(0, Sigma_g)
         traces[start:stop] = np.einsum("bdn,bdn->b", z, z) / D
         cov = np.swapaxes(z, 1, 2) @ z / D
         lmax[start:stop] = np.linalg.eigvalsh(cov)[:, -1]

@@ -134,8 +134,8 @@ def test_criterion_03_fit_quality_reproduction():
     law = fit(train)
     rels = []
     for r in hold:
-        pred = predict(law, RunConfig(schedule=r.normalized_schedule(), N=r.N))["loss"]
-        rels.append(abs(pred - r.final_loss) / r.final_loss)
+        pred = predict(law, RunConfig(schedule=r.normalized_schedule(), N=r.model_B))["loss"]
+        rels.append(abs(pred - r.loss) / r.loss)
     mean_rel = float(np.mean(rels))
     elapsed = time.monotonic() - start
     assert mean_rel <= 5e-3

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from optlaws.cli import Workspace, main, read_runs_csv, sweep_grid
+import optlaws
+from optlaws.cli import main, read_runs_csv, sweep_grid
 from optlaws.divergence import DEFAULT_PARAMS
 from optlaws.law import FittedLaw, reference_law
 from util import fixture_corpus, records_to_csv
@@ -185,25 +190,6 @@ class TestSweep:
         assert all(r[2] >= 0.0 for r in rows)  # R carried for contour plots
 
 
-class TestWorkspace:
-    def test_law_round_trip_and_active_id(self, tmp_path, runs_csv):
-        ws = Workspace(tmp_path / "ws")
-        law = reference_law()
-        path = ws.save_law("ref", law)
-        assert ws.active_law == "ref"
-        assert ws.load_law() == law
-        # saving what was loaded reproduces the file byte-for-byte
-        ws.save_law("again", ws.load_law("ref"))
-        assert ws.law_path("again").read_bytes() == path.read_bytes()
-
-    def test_no_active_law_is_error(self, tmp_path):
-        from optlaws.cli import DataError
-
-        ws = Workspace(tmp_path / "ws")
-        with pytest.raises(DataError):
-            ws.load_law()
-
-
 class TestSimulate:
     def test_report_and_traces(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -283,6 +269,44 @@ class TestBadInput:
     def test_simulate_dim_zero(self, capsys):
         assert run_cli(["simulate", "--dim", 0, "--paths", 4]) == 1
         assert "--dim" in self.one_line_error(capsys).err
+
+    def test_simulate_diverged_path(self, capsys):
+        assert run_cli(["simulate", "--objective", "rosenbrock"]) == 1
+        assert "diverged path" in self.one_line_error(capsys).err
+
+    def test_check_raw_lr_zero_scale(self, capsys):
+        assert run_cli(["check", "--eta-max", 6e-3, "--raw-lr", "--lr-scale", 0,
+                        "--warmup", 8.39, "--model", 4.05, "--tokens", 100]) == 1
+        assert "lr_scale" in self.one_line_error(capsys).err
+
+    def test_fit_zero_lr_scale(self, tmp_path, runs_csv, capsys):
+        assert run_cli(["fit", "--runs", runs_csv, "--out", tmp_path / "law.json",
+                        "--lr-scale", 0]) == 1
+        assert "lr_scale" in self.one_line_error(capsys).err
+
+    def test_predict_law_with_zero_lr_scale(self, tmp_path, law_file, capsys):
+        law = json.loads(law_file.read_text())
+        law["lr_scale"] = 0.0
+        bad_law = tmp_path / "bad_law.json"
+        bad_law.write_text(json.dumps(law))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_B": 0.58, "tokens_B": 10.0, "eta1": 6e-3,
+                                   "eta2": 6e-3, "a1_B": 1.0, "a2_B": 1.0, "a3_B": 1.0}))
+        capsys.readouterr()
+        assert run_cli(["predict", "--law", bad_law, "--config", cfg]) == 1
+        assert "lr_scale" in self.one_line_error(capsys).err
+
+
+class TestStartup:
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # scipy.linalg is slow to import and only the closed-form covariance
+        # of a non-symmetric generator needs it
+        code = "import sys, optlaws.cli; print('scipy.linalg' in sys.modules)"
+        src = str(Path(optlaws.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True,
+                              timeout=60)
+        assert done.stdout.strip() == "False"
 
 
 class TestUsageErrors:

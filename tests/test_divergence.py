@@ -8,6 +8,7 @@ from optlaws.divergence import (
     DivergenceParams,
     criterion_R,
     critical_rate,
+    gated_criterion,
 )
 from optlaws.features import Normalizer
 
@@ -75,6 +76,7 @@ class TestCriterion:
             n = float(rng.uniform(0.02, 10.0))
             s = float(rng.uniform(1.0, 500.0))
             res = criterion_R(eta, a1, n, s)
+            assert gated_criterion(eta, a1, n, s) == res
             r_exp, eta_l_exp = oracle_R(eta, a1, n, s)
             assert res.R == pytest.approx(r_exp, rel=1e-12, abs=1e-300)
             assert res.eta_L == pytest.approx(eta_l_exp, rel=1e-12)
@@ -96,9 +98,12 @@ class TestCriterion:
         nan, inf = float("nan"), float("inf")
         for bad in [(0.0, 1, 1, 1), (0.4, 0, 1, 1), (0.4, 1, 0, 1), (0.4, 1, 1, 0),
                     (nan, 1, 1, 1), (inf, 1, 1, 1), (0.4, nan, 1, 1), (0.4, 1, inf, 1),
-                    (0.4, 1, 1, nan)]:
+                    (0.4, 1, 1, nan), (0.4, -1, 1, 1)]:
             with pytest.raises(ValueError):
                 criterion_R(*bad)
+            if bad[1] != 0:  # a zero warmup is the gate's own case
+                with pytest.raises(ValueError):
+                    gated_criterion(*bad)
         for N, S in [(nan, 1.0), (1.0, inf)]:
             with pytest.raises(ValueError):
                 critical_rate(N, S)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from optlaws.cli import read_runs_csv
+from optlaws.divergence import critical_rate
 from optlaws.features import FeatureError, Normalizer, compute_features, default_markers
 from optlaws.law import (
     DIVERGED_LOSS,
@@ -49,18 +51,20 @@ def _config(h_norm, a_B, S_B, N, h2_norm=None, a2_B=None, a3_B=None):
 
 class TestRunRecord:
     def test_sentinel_loss_for_divergent(self):
-        r = RunRecord.from_billions(4.0, 10.0, 6e-3, 6e-3, 1.0, 1.0, 1.0, 2.5, diverged=True)
-        assert r.final_loss == DIVERGED_LOSS
+        r = RunRecord(4.0, 10.0, 6e-3, 6e-3, 1.0, 1.0, 1.0, 2.5, diverged=True)
+        assert r.loss == DIVERGED_LOSS
 
     def test_nonpositive_loss_rejected(self):
         with pytest.raises(ValueError):
-            RunRecord.from_billions(4.0, 10.0, 6e-3, 6e-3, 1.0, 1.0, 1.0, 0.0)
+            RunRecord(4.0, 10.0, 6e-3, 6e-3, 1.0, 1.0, 1.0, 0.0)
 
-    def test_raw_step_normalization(self):
-        r = RunRecord(
-            eta1=6e-3, eta2=6e-3, a1=2000, a2=2000, a3=2000,
-            S_steps=20000, token_length=2048, batch=2048, N=4.05, final_loss=2.0,
+    def test_raw_step_normalization(self, tmp_path):
+        runs = tmp_path / "steps.csv"
+        runs.write_text(
+            "model_B,tokens_B,eta1,eta2,a1_B,a2_B,a3_B,loss,diverged\n"
+            "4.05,20000,6e-3,6e-3,2000,2000,2000,2.0,0\n"
         )
+        [r] = read_runs_csv(str(runs), token_length=2048, batch=2048)
         s = r.normalized_schedule()
         assert s.S == pytest.approx(20000 * 2048 * 2048 / 1e9, rel=1e-15)
         assert s.markers[0] == pytest.approx(8.388608, rel=1e-15)
@@ -90,22 +94,22 @@ class TestFit:
         law = fit(train)
         rels = []
         for r in hold:
-            cfg = RunConfig(schedule=r.normalized_schedule(), N=r.N)
+            cfg = RunConfig(schedule=r.normalized_schedule(), N=r.model_B)
             pred = predict(law, cfg)["loss"]
-            rels.append(abs(pred - r.final_loss) / r.final_loss)
+            rels.append(abs(pred - r.loss) / r.loss)
         assert float(np.mean(rels)) <= 5e-3
 
     def test_divergent_rows_excluded(self):
         records = make_grid_records(**GRID)
-        bad = RunRecord.from_billions(4.05, 10.0, 1.5e-2, 1.5e-2, 0.05, 0.05, 0.05,
-                                      DIVERGED_LOSS, diverged=True)
+        bad = RunRecord(4.05, 10.0, 1.5e-2, 1.5e-2, 0.05, 0.05, 0.05,
+                        DIVERGED_LOSS, diverged=True)
         law_with = fit(records + [bad] * 5)
         law_without = fit(records)
         np.testing.assert_allclose(law_with.c, law_without.c, rtol=0, atol=1e-12)
 
     def test_all_divergent_is_error(self):
-        bad = RunRecord.from_billions(4.05, 10.0, 1.5e-2, 1.5e-2, 0.05, 0.05, 0.05,
-                                      DIVERGED_LOSS, diverged=True)
+        bad = RunRecord(4.05, 10.0, 1.5e-2, 1.5e-2, 0.05, 0.05, 0.05,
+                        DIVERGED_LOSS, diverged=True)
         with pytest.raises(LawFitError, match="no fittable rows"):
             fit([bad] * 20)
 
@@ -130,8 +134,8 @@ class TestFit:
         feats, ys = [], []
         for r in records:
             s = r.normalized_schedule()
-            feats.append(compute_features(s, default_markers(s), r.N).values)
-            ys.append(math.log(r.final_loss))
+            feats.append(compute_features(s, default_markers(s), r.model_B).values)
+            ys.append(math.log(r.loss))
         A = np.array(feats)
         y = np.array(ys)
         base = float(np.sum((A @ np.array(law.c) - y) ** 2))
@@ -147,11 +151,11 @@ class TestFit:
         law1 = fit(noisy)
         regenerated = []
         for r in noisy:
-            cfg = RunConfig(schedule=r.normalized_schedule(), N=r.N)
+            cfg = RunConfig(schedule=r.normalized_schedule(), N=r.model_B)
             loss = predict(law1, cfg)["loss"]
             regenerated.append(
-                RunRecord.from_billions(r.N, r.S_steps / 1e9, r.eta1, r.eta2,
-                                        r.a1 / 1e9, r.a2 / 1e9, r.a3 / 1e9, loss)
+                RunRecord(r.model_B, r.tokens_B, r.eta1, r.eta2,
+                          r.a1_B, r.a2_B, r.a3_B, loss)
             )
         law2 = fit(regenerated)
         assert law2.residual_rms <= 1e-10
@@ -162,9 +166,9 @@ class TestPredict:
         records = make_grid_records(**GRID)
         law = fit(records)
         r = records[7]
-        cfg = RunConfig(schedule=r.normalized_schedule(), N=r.N)
+        cfg = RunConfig(schedule=r.normalized_schedule(), N=r.model_B)
         assert predict(law, cfg)["log_loss"] == pytest.approx(
-            math.log(r.final_loss), abs=1e-9
+            math.log(r.loss), abs=1e-9
         )
 
     def test_constant_model(self):
@@ -214,6 +218,22 @@ class TestRank:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rank(reference_law(), [])
+
+    def test_zero_warmup_gated_at_critical_rate(self):
+        # with no warmup only a peak at or below the critical rate is stable;
+        # a continual-mode law prices such a config from the pre-training area
+        law = reference_law().as_continual()
+        pre = PretrainContext(build_general_schedule(0.3, 0.3, 1.0, 1.0, 1.0, 20.0))
+        eta_crit = critical_rate(0.58, 10.0)
+        cool, hot = (
+            RunConfig(schedule=build_general_schedule(h, h, 0.0, 2.0, 5.0, 10.0),
+                      N=0.58, pre=pre)
+            for h in (eta_crit, math.nextafter(eta_crit, 1.0))
+        )
+        ok, gated = rank(law, [hot, cool])
+        assert (ok.index, ok.verdict, ok.R, ok.eta_L) == (1, "ok", 0.0, eta_crit)
+        assert (gated.index, gated.verdict, gated.R, gated.eta_L) == (
+            0, "diverge", math.inf, eta_crit)
 
     def test_divergent_listed_last(self):
         law = reference_law()

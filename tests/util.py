@@ -65,7 +65,7 @@ def random_schedule(rng: np.random.Generator) -> Schedule:
 def planted_log_loss(record: RunRecord, c=REFERENCE_COEFFICIENTS) -> float:
     """Log loss a record would have under the planted coefficient vector."""
     schedule = record.normalized_schedule()
-    f = compute_features(schedule, default_markers(schedule), record.N)
+    f = compute_features(schedule, default_markers(schedule), record.model_B)
     return float(np.dot(c, f.values))
 
 
@@ -89,12 +89,12 @@ def make_grid_records(
                 for h in peak_rates:
                     a = fa * S
                     raw = h * LR_SCALE
-                    probe = RunRecord.from_billions(N, S, raw, raw, a, a, a, 1.0)
+                    probe = RunRecord(N, S, raw, raw, a, a, a, 1.0)
                     loss = float(np.exp(planted_log_loss(probe, c)))
                     if noise_rel > 0.0:
                         loss *= 1.0 + noise_rel * float(rng.standard_normal())
                     records.append(
-                        RunRecord.from_billions(N, S, raw, raw, a, a, a, loss)
+                        RunRecord(N, S, raw, raw, a, a, a, loss)
                     )
     return records
 
@@ -105,14 +105,14 @@ def records_to_csv(records: list[RunRecord]) -> str:
     buf.write("model_B,tokens_B,eta1,eta2,a1_B,a2_B,a3_B,loss,diverged\n")
     for r in records:
         fields = [
-            repr(r.N),
-            repr(r.S_steps / 1e9),
+            repr(r.model_B),
+            repr(r.tokens_B),
             repr(r.eta1),
             repr(r.eta2),
-            repr(r.a1 / 1e9),
-            repr(r.a2 / 1e9),
-            repr(r.a3 / 1e9),
-            repr(r.final_loss),
+            repr(r.a1_B),
+            repr(r.a2_B),
+            repr(r.a3_B),
+            repr(r.loss),
             "1" if r.diverged else "0",
         ]
         buf.write(",".join(fields) + "\n")
@@ -129,12 +129,12 @@ def fixture_corpus() -> list[RunRecord]:
     )
     # two divergent rows: high peak, short warmup (never used in fitting)
     records.append(
-        RunRecord.from_billions(0.58, 10.0, 0.9 * LR_SCALE, 0.9 * LR_SCALE,
-                                0.05, 0.05, 0.05, 7.0, diverged=True)
+        RunRecord(0.58, 10.0, 0.9 * LR_SCALE, 0.9 * LR_SCALE,
+                  0.05, 0.05, 0.05, 7.0, diverged=True)
     )
     records.append(
-        RunRecord.from_billions(4.05, 3.0, 1.0 * LR_SCALE, 1.0 * LR_SCALE,
-                                0.02, 0.02, 0.02, 7.0, diverged=True)
+        RunRecord(4.05, 3.0, 1.0 * LR_SCALE, 1.0 * LR_SCALE,
+                  0.02, 0.02, 0.02, 7.0, diverged=True)
     )
     return records
 
