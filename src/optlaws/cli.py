@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,14 @@ import sys
 import numpy as np
 
 from . import sde
-from .divergence import DEFAULT_PARAMS, DivergenceParams, criterion_R, gated_criterion
+from .divergence import (
+    DEFAULT_PARAMS,
+    DivergenceParams,
+    criterion_R,
+    critical_rate,
+    divergence_ratio,
+    gated_criterion,
+)
 from .features import Normalizer
 from .law import (
     DIVERGED_LOSS,
@@ -26,6 +34,7 @@ from .law import (
     RunConfig,
     RunRecord,
     fit,
+    general_log_losses,
     predict,
     rank,
 )
@@ -87,6 +96,15 @@ def read_runs_csv(path: str, token_length=None, batch=None) -> list[RunRecord]:
     return records
 
 
+def _read_law(path: str) -> FittedLaw:
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return FittedLaw.from_json(text)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _config_schedule(cfg: dict, normalizer: Normalizer) -> Schedule:
     return build_general_schedule(
         normalizer.normalize_lr(cfg["eta1"]),
@@ -143,25 +161,33 @@ def sweep_grid(
 
     Cells the divergence criterion rejects (R > 1) carry the sentinel loss.
     Schedules are linear warmup to the peak rate followed by linear
-    cooldown to zero.
+    cooldown to zero.  The gate and the law price the whole grid in one
+    numpy pass; R equals :func:`gated_criterion` on each cell exactly.
     """
     if len(eta_values) == 0 or len(warmup_values) == 0:
         raise ValueError("sweep ranges must be nonempty")
-    rows = []
-    for a in warmup_values:
+    # Input checks in cell order.  A cell fails through its warmup, its peak
+    # rate, or N and S, so the scalar gate on the first row and the first
+    # column raises the error the first failing cell would.
+    for i, a in enumerate(warmup_values):
         if a <= 0 or a >= S:
             raise ValueError(f"warmup {a} outside (0, S={S})")
-        for h in eta_values:
+        for h in eta_values if i == 0 else eta_values[:1]:
             if h <= 0:
                 raise ValueError(f"peak rate {h} must be positive")
-            res = gated_criterion(h, a, N, S, gate)
-            if res.verdict == "diverge":
-                rows.append((h, a, res.R, sentinel))
-                continue
-            schedule = build_general_schedule(h, h, a, a, a, S)
-            pred = predict(law, RunConfig(schedule=schedule, N=N))
-            rows.append((h, a, res.R, pred["loss"]))
-    return rows
+            gated_criterion(h, a, N, S, gate)
+    h = np.asarray(eta_values, dtype=float)
+    a = np.asarray(warmup_values, dtype=float)[:, np.newaxis]
+    threshold = critical_rate(N, S, gate)
+    eta_l = np.where(threshold < h, threshold, h)  # min(h, threshold) as criterion_R takes it
+    R = divergence_ratio(h, a * a, S * S, eta_l, gate)  # one row per warmup
+    stable = ~(R > 1.0)
+    loss = np.full(R.shape, float(sentinel))
+    if stable.any():
+        hs, ws = np.broadcast_to(h, R.shape)[stable], np.broadcast_to(a, R.shape)[stable]
+        loss[stable] = np.exp(general_log_losses(law, hs, hs, ws, ws, ws, S, N))
+    cells = itertools.product(a.ravel().tolist(), h.tolist())
+    return [(h, a, r, l) for (a, h), r, l in zip(cells, R.ravel().tolist(), loss.ravel().tolist())]
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -209,8 +235,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    with open(args.law, encoding="utf-8") as fh:
-        law = FittedLaw.from_json(fh.read())
+    law = _read_law(args.law)
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
     pred = predict(law, _load_config(cfg, Normalizer(law.lr_scale)))
@@ -219,8 +244,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    with open(args.law, encoding="utf-8") as fh:
-        law = FittedLaw.from_json(fh.read())
+    law = _read_law(args.law)
     with open(args.configs, encoding="utf-8") as fh:
         cfgs = json.load(fh)
     if not isinstance(cfgs, list) or not cfgs:
@@ -255,8 +279,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.law, encoding="utf-8") as fh:
-        law = FittedLaw.from_json(fh.read())
+    law = _read_law(args.law)
     rows = sweep_grid(
         law,
         _gate_from_args(args),

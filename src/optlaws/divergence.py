@@ -17,6 +17,7 @@ __all__ = [
     "CriterionResult",
     "criterion_R",
     "critical_rate",
+    "divergence_ratio",
     "gated_criterion",
     "DEFAULT_PARAMS",
 ]
@@ -88,14 +89,21 @@ def criterion_R(
             f"criterion inputs must be finite and strictly positive, got eta_max={eta_max}, "
             f"a1={a1}, N={N}, S={S}"
         )
-    s_sq = S * S
     a_sq = a1 * a1
+    if a_sq == 0.0:
+        raise ValueError(f"warmup a1={a1} is too small: a1^2 underflows to 0")
     eta_l = min(eta_max, critical_rate(N, S, params))
     if eta_l <= 0:
         raise ValueError(f"degenerate parameters yield eta_L = {eta_l}")
-    excess = eta_max - eta_l
-    r = s_sq * excess * excess / (params.c3_hat * a_sq * eta_l * eta_l)
+    r = divergence_ratio(eta_max, a_sq, S * S, eta_l, params)
     return CriterionResult(R=r, eta_L=eta_l, verdict="diverge" if r > 1.0 else "stable")
+
+
+def divergence_ratio(eta_max, a_sq, s_sq, eta_l, params: DivergenceParams = DEFAULT_PARAMS):
+    """R = s * (eta_max - eta_L)^2 / (c3 * a * eta_L^2) from the squared
+    horizon s and warmup a; elementwise on numpy arrays too."""
+    excess = eta_max - eta_l
+    return s_sq * excess * excess / (params.c3_hat * a_sq * eta_l * eta_l)
 
 
 def gated_criterion(

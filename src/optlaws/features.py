@@ -19,7 +19,9 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .schedule import Schedule
+import numpy as np
+
+from .schedule import GeneralScheduleBatch, Schedule
 
 __all__ = [
     "FeatureError",
@@ -29,9 +31,12 @@ __all__ = [
     "TERM_NAMES",
     "DEFAULT_POWERS",
     "MARKER_RULES",
+    "marker_policy",
     "default_markers",
     "collapsed_markers",
     "schedule_bases",
+    "general_schedule_bases",
+    "feature_matrix",
     "features_from_bases",
     "compute_features",
 ]
@@ -116,6 +121,28 @@ class MarkerPolicy:
             raise FeatureError(f"need 0 <= a_e1 <= a_e2, got {self.a_e1}, {self.a_e2}")
 
 
+def _standard_splits(a1, a2, a3):
+    return a1, a3, a2, a2
+
+
+def _collapsed_splits(a1, a2, a3):
+    return a1, a1, a1, a1
+
+
+# Marker rule name -> split points (a_c1, a_c2, a_e1, a_e2) from the phase
+# markers (a1, a2, a3).  The rules only pick markers, so they apply
+# elementwise to arrays of markers as well.
+MARKER_RULES = {
+    "a1/a3/a2": _standard_splits,
+    "all-a1": _collapsed_splits,
+}
+
+
+def marker_policy(rule: str, schedule: Schedule) -> MarkerPolicy:
+    """The split points of ``schedule`` under the named marker rule."""
+    return MarkerPolicy(*MARKER_RULES[rule](*schedule.markers))
+
+
 def default_markers(schedule: Schedule) -> MarkerPolicy:
     """Standard split rule: a_c1 = a1, a_c2 = a3, a_e1 = a_e2 = a2.
 
@@ -123,8 +150,7 @@ def default_markers(schedule: Schedule) -> MarkerPolicy:
     start bounds the tail one, and both escape integrals split at the
     decay/plateau boundary.
     """
-    a1, a2, a3 = schedule.markers
-    return MarkerPolicy(a1, a3, a2, a2)
+    return marker_policy("a1/a3/a2", schedule)
 
 
 def collapsed_markers(schedule: Schedule) -> MarkerPolicy:
@@ -134,14 +160,7 @@ def collapsed_markers(schedule: Schedule) -> MarkerPolicy:
     convention under which the two reference schedule families have their
     printed closed forms.
     """
-    a1 = schedule.markers[0]
-    return MarkerPolicy(a1, a1, a1, a1)
-
-
-MARKER_RULES = {
-    "a1/a3/a2": default_markers,
-    "all-a1": collapsed_markers,
-}
+    return marker_policy("all-a1", schedule)
 
 
 @dataclass(frozen=True)
@@ -187,20 +206,6 @@ class FeatureVector:
         ]
 
 
-def _pow(base: float, power: float, term: str) -> float:
-    if base < 0.0:
-        raise FeatureError(f"negative base for term {term!r}: {base}")
-    if base == 0.0 and power < 0.0:
-        raise FeatureError(f"zero base with negative power for term {term!r}")
-    return base ** power
-
-
-def _ratio(num: float, den: float, term: str) -> float:
-    if den <= 0.0:
-        raise FeatureError(f"zero or negative denominator for term {term!r}: {den}")
-    return num / den
-
-
 def schedule_bases(schedule: Schedule, policy: MarkerPolicy) -> dict:
     """The raw integrals and peak rate feeding the feature map.
 
@@ -210,13 +215,96 @@ def schedule_bases(schedule: Schedule, policy: MarkerPolicy) -> dict:
     S = schedule.S
     if policy.a_c2 > S or policy.a_e2 > S:
         raise FeatureError(f"marker policy {policy} exceeds horizon S = {S}")
+    return _bases(schedule, policy.a_c1, policy.a_c2, policy.a_e1, policy.a_e2)
+
+
+def general_schedule_bases(eta1, eta2, a1, a2, a3, S, rule: str) -> dict:
+    """:func:`schedule_bases` of ``build_general_schedule(eta1, eta2, a1, a2, a3, S)``
+    configurations given as arrays, split by the named marker rule.
+
+    Each element equals the scalar value exactly; an invalid configuration
+    raises the error :func:`build_general_schedule` gives it.
+    """
+    batch = GeneralScheduleBatch(eta1, eta2, a1, a2, a3, S)
+    return _bases(batch, *MARKER_RULES[rule](*batch.markers))
+
+
+def _bases(schedule, a_c1, a_c2, a_e1, a_e2) -> dict:
+    S = schedule.S
     return {
-        "warmup_area": schedule.integral(0.0, policy.a_c1, "eta"),
-        "tail_area": schedule.integral(policy.a_c2, S, "eta"),
-        "warmup_energy": schedule.integral(0.0, policy.a_e1, "deta_sq"),
-        "tail_energy": schedule.integral(policy.a_e2, S, "deta_sq"),
+        "warmup_area": schedule.integral(0.0, a_c1, "eta"),
+        "tail_area": schedule.integral(a_c2, S, "eta"),
+        "warmup_energy": schedule.integral(0.0, a_e1, "deta_sq"),
+        "tail_energy": schedule.integral(a_e2, S, "deta_sq"),
         "eta_max": schedule.eta_max,
     }
+
+
+def _powers(powers) -> tuple[float, ...]:
+    p = DEFAULT_POWERS if powers is None else tuple(float(x) for x in powers)
+    if len(p) != 16:
+        raise FeatureError(f"need 16 powers, got {len(p)}")
+    return p
+
+
+def _columns(bases: dict, S, N) -> list[np.ndarray]:
+    keys = ("warmup_area", "tail_area", "warmup_energy", "tail_energy", "eta_max")
+    return [np.asarray(x, dtype=float) for x in (*(bases[k] for k in keys), S, N)]
+
+
+# Ratio terms and the base column (0: warmup area, 1: tail area) they divide by.
+_DENOMINATORS = {2: 1, 8: 0, 9: 1, 10: 0, 11: 1}
+
+
+def _fill_bases(out, iw, it, ew, et, h, S, N):
+    """Write the 16 term bases (each term is its base raised to its power)."""
+    out[:, 0] = iw
+    out[:, 1] = it
+    out[:, 2] = N / it
+    out[:, 3] = iw * it
+    out[:, 4] = et
+    out[:, 5] = ew
+    out[:, 6] = et
+    out[:, 7] = S * N
+    out[:, 8] = et / iw
+    out[:, 9] = et / it
+    out[:, 10] = N * et / iw
+    out[:, 11] = N * et / it
+    out[:, 12] = N
+    out[:, 13] = S
+    out[:, 14] = h
+    out[:, 15] = 1.0
+
+
+def feature_matrix(bases: dict, S, N, powers=None) -> tuple[np.ndarray, np.ndarray]:
+    """The 16-term map over n configurations at once.
+
+    ``bases`` holds the keys of :func:`schedule_bases`; its values, ``S``
+    and ``N`` broadcast to one length n.  Returns the ``(n, 16)`` feature
+    matrix and a length-n mask of the rows inside the map's domain: both
+    areas positive, no negative base, no zero base under a negative power
+    and every entry finite.  Rows outside the domain hold unspecified
+    values.  Finite bases with positive areas, nonnegative energies and
+    peak, and positive S and N are in the domain unless a product or ratio
+    overflows or underflows.
+    """
+    p = _powers(powers)
+    cols = _columns(bases, S, N)
+    n = np.broadcast(*cols).size
+    S, N = (np.broadcast_to(x, (n,)) for x in cols[5:])
+    bad = (S <= 0) | (N <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FeatureError(f"S and N must be positive, got S={S[i]}, N={N[i]}")
+    F = np.empty((n, 16))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        _fill_bases(F, *cols)
+        # positive areas; each base positive under a negative power, else nonnegative
+        ok = (F[:, 0] > 0) & (F[:, 1] > 0) & np.where(np.array(p) < 0, F > 0, F >= 0).all(axis=1)
+        np.power(F, p, out=F)
+        F[:, 15] = 1.0
+        ok &= np.isfinite(F).all(axis=1)
+    return F, ok
 
 
 def features_from_bases(
@@ -224,40 +312,27 @@ def features_from_bases(
 ) -> FeatureVector:
     """Assemble the 16-entry vector from precomputed base quantities.
 
-    Split out from :func:`compute_features` so that the continual-training
-    variant can rescale the tail slope energy and extend the warmup area
-    before assembly.
+    The one-row case of :func:`feature_matrix`.  Split out from
+    :func:`compute_features` so that the continual-training variant can
+    rescale the tail slope energy and extend the warmup area before
+    assembly.  Outside the domain it raises a :class:`FeatureError` that
+    names the first failing term.
     """
-    p = DEFAULT_POWERS if powers is None else tuple(float(x) for x in powers)
-    if len(p) != 16:
-        raise FeatureError(f"need 16 powers, got {len(p)}")
-    if S <= 0 or N <= 0:
-        raise FeatureError(f"S and N must be positive, got S={S}, N={N}")
-    iw = bases["warmup_area"]
-    it = bases["tail_area"]
-    ew = bases["warmup_energy"]
-    et = bases["tail_energy"]
-    h = bases["eta_max"]
-    names = TERM_NAMES
-    vals = (
-        _pow(iw, p[0], names[0]),
-        _pow(it, p[1], names[1]),
-        _pow(_ratio(N, it, names[2]), p[2], names[2]),
-        _pow(iw * it, p[3], names[3]),
-        _pow(et, p[4], names[4]),
-        _pow(ew, p[5], names[5]),
-        _pow(et, p[6], names[6]),
-        _pow(S * N, p[7], names[7]),
-        _pow(_ratio(et, iw, names[8]), p[8], names[8]),
-        _pow(_ratio(et, it, names[9]), p[9], names[9]),
-        _pow(_ratio(N * et, iw, names[10]), p[10], names[10]),
-        _pow(_ratio(N * et, it, names[11]), p[11], names[11]),
-        _pow(N, p[12], names[12]),
-        _pow(S, p[13], names[13]),
-        _pow(h, p[14], names[14]),
-        1.0,
-    )
-    return FeatureVector(vals, p)
+    p = _powers(powers)
+    F, ok = feature_matrix(bases, S, N, p)
+    if not ok[0]:
+        B = np.empty((1, 16))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            _fill_bases(B, *_columns(bases, S, N))
+        for j, (name, base) in enumerate(zip(TERM_NAMES, B[0])):
+            den = B[0, _DENOMINATORS[j]] if j in _DENOMINATORS else 1.0
+            if den <= 0.0:
+                raise FeatureError(f"zero or negative denominator for term {name!r}: {den}")
+            if base < 0.0:
+                raise FeatureError(f"negative base for term {name!r}: {base}")
+            if base == 0.0 and p[j] < 0.0:
+                raise FeatureError(f"zero base with negative power for term {name!r}")
+    return FeatureVector(F[0].tolist(), p)  # validation names a non-finite entry
 
 
 def compute_features(

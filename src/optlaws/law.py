@@ -28,7 +28,10 @@ from .features import (
     FeatureVector,
     Normalizer,
     compute_features,
+    feature_matrix,
     features_from_bases,
+    general_schedule_bases,
+    marker_policy,
     schedule_bases,
 )
 from .schedule import Schedule, build_general_schedule
@@ -44,6 +47,7 @@ __all__ = [
     "SimpleLaw",
     "fit",
     "predict",
+    "general_log_losses",
     "rank",
     "continual_features",
     "simple_law_eval",
@@ -173,16 +177,23 @@ class FittedLaw:
     @classmethod
     def from_json(cls, text: str) -> "FittedLaw":
         d = json.loads(text)
-        return cls(
-            c=tuple(d["c"]),
-            powers=tuple(d["powers"]),
-            lr_scale=d["lr_scale"],
-            policy_rule=d["policy"],
-            mode=d["mode"],
-            escape_terms=d.get("escape_terms", True),
-            residual_rms=d.get("residual_rms"),
-            condition_number=d.get("condition_number"),
-        )
+        if not isinstance(d, dict):
+            raise ValueError(f"a law file holds a JSON object, not {type(d).__name__}")
+        try:
+            return cls(
+                c=tuple(d["c"]),
+                powers=tuple(d["powers"]),
+                lr_scale=d["lr_scale"],
+                policy_rule=d["policy"],
+                mode=d["mode"],
+                escape_terms=d.get("escape_terms", True),
+                residual_rms=d.get("residual_rms"),
+                condition_number=d.get("condition_number"),
+            )
+        except KeyError as exc:
+            raise ValueError(f"law file is missing field {exc}") from None
+        except TypeError as exc:  # a field of the wrong type, e.g. a number for "c"
+            raise ValueError(f"malformed law file: {exc}") from None
 
 
 def reference_law() -> FittedLaw:
@@ -190,18 +201,17 @@ def reference_law() -> FittedLaw:
     return FittedLaw(c=REFERENCE_COEFFICIENTS)
 
 
-def _featurize(law_powers, policy_rule: str, schedule: Schedule, N: float) -> FeatureVector:
-    policy = MARKER_RULES[policy_rule](schedule)
-    return compute_features(schedule, policy, N, powers=law_powers)
+_NEEDS_PRE = "continual-mode law needs a pre-training context"
 
 
 def features_for(law: FittedLaw, config: RunConfig) -> FeatureVector:
     """Feature vector of a config under the law's mode and conventions."""
     if law.mode == "continual":
         if config.pre is None:
-            raise FeatureError("continual-mode law needs a pre-training context")
+            raise FeatureError(_NEEDS_PRE)
         return continual_features(law, config.pre.schedule, config.pre.horizon, config)
-    return _featurize(law.powers, law.policy_rule, config.schedule, config.N)
+    policy = marker_policy(law.policy_rule, config.schedule)
+    return compute_features(config.schedule, policy, config.N, powers=law.powers)
 
 
 def continual_features(
@@ -218,19 +228,54 @@ def continual_features(
     gains the full pre-training area integral.
     """
     schedule = config.schedule
-    policy = MARKER_RULES[law.policy_rule](schedule)
+    policy = marker_policy(law.policy_rule, schedule)
     bases = schedule_bases(schedule, policy)
     h_tail = schedule.max_rate(policy.a_e2, schedule.S)
     if h_tail <= 0.0:
         raise FeatureError(
             f"continual rescaling needs a positive peak rate on [{policy.a_e2}, {schedule.S}]"
         )
-    bases["tail_energy"] = bases["tail_energy"] / h_tail ** 4
-    if pre_S > 0.0:
-        if pre_schedule is None:
-            raise FeatureError("pre_S > 0 requires the pre-training schedule")
-        bases["warmup_area"] = bases["warmup_area"] + pre_schedule.integral(0.0, pre_S, "eta")
+    if pre_S > 0.0 and pre_schedule is None:
+        raise FeatureError("pre_S > 0 requires the pre-training schedule")
+    bases = _continual_bases(bases, h_tail, _pre_area(pre_schedule, pre_S))
     return features_from_bases(bases, schedule.S, config.N, powers=law.powers)
+
+
+def _pre_area(pre_schedule: Schedule | None, pre_S: float) -> float:
+    return pre_schedule.integral(0.0, pre_S, "eta") if pre_S > 0.0 else 0.0
+
+
+def _continual_bases(bases: dict, h_tail, pre_area) -> dict:
+    """The continual rescaling of the bases; elementwise on arrays too."""
+    return {
+        **bases,
+        "tail_energy": bases["tail_energy"] / h_tail ** 4,
+        "warmup_area": bases["warmup_area"] + pre_area,
+    }
+
+
+def _general_features(powers, policy_rule: str, eta1, eta2, a1, a2, a3, S, N) -> np.ndarray:
+    """(n, 16) features of four-phase configs given as arrays of normalized
+    rates and billions; raises the FeatureError of the first config outside
+    the feature map's domain."""
+    bases = general_schedule_bases(eta1, eta2, a1, a2, a3, S, policy_rule)
+    F, ok = feature_matrix(bases, S, N, powers)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        row = lambda x: float(np.broadcast_to(x, ok.shape)[i])
+        features_from_bases({k: row(v) for k, v in bases.items()}, row(S), row(N), powers)
+        raise FeatureError(f"configuration {i} is outside the feature map's domain")
+    return F
+
+
+def general_log_losses(law: FittedLaw, eta1, eta2, a1, a2, a3, S, N) -> np.ndarray:
+    """Predicted log losses of ``build_general_schedule(eta1, eta2, a1, a2, a3, S)``
+    configurations at model size N, all given as arrays (normalized rates,
+    billions), priced in one pass."""
+    if law.mode == "continual":
+        raise FeatureError(_NEEDS_PRE)
+    F = _general_features(law.powers, law.policy_rule, eta1, eta2, a1, a2, a3, S, N)
+    return F @ np.asarray(law.c)
 
 
 def _design_matrix(
@@ -242,12 +287,19 @@ def _design_matrix(
     rows = [r for r in records if not r.diverged]
     if not rows:
         raise LawFitError("no fittable rows: every record is divergent")
-    feats = []
-    for r in rows:
-        schedule = r.normalized_schedule(normalizer)
-        feats.append(_featurize(powers, policy_rule, schedule, r.model_B).values)
-    A = np.array(feats, dtype=float)
-    y = np.log(np.array([r.loss for r in rows], dtype=float))
+    col = lambda name: np.array([getattr(r, name) for r in rows], dtype=float)
+    A = _general_features(
+        powers,
+        policy_rule,
+        normalizer.normalize_lr(col("eta1")),
+        normalizer.normalize_lr(col("eta2")),
+        col("a1_B"),
+        col("a2_B"),
+        col("a3_B"),
+        col("tokens_B"),
+        col("model_B"),
+    )
+    y = np.log(col("loss"))
     return A, y
 
 
@@ -318,7 +370,7 @@ def predict(law: FittedLaw, config: RunConfig) -> dict:
 @dataclass(frozen=True)
 class RankedConfig:
     index: int
-    verdict: str  # "ok" | "diverge"
+    verdict: str  # "ok" | "unpriced" | "diverge"
     R: float
     eta_L: float
     log_loss: float | None
@@ -332,32 +384,60 @@ def rank(
 ) -> list[RankedConfig]:
     """Order candidate configurations by predicted loss, gated for divergence.
 
-    Configs with R > 1 come last with verdict "diverge" (input order);
-    survivors sort ascending by predicted log loss, ties broken by smaller
-    peak rate, then smaller warmup, then input order.
+    Survivors of the gate sort ascending by predicted log loss, ties broken
+    by smaller peak rate, then smaller warmup, then input order.  Survivors
+    the feature map cannot price (for example a zero warmup under a
+    pretrain-mode law) follow with verdict "unpriced", and configs with
+    R > 1 come last with verdict "diverge"; both keep input order.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("rank needs at least one configuration")
-    kept, gated = [], []
+    survivors, gated = [], []
     for i, cfg in enumerate(configs):
         schedule = cfg.schedule
-        res = gated_criterion(schedule.eta_max, schedule.markers[0], cfg.N, schedule.S, gate)
+        eta_max, warmup = schedule.eta_max, schedule.markers[0]
+        res = gated_criterion(eta_max, warmup, cfg.N, schedule.S, gate)
         if res.verdict == "diverge":
             gated.append(RankedConfig(i, "diverge", res.R, res.eta_L, None, None))
         else:
-            pred = predict(law, cfg)
-            kept.append(
-                (
-                    pred["log_loss"],
-                    schedule.eta_max,
-                    schedule.markers[0],
-                    i,
-                    RankedConfig(i, "ok", res.R, res.eta_L, pred["log_loss"], pred["loss"]),
-                )
-            )
-    kept.sort(key=lambda t: t[:4])
-    return [t[4] for t in kept] + gated
+            survivors.append((i, res, cfg, eta_max, warmup))
+    kept, unpriced = [], []
+    if survivors:
+        log_losses, priced = _price(law, [cfg for _, _, cfg, _, _ in survivors])
+        for (i, res, _, eta_max, warmup), log_loss, ok in zip(
+            survivors, log_losses.tolist(), priced
+        ):
+            if not ok:
+                unpriced.append(RankedConfig(i, "unpriced", res.R, res.eta_L, None, None))
+                continue
+            row = RankedConfig(i, "ok", res.R, res.eta_L, log_loss, math.exp(log_loss))
+            kept.append(((log_loss, eta_max, warmup, i), row))
+    kept.sort(key=lambda t: t[0])
+    return [row for _, row in kept] + unpriced + gated
+
+
+def _price(law: FittedLaw, configs) -> tuple[np.ndarray, np.ndarray]:
+    """Log losses of configs under the law in one feature_matrix pass, and
+    the mask of the configs it could price."""
+    policies = [marker_policy(law.policy_rule, cfg.schedule) for cfg in configs]
+    rows = [schedule_bases(cfg.schedule, pol) for cfg, pol in zip(configs, policies)]
+    bases = {k: np.array([b[k] for b in rows]) for k in rows[0]}
+    S = np.array([cfg.schedule.S for cfg in configs], dtype=float)
+    N = np.array([cfg.N for cfg in configs], dtype=float)
+    fine = True
+    if law.mode == "continual":
+        if any(cfg.pre is None for cfg in configs):
+            raise FeatureError(_NEEDS_PRE)
+        h_tail = np.array([cfg.schedule.max_rate(pol.a_e2, cfg.schedule.S)
+                           for cfg, pol in zip(configs, policies)])
+        pre_area = np.array([_pre_area(cfg.pre.schedule, cfg.pre.horizon) for cfg in configs])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bases = _continual_bases(bases, h_tail, pre_area)
+        fine = h_tail > 0.0
+    F, ok = feature_matrix(bases, S, N, law.powers)
+    with np.errstate(invalid="ignore", over="ignore"):  # rows outside the domain
+        return F @ np.asarray(law.c), ok & fine
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Segment",
     "Schedule",
     "ScheduleError",
     "FUNCTIONALS",
+    "GeneralScheduleBatch",
     "build_general_schedule",
     "warmup_cosine_schedule",
     "warmup_const_cooldown_schedule",
@@ -39,6 +42,37 @@ FUNCTIONALS = ("eta", "eta_sq", "deta_sq")
 
 class ScheduleError(ValueError):
     """Invalid schedule construction or out-of-domain query."""
+
+
+# Closed forms of one linear or constant piece, written with arithmetic
+# operators only: Segment calls them with floats and GeneralScheduleBatch
+# with numpy arrays, so both evaluate the same expression in the same order.
+
+
+def _linear_value(e0, e1, tau, length):
+    """Rate of the linear piece e0 -> e1 of the given length, tau past its start."""
+    return e0 + (e1 - e0) * tau / length
+
+
+def _linear_integral(e0, m, t0, u, v, functional):
+    """Integral over [u, v] of the linear piece starting at (t0, e0) with slope m."""
+    if functional == "deta_sq":
+        return m * m * (v - u)
+    tu, tv = u - t0, v - t0
+    if functional == "eta":
+        return (e0 * tv + 0.5 * m * tv * tv) - (e0 * tu + 0.5 * m * tu * tu)
+    return (e0 * e0 * tv + e0 * m * tv * tv + m * m * tv ** 3 / 3.0) - (
+        e0 * e0 * tu + e0 * m * tu * tu + m * m * tu ** 3 / 3.0
+    )
+
+
+def _constant_integral(e0, u, v, functional):
+    """Integral over [u, v] of the constant piece at rate e0."""
+    if functional == "eta":
+        return e0 * (v - u)
+    if functional == "eta_sq":
+        return e0 ** 2 * (v - u)
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -84,7 +118,7 @@ class Segment:
         if self.kind == "constant":
             return self.eta0
         if self.kind == "linear":
-            return self.eta0 + (self.eta1 - self.eta0) * (t - self.t0) / self.length
+            return _linear_value(self.eta0, self.eta1, t - self.t0, self.length)
         theta = math.pi * (t - self.t0) / self.length
         return self.eta1 + 0.5 * (self.eta0 - self.eta1) * (math.cos(theta) + 1.0)
 
@@ -105,22 +139,9 @@ class Segment:
         if functional not in FUNCTIONALS:
             raise ScheduleError(f"unknown functional {functional!r}")
         if self.kind == "constant":
-            if functional == "eta":
-                return self.eta0 * (v - u)
-            if functional == "eta_sq":
-                return self.eta0 ** 2 * (v - u)
-            return 0.0
+            return _constant_integral(self.eta0, u, v, functional)
         if self.kind == "linear":
-            m = self.slope
-            if functional == "deta_sq":
-                return m * m * (v - u)
-            tu, tv = u - self.t0, v - self.t0
-            e0 = self.eta0
-            if functional == "eta":
-                anti = lambda tau: e0 * tau + 0.5 * m * tau * tau
-            else:
-                anti = lambda tau: e0 * e0 * tau + e0 * m * tau * tau + m * m * tau ** 3 / 3.0
-            return anti(tv) - anti(tu)
+            return _linear_integral(self.eta0, self.slope, self.t0, u, v, functional)
         # cosine: eta = c + A*cos(theta), theta = pi*(t - t0)/length
         ell = self.length
         amp = 0.5 * (self.eta0 - self.eta1)
@@ -274,14 +295,90 @@ def build_general_schedule(
         raise ScheduleError(f"markers must satisfy 0 <= a1 <= a2 <= a3 <= S, got {(a1, a2, a3)}")
     if eta1 < 0 or eta2 < 0:
         raise ScheduleError("rates must be nonnegative")
-    pieces = [
+    pieces = _general_pieces(eta1, eta2, a1, a2, a3, S)
+    segs = tuple(Segment(*p) for p in pieces if p[2] > p[1])
+    return Schedule(segs, S, (a1, a2, a3))
+
+
+def _general_pieces(eta1, eta2, a1, a2, a3, S):
+    """(kind, t0, t1, eta0, eta1) of the four phases, zero-length ones included."""
+    return (
         ("linear", 0.0, a1, 0.0, eta1),
         ("linear", a1, a2, eta1, eta2),
         ("constant", a2, a3, eta2, eta2),
         ("linear", a3, S, eta2, 0.0),
-    ]
-    segs = tuple(Segment(*p) for p in pieces if p[2] > p[1])
-    return Schedule(segs, S, (a1, a2, a3))
+    )
+
+
+class GeneralScheduleBatch:
+    """Many :func:`build_general_schedule` configurations held as arrays.
+
+    The arguments broadcast to one shape.  ``integral`` and ``eta_max``
+    walk the four phases in order with the segment closed forms above and
+    skip empty phases as :class:`Schedule` does, so every element equals
+    the value of the scalar schedule exactly.
+    """
+
+    def __init__(self, eta1, eta2, a1, a2, a3, S):
+        args = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (eta1, eta2, a1, a2, a3, S)))
+        eta1, eta2, a1, a2, a3, S = args
+        pieces = _general_pieces(eta1, eta2, a1, a2, a3, S)
+        valid = (
+            ~(S <= 0) & (0.0 <= a1) & (a1 <= a2) & (a2 <= a3) & (a3 <= S)
+            & ~(eta1 < 0) & ~(eta2 < 0)
+        )
+        # Schedule's joint checks: eta is continuous from one nonempty phase
+        # to the next, and a constant phase is constant
+        end, seen = 0.0, False
+        for kind, t0, t1, e0, e1 in pieces:
+            present = t0 < t1
+            broken = seen & (end != e0)
+            if kind == "constant":
+                broken = broken | (e0 != e1)
+            valid &= ~(present & broken)
+            end, seen = np.where(present, e1, end), seen | present
+        if not valid.all():
+            i = int(np.argmin(valid))
+            # the scalar constructor raises the error of the first invalid config
+            build_general_schedule(*(float(x.flat[i]) for x in args))
+            raise ScheduleError(f"invalid four-phase configuration at index {i}")
+        self.S = S
+        self.markers = (a1, a2, a3)
+        self._pieces = pieces
+
+    def integral(self, u, v, functional: str) -> np.ndarray:
+        """Elementwise Schedule.integral of eta or (eta')^2 over [u, v] (u <= v
+        within [0, S]).  eta^2 is left out: numpy's cube is not libm's."""
+        if functional not in ("eta", "deta_sq"):
+            raise ScheduleError(f"batched integrals cover eta and deta_sq, not {functional!r}")
+        total = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for kind, t0, t1, e0, e1 in self._pieces:
+                lo, hi = np.maximum(u, t0), np.minimum(v, t1)
+                if kind == "constant":
+                    part = _constant_integral(e0, lo, hi, functional)
+                else:
+                    part = _linear_integral(e0, (e1 - e0) / (t1 - t0), t0, lo, hi, functional)
+                total = total + np.where(lo < hi, part, 0.0)
+        return total
+
+    @property
+    def eta_max(self) -> np.ndarray:
+        """Elementwise Schedule.eta_max, with the comparisons of Python's max."""
+        best, seen = 0.0, np.zeros(self.S.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for kind, t0, t1, e0, e1 in self._pieces:
+                if kind == "constant":
+                    peak = e0
+                else:
+                    length = t1 - t0
+                    start = _linear_value(e0, e1, 0.0, length)
+                    end = _linear_value(e0, e1, length, length)
+                    peak = np.where(end > start, end, start)
+                present = t0 < t1
+                best = np.where(present & (~seen | (peak > best)), peak, best)
+                seen = seen | present
+        return best
 
 
 def warmup_cosine_schedule(eta_max: float, a: float, S: float) -> Schedule:

@@ -6,13 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import optlaws
 from optlaws.cli import main, read_runs_csv, sweep_grid
-from optlaws.divergence import DEFAULT_PARAMS
-from optlaws.law import FittedLaw, reference_law
-from util import fixture_corpus, records_to_csv
+from optlaws.divergence import DEFAULT_PARAMS, critical_rate, gated_criterion
+from optlaws.law import FittedLaw, RunConfig, predict, reference_law
+from optlaws.schedule import build_general_schedule
+from util import count_per_config_calls, fixture_corpus, records_to_csv
 
 
 def run_cli(args):
@@ -110,6 +112,23 @@ class TestPredictRank:
         assert losses == sorted(losses)
         assert [row["rank"] for row in table] == [1, 2, 3]
 
+    def test_rank_lists_unpriced_configs(self, tmp_path, law_file, capsys):
+        # zero warmup at the critical rate: stable, but the fitted
+        # pretrain-mode law cannot price it
+        eta_crit = critical_rate(0.58, 10.0) * 1.5e-2
+        unpriceable = {**self._config(eta=eta_crit, warmup=0.0), "a2_B": 2.0, "a3_B": 5.0}
+        cfgs = tmp_path / "configs.json"
+        cfgs.write_text(json.dumps([
+            self._config(eta=0.9, warmup=0.01, tokens=3.0), unpriceable,
+            self._config(eta=1.5e-3),
+        ]))
+        assert run_cli(["rank", "--law", law_file, "--configs", cfgs]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert [(row["index"], row["verdict"]) for row in table] == [
+            (2, "ok"), (1, "unpriced"), (0, "diverge")]
+        assert table[1]["log_loss"] is None and table[1]["loss"] is None
+        assert table[1]["R"] == 0.0
+
     def test_rank_empty_is_usage_error(self, tmp_path, law_file, capsys):
         cfgs = tmp_path / "configs.json"
         cfgs.write_text("[]")
@@ -188,6 +207,32 @@ class TestSweep:
         assert len(rows) == 4
         assert [r[:2] for r in rows] == [(0.1, 1.0), (0.3, 1.0), (0.1, 2.0), (0.3, 2.0)]
         assert all(r[2] >= 0.0 for r in rows)  # R carried for contour plots
+
+        # a grid straddling R = 1: every cell against the one-config path
+        etas = np.linspace(0.02, 1.0, 23)
+        warms = np.linspace(0.05, 6.0, 17)
+        N, S = 4.05, 10.0
+        rows = sweep_grid(law, DEFAULT_PARAMS, etas, warms, N=N, S=S)
+        assert [r[:2] for r in rows] == [(h, a) for a in warms for h in etas]
+        verdicts = set()
+        for h, a, R, loss in rows:
+            gate = gated_criterion(h, a, N, S)
+            assert R == gate.R
+            verdicts.add(gate.verdict)
+            if gate.verdict == "diverge":
+                assert loss == 7.0
+            else:
+                want = predict(law, RunConfig(build_general_schedule(h, h, a, a, a, S), N))
+                assert loss == pytest.approx(want["loss"], rel=1e-15)
+        assert verdicts == {"stable", "diverge"}
+
+    def test_grid_builds_no_schedule_per_cell(self, monkeypatch):
+        calls = count_per_config_calls(monkeypatch)
+        rows = sweep_grid(reference_law(), DEFAULT_PARAMS, np.linspace(0.05, 0.8, 32),
+                          np.linspace(0.1, 4.0, 32), N=4.05, S=10.0)
+        assert len(rows) == 32 * 32
+        assert len({r[3] for r in rows}) > 2  # priced cells, not only the sentinel
+        assert calls == {"schedule": 0, "integral": 0, "compute_features": 0}
 
 
 class TestSimulate:
@@ -295,6 +340,44 @@ class TestBadInput:
         capsys.readouterr()
         assert run_cli(["predict", "--law", bad_law, "--config", cfg]) == 1
         assert "lr_scale" in self.one_line_error(capsys).err
+
+
+    def test_check_warmup_squared_underflows(self, capsys):
+        assert run_cli(["check", "--eta-max", 0.4, "--warmup", 1e-200, "--model", 4.05,
+                        "--tokens", 100]) == 1
+        assert "underflows" in self.one_line_error(capsys).err
+
+    def test_sweep_warmup_squared_underflows(self, tmp_path, law_file, capsys):
+        assert run_cli(["sweep", "--law", law_file, "--eta-max-range", "0.01:0.8:4",
+                        "--warmup-range", "1e-200:1e-200:1", "--model", 4.05,
+                        "--tokens", 100, "--out", tmp_path / "g.csv"]) == 1
+        assert "underflows" in self.one_line_error(capsys).err
+
+    @pytest.mark.parametrize("command", ["predict", "rank", "sweep"])
+    @pytest.mark.parametrize("text, match", [
+        ("missing", "missing field 'powers'"), ("[1, 2]", "JSON object"),
+    ])
+    def test_malformed_law_file(self, tmp_path, law_file, capsys, command, text, match):
+        bad_law = tmp_path / "bad_law.json"
+        if text == "missing":
+            law = json.loads(law_file.read_text())
+            del law["powers"]
+            text = json.dumps(law)
+        bad_law.write_text(text)
+        cfg = {"model_B": 0.58, "tokens_B": 10.0, "eta1": 6e-3, "eta2": 6e-3,
+               "a1_B": 1.0, "a2_B": 1.0, "a3_B": 1.0}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        (tmp_path / "cfgs.json").write_text(json.dumps([cfg]))
+        argv = {
+            "predict": ["--config", tmp_path / "cfg.json"],
+            "rank": ["--configs", tmp_path / "cfgs.json"],
+            "sweep": ["--eta-max-range", "0.1:0.2:2", "--warmup-range", "1:2:2",
+                      "--model", 1, "--tokens", 10, "--out", tmp_path / "g.csv"],
+        }[command]
+        capsys.readouterr()
+        assert run_cli([command, "--law", bad_law, *argv]) == 1
+        err = self.one_line_error(capsys).err
+        assert match in err and "bad_law.json" in err
 
 
 class TestStartup:

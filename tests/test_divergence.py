@@ -98,7 +98,7 @@ class TestCriterion:
         nan, inf = float("nan"), float("inf")
         for bad in [(0.0, 1, 1, 1), (0.4, 0, 1, 1), (0.4, 1, 0, 1), (0.4, 1, 1, 0),
                     (nan, 1, 1, 1), (inf, 1, 1, 1), (0.4, nan, 1, 1), (0.4, 1, inf, 1),
-                    (0.4, 1, 1, nan), (0.4, -1, 1, 1)]:
+                    (0.4, 1, 1, nan), (0.4, -1, 1, 1), (0.4, 1e-200, 1, 1)]:
             with pytest.raises(ValueError):
                 criterion_R(*bad)
             if bad[1] != 0:  # a zero warmup is the gate's own case

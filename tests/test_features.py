@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optlaws.features import (
     DEFAULT_POWERS,
+    MARKER_RULES,
     TERM_NAMES,
     FeatureError,
     FeatureVector,
@@ -13,9 +16,15 @@ from optlaws.features import (
     collapsed_markers,
     compute_features,
     default_markers,
+    feature_matrix,
+    general_schedule_bases,
+    marker_policy,
+    schedule_bases,
 )
 from optlaws.schedule import (
+    GeneralScheduleBatch,
     Schedule,
+    ScheduleError,
     Segment,
     build_general_schedule,
     warmup_const_cooldown_schedule,
@@ -195,6 +204,117 @@ class TestComputeFeatures:
         s = build_general_schedule(0.4, 0.4, 2.0, 2.0, 2.0, 10.0)
         with pytest.raises(FeatureError):
             compute_features(s, default_markers(s), 4.0, S=12.0)
+
+
+def random_four_phase_arrays(rng, n):
+    """Four-phase configs as arrays, with every kind of zero-length phase."""
+    S = rng.uniform(1.0, 60.0, n)
+    a1, a2, a3 = np.sort(rng.uniform(0.0, 1.0, (3, n)), axis=0) * S
+    kind = rng.integers(0, 6, n)
+    a1 = np.where(kind == 1, 0.0, a1)  # no warmup
+    a2 = np.where(kind == 2, a1, a2)  # no decay
+    a3 = np.where(kind == 3, a2, a3)  # no plateau
+    a3 = np.where(kind == 4, S, a3)  # no cooldown
+    a1, a2, a3 = (np.where(kind == 5, S, x) for x in (a1, a2, a3))  # warmup only
+    h1, h2 = rng.uniform(0.05, 1.0, (2, n))
+    h2 = np.where(a2 > a1, h2, h1)  # no decay phase: no jump from h1 to h2 either
+    return h1, h2, a1, a2, a3, S
+
+
+class TestGeneralScheduleBases:
+    @pytest.mark.parametrize("rule", sorted(MARKER_RULES))
+    def test_batch_equals_scalar_bases_exactly(self, rule):
+        rng = np.random.default_rng(31)
+        cols = random_four_phase_arrays(rng, 3000)
+        got = general_schedule_bases(*cols, rule)
+        for i, args in enumerate(zip(*(c.tolist() for c in cols))):
+            s = build_general_schedule(*args)
+            want = schedule_bases(s, marker_policy(rule, s))
+            assert {k: got[k][i] for k in want} == want, (i, args)
+
+    def test_invalid_config_raises_the_scalar_error(self):
+        cols = [np.array([0.5, 0.5, 0.5]) for _ in range(2)] + [
+            np.array([1.0, 1.0, 3.0]), np.array([2.0, 2.0, 2.0]),
+            np.array([3.0, 3.0, 3.0]), np.array([10.0, 10.0, 10.0]),
+        ]
+        with pytest.raises(ScheduleError, match="markers must satisfy"):
+            GeneralScheduleBatch(*cols)
+        cols[2] = np.array([1.0, 1.0, 1.0])
+        cols[1] = np.array([0.5, -0.1, 0.5])
+        with pytest.raises(ScheduleError, match="rates must be nonnegative"):
+            GeneralScheduleBatch(*cols)
+        cols[1] = np.array([0.5, 0.5, 0.4])  # h1 -> h2 jump where the decay phase is empty
+        cols[3] = cols[2]
+        with pytest.raises(ScheduleError, match="eta discontinuous"):
+            GeneralScheduleBatch(*cols)
+
+
+class TestFeatureMatrix:
+    def test_linear_family_rows_match_printed_forms(self):
+        rng = np.random.default_rng(37)
+        S = rng.uniform(2.0, 100.0, 50)
+        a = rng.uniform(0.02, 0.8, 50) * S
+        h = rng.uniform(0.05, 1.0, 50)
+        N = rng.uniform(0.05, 8.0, 50)
+        F, ok = feature_matrix(general_schedule_bases(h, h, a, a, a, S, "a1/a3/a2"), S, N)
+        assert F.shape == (50, 16) and ok.all()
+        expected = [linear_family_expected(*args) for args in zip(a, h, S, N)]
+        np.testing.assert_allclose(F, expected, rtol=1e-12)
+
+    def test_const_family_rows_match_printed_forms(self):
+        rng = np.random.default_rng(41)
+        S = rng.uniform(2.0, 100.0, 50)
+        a1 = rng.uniform(0.02, 0.4, 50) * S
+        a2 = rng.uniform(a1 / S + 0.05, 0.9) * S
+        h = rng.uniform(0.05, 1.0, 50)
+        N = rng.uniform(0.05, 8.0, 50)
+        bases = general_schedule_bases(h, h, a1, a1, a2, S, "all-a1")
+        F, ok = feature_matrix(bases, S, N)
+        assert ok.all()
+        expected = [const_family_expected(*args) for args in zip(a1, a2, h, S, N)]
+        np.testing.assert_allclose(F, expected, rtol=1e-12)
+
+    def test_rows_equal_the_single_config_path(self):
+        rng = np.random.default_rng(43)
+        cols = random_four_phase_arrays(rng, 200)
+        inside = (cols[2] > 0) & (cols[4] < cols[5])  # warmup and cooldown keep rows in domain
+        ok_cols = [c[inside] for c in cols]
+        N = rng.uniform(0.05, 8.0, len(ok_cols[0]))
+        F, ok = feature_matrix(general_schedule_bases(*ok_cols, "a1/a3/a2"), ok_cols[5], N)
+        assert ok.all()
+        for row, args, n in zip(F, zip(*(c.tolist() for c in ok_cols)), N):
+            s = build_general_schedule(*args)
+            assert tuple(row) == compute_features(s, default_markers(s), n).values
+
+    def test_mask_marks_rows_outside_the_domain(self):
+        h = np.array([0.4, 0.4, 0.4])
+        a = np.array([2.0, 0.0, 3.0])
+        S = np.array([10.0, 10.0, 10.0])
+        F, ok = feature_matrix(general_schedule_bases(h, h, a, a, a, S, "a1/a3/a2"), S, 4.0)
+        assert ok.tolist() == [True, False, True]
+        assert np.isfinite(F[ok]).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.floats(0.0, 1e6),
+                st.floats(0.0, 1e6), st.floats(0.0, 1e3), st.floats(1e-3, 1e3),
+                st.floats(1e-3, 1e3),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_rows_on_the_domain_are_finite_nonnegative(self, rows):
+        iw, it, ew, et, h, S, N = (np.array(c) for c in zip(*rows))
+        bases = {"warmup_area": iw, "tail_area": it, "warmup_energy": ew,
+                 "tail_energy": et, "eta_max": h}
+        F, ok = feature_matrix(bases, S, N)
+        assert F.shape == (len(rows), 16)
+        assert ok.all()
+        assert np.isfinite(F).all() and (F >= 0.0).all()
+        assert (F[:, 15] == 1.0).all()
 
 
 class TestFeatureVector:

@@ -30,7 +30,7 @@ from optlaws.schedule import (
     warmup_cosine_schedule,
     warmup_const_cooldown_schedule,
 )
-from util import LR_SCALE, make_grid_records
+from util import LR_SCALE, count_per_config_calls, make_grid_records
 
 GRID = dict(
     warm_fracs=(0.05, 0.15, 0.3, 0.5),
@@ -145,6 +145,15 @@ class TestFit:
                 c[i] += sign * 1e-3
                 assert float(np.sum((A @ c - y) ** 2)) >= base - 1e-12
 
+    def test_design_matrix_built_in_one_pass(self, monkeypatch):
+        # fit featurises every record in one batch: no Schedule per row and
+        # no call into the single-config feature path
+        records = make_grid_records(**GRID)
+        calls = count_per_config_calls(monkeypatch)
+        law = fit(records)
+        assert law.residual_rms <= 1e-10
+        assert calls == {"schedule": 0, "integral": 0, "compute_features": 0}
+
     def test_refit_idempotence(self):
         rng = np.random.default_rng(41)
         noisy = make_grid_records(**GRID, noise_rel=1e-3, rng=rng)
@@ -234,6 +243,29 @@ class TestRank:
         assert (ok.index, ok.verdict, ok.R, ok.eta_L) == (1, "ok", 0.0, eta_crit)
         assert (gated.index, gated.verdict, gated.R, gated.eta_L) == (
             0, "diverge", math.inf, eta_crit)
+
+    def test_unpriced_config_listed_before_divergent(self):
+        # a zero warmup at the critical rate passes the gate, but a
+        # pretrain-mode law has no features for it: it is listed, not priced
+        law = reference_law()
+        eta_crit = critical_rate(0.58, 10.0)
+        configs = [
+            _config(0.9, 0.05, 3.0, 4.05),  # diverges
+            RunConfig(schedule=build_general_schedule(eta_crit, eta_crit, 0.0, 2.0, 5.0, 10.0),
+                      N=0.58),
+            _config(0.1, 2.0, 10.0, 4.05),
+            _config(0.2, 2.0, 10.0, 4.05),
+        ]
+        ranked = rank(law, configs)
+        assert [(r.index, r.verdict) for r in ranked][2:] == [(1, "unpriced"), (0, "diverge")]
+        assert sorted(r.index for r in ranked[:2]) == [2, 3]
+        assert all(r.verdict == "ok" for r in ranked[:2])
+        unpriced = ranked[2]
+        assert (unpriced.R, unpriced.eta_L, unpriced.log_loss, unpriced.loss) == (
+            0.0, eta_crit, None, None)
+        for r in ranked[:2]:
+            assert r.log_loss == pytest.approx(predict(law, configs[r.index])["log_loss"],
+                                               rel=1e-15)
 
     def test_divergent_listed_last(self):
         law = reference_law()
@@ -457,6 +489,16 @@ class TestSimpleLaw:
 
 
 class TestLawJson:
+    @pytest.mark.parametrize("text, match", [
+        ('{"c": [0.0], "lr_scale": 0.015}', "missing field 'powers'"),
+        ("[1, 2, 3]", "JSON object, not list"),
+        ('{"c": 5, "powers": [], "lr_scale": 0.015, "policy": "a1/a3/a2", "mode": "pretrain"}',
+         "malformed law file"),
+    ])
+    def test_malformed_law_is_value_error(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            FittedLaw.from_json(text)
+
     def test_round_trip(self):
         records = make_grid_records(**GRID)
         law = fit(records)

@@ -62,6 +62,28 @@ def random_schedule(rng: np.random.Generator) -> Schedule:
     return random_four_phase(rng)
 
 
+def count_per_config_calls(monkeypatch) -> dict:
+    """Count Schedule constructions, ``Schedule.integral`` calls and
+    ``compute_features`` calls from here on; returns the live counters."""
+    import optlaws.features
+    import optlaws.law
+
+    calls = {"schedule": 0, "integral": 0, "compute_features": 0}
+
+    def count(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Schedule, "__post_init__", count("schedule", Schedule.__post_init__))
+    monkeypatch.setattr(Schedule, "integral", count("integral", Schedule.integral))
+    counted = count("compute_features", optlaws.features.compute_features)
+    for mod in (optlaws.features, optlaws.law):
+        monkeypatch.setattr(mod, "compute_features", counted)
+    return calls
+
+
 def planted_log_loss(record: RunRecord, c=REFERENCE_COEFFICIENTS) -> float:
     """Log loss a record would have under the planted coefficient vector."""
     schedule = record.normalized_schedule()
