@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -387,14 +388,16 @@ def _validate_suites(seed: int, quick: bool) -> dict:
         a1, a2, a3 = np.sort(rng.uniform(0.0, S, size=3))
         h1, h2 = rng.uniform(0.05, 1.0, size=2)
         schedule = build_general_schedule(h1, h2, a1, a2, a3, S)
+        # each segment's own rate: at a joint the schedule reads the next
+        # segment, whose slope differs
         for functional, f in (
-            ("eta", schedule.value),
-            ("eta_sq", lambda t: schedule.value(t) ** 2),
-            ("deta_sq", lambda t: schedule.derivative(t) ** 2),
+            ("eta", lambda seg, t: seg.value(t)),
+            ("eta_sq", lambda seg, t: seg.value(t) ** 2),
+            ("deta_sq", lambda seg, t: seg.derivative(t) ** 2),
         ):
             exact = schedule.integral(0.0, S, functional)
             approx = sum(
-                adaptive_simpson(f, seg.t0, seg.t1, tol=1e-12)
+                adaptive_simpson(functools.partial(f, seg), seg.t0, seg.t1, tol=1e-12)
                 for seg in schedule.segments
             )
             worst = max(worst, abs(exact - approx) / max(1.0, abs(exact)))

@@ -60,9 +60,15 @@ def critical_rate(N: float, S: float, params: DivergenceParams = DEFAULT_PARAMS)
     """The critical rate c1 * (S^2)^alpha1 / (c2 * N^alpha2), S pre-squaring."""
     if not (0 < N < math.inf and 0 < S < math.inf):
         raise ValueError(f"N and S must be finite and strictly positive, got N={N}, S={S}")
-    return params.c1_hat * (S * S) ** params.alpha1_hat / (
-        params.c2_hat * N ** params.alpha2_hat
-    )
+    s_sq = S * S
+    if s_sq == math.inf:
+        raise ValueError(f"horizon S={S} is too large: S^2 overflows")
+    try:
+        return params.c1_hat * s_sq ** params.alpha1_hat / (params.c2_hat * N ** params.alpha2_hat)
+    except OverflowError:
+        raise ValueError(f"critical rate: (S^2)^alpha1 or N^alpha2 overflows at S={S}, N={N}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"critical rate: c2 * N^alpha2 underflows to 0 at N={N}") from None
 
 
 def criterion_R(

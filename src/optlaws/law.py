@@ -364,7 +364,10 @@ def predict(law: FittedLaw, config: RunConfig) -> dict:
     """Predicted {log_loss, loss} of a configuration under a fitted law."""
     f = features_for(law, config)
     log_loss = float(np.dot(law.c, f.values))
-    return {"log_loss": log_loss, "loss": math.exp(log_loss)}
+    try:
+        return {"log_loss": log_loss, "loss": math.exp(log_loss)}
+    except OverflowError:
+        raise ValueError(f"log loss {log_loss!r} is too large: exp overflows") from None
 
 
 @dataclass(frozen=True)
@@ -411,7 +414,13 @@ def rank(
             if not ok:
                 unpriced.append(RankedConfig(i, "unpriced", res.R, res.eta_L, None, None))
                 continue
-            row = RankedConfig(i, "ok", res.R, res.eta_L, log_loss, math.exp(log_loss))
+            try:
+                loss = math.exp(log_loss)
+            except OverflowError:
+                raise ValueError(
+                    f"config {i}: log loss {log_loss!r} is too large: exp overflows"
+                ) from None
+            row = RankedConfig(i, "ok", res.R, res.eta_L, log_loss, loss)
             kept.append(((log_loss, eta_max, warmup, i), row))
     kept.sort(key=lambda t: t[0])
     return [row for _, row in kept] + unpriced + gated

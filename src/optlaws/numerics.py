@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-__all__ = ["adaptive_simpson", "gauss_legendre_pieces"]
+import functools
+
+__all__ = ["adaptive_simpson", "gauss_legendre_nodes"]
 
 
 def _simpson(f, a, fa, b, fb):
@@ -46,33 +48,9 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, max_intervals: i
         stack.append((m0, fm0, b0, fb0, rm, frm, right, half))
     return total
 
-_GL_CACHE: dict[int, tuple] = {}
-
-def _gl_nodes(n: int):
-    if n not in _GL_CACHE:
-        import numpy as np
-
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (x, w)
-    return _GL_CACHE[n]
-
-def gauss_legendre_pieces(breaks, n: int):
-    """Gauss-Legendre nodes/weights on each [breaks[i], breaks[i+1]] piece.
-
-    Returns flat (nodes, weights) arrays covering all pieces; exactness on
-    each smooth piece makes this suitable for piecewise-smooth integrands
-    when ``breaks`` includes every kink.
-    """
+@functools.cache
+def gauss_legendre_nodes(n: int):
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], computed once per n."""
     import numpy as np
 
-    x, w = _gl_nodes(n)
-    nodes, weights = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if hi <= lo:
-            continue
-        half = 0.5 * (hi - lo)
-        nodes.append(half * (x + 1.0) + lo)
-        weights.append(half * w)
-    if not nodes:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return np.polynomial.legendre.leggauss(n)

@@ -114,13 +114,14 @@ class Segment:
             raise ScheduleError("cosine segment has no constant slope")
         return (self.eta1 - self.eta0) / self.length
 
-    def value(self, t: float) -> float:
+    def value(self, t):
+        """Rate at t; t may be a float or an array within [t0, t1]."""
         if self.kind == "constant":
             return self.eta0
         if self.kind == "linear":
             return _linear_value(self.eta0, self.eta1, t - self.t0, self.length)
         theta = math.pi * (t - self.t0) / self.length
-        return self.eta1 + 0.5 * (self.eta0 - self.eta1) * (math.cos(theta) + 1.0)
+        return self.eta1 + 0.5 * (self.eta0 - self.eta1) * (np.cos(theta) + 1.0)
 
     def derivative(self, t: float) -> float:
         if self.kind == "constant":
@@ -134,8 +135,9 @@ class Segment:
         """Max of eta on [u, v] within the segment (all kinds are monotone)."""
         return max(self.value(u), self.value(v))
 
-    def integral(self, u: float, v: float, functional: str) -> float:
-        """Exact integral of the functional over [u, v] within [t0, t1]."""
+    def integral(self, u, v, functional: str):
+        """Exact integral of the functional over [u, v] within [t0, t1];
+        u and v may be floats or arrays."""
         if functional not in FUNCTIONALS:
             raise ScheduleError(f"unknown functional {functional!r}")
         if self.kind == "constant":
@@ -149,17 +151,17 @@ class Segment:
         thu = math.pi * (u - self.t0) / ell
         thv = math.pi * (v - self.t0) / ell
         if functional == "eta":
-            return c * (v - u) + amp * ell / math.pi * (math.sin(thv) - math.sin(thu))
+            return c * (v - u) + amp * ell / math.pi * (np.sin(thv) - np.sin(thu))
         if functional == "eta_sq":
             # integral of cos^2 in t: (ell/pi) * [theta/2 + sin(2 theta)/4]
-            sq = lambda th: 0.5 * th + 0.25 * math.sin(2.0 * th)
+            sq = lambda th: 0.5 * th + 0.25 * np.sin(2.0 * th)
             return (
                 c * c * (v - u)
-                + 2.0 * c * amp * ell / math.pi * (math.sin(thv) - math.sin(thu))
+                + 2.0 * c * amp * ell / math.pi * (np.sin(thv) - np.sin(thu))
                 + amp * amp * ell / math.pi * (sq(thv) - sq(thu))
             )
         # deta_sq: eta' = -(A pi / ell) sin(theta)
-        sn = lambda th: 0.5 * th - 0.25 * math.sin(2.0 * th)
+        sn = lambda th: 0.5 * th - 0.25 * np.sin(2.0 * th)
         return amp * amp * math.pi / ell * (sn(thv) - sn(thu))
 
 

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ..numerics import gauss_legendre_pieces
+from ..numerics import gauss_legendre_nodes
 from ..schedule import Schedule
 from .noise import NoiseModel
 from .objectives import Objective
@@ -39,14 +38,17 @@ __all__ = [
     "adam_generator",
 ]
 
-
-def _segment_breaks(schedule: Schedule, lo: float, hi: float) -> list[float]:
-    pts = [lo]
-    for seg in schedule.segments:
-        if lo < seg.t0 < hi:
-            pts.append(seg.t0)
-    pts.append(hi)
-    return pts
+# RK4: the base step is S/ODE_BASE_STEPS, halved up to ODE_MAX_HALVINGS times
+# until two successive solutions agree to ODE_TOL in max-abs norm.
+ODE_BASE_STEPS = 2000
+ODE_TOL = 1e-8
+ODE_MAX_HALVINGS = 8
+# Closed form: QUAD_BASE_NODES Gauss-Legendre nodes per segment piece, doubled
+# up to QUAD_MAX_DOUBLINGS times until two passes agree to
+# QUAD_TOL * (1 + max|P|) for every system of the batch.
+QUAD_BASE_NODES = 16
+QUAD_TOL = 1e-10
+QUAD_MAX_DOUBLINGS = 6
 
 
 def integrate_covariance_ode(
@@ -55,15 +57,12 @@ def integrate_covariance_ode(
     schedule: Schedule,
     scale: float,
     t_grid,
-    step0: Optional[float] = None,
-    agree_tol: float = 1e-8,
-    max_halvings: int = 8,
 ) -> list[np.ndarray]:
     """RK4 solution of dP/dt = -eta(GP + PG') + scale*eta^2*Sigma on t_grid.
 
     ``G`` and ``Sigma`` may carry leading batch dimensions (..., n, n).
-    The base step is S/2000, halved until two successive refinements agree
-    to ``agree_tol`` in max-abs norm over the grid.
+    Steps never straddle a segment joint: each piece of [0, t] inside one
+    segment takes its rates from that segment.
     """
     G = np.asarray(G, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
@@ -73,12 +72,8 @@ def integrate_covariance_ode(
         raise ValueError("t_grid must lie within [0, S]")
     if sorted(t_grid) != t_grid:
         raise ValueError("t_grid must be sorted ascending")
-    if step0 is None:
-        step0 = schedule.S / 2000.0
 
-    def rhs(t, P):
-        # repeated stepping can overshoot the horizon by a few ulps
-        eta = schedule.value(min(max(t, 0.0), schedule.S))
+    def rhs(eta, P):
         return -eta * (G @ P + P @ GT) + (scale * eta * eta) * Sigma
 
     def solve(step):
@@ -86,40 +81,37 @@ def integrate_covariance_ode(
         out = []
         t_cur = 0.0
         for t_next in t_grid:
-            breaks = _segment_breaks(schedule, t_cur, t_next)
-            for lo, hi in zip(breaks[:-1], breaks[1:]):
-                span = hi - lo
-                if span <= 0:
+            for seg in schedule.segments:
+                lo, hi = max(t_cur, seg.t0), min(t_next, seg.t1)
+                if not lo < hi:
                     continue
-                n = max(1, math.ceil(span / step))
-                h = span / n
+                n = max(1, math.ceil((hi - lo) / step))
+                h = (hi - lo) / n
                 t = lo
                 for _ in range(n):
-                    k1 = rhs(t, P)
-                    k2 = rhs(t + 0.5 * h, P + 0.5 * h * k1)
-                    k3 = rhs(t + 0.5 * h, P + 0.5 * h * k2)
-                    k4 = rhs(t + h, P + h * k3)
+                    eta_mid = seg.value(t + 0.5 * h)
+                    k1 = rhs(seg.value(t), P)
+                    k2 = rhs(eta_mid, P + 0.5 * h * k1)
+                    k3 = rhs(eta_mid, P + 0.5 * h * k2)
+                    k4 = rhs(seg.value(t + h), P + h * k3)
                     P = P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                     t += h
             out.append(P.copy())
             t_cur = t_next
         return out
 
-    prev = solve(step0)
-    for _ in range(max_halvings):
-        step0 *= 0.5
-        cur = solve(step0)
+    step = schedule.S / ODE_BASE_STEPS
+    prev = solve(step)
+    for _ in range(ODE_MAX_HALVINGS):
+        step *= 0.5
+        cur = solve(step)
         err = max(
             float(np.max(np.abs(a - b))) if a.size else 0.0 for a, b in zip(prev, cur)
         )
         prev = cur
-        if err <= agree_tol:
+        if err <= ODE_TOL:
             return cur
     return prev
-
-
-def _phi(schedule: Schedule, t: float) -> float:
-    return schedule.integral(0.0, t, "eta")
 
 
 def closed_form_covariance(
@@ -128,98 +120,89 @@ def closed_form_covariance(
     schedule: Schedule,
     scale: float,
     t_grid,
-    quad_tol: float = 1e-10,
-    base_nodes: int = 16,
-    max_doublings: int = 6,
 ) -> list[np.ndarray]:
     """Exact-form covariance on t_grid via quadrature in the area variable.
 
+    ``G`` and ``Sigma`` may carry leading batch dimensions (..., n, n).
     Symmetric G uses its eigendecomposition (scalar exponentials per
     eigenvalue pair); general G uses a matrix exponential per quadrature
-    node.  Node counts double until two passes agree.
+    node.  Each segment piece of [0, t] gets its own nodes, and node counts
+    double until two passes agree for the whole batch.
     """
     G = np.asarray(G, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
-    if G.ndim > 2:
-        return [
-            np.stack(ps)
-            for ps in zip(
-                *(
-                    closed_form_covariance(
-                        G[i], Sigma[i] if Sigma.ndim > 2 else Sigma,
-                        schedule, scale, t_grid, quad_tol, base_nodes, max_doublings,
-                    )
-                    for i in range(G.shape[0])
-                )
-            )
-        ]
-    symmetric = np.allclose(G, G.T, atol=1e-12)
+    t_grid = [float(t) for t in t_grid]
+    if any(not 0.0 <= t <= schedule.S for t in t_grid):
+        raise ValueError("t_grid must lie within [0, S]")
+    symmetric = np.allclose(G, np.swapaxes(G, -1, -2), atol=1e-12)
     if symmetric:
         lam, U = np.linalg.eigh(G)
-        M = U.T @ Sigma @ U
+        UT = np.swapaxes(U, -1, -2)
+        M = UT @ Sigma @ U
     else:
         from scipy.linalg import expm  # imported on demand: slow, and only needed here
+    zero = np.zeros(np.broadcast_shapes(G.shape, Sigma.shape))
 
     out = []
     for t in t_grid:
-        t = float(t)
         if t == 0.0:
-            out.append(np.zeros_like(Sigma))
+            out.append(zero.copy())
             continue
-        phi_t = _phi(schedule, t)
-        breaks = _segment_breaks(schedule, 0.0, t)
+        # Phi at each piece's start, summed segment by segment as
+        # Schedule.integral adds them
+        pieces, phi_t = [], 0.0
+        for seg in schedule.segments:
+            if seg.t0 >= t:
+                break
+            hi = min(t, seg.t1)
+            pieces.append((seg, hi, phi_t))
+            phi_t += seg.integral(seg.t0, hi, "eta")
 
         def value(n_nodes):
-            nodes, weights = gauss_legendre_pieces(breaks, n_nodes)
-            w_s = scale * np.array([schedule.value(s) ** 2 for s in nodes]) * weights
-            dphi = phi_t - np.array([_phi(schedule, s) for s in nodes])
+            x, w = gauss_legendre_nodes(n_nodes)
+            w_s, dphi = [], []
+            for seg, hi, phi0 in pieces:
+                half = 0.5 * (hi - seg.t0)
+                nodes = half * (x + 1.0) + seg.t0
+                w_s.append(scale * seg.value(nodes) ** 2 * (half * w))
+                dphi.append(phi_t - (phi0 + seg.integral(seg.t0, nodes, "eta")))
+            w_s, dphi = np.concatenate(w_s), np.concatenate(dphi)
             if symmetric:
                 # sum_q w_q * exp(-(lam_i + lam_j) dphi_q), assembled in the eigenbasis
-                E = np.exp(-np.outer(dphi, lam))  # (q, n)
-                I = np.einsum("q,qi,qj->ij", w_s, E, E)
-                return U @ (M * I) @ U.T
-            P = np.zeros_like(Sigma)
-            for q in range(nodes.size):
-                if w_s[q] == 0.0:
-                    continue
+                E = np.exp(-np.multiply.outer(dphi, lam))  # (q, ..., n)
+                I = np.einsum("q,q...i,q...j->...ij", w_s, E, E)
+                return U @ (M * I) @ UT
+            P = zero.copy()
+            for q in np.flatnonzero(w_s):
                 K = expm(-G * dphi[q])
-                P += w_s[q] * (K @ Sigma @ K.T)
+                P += w_s[q] * (K @ Sigma @ np.swapaxes(K, -1, -2))
             return P
 
-        n = base_nodes
+        n = QUAD_BASE_NODES
         prev = value(n)
-        for _ in range(max_doublings):
+        for _ in range(QUAD_MAX_DOUBLINGS):
             n *= 2
             cur = value(n)
-            err = float(np.max(np.abs(cur - prev)))
+            err = np.max(np.abs(cur - prev), axis=(-2, -1))
             prev = cur
-            if err <= quad_tol * (1.0 + float(np.max(np.abs(cur)))):
+            if np.all(err <= QUAD_TOL * (1.0 + np.max(np.abs(cur), axis=(-2, -1)))):
                 break
         out.append(prev)
     return out
 
 
-def adam_generator(
-    H: np.ndarray,
-    Sigma: np.ndarray,
-    c1: float,
-    c2: float,
-    eps: float,
-    dsigma_dx: Optional[np.ndarray] = None,
-):
+def adam_generator(H: np.ndarray, Sigma: np.ndarray, c1: float, c2: float, eps: float):
     """Lifted generator and diffusion matrix of the Adam dynamics at a minimum.
 
-    State order is (x, m, v).  ``dsigma_dx`` is the Jacobian of diag(Sigma)
-    with respect to x (zero for state-independent noise).
+    State order is (x, m, v).  Noise is state-independent, so the block
+    coupling v to x is zero.
     """
     n = H.shape[0]
     d = np.diag(Sigma)
-    J = np.zeros((n, n)) if dsigma_dx is None else np.asarray(dsigma_dx, dtype=float)
     Hhat = np.zeros((3 * n, 3 * n))
     Hhat[0:n, n : 2 * n] = np.diag(1.0 / np.sqrt(d + eps))
     Hhat[n : 2 * n, 0:n] = -c1 * H
     Hhat[n : 2 * n, n : 2 * n] = c1 * np.eye(n)
-    Hhat[2 * n :, 0:n] = -c2 * J
     Hhat[2 * n :, 2 * n :] = c2 * np.eye(n)
     Shat = np.zeros((3 * n, 3 * n))
     Shat[n : 2 * n, n : 2 * n] = Sigma
@@ -257,8 +240,6 @@ def gaussian_approx(
     c1: float = 1.0,
     c2: float = 1.0,
     eps: float = 1e-8,
-    ode_tol: float = 1e-8,
-    quad_tol: float = 1e-10,
 ) -> GaussianApprox:
     """Gaussian-approximation covariance of SGD or Adam started at a minimum.
 
@@ -284,8 +265,8 @@ def gaussian_approx(
         mean = np.concatenate([x_star, np.zeros_like(x_star), np.diag(noise.Sigma_g)])
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    P_ode = integrate_covariance_ode(G, S_mat, schedule, scale, t_grid, agree_tol=ode_tol)
-    P_closed = closed_form_covariance(G, S_mat, schedule, scale, t_grid, quad_tol=quad_tol)
+    P_ode = integrate_covariance_ode(G, S_mat, schedule, scale, t_grid)
+    P_closed = closed_form_covariance(G, S_mat, schedule, scale, t_grid)
     return GaussianApprox(
         algorithm=algorithm,
         t_grid=np.asarray(list(t_grid), dtype=float),

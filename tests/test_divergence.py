@@ -98,15 +98,28 @@ class TestCriterion:
         nan, inf = float("nan"), float("inf")
         for bad in [(0.0, 1, 1, 1), (0.4, 0, 1, 1), (0.4, 1, 0, 1), (0.4, 1, 1, 0),
                     (nan, 1, 1, 1), (inf, 1, 1, 1), (0.4, nan, 1, 1), (0.4, 1, inf, 1),
-                    (0.4, 1, 1, nan), (0.4, -1, 1, 1), (0.4, 1e-200, 1, 1)]:
+                    (0.4, 1, 1, nan), (0.4, -1, 1, 1), (0.4, 1e-200, 1, 1),
+                    (0.4, 1, 4, 1e200)]:
             with pytest.raises(ValueError):
                 criterion_R(*bad)
             if bad[1] != 0:  # a zero warmup is the gate's own case
                 with pytest.raises(ValueError):
                     gated_criterion(*bad)
-        for N, S in [(nan, 1.0), (1.0, inf)]:
+        for N, S in [(nan, 1.0), (1.0, inf), (4.0, 1e200)]:
             with pytest.raises(ValueError):
                 critical_rate(N, S)
+        with pytest.raises(ValueError):  # S^2 overflows on the zero-warmup branch too
+            gated_criterion(0.4, 0.0, 4.0, 1e200)
+        # N^alpha2 underflows to 0; (S^2)^alpha1 overflows
+        for N, S, params in [(1e-3, 10.0, DivergenceParams(alpha2_hat=200.0)),
+                             (4.0, 1e100, DivergenceParams(alpha1_hat=5.0))]:
+            with pytest.raises(ValueError):
+                critical_rate(N, S, params)
+            for warmup in (1.0, 0.0):
+                with pytest.raises(ValueError):
+                    gated_criterion(0.4, warmup, N, S, params)
+            with pytest.raises(ValueError):
+                criterion_R(0.4, 1.0, N, S, params)
 
 
 class TestMonotonicity:

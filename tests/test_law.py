@@ -152,7 +152,7 @@ class TestFit:
         calls = count_per_config_calls(monkeypatch)
         law = fit(records)
         assert law.residual_rms <= 1e-10
-        assert calls == {"schedule": 0, "integral": 0, "compute_features": 0}
+        assert not any(calls.values()), calls  # no per-config call of any kind
 
     def test_refit_idempotence(self):
         rng = np.random.default_rng(41)

@@ -125,6 +125,22 @@ class TestEval:
                 fd = (s.value(t + h) - s.value(t - h)) / (2.0 * h)
                 assert s.derivative(t) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
+    @pytest.mark.parametrize("seg", [
+        Segment("linear", 0.5, 2.5, 0.1, 0.9),
+        Segment("constant", 1.0, 3.0, 0.4, 0.4),
+        Segment("cosine", 0.8, 6.0, 0.7, 0.05),
+    ])
+    def test_segment_closed_forms_on_arrays(self, seg):
+        # one array call equals the scalar calls element by element, so the
+        # covariance routes can evaluate all quadrature nodes at once
+        ts = np.linspace(seg.t0, seg.t1, 257)
+        np.testing.assert_array_equal(seg.value(ts), [seg.value(float(t)) for t in ts])
+        for functional in ("eta", "deta_sq"):
+            np.testing.assert_array_equal(
+                seg.integral(seg.t0, ts, functional),
+                [seg.integral(seg.t0, float(t), functional) for t in ts],
+            )
+
     def test_eta_max(self):
         s = build_general_schedule(0.7, 0.3, 1.0, 2.0, 3.0, 4.0)
         assert s.eta_max == 0.7

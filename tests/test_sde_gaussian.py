@@ -18,6 +18,7 @@ from optlaws.sde import (
     isotropic_quadratic,
     quadratic,
 )
+from util import count_per_config_calls
 
 
 def constant_schedule(eta, T):
@@ -61,6 +62,14 @@ class TestScalarCase:
         np.testing.assert_array_equal(ga.P_closed[0], np.zeros((2, 2)))
 
 
+def sgd_batch():
+    """Three 5x5 SGD systems stacked along a leading batch dimension."""
+    rng = np.random.default_rng(11)
+    H = np.stack([random_spd(rng, 5) for _ in range(3)])
+    Sg = np.stack([random_spd(rng, 5, shift=0.1) for _ in range(3)])
+    return H, Sg
+
+
 class TestRouteAgreement:
     @pytest.mark.parametrize("make_sched", [
         lambda: build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 6.0),
@@ -68,15 +77,33 @@ class TestRouteAgreement:
         lambda: build_general_schedule(0.9, 0.4, 0.5, 2.0, 4.0, 6.0),
     ])
     def test_sgd_routes_agree(self, make_sched):
-        rng = np.random.default_rng(11)
         sched = make_sched()
         grid = np.linspace(0.3, 6.0, 10)
-        H = np.stack([random_spd(rng, 5) for _ in range(3)])
-        Sg = np.stack([random_spd(rng, 5, shift=0.1) for _ in range(3)])
+        H, Sg = sgd_batch()
         po = integrate_covariance_ode(H, Sg, sched, 0.01, grid)
         pc = closed_form_covariance(H, Sg, sched, 0.01, grid)
         for a, b in zip(po, pc):
             assert np.max(np.abs(a - b)) <= 1e-6 * (1.0 + np.max(np.abs(a)))
+        # the batch changes no element beyond the quadrature tolerance
+        for i in range(H.shape[0]):
+            single = closed_form_covariance(H[i], Sg[i], sched, 0.01, grid)
+            for a, b in zip(pc, single):
+                assert a[i].shape == b.shape
+                assert np.max(np.abs(a[i] - b)) <= 1e-10 * (1.0 + np.max(np.abs(b)))
+
+    def test_routes_walk_segments(self, monkeypatch):
+        # both routes read rates and areas from the segments' closed forms,
+        # and the closed form's schedule work does not grow with the batch
+        sched = warmup_cosine_schedule(0.7, 0.8, 6.0)
+        grid = [0.5, 3.0, 6.0]
+        H, Sg = sgd_batch()
+        calls = count_per_config_calls(monkeypatch)
+        integrate_covariance_ode(H, Sg, sched, 0.01, grid)
+        closed_form_covariance(H, Sg, sched, 0.01, grid)
+        per_batch = calls["segment_integral"]
+        closed_form_covariance(H[0], Sg[0], sched, 0.01, grid)
+        assert calls["value"] == 0 and calls["integral"] == 0
+        assert calls["segment_integral"] == 2 * per_batch > 0
 
     def test_covariance_symmetric_psd(self):
         rng = np.random.default_rng(13)

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from optlaws import RunRecord, compute_features, default_markers
 from optlaws.law import REFERENCE_COEFFICIENTS
-from optlaws.schedule import Schedule, build_general_schedule, warmup_cosine_schedule
+from optlaws.schedule import Schedule, Segment, build_general_schedule, warmup_cosine_schedule
 from optlaws.sde import SimulationDiverged, SimulationReport, StatSummary, path_rng
 
 LR_SCALE = 1.5e-2
@@ -63,12 +63,14 @@ def random_schedule(rng: np.random.Generator) -> Schedule:
 
 
 def count_per_config_calls(monkeypatch) -> dict:
-    """Count Schedule constructions, ``Schedule.integral`` calls and
-    ``compute_features`` calls from here on; returns the live counters."""
+    """Count Schedule constructions, ``Schedule.integral``, ``Schedule.value``,
+    ``Segment.integral`` and ``compute_features`` calls from here on; returns
+    the live counters."""
     import optlaws.features
     import optlaws.law
 
-    calls = {"schedule": 0, "integral": 0, "compute_features": 0}
+    calls = {"schedule": 0, "integral": 0, "value": 0, "segment_integral": 0,
+             "compute_features": 0}
 
     def count(key, fn):
         def wrapped(*args, **kwargs):
@@ -78,6 +80,8 @@ def count_per_config_calls(monkeypatch) -> dict:
 
     monkeypatch.setattr(Schedule, "__post_init__", count("schedule", Schedule.__post_init__))
     monkeypatch.setattr(Schedule, "integral", count("integral", Schedule.integral))
+    monkeypatch.setattr(Schedule, "value", count("value", Schedule.value))
+    monkeypatch.setattr(Segment, "integral", count("segment_integral", Segment.integral))
     counted = count("compute_features", optlaws.features.compute_features)
     for mod in (optlaws.features, optlaws.law):
         monkeypatch.setattr(mod, "compute_features", counted)
