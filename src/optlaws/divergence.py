@@ -12,6 +12,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "DivergenceParams",
     "CriterionResult",
@@ -107,9 +109,27 @@ def criterion_R(
 
 def divergence_ratio(eta_max, a_sq, s_sq, eta_l, params: DivergenceParams = DEFAULT_PARAMS):
     """R = s * (eta_max - eta_L)^2 / (c3 * a * eta_L^2) from the squared
-    horizon s and warmup a; elementwise on numpy arrays too."""
+    horizon s and warmup a; elementwise on numpy arrays too.
+
+    Raises ValueError, naming the first such cell, when the denominator
+    underflows to 0.
+    """
+    denom = params.c3_hat * a_sq * eta_l * eta_l
+    if isinstance(denom, np.ndarray):
+        zero = np.flatnonzero(denom == 0.0)
+        if zero.size:
+            first = (np.broadcast_to(x, denom.shape).flat[zero[0]] for x in (eta_l, a_sq))
+            raise _ratio_underflow(*first)
+    elif denom == 0.0:
+        raise _ratio_underflow(eta_l, a_sq)
     excess = eta_max - eta_l
-    return s_sq * excess * excess / (params.c3_hat * a_sq * eta_l * eta_l)
+    return s_sq * excess * excess / denom
+
+
+def _ratio_underflow(eta_l, a_sq) -> ValueError:
+    return ValueError(
+        f"divergence ratio: c3 * a1^2 * eta_L^2 underflows to 0 at eta_L={eta_l:g}, a1^2={a_sq:g}"
+    )
 
 
 def gated_criterion(

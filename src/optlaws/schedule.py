@@ -117,7 +117,7 @@ class Segment:
     def value(self, t):
         """Rate at t; t may be a float or an array within [t0, t1]."""
         if self.kind == "constant":
-            return self.eta0
+            return np.full(t.shape, self.eta0) if isinstance(t, np.ndarray) else self.eta0
         if self.kind == "linear":
             return _linear_value(self.eta0, self.eta1, t - self.t0, self.length)
         theta = math.pi * (t - self.t0) / self.length
@@ -210,8 +210,24 @@ class Schedule:
             i = len(self.segments) - 1
         return self.segments[i]
 
-    def value(self, t: float) -> float:
-        return self._segment_at(t).value(t)
+    def value(self, t):
+        """Rate at t; t may be a float or an array within [0, S].
+
+        Each time reads the segment :meth:`_segment_at` picks, so an array
+        call equals the scalar calls element by element.
+        """
+        if not isinstance(t, np.ndarray):
+            return self._segment_at(t).value(t)
+        if t.size and not (0.0 <= t.min() and t.max() <= self.S):
+            raise ScheduleError(f"times outside schedule domain [0, {self.S}]")
+        owner = np.searchsorted(self._bounds, t, side="right") - 1
+        np.minimum(owner, len(self.segments) - 1, out=owner)
+        out = np.empty(t.shape)
+        for i, seg in enumerate(self.segments):
+            mine = owner == i
+            if mine.any():
+                out[mine] = seg.value(t[mine])
+        return out
 
     def derivative(self, t: float) -> float:
         """d eta/dt at t; at a joint this is the right-hand limit."""

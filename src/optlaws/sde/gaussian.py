@@ -16,6 +16,23 @@ ODE by fixed-step RK4 with step halving until two refinements agree, the
 closed form by per-segment Gauss-Legendre quadrature with a matrix
 exponential at each node (eigendecomposition when G is symmetric,
 Pade scaling-and-squaring otherwise).
+
+The ODE is linear in P, so one RK4 step is a polynomial in the operator
+L(P) = G P + P G':
+
+    P_next = sum_{j=0..4} a_j L^j(P) + sum_{j=0..3} b_j L^j(Sigma),
+
+with a_j, b_j set by the step size and the rates at the step's start,
+midpoint and end.  They come from running the RK4 stages on coefficient
+vectors, for all steps of a chunk at once.  Left and right products
+commute, so L^j(P) = sum_k C(j, k) G^k P G'^(j-k) and the step folds into
+
+    P_next = sum_{k=0..4} G^k P M_k' + U,    M_k = sum_l a_{k+l} C(k+l, k) G^l,
+
+two matrix products and an add per step.  M_k' and U are built for
+ODE_CHUNK_BYTES worth of steps at a time, which bounds the route's memory.
+No eigendecomposition or matrix exponential enters, so the ODE route stays
+independent of the closed form.
 """
 
 from __future__ import annotations
@@ -43,12 +60,49 @@ __all__ = [
 ODE_BASE_STEPS = 2000
 ODE_TOL = 1e-8
 ODE_MAX_HALVINGS = 8
+# The folded step matrices M_k' and U of ODE_CHUNK_BYTES worth of steps are
+# built at a time.  _ODE_STEP_WORDS bounds the per-step words of the rates
+# and of the RK4 coefficient recursion on top of the matrices (about 80 by
+# tracemalloc; twice that keeps the peak under the budget).
+ODE_CHUNK_BYTES = 4 * 2**20
+_ODE_STEP_WORDS = 160
+# M_k = sum_l a_{k+l} C(k+l, k) G^l: the power of L read by entry (k, l)
+# and its binomial weight (zero past RK4's degree 4).
+_FOLD_POWER = np.array([[min(k + l, 4) for l in range(5)] for k in range(5)])
+_FOLD_BINOM = np.array(
+    [[math.comb(k + l, k) if k + l <= 4 else 0 for l in range(5)] for k in range(5)],
+    dtype=float,
+)
 # Closed form: QUAD_BASE_NODES Gauss-Legendre nodes per segment piece, doubled
 # up to QUAD_MAX_DOUBLINGS times until two passes agree to
 # QUAD_TOL * (1 + max|P|) for every system of the batch.
 QUAD_BASE_NODES = 16
 QUAD_TOL = 1e-10
 QUAD_MAX_DOUBLINGS = 6
+
+
+def _rk4_coefficients(h, eta_lo, eta_mid, eta_hi, scale):
+    """One RK4 step of dP/dt = -eta L(P) + scale*eta^2*Sigma, as polynomials in L.
+
+    The rates are arrays with one entry per step.  Row s of the result
+    holds the step's coefficients: ``[s, 0, j]`` multiplies L^j(P) and
+    ``[s, 1, j]`` multiplies L^j(Sigma) in P_next (``[s, 1, 4]`` is 0).
+    """
+
+    def rhs(eta, y):
+        k = np.zeros_like(y)
+        k[..., 1:] = y[..., :-1]  # apply L: raise every power by one
+        k *= -eta[:, None, None]
+        k[:, 1, 0] += scale * eta * eta
+        return k
+
+    y = np.zeros((eta_lo.size, 2, 5))
+    y[:, 0, 0] = 1.0
+    k1 = rhs(eta_lo, y)
+    k2 = rhs(eta_mid, y + 0.5 * h * k1)
+    k3 = rhs(eta_mid, y + 0.5 * h * k2)
+    k4 = rhs(eta_hi, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate_covariance_ode(
@@ -62,22 +116,50 @@ def integrate_covariance_ode(
 
     ``G`` and ``Sigma`` may carry leading batch dimensions (..., n, n).
     Steps never straddle a segment joint: each piece of [0, t] inside one
-    segment takes its rates from that segment.
+    segment takes its rates from that segment.  Each step is applied in
+    its folded form P_next = sum_k G^k P M_k' + U (see the module
+    docstring).
     """
     G = np.asarray(G, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
-    GT = np.swapaxes(G, -1, -2)
     t_grid = [float(t) for t in t_grid]
     if any(t < 0 or t > schedule.S for t in t_grid):
         raise ValueError("t_grid must lie within [0, S]")
     if sorted(t_grid) != t_grid:
         raise ValueError("t_grid must be sorted ascending")
+    shape = np.broadcast_shapes(G.shape, Sigma.shape)
+    n, n_sys = shape[-1], math.prod(shape[:-2])
+    G = np.broadcast_to(G, shape).reshape(n_sys, n, n)
+    Sigma = np.broadcast_to(Sigma, shape).reshape(n_sys, n, n)
+    # G^0..G^4 side by side, their transposes as rows, and L^0..L^3 of Sigma
+    pows = [np.broadcast_to(np.eye(n), G.shape)]
+    for _ in range(4):
+        pows.append(pows[-1] @ G)
+    Gcat = np.concatenate(pows, axis=-1)
+    powT = np.swapaxes(np.stack(pows, axis=1), -1, -2).reshape(n_sys, 5, n * n)
+    LS = [Sigma]
+    for _ in range(3):
+        LS.append(G @ LS[-1] + LS[-1] @ np.swapaxes(G, -1, -2))
+    LS = np.stack(LS).reshape(4, n_sys * n * n)
+    chunk = max(1, ODE_CHUNK_BYTES // (8 * (6 * n_sys * n * n + _ODE_STEP_WORDS)))
+    B = np.empty((n_sys, 5, n, n))
 
-    def rhs(eta, P):
-        return -eta * (G @ P + P @ GT) + (scale * eta * eta) * Sigma
+    def advance(P, seg, t, h, c):
+        """Take c steps of size h from time t, in place on P; return the end time."""
+        ts = np.add.accumulate(np.r_[t, np.full(c, h)])  # t, t+h, ... as t += h makes them
+        eta = seg.value(np.concatenate([ts, ts[:-1] + 0.5 * h]))
+        y = _rk4_coefficients(h, eta[:c], eta[c + 1 :], eta[1 : c + 1], scale)
+        MT = ((y[:, 0, _FOLD_POWER] * _FOLD_BINOM)[:, None] @ powT).reshape(c, n_sys, 5, n, n)
+        U = (y[:, 1, :4] @ LS).reshape(c, n_sys, n, n)
+        Pv, Bv = P[:, None], B.reshape(n_sys, 5 * n, n)
+        for s in range(c):
+            np.matmul(Pv, MT[s], out=B)  # P M_k' for k = 0..4
+            np.matmul(Gcat, Bv, out=P)  # sum_k G^k P M_k'
+            P += U[s]
+        return ts[-1]
 
     def solve(step):
-        P = np.zeros_like(Sigma)
+        P = np.zeros((n_sys, n, n))
         out = []
         t_cur = 0.0
         for t_next in t_grid:
@@ -85,18 +167,12 @@ def integrate_covariance_ode(
                 lo, hi = max(t_cur, seg.t0), min(t_next, seg.t1)
                 if not lo < hi:
                     continue
-                n = max(1, math.ceil((hi - lo) / step))
-                h = (hi - lo) / n
+                n_steps = max(1, math.ceil((hi - lo) / step))
+                h = (hi - lo) / n_steps
                 t = lo
-                for _ in range(n):
-                    eta_mid = seg.value(t + 0.5 * h)
-                    k1 = rhs(seg.value(t), P)
-                    k2 = rhs(eta_mid, P + 0.5 * h * k1)
-                    k3 = rhs(eta_mid, P + 0.5 * h * k2)
-                    k4 = rhs(seg.value(t + h), P + h * k3)
-                    P = P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    t += h
-            out.append(P.copy())
+                for start in range(0, n_steps, chunk):
+                    t = advance(P, seg, t, h, min(chunk, n_steps - start))
+            out.append(P.reshape(shape).copy())
             t_cur = t_next
         return out
 

@@ -97,8 +97,8 @@ class SdeConfig:
     record_traces: bool = False
 
     def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
+        if not self.eta0 > 0:
+            raise ValueError(f"eta0 must be positive, got {self.eta0}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if self.algorithm not in ("sgd", "adam"):
@@ -111,6 +111,8 @@ class SdeConfig:
         T = self.schedule.S if self.horizon is None else self.horizon
         if not 0 < T <= self.schedule.S:
             raise ValueError(f"horizon must lie in (0, S={self.schedule.S}], got {T}")
+        if T / self.eta0 == math.inf:
+            raise ValueError(f"n_steps = horizon/eta0 = {T}/{self.eta0} overflows")
 
     @property
     def T(self) -> float:
@@ -231,15 +233,22 @@ def simulate(
     matching the convergence-bound quantities, plus the empirical
     frequency of ||X_T - x*||^2 <= eps for each requested trapping radius.
     Raises :class:`SimulationDiverged` naming the first offending path when
-    eta0 is too large for the landscape.
+    eta0 is too large for the landscape, and ValueError, before allocating
+    anything, when one path's noise row exceeds ``DEFAULT_BLOCK_BYTES``.
     """
     dim = objective.dim
     if noise.dim != dim:
         raise ValueError(f"noise dim {noise.dim} != objective dim {dim}")
     n_steps = config.n_steps
     n_paths = config.n_paths
+    if n_steps * dim * 8 > DEFAULT_BLOCK_BYTES:
+        raise ValueError(
+            f"n_steps = {n_steps} is too many: one path's noise row needs "
+            f"{n_steps * dim * 8} bytes, over DEFAULT_BLOCK_BYTES = {DEFAULT_BLOCK_BYTES} "
+            "(raise eta0 or shorten the horizon)"
+        )
     ts = np.minimum(np.arange(n_steps) * config.eta0, config.schedule.S)
-    etas = np.array([config.schedule.value(t) for t in ts])
+    etas = config.schedule.value(ts)
     weight = float(np.sum(etas))
 
     if x_star is None:

@@ -371,6 +371,31 @@ class TestBadInput:
         assert "overflows" in captured.err and captured.out == ""
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize("command", ["check", "rank", "sweep"])
+    def test_ratio_denominator_underflows(self, tmp_path, law_file, capsys, command):
+        # c3 * a1^2 * eta_L^2 underflows to 0: check raised ZeroDivisionError,
+        # and sweep wrote R = nan as a stable cell
+        cfg = {"model_B": 4.0, "tokens_B": 100.0, "eta1": 1e-170, "eta2": 1e-170,
+               "a1_B": 1.0, "a2_B": 1.0, "a3_B": 1.0}
+        (tmp_path / "cfgs.json").write_text(json.dumps([cfg]))
+        argv = {
+            "check": ["--eta-max", 1e-170, "--warmup", 1, "--model", 4, "--tokens", 100],
+            "rank": ["--law", law_file, "--configs", tmp_path / "cfgs.json"],
+            "sweep": ["--law", law_file, "--eta-max-range", "1e-100:1e-99:2",
+                      "--warmup-range", "1e-100:1e-99:2", "--model", 4, "--tokens", 100,
+                      "--out", tmp_path / "g.csv"],
+        }[command]
+        capsys.readouterr()
+        assert run_cli([command, *argv]) == 1
+        captured = self.one_line_error(capsys)
+        assert "underflows to 0" in captured.err and captured.out == ""
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("eta0", [1e-6, 1e-320])  # a 512 MB noise row; T/eta0 = inf
+    def test_simulate_too_many_steps(self, capsys, eta0):
+        assert run_cli(["simulate", "--eta0", eta0, "--dim", 16]) == 1
+        assert "n_steps" in self.one_line_error(capsys).err
+
     @pytest.mark.parametrize("command", ["predict", "rank"])
     def test_loss_overflows_exp(self, tmp_path, law_file, capsys, command):
         law = json.loads(law_file.read_text())

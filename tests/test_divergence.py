@@ -8,6 +8,7 @@ from optlaws.divergence import (
     DivergenceParams,
     criterion_R,
     critical_rate,
+    divergence_ratio,
     gated_criterion,
 )
 from optlaws.features import Normalizer
@@ -120,6 +121,29 @@ class TestCriterion:
                     gated_criterion(0.4, warmup, N, S, params)
             with pytest.raises(ValueError):
                 criterion_R(0.4, 1.0, N, S, params)
+
+
+class TestRatioUnderflow:
+    """c3 * a1^2 * eta_L^2 underflowing to 0 is an error, never 0/0 or x/0."""
+
+    def test_scalar_denominator(self):
+        for args in [(1e-170, 1.0, 1e4, 1e-170), (1e-100, 1e-200, 1e4, 1e-100)]:
+            with pytest.raises(ValueError, match="underflows to 0"):
+                divergence_ratio(*args)
+            with pytest.raises(ValueError, match="underflows to 0"):  # numpy scalars too
+                divergence_ratio(*map(np.float64, args))
+        with pytest.raises(ValueError, match="underflows to 0"):
+            criterion_R(1e-170, 1.0, 4.0, 100.0)
+        with pytest.raises(ValueError, match="underflows to 0"):
+            gated_criterion(np.float64(1e-100), np.float64(1e-100), 4.0, 100.0)
+
+    def test_array_names_first_zero_cell(self):
+        h = np.array([0.4, 1e-170, 1e-171])
+        a = np.array([[1.0], [4.0]])
+        with pytest.raises(ValueError, match=r"eta_L=1e-170, a1\^2=1"):
+            divergence_ratio(h, a, 1e4, h)
+        ok = np.array([0.4, 0.2])
+        np.testing.assert_array_equal(divergence_ratio(ok, 1.0, 1e4, ok), [0.0, 0.0])
 
 
 class TestMonotonicity:

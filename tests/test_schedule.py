@@ -134,12 +134,35 @@ class TestEval:
         # one array call equals the scalar calls element by element, so the
         # covariance routes can evaluate all quadrature nodes at once
         ts = np.linspace(seg.t0, seg.t1, 257)
-        np.testing.assert_array_equal(seg.value(ts), [seg.value(float(t)) for t in ts])
+        values = seg.value(ts)
+        assert isinstance(values, np.ndarray) and values.shape == ts.shape
+        np.testing.assert_array_equal(values, [seg.value(float(t)) for t in ts])
+        assert seg.value(ts.reshape(1, -1, 1)).shape == (1, ts.size, 1)
+        # the scalar path still returns a plain float
+        assert not isinstance(seg.value(float(ts[100])), np.ndarray)
+        assert seg.value(float(ts[100])) == values[100]
         for functional in ("eta", "deta_sq"):
             np.testing.assert_array_equal(
                 seg.integral(seg.t0, ts, functional),
                 [seg.integral(seg.t0, float(t), functional) for t in ts],
             )
+
+    @pytest.mark.parametrize("schedule", [
+        build_general_schedule(0.9, 0.3, 0.5, 2.25, 4.0, 6.0),
+        warmup_cosine_schedule(0.7, 0.75, 6.0),
+    ])
+    def test_schedule_value_on_arrays(self, schedule):
+        # step times that land on every joint read the right-hand segment,
+        # as the scalar lookup does
+        ts = np.minimum(np.arange(30) * 0.25, schedule.S)
+        assert {seg.t0 for seg in schedule.segments} <= set(ts.tolist())
+        values = schedule.value(ts)
+        assert values.tolist() == [schedule.value(float(t)) for t in ts]
+        assert schedule.value(ts.reshape(5, 6)).tolist() == values.reshape(5, 6).tolist()
+        for bad in (np.array([-0.1, 1.0]), np.array([1.0, schedule.S + 0.1]),
+                    np.array([float("nan")])):
+            with pytest.raises(ScheduleError):
+                schedule.value(bad)
 
     def test_eta_max(self):
         s = build_general_schedule(0.7, 0.3, 1.0, 2.0, 3.0, 4.0)

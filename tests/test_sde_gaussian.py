@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from optlaws.sde import (
     isotropic_quadratic,
     quadratic,
 )
-from util import count_per_config_calls
+from optlaws.sde import gaussian
+from util import count_per_config_calls, reference_rk4
 
 
 def constant_schedule(eta, T):
@@ -123,6 +125,60 @@ class TestRouteAgreement:
                              np.linspace(0.5, 5.0, 8), eta0=0.01)
         assert ga.generator.shape == (12, 12)
         assert ga.max_route_gap() <= 1e-6
+
+
+def adam_system():
+    """Lifted 12x12 Adam generator (not symmetric) and its diffusion matrix."""
+    rng = np.random.default_rng(23)
+    return adam_generator(random_spd(rng, 4), random_spd(rng, 4, shift=0.2), 1.0, 1.0, 1e-8)
+
+
+class TestFoldedRK4:
+    """The folded step against the stage-by-stage RK4 it rewrites."""
+
+    @pytest.mark.parametrize("system", [sgd_batch, adam_system], ids=["sgd_batch", "adam"])
+    @pytest.mark.parametrize("make_sched", [
+        lambda: build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 6.0),   # linear
+        lambda: build_general_schedule(0.9, 0.4, 0.5, 2.0, 4.0, 6.0),   # with a constant piece
+        lambda: warmup_cosine_schedule(0.7, 0.8, 6.0),                  # cosine
+    ], ids=["linear", "constant", "cosine"])
+    def test_matches_reference_rk4(self, system, make_sched):
+        sched = make_sched()
+        G, Sg = system()
+        grid = [0.3, 0.77, 1.6, 2.9, 4.45, 5.3, 6.0]  # no point on a joint
+        folded = integrate_covariance_ode(G, Sg, sched, 0.01, grid)
+        reference = reference_rk4(G, Sg, sched, 0.01, grid)
+        for a, b in zip(folded, reference):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-13 * (1.0 + np.max(np.abs(b)))
+
+    def test_chunking_changes_nothing(self, monkeypatch):
+        sched = warmup_cosine_schedule(0.7, 0.8, 6.0)
+        H, Sg = sgd_batch()
+        grid = [0.9, 6.0]
+        whole = integrate_covariance_ode(H, Sg, sched, 0.01, grid)
+        monkeypatch.setattr(gaussian, "ODE_CHUNK_BYTES", 1)  # one step per chunk
+        for a, b in zip(integrate_covariance_ode(H, Sg, sched, 0.01, grid), whole):
+            assert np.max(np.abs(a - b)) <= 1e-15 * (1.0 + np.max(np.abs(b)))
+
+    def test_peak_memory_is_one_chunk(self):
+        # one grid point: each solve steps every segment in one piece of
+        # thousands of steps, far more than one chunk holds
+        sched = constant_schedule(0.5, 6.0)
+        rng = np.random.default_rng(29)
+        H = np.stack([random_spd(rng, 8) for _ in range(8)])
+        Sg = np.stack([random_spd(rng, 8, shift=0.1) for _ in range(8)])
+        per_step = 8 * 6 * H.size  # the step matrices alone, without a budget
+        assert gaussian.ODE_BASE_STEPS * per_step > 2 * gaussian.ODE_CHUNK_BYTES
+        integrate_covariance_ode(H, Sg, sched, 0.01, [6.0])  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            (P,) = integrate_covariance_ode(H, Sg, sched, 0.01, [6.0])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= gaussian.ODE_CHUNK_BYTES + 16 * P.nbytes
 
 
 class TestAdamGenerator:

@@ -16,6 +16,7 @@ from optlaws.sde import (
     rosenbrock,
     simulate,
 )
+from optlaws.sde.simulate import DEFAULT_BLOCK_BYTES
 from util import reference_simulate
 
 
@@ -255,6 +256,38 @@ class TestReferenceStepper:
         closed = float(np.min(np.outer(1.0 - prods, d)))
         assert closed < 1.5 * d.min()  # the minimum is not simply the first step
         assert rep.v_min == pytest.approx(closed, rel=1e-12)
+
+
+class TestStepRates:
+    @pytest.mark.parametrize("schedule", [
+        build_general_schedule(0.9, 0.3, 0.5, 2.25, 4.0, 6.0),
+        Schedule((Segment("linear", 0.0, 0.75, 0.0, 0.7), Segment("cosine", 0.75, 6.0, 0.7, 0.0)),
+                 6.0, (0.75, 0.75, 0.75)),
+    ])
+    def test_rates_equal_pointwise_lookup(self, schedule):
+        # step times land on every joint; the ensemble's eta weight sums the
+        # same rates the scalar lookup gives
+        cfg = SdeConfig(schedule=schedule, eta0=0.25, n_paths=2, seed=0)
+        ts = np.minimum(np.arange(cfg.n_steps) * cfg.eta0, schedule.S)
+        assert {seg.t0 for seg in schedule.segments} <= set(ts.tolist())
+        pointwise = np.array([schedule.value(t) for t in ts])
+        assert schedule.value(ts).tolist() == pointwise.tolist()
+        rep = simulate(isotropic_quadratic(2), NoiseModel.isotropic(2, 0.05), cfg)
+        assert rep.eta_weight == float(np.sum(pointwise)) * cfg.eta0
+
+    def test_too_many_steps_refused_before_allocating(self):
+        # a 512 MB noise row per path: refused before any step array exists
+        dim = 16
+        cfg = SdeConfig(schedule=constant_schedule(0.5, 4.0), eta0=1e-6, n_paths=2)
+        assert cfg.n_steps * dim * 8 > DEFAULT_BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"n_steps = {cfg.n_steps}"):
+                simulate(isotropic_quadratic(dim), NoiseModel.isotropic(dim, 0.05), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestMemory:

@@ -4,7 +4,8 @@ The quadrature oracle here only touches ``Schedule.value`` and
 ``Schedule.derivative`` (plus scipy's adaptive Gauss-Kronrod rule), never
 the closed-form ``integral`` path it is used to check.  The reference SDE
 stepper shares only the per-path noise streams and the report container
-with ``optlaws.sde.simulate``.
+with ``optlaws.sde.simulate``.  The reference RK4 solver steps the
+covariance ODE stage by stage, the form the folded solver rewrites.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from optlaws import RunRecord, compute_features, default_markers
 from optlaws.law import REFERENCE_COEFFICIENTS
 from optlaws.schedule import Schedule, Segment, build_general_schedule, warmup_cosine_schedule
 from optlaws.sde import SimulationDiverged, SimulationReport, StatSummary, path_rng
+from optlaws.sde.gaussian import ODE_BASE_STEPS, ODE_MAX_HALVINGS, ODE_TOL
 
 LR_SCALE = 1.5e-2
 
@@ -277,3 +279,54 @@ def reference_simulate(objective, noise, config, x_star=None, block_size=None):
         v_min=v_min if adam else None, max_abs_coordinate=max_abs, mean_momentum=mean_m,
         traces=flat_traces,
     )
+
+
+def reference_rk4(G, Sigma, schedule, scale, t_grid):
+    """Stage-by-stage RK4, the oracle for ``optlaws.sde.integrate_covariance_ode``.
+
+    Each step evaluates the four stages of dP/dt = -eta(GP + PG') +
+    scale*eta^2*Sigma with fresh matrix products, on the same segment
+    pieces, step sizes and halving rule as the folded route.
+    """
+    G = np.asarray(G, dtype=float)
+    Sigma = np.asarray(Sigma, dtype=float)
+    GT = np.swapaxes(G, -1, -2)
+    t_grid = [float(t) for t in t_grid]
+
+    def rhs(eta, P):
+        return -eta * (G @ P + P @ GT) + (scale * eta * eta) * Sigma
+
+    def solve(step):
+        P = np.zeros_like(Sigma)
+        out = []
+        t_cur = 0.0
+        for t_next in t_grid:
+            for seg in schedule.segments:
+                lo, hi = max(t_cur, seg.t0), min(t_next, seg.t1)
+                if not lo < hi:
+                    continue
+                n = max(1, math.ceil((hi - lo) / step))
+                h = (hi - lo) / n
+                t = lo
+                for _ in range(n):
+                    eta_mid = seg.value(t + 0.5 * h)
+                    k1 = rhs(seg.value(t), P)
+                    k2 = rhs(eta_mid, P + 0.5 * h * k1)
+                    k3 = rhs(eta_mid, P + 0.5 * h * k2)
+                    k4 = rhs(seg.value(t + h), P + h * k3)
+                    P = P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    t += h
+            out.append(P.copy())
+            t_cur = t_next
+        return out
+
+    step = schedule.S / ODE_BASE_STEPS
+    prev = solve(step)
+    for _ in range(ODE_MAX_HALVINGS):
+        step *= 0.5
+        cur = solve(step)
+        err = max(float(np.max(np.abs(a - b))) if a.size else 0.0 for a, b in zip(prev, cur))
+        prev = cur
+        if err <= ODE_TOL:
+            return cur
+    return prev
