@@ -321,6 +321,11 @@ def _convergence_check(objective, noise, config, report):
     return name, report.stats[key], bounds[name]
 
 
+def _within_bound(stat, bound: float) -> bool:
+    """A Monte-Carlo mean respects an upper bound up to three standard errors."""
+    return bool(stat.mean <= bound + 3.0 * stat.std_err)
+
+
 def _cmd_simulate(args) -> int:
     if args.dim < 1:
         raise DataError(f"--dim must be at least 1, got {args.dim}")
@@ -333,8 +338,7 @@ def _cmd_simulate(args) -> int:
         schedule = build_general_schedule(
             args.peak, args.peak, args.warmup, args.warmup, args.warmup, args.horizon
         )
-    x_star = objective.x_star
-    x0 = x_star + args.x0_offset * np.ones(args.dim) / math.sqrt(args.dim)
+    x0 = objective.x_star + args.x0_offset * np.ones(args.dim) / math.sqrt(args.dim)
     config = sde.SdeConfig(
         schedule=schedule,
         eta0=args.eta0,
@@ -345,10 +349,10 @@ def _cmd_simulate(args) -> int:
         x0=x0,
         record_traces=bool(args.trace_csv),
     )
-    report = sde.simulate(objective, noise, config, x_star=x_star)
+    report = sde.simulate(objective, noise, config)
 
     name, stat, bound = _convergence_check(objective, noise, config, report)
-    checks = {f"{name}_bound_dominates": bool(stat.mean <= bound + 3.0 * stat.std_err)}
+    checks = {f"{name}_bound_dominates": _within_bound(stat, bound)}
     if args.algorithm == "adam":
         checks["v_nonnegative"] = bool(report.v_min >= 0.0)
     payload = {
@@ -435,8 +439,8 @@ def _validate_suites(seed: int, quick: bool) -> dict:
         )
         rep = sde.simulate(obj, noise, config)
         _, stat, bound = _convergence_check(obj, noise, config, rep)
-        passed = stat.mean <= bound + 3.0 * stat.std_err
-        detail[algo] = {"empirical": stat.mean, "bound": bound, "passed": bool(passed)}
+        passed = _within_bound(stat, bound)
+        detail[algo] = {"empirical": stat.mean, "bound": bound, "passed": passed}
         ok &= passed
     suites["bound_domination"] = {**detail, "passed": bool(ok)}
 
@@ -480,8 +484,8 @@ def _validate_suites(seed: int, quick: bool) -> dict:
     for eps in eps_list:
         stat = rep.trapping[eps]
         bound = sde.anti_concentration_bound(eps, trace)
-        passed = stat.mean <= bound + 3.0 * stat.std_err
-        cases.append({"eps": eps, "empirical": stat.mean, "bound": bound, "passed": bool(passed)})
+        passed = _within_bound(stat, bound)
+        cases.append({"eps": eps, "empirical": stat.mean, "bound": bound, "passed": passed})
         ok &= passed
     suites["trapping_bound"] = {"cases": cases, "trace": trace, "passed": bool(ok)}
 

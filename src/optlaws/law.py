@@ -6,6 +6,11 @@ excluded).  ``predict`` evaluates a fitted law on a new configuration and
 ``rank`` orders candidate configurations, gating out those the divergence
 criterion rejects.
 
+Every command prices through one route, so a config has one log loss
+whichever command prices it and whatever batch it is in:
+:func:`_config_bases` (bases under the law's mode), :func:`_features` (the
+16-term map) and :func:`_log_losses` (the contraction, term by term).
+
 ``SimpleLaw`` is the fixed-model-size five-term law; its asymptotic gap
 between the cosine-cooldown and constant-then-cooldown families has closed
 forms evaluated by :func:`prop1_gap`.
@@ -27,7 +32,6 @@ from .features import (
     FeatureError,
     FeatureVector,
     Normalizer,
-    compute_features,
     feature_matrix,
     features_from_bases,
     general_schedule_bases,
@@ -204,68 +208,78 @@ def reference_law() -> FittedLaw:
 _NEEDS_PRE = "continual-mode law needs a pre-training context"
 
 
-def features_for(law: FittedLaw, config: RunConfig) -> FeatureVector:
-    """Feature vector of a config under the law's mode and conventions."""
-    if law.mode == "continual":
-        if config.pre is None:
-            raise FeatureError(_NEEDS_PRE)
-        return continual_features(law, config.pre.schedule, config.pre.horizon, config)
-    policy = marker_policy(law.policy_rule, config.schedule)
-    return compute_features(config.schedule, policy, config.N, powers=law.powers)
-
-
 def continual_features(
     law: FittedLaw,
     pre_schedule: Schedule | None,
     pre_S: float,
     config: RunConfig,
 ) -> FeatureVector:
-    """Feature map for continual training.
-
-    Two changes relative to pre-training, with coefficients and powers
-    untouched: the tail slope energy is divided by the fourth power of the
-    peak rate on [a_e2, S] of the continual schedule, and the warmup area
-    gains the full pre-training area integral.
+    """Feature map for continual training: the one-config case of the
+    continual-mode route (see :func:`_config_bases`), applied whatever the
+    law's mode, after a pre-training run on ``pre_schedule`` up to ``pre_S``.
     """
-    schedule = config.schedule
-    policy = marker_policy(law.policy_rule, schedule)
-    bases = schedule_bases(schedule, policy)
-    h_tail = schedule.max_rate(policy.a_e2, schedule.S)
-    if h_tail <= 0.0:
-        raise FeatureError(
-            f"continual rescaling needs a positive peak rate on [{policy.a_e2}, {schedule.S}]"
-        )
     if pre_S > 0.0 and pre_schedule is None:
         raise FeatureError("pre_S > 0 requires the pre-training schedule")
-    bases = _continual_bases(bases, h_tail, _pre_area(pre_schedule, pre_S))
-    return features_from_bases(bases, schedule.S, config.N, powers=law.powers)
+    config = replace(config, pre=PretrainContext(pre_schedule, pre_S))
+    bases, S, N, refused = _config_bases(law.as_continual(), [config])
+    return FeatureVector(_features(bases, S, N, law.powers, refused)[0].tolist(), law.powers)
 
 
-def _pre_area(pre_schedule: Schedule | None, pre_S: float) -> float:
-    return pre_schedule.integral(0.0, pre_S, "eta") if pre_S > 0.0 else 0.0
+def _config_bases(law: FittedLaw, configs) -> tuple[dict, np.ndarray, np.ndarray, dict]:
+    """Bases, S and N arrays of configs under the law's mode, and the message
+    of each config (by index) the continual rescaling refuses.
+
+    The continual mode divides the tail slope energy by the fourth power of
+    the peak rate on [a_e2, S] of the continual schedule and adds the
+    pre-training area integral to the warmup area.  A refused config, one
+    without a positive peak there, gets a NaN tail energy: outside the domain.
+    """
+    continual = law.mode == "continual"
+    if continual and any(cfg.pre is None for cfg in configs):
+        raise FeatureError(_NEEDS_PRE)
+    policies = [marker_policy(law.policy_rule, cfg.schedule) for cfg in configs]
+    rows = [schedule_bases(cfg.schedule, pol) for cfg, pol in zip(configs, policies)]
+    bases = {k: np.array([b[k] for b in rows]) for k in rows[0]}
+    S = np.array([cfg.schedule.S for cfg in configs], dtype=float)
+    N = np.array([cfg.N for cfg in configs], dtype=float)
+    refused = {}
+    if continual:
+        h_tail = np.array([cfg.schedule.max_rate(pol.a_e2, cfg.schedule.S)
+                           for cfg, pol in zip(configs, policies)])
+        refused = {i: f"continual rescaling needs a positive peak rate on [{p.a_e2}, {c.schedule.S}]"
+                   for i, (h, c, p) in enumerate(zip(h_tail, configs, policies)) if not h > 0.0}
+        pre_area = np.array([cfg.pre.schedule.integral(0.0, cfg.pre.horizon, "eta")
+                             if cfg.pre.horizon > 0.0 else 0.0 for cfg in configs])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tail = bases["tail_energy"] / h_tail ** 4
+        bases["tail_energy"] = np.where(h_tail > 0.0, tail, np.nan)
+        bases["warmup_area"] = bases["warmup_area"] + pre_area
+    return bases, S, N, refused
 
 
-def _continual_bases(bases: dict, h_tail, pre_area) -> dict:
-    """The continual rescaling of the bases; elementwise on arrays too."""
-    return {
-        **bases,
-        "tail_energy": bases["tail_energy"] / h_tail ** 4,
-        "warmup_area": bases["warmup_area"] + pre_area,
-    }
-
-
-def _general_features(powers, policy_rule: str, eta1, eta2, a1, a2, a3, S, N) -> np.ndarray:
-    """(n, 16) features of four-phase configs given as arrays of normalized
-    rates and billions; raises the FeatureError of the first config outside
-    the feature map's domain."""
-    bases = general_schedule_bases(eta1, eta2, a1, a2, a3, S, policy_rule)
+def _features(bases: dict, S, N, powers, refused=None) -> np.ndarray:
+    """(n, 16) feature matrix of the bases; raises the FeatureError of the
+    first row outside the feature map's domain, its ``refused`` message if
+    it has one."""
     F, ok = feature_matrix(bases, S, N, powers)
     if not ok.all():
         i = int(np.argmin(ok))
+        if refused and i in refused:
+            raise FeatureError(refused[i])
         row = lambda x: float(np.broadcast_to(x, ok.shape)[i])
         features_from_bases({k: row(v) for k, v in bases.items()}, row(S), row(N), powers)
         raise FeatureError(f"configuration {i} is outside the feature map's domain")
     return F
+
+
+def _log_losses(c, F: np.ndarray) -> np.ndarray:
+    """Log losses ``F @ c``, accumulated term by term in table order, so a
+    row gives the same bits alone or in any batch."""
+    with np.errstate(invalid="ignore", over="ignore"):  # rows outside the domain
+        out = c[0] * F[:, 0]
+        for j in range(1, len(c)):
+            out += c[j] * F[:, j]
+    return out
 
 
 def general_log_losses(law: FittedLaw, eta1, eta2, a1, a2, a3, S, N) -> np.ndarray:
@@ -274,31 +288,19 @@ def general_log_losses(law: FittedLaw, eta1, eta2, a1, a2, a3, S, N) -> np.ndarr
     billions), priced in one pass."""
     if law.mode == "continual":
         raise FeatureError(_NEEDS_PRE)
-    F = _general_features(law.powers, law.policy_rule, eta1, eta2, a1, a2, a3, S, N)
-    return F @ np.asarray(law.c)
+    bases = general_schedule_bases(eta1, eta2, a1, a2, a3, S, law.policy_rule)
+    return _log_losses(law.c, _features(bases, S, N, law.powers))
 
 
-def _design_matrix(
-    records,
-    powers,
-    policy_rule: str,
-    normalizer: Normalizer,
-):
+def _design_matrix(records, powers, policy_rule: str, normalizer: Normalizer):
     rows = [r for r in records if not r.diverged]
     if not rows:
         raise LawFitError("no fittable rows: every record is divergent")
     col = lambda name: np.array([getattr(r, name) for r in rows], dtype=float)
-    A = _general_features(
-        powers,
-        policy_rule,
-        normalizer.normalize_lr(col("eta1")),
-        normalizer.normalize_lr(col("eta2")),
-        col("a1_B"),
-        col("a2_B"),
-        col("a3_B"),
-        col("tokens_B"),
-        col("model_B"),
-    )
+    S, lr = col("tokens_B"), normalizer.normalize_lr
+    bases = general_schedule_bases(lr(col("eta1")), lr(col("eta2")), col("a1_B"), col("a2_B"),
+                                   col("a3_B"), S, policy_rule)
+    A = _features(bases, S, col("model_B"), powers)
     y = np.log(col("loss"))
     return A, y
 
@@ -362,8 +364,8 @@ def fit(
 
 def predict(law: FittedLaw, config: RunConfig) -> dict:
     """Predicted {log_loss, loss} of a configuration under a fitted law."""
-    f = features_for(law, config)
-    log_loss = float(np.dot(law.c, f.values))
+    bases, S, N, refused = _config_bases(law, [config])
+    log_loss = float(_log_losses(law.c, _features(bases, S, N, law.powers, refused))[0])
     try:
         return {"log_loss": log_loss, "loss": math.exp(log_loss)}
     except OverflowError:
@@ -407,7 +409,9 @@ def rank(
             survivors.append((i, res, cfg, eta_max, warmup))
     kept, unpriced = [], []
     if survivors:
-        log_losses, priced = _price(law, [cfg for _, _, cfg, _, _ in survivors])
+        bases, S, N, _ = _config_bases(law, [cfg for _, _, cfg, _, _ in survivors])
+        F, priced = feature_matrix(bases, S, N, law.powers)
+        log_losses = _log_losses(law.c, F)
         for (i, res, _, eta_max, warmup), log_loss, ok in zip(
             survivors, log_losses.tolist(), priced
         ):
@@ -424,29 +428,6 @@ def rank(
             kept.append(((log_loss, eta_max, warmup, i), row))
     kept.sort(key=lambda t: t[0])
     return [row for _, row in kept] + unpriced + gated
-
-
-def _price(law: FittedLaw, configs) -> tuple[np.ndarray, np.ndarray]:
-    """Log losses of configs under the law in one feature_matrix pass, and
-    the mask of the configs it could price."""
-    policies = [marker_policy(law.policy_rule, cfg.schedule) for cfg in configs]
-    rows = [schedule_bases(cfg.schedule, pol) for cfg, pol in zip(configs, policies)]
-    bases = {k: np.array([b[k] for b in rows]) for k in rows[0]}
-    S = np.array([cfg.schedule.S for cfg in configs], dtype=float)
-    N = np.array([cfg.N for cfg in configs], dtype=float)
-    fine = True
-    if law.mode == "continual":
-        if any(cfg.pre is None for cfg in configs):
-            raise FeatureError(_NEEDS_PRE)
-        h_tail = np.array([cfg.schedule.max_rate(pol.a_e2, cfg.schedule.S)
-                           for cfg, pol in zip(configs, policies)])
-        pre_area = np.array([_pre_area(cfg.pre.schedule, cfg.pre.horizon) for cfg in configs])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bases = _continual_bases(bases, h_tail, pre_area)
-        fine = h_tail > 0.0
-    F, ok = feature_matrix(bases, S, N, law.powers)
-    with np.errstate(invalid="ignore", over="ignore"):  # rows outside the domain
-        return F @ np.asarray(law.c), ok & fine
 
 
 @dataclass(frozen=True)

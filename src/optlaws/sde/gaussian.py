@@ -105,6 +105,14 @@ def _rk4_coefficients(h, eta_lo, eta_mid, eta_hi, scale):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _grid_times(t_grid, schedule: Schedule) -> list[float]:
+    """The grid as floats, each checked to lie in [0, S] (a NaN does not)."""
+    t_grid = [float(t) for t in t_grid]
+    if any(not 0.0 <= t <= schedule.S for t in t_grid):
+        raise ValueError("t_grid must lie within [0, S]")
+    return t_grid
+
+
 def integrate_covariance_ode(
     G: np.ndarray,
     Sigma: np.ndarray,
@@ -122,9 +130,7 @@ def integrate_covariance_ode(
     """
     G = np.asarray(G, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
-    t_grid = [float(t) for t in t_grid]
-    if any(t < 0 or t > schedule.S for t in t_grid):
-        raise ValueError("t_grid must lie within [0, S]")
+    t_grid = _grid_times(t_grid, schedule)
     if sorted(t_grid) != t_grid:
         raise ValueError("t_grid must be sorted ascending")
     shape = np.broadcast_shapes(G.shape, Sigma.shape)
@@ -207,9 +213,7 @@ def closed_form_covariance(
     """
     G = np.asarray(G, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
-    t_grid = [float(t) for t in t_grid]
-    if any(not 0.0 <= t <= schedule.S for t in t_grid):
-        raise ValueError("t_grid must lie within [0, S]")
+    t_grid = _grid_times(t_grid, schedule)
     symmetric = np.allclose(G, np.swapaxes(G, -1, -2), atol=1e-12)
     if symmetric:
         lam, U = np.linalg.eigh(G)

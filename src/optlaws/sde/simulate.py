@@ -75,11 +75,11 @@ class SimulationDiverged(RuntimeError):
 class SdeConfig:
     """Simulation parameters.
 
-    ``eta0`` is both the SDE rescaling parameter and the EM step; the
-    horizon defaults to the schedule's full span.  The Adam drift constants
-    c1, c2 translate to averaging factors via c1hat = c1*eta0 and
-    c2hat = c2*eta0, and the momentum diffusion uses
-    c1' = sqrt(c1*c1hat) = c1*sqrt(eta0).
+    ``eta0`` is both the SDE rescaling parameter and the EM step; a run
+    covers the schedule's full span, ``T = schedule.S``, in
+    ``max(1, round(T / eta0))`` steps.  The Adam drift constants c1, c2
+    translate to averaging factors via c1hat = c1*eta0 and c2hat = c2*eta0,
+    and the momentum diffusion uses c1' = sqrt(c1*c1hat) = c1*sqrt(eta0).
     """
 
     schedule: Schedule
@@ -87,7 +87,6 @@ class SdeConfig:
     n_paths: int
     seed: int = 0
     algorithm: str = "sgd"  # "sgd" | "adam"
-    horizon: Optional[float] = None
     c1: float = 1.0
     c2: float = 1.0
     eps: float = 1e-8
@@ -108,15 +107,12 @@ class SdeConfig:
         for e in self.trap_eps:
             if e <= 0:
                 raise ValueError(f"trapping radius must be positive, got {e}")
-        T = self.schedule.S if self.horizon is None else self.horizon
-        if not 0 < T <= self.schedule.S:
-            raise ValueError(f"horizon must lie in (0, S={self.schedule.S}], got {T}")
-        if T / self.eta0 == math.inf:
-            raise ValueError(f"n_steps = horizon/eta0 = {T}/{self.eta0} overflows")
+        if self.T / self.eta0 == math.inf:
+            raise ValueError(f"n_steps = T/eta0 = {self.T}/{self.eta0} overflows")
 
     @property
     def T(self) -> float:
-        return self.schedule.S if self.horizon is None else self.horizon
+        return self.schedule.S
 
     @property
     def n_steps(self) -> int:
@@ -224,7 +220,6 @@ def simulate(
     objective: Objective,
     noise: NoiseModel,
     config: SdeConfig,
-    x_star: Optional[np.ndarray] = None,
     block_size: Optional[int] = None,
 ) -> SimulationReport:
     """Run the ensemble and collect the eta-weighted time averages.
@@ -251,8 +246,7 @@ def simulate(
     etas = config.schedule.value(ts)
     weight = float(np.sum(etas))
 
-    if x_star is None:
-        x_star = objective.x_star if objective.x_star is not None else np.zeros(dim)
+    x_star = objective.x_star if objective.x_star is not None else np.zeros(dim)
     x_star = np.asarray(x_star, dtype=float)
     x0 = x_star if config.x0 is None else np.asarray(config.x0, dtype=float)
 

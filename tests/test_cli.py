@@ -223,7 +223,7 @@ class TestSweep:
                 assert loss == 7.0
             else:
                 want = predict(law, RunConfig(build_general_schedule(h, h, a, a, a, S), N))
-                assert loss == pytest.approx(want["loss"], rel=1e-15)
+                assert loss == np.exp(want["log_loss"])
         assert verdicts == {"stable", "diverge"}
 
     def test_grid_builds_no_schedule_per_cell(self, monkeypatch):

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optlaws.cli import read_runs_csv
 from optlaws.divergence import critical_rate
@@ -16,8 +19,8 @@ from optlaws.law import (
     RunRecord,
     SimpleLaw,
     continual_features,
-    features_for,
     fit,
+    general_log_losses,
     predict,
     prop1_gap,
     rank,
@@ -264,8 +267,7 @@ class TestRank:
         assert (unpriced.R, unpriced.eta_L, unpriced.log_loss, unpriced.loss) == (
             0.0, eta_crit, None, None)
         for r in ranked[:2]:
-            assert r.log_loss == pytest.approx(predict(law, configs[r.index])["log_loss"],
-                                               rel=1e-15)
+            assert r.log_loss == predict(law, configs[r.index])["log_loss"]
 
     def test_divergent_listed_last(self):
         law = reference_law()
@@ -392,12 +394,20 @@ class TestContinual:
         with pytest.raises(FeatureError, match="positive peak rate"):
             continual_features(law, None, 0.0, cfg)
 
+    def test_tail_peak_whose_fourth_power_underflows_is_feature_error(self):
+        # h_tail ** 4 underflows to 0: a domain error, not a ZeroDivisionError
+        law = reference_law().as_continual()
+        pre = PretrainContext(build_general_schedule(0.3, 0.3, 1.0, 1.0, 1.0, 20.0))
+        cfg = RunConfig(build_general_schedule(1e-90, 1e-90, 2.0, 2.0, 2.0, 10.0), 4.0, pre)
+        with pytest.raises(FeatureError, match="tail_slope_energy"):
+            predict(law, cfg)
+
     def test_predict_in_continual_mode_requires_context(self):
         law = reference_law().as_continual()
         with pytest.raises(FeatureError, match="pre-training context"):
             predict(law, _config(0.4, 2.0, 10.0, 4.0))
 
-    def test_features_for_uses_pre_context(self):
+    def test_predict_uses_pre_context(self):
         law = reference_law().as_continual()
         pre = PretrainContext(build_general_schedule(0.5, 0.5, 1.0, 1.0, 1.0, 20.0))
         cfg = RunConfig(
@@ -405,9 +415,79 @@ class TestContinual:
             N=4.0,
             pre=pre,
         )
-        via_dispatch = features_for(law, cfg)
-        direct = continual_features(law, pre.schedule, 20.0, cfg)
-        assert via_dispatch.values == direct.values
+        want = 0.0
+        for c, f in zip(law.c, continual_features(law, pre.schedule, 20.0, cfg).values):
+            want += c * f  # term order
+        assert predict(law, cfg)["log_loss"] == want
+        shorter = replace(cfg, pre=PretrainContext(pre.schedule, 10.0))
+        assert predict(law, shorter)["log_loss"] != want
+
+
+def _random_runs(seed: int, n: int = 60) -> list[tuple[float, ...]]:
+    """(eta1, eta2, a1, a2, a3, S, N) of random four-phase runs with low peaks."""
+    rng = np.random.default_rng(seed)
+    runs = []
+    for _ in range(n):
+        S = float(rng.uniform(5.0, 60.0))
+        a1, a2, a3 = (float(x) for x in np.sort(rng.uniform(0.02 * S, S, size=3)))
+        h1, h2 = (float(x) for x in rng.uniform(0.01, 0.2, size=2))
+        runs.append((h1, h2, a1, a2, a3, S, float(rng.uniform(0.1, 8.0))))
+    return runs
+
+
+class TestOneRoute:
+    """predict, rank and general_log_losses give a config one log loss."""
+
+    def test_pretrain_predict_rank_and_general_agree(self):
+        law = reference_law()
+        runs = _random_runs(61)
+        configs = [RunConfig(build_general_schedule(*r[:6]), r[6]) for r in runs]
+        general = general_log_losses(law, *(np.array(col) for col in zip(*runs)))
+        ok = [r for r in rank(law, configs) if r.verdict == "ok"]
+        assert len(ok) >= len(runs) // 2
+        for r in ok:
+            want = predict(law, configs[r.index])["log_loss"]
+            assert r.log_loss == want
+            assert general[r.index] == want
+
+    def test_continual_predict_and_rank_agree(self):
+        law = reference_law().as_continual()
+        pre = PretrainContext(build_general_schedule(0.3, 0.3, 1.0, 1.0, 1.0, 20.0))
+        configs = [RunConfig(build_general_schedule(*r[:6]), r[6], pre)
+                   for r in _random_runs(67)]
+        ok = [r for r in rank(law, configs) if r.verdict == "ok"]
+        assert len(ok) >= len(configs) // 2
+        for r in ok:
+            assert r.log_loss == predict(law, configs[r.index])["log_loss"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.01, 1.0), st.floats(0.01, 1.0),  # peak and decayed rate
+                st.just(0.0) | st.floats(0.01, 0.3),  # warmup / S
+                st.floats(0.01, 0.3), st.floats(0.0, 0.3),  # decay and plateau / S
+                st.floats(1.0, 100.0), st.floats(0.05, 10.0),  # S, N
+            ),
+            min_size=2,
+            max_size=12,
+        ),
+        st.data(),
+    )
+    def test_rank_log_loss_independent_of_batch(self, runs, data):
+        # zero warmups (unpriced) and high peaks (diverge) keep None
+        law = reference_law()
+        configs = []
+        for h1, h2, f1, f2, f3, S, N in runs:
+            a1, a2, a3 = f1 * S, (f1 + f2) * S, (f1 + f2 + f3) * S
+            configs.append(RunConfig(build_general_schedule(h1, h2, a1, a2, a3, S), N))
+        full = {r.index: r.log_loss for r in rank(law, configs)}
+        for i, cfg in enumerate(configs):
+            assert rank(law, [cfg])[0].log_loss == full[i]
+        drop = data.draw(st.integers(0, len(configs) - 1))
+        kept = [i for i in range(len(configs)) if i != drop]
+        for r in rank(law, [configs[i] for i in kept]):
+            assert r.log_loss == full[kept[r.index]]
 
 
 class TestSimpleLaw:

@@ -217,3 +217,15 @@ class TestValidation:
         sched = constant_schedule(0.1, 1.0)
         with pytest.raises(ValueError):
             integrate_covariance_ode(np.eye(2), np.eye(2), sched, 0.01, [1.0, 0.5])
+
+    @pytest.mark.parametrize("route", [integrate_covariance_ode, closed_form_covariance])
+    def test_nan_grid_time_rejected(self, route):
+        sched = warmup_cosine_schedule(0.7, 0.8, 6.0)
+        with pytest.raises(ValueError, match="within"):
+            route(np.eye(2), np.eye(2), sched, 0.01, [float("nan")])
+
+    def test_nan_grid_time_rejected_by_gaussian_approx(self):
+        sched = warmup_cosine_schedule(0.7, 0.8, 6.0)
+        with pytest.raises(ValueError, match="within"):
+            gaussian_approx(isotropic_quadratic(2), NoiseModel.isotropic(2, 1.0), sched,
+                            np.zeros(2), "sgd", [1.0, float("nan")], eta0=0.01)

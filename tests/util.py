@@ -69,7 +69,6 @@ def count_per_config_calls(monkeypatch) -> dict:
     ``Segment.integral`` and ``compute_features`` calls from here on; returns
     the live counters."""
     import optlaws.features
-    import optlaws.law
 
     calls = {"schedule": 0, "integral": 0, "value": 0, "segment_integral": 0,
              "compute_features": 0}
@@ -84,9 +83,8 @@ def count_per_config_calls(monkeypatch) -> dict:
     monkeypatch.setattr(Schedule, "integral", count("integral", Schedule.integral))
     monkeypatch.setattr(Schedule, "value", count("value", Schedule.value))
     monkeypatch.setattr(Segment, "integral", count("segment_integral", Segment.integral))
-    counted = count("compute_features", optlaws.features.compute_features)
-    for mod in (optlaws.features, optlaws.law):
-        monkeypatch.setattr(mod, "compute_features", counted)
+    monkeypatch.setattr(optlaws.features, "compute_features",
+                        count("compute_features", optlaws.features.compute_features))
     return calls
 
 
@@ -173,7 +171,7 @@ def _reference_summary(samples: np.ndarray) -> StatSummary:
     return StatSummary(float(np.mean(samples)), se, n)
 
 
-def reference_simulate(objective, noise, config, x_star=None, block_size=None):
+def reference_simulate(objective, noise, config, block_size=None):
     """Textbook Euler-Maruyama stepper, the oracle for ``optlaws.sde.simulate``.
 
     Every path carries its own Adam second moment ``v``; each block draws
@@ -188,8 +186,7 @@ def reference_simulate(objective, noise, config, x_star=None, block_size=None):
     ts = np.minimum(np.arange(n_steps) * config.eta0, config.schedule.S)
     etas = np.array([config.schedule.value(t) for t in ts])
     weight = float(np.sum(etas))
-    if x_star is None:
-        x_star = objective.x_star if objective.x_star is not None else np.zeros(dim)
+    x_star = objective.x_star if objective.x_star is not None else np.zeros(dim)
     x_star = np.asarray(x_star, dtype=float)
     x0 = x_star if config.x0 is None else np.asarray(config.x0, dtype=float)
     block_size = n_paths if block_size is None else block_size
