@@ -433,11 +433,14 @@ def _validate_suites(seed: int, quick: bool) -> dict:
     x0 = np.full(dim, 1.0 / math.sqrt(dim))
     ok = True
     detail = {}
-    for algo in ("sgd", "adam"):
-        config = sde.SdeConfig(
+    configs = {
+        algo: sde.SdeConfig(
             schedule=schedule, eta0=0.01, n_paths=paths, seed=seed, algorithm=algo, x0=x0
         )
-        rep = sde.simulate(obj, noise, config)
+        for algo in ("sgd", "adam")
+    }
+    reports = sde.simulate_many([(obj, config) for config in configs.values()], noise)
+    for (algo, config), rep in zip(configs.items(), reports):
         _, stat, bound = _convergence_check(obj, noise, config, rep)
         passed = _within_bound(stat, bound)
         detail[algo] = {"empirical": stat.mean, "bound": bound, "passed": passed}

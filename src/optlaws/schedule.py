@@ -96,6 +96,11 @@ class Segment:
     def __post_init__(self):
         if self.kind not in SEGMENT_KINDS:
             raise ScheduleError(f"unknown segment kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.t0, self.t1, self.eta0, self.eta1))):
+            raise ScheduleError(
+                "segment times and rates must be finite, got "
+                f"t0={self.t0}, t1={self.t1}, eta0={self.eta0}, eta1={self.eta1}"
+            )
         if not self.t0 < self.t1:
             raise ScheduleError(f"segment needs t0 < t1, got [{self.t0}, {self.t1}]")
         if self.eta0 < 0 or self.eta1 < 0:
@@ -345,12 +350,14 @@ class GeneralScheduleBatch:
             ~(S <= 0) & (0.0 <= a1) & (a1 <= a2) & (a2 <= a3) & (a3 <= S)
             & ~(eta1 < 0) & ~(eta2 < 0)
         )
-        # Schedule's joint checks: eta is continuous from one nonempty phase
-        # to the next, and a constant phase is constant
+        # Segment's and Schedule's checks: a nonempty phase has finite times
+        # and rates, eta is continuous from one nonempty phase to the next,
+        # and a constant phase is constant
         end, seen = 0.0, False
         for kind, t0, t1, e0, e1 in pieces:
             present = t0 < t1
-            broken = seen & (end != e0)
+            broken = ~(np.isfinite(t0) & np.isfinite(t1) & np.isfinite(e0) & np.isfinite(e1))
+            broken = broken | (seen & (end != e0))
             if kind == "constant":
                 broken = broken | (e0 != e1)
             valid &= ~(present & broken)

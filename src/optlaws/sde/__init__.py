@@ -24,6 +24,7 @@ from .simulate import (
     StatSummary,
     path_rng,
     simulate,
+    simulate_many,
 )
 
 __all__ = [
@@ -52,4 +53,5 @@ __all__ = [
     "rosenbrock",
     "sigma0",
     "simulate",
+    "simulate_many",
 ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ class NoiseModel:
         sigma = np.asarray(self.Sigma_g, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("Sigma_g must be square")
+        if not np.isfinite(sigma).all():
+            raise ValueError("Sigma_g must be finite")
         if not np.allclose(sigma, sigma.T, atol=1e-12):
             raise ValueError("Sigma_g must be symmetric")
         if self.D < 1:
@@ -42,6 +45,8 @@ class NoiseModel:
 
     @classmethod
     def isotropic(cls, dim: int, variance: float = 1.0, D: int = 64) -> "NoiseModel":
+        if not math.isfinite(variance):
+            raise ValueError(f"noise variance must be finite, got {variance}")
         return cls(variance * np.eye(dim), D=D)
 
     @classmethod

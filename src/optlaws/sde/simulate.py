@@ -34,13 +34,22 @@ stepping with fresh arrays and a per-path v.  Peak memory is about one
 noise block (``DEFAULT_BLOCK_BYTES``) plus the ``(n_steps, dim)`` v table;
 a non-diagonal root adds a second block, the copy numpy makes for the
 product it writes back.
+
+:func:`simulate_many` steps several cases, each an ``(objective, config)``
+pair, over the same noise (common random numbers): each block is filled
+and scaled once and every case is stepped over it in turn, reusing the
+same state arrays, so peak memory stays at one block however many cases
+there are.  A case's report is bit-identical to its own :func:`simulate`
+run, which is the one-case call of :func:`simulate_many`.  Cases that
+differ in seed, ``n_paths``, ``n_steps`` or objective dim draw different
+noise, so they are refused with ValueError before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +63,7 @@ __all__ = [
     "SimulationReport",
     "SimulationDiverged",
     "simulate",
+    "simulate_many",
     "path_rng",
 ]
 
@@ -96,8 +106,8 @@ class SdeConfig:
     record_traces: bool = False
 
     def __post_init__(self):
-        if not self.eta0 > 0:
-            raise ValueError(f"eta0 must be positive, got {self.eta0}")
+        if not 0 < self.eta0 < math.inf:
+            raise ValueError(f"eta0 must be positive and finite, got {self.eta0}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if self.algorithm not in ("sgd", "adam"):
@@ -105,8 +115,10 @@ class SdeConfig:
         if self.algorithm == "adam" and self.eps <= 0:
             raise ValueError("adam needs eps > 0")
         for e in self.trap_eps:
-            if e <= 0:
-                raise ValueError(f"trapping radius must be positive, got {e}")
+            if not 0 < e < math.inf:
+                raise ValueError(f"trapping radius must be positive and finite, got {e}")
+        if self.x0 is not None and not np.isfinite(self.x0).all():
+            raise ValueError("x0 must be finite")
         if self.T / self.eta0 == math.inf:
             raise ValueError(f"n_steps = T/eta0 = {self.T}/{self.eta0} overflows")
 
@@ -216,6 +228,8 @@ def _adam_root_v(config: SdeConfig, etas: np.ndarray, diag_sigma: np.ndarray):
     return root_v, v_min, v
 
 
+
+
 def simulate(
     objective: Objective,
     noise: NoiseModel,
@@ -230,26 +244,53 @@ def simulate(
     Raises :class:`SimulationDiverged` naming the first offending path when
     eta0 is too large for the landscape, and ValueError, before allocating
     anything, when one path's noise row exceeds ``DEFAULT_BLOCK_BYTES``.
+    This is the one-case call of :func:`simulate_many`.
     """
+    return simulate_many([(objective, config)], noise, block_size)[0]
+
+
+def simulate_many(
+    cases: Sequence[tuple[Objective, SdeConfig]],
+    noise: NoiseModel,
+    block_size: Optional[int] = None,
+) -> list[SimulationReport]:
+    """Run several ensembles on the same noise: one report per case, in order.
+
+    Each case is an ``(objective, config)`` pair.  Every block of per-path
+    noise is filled and scaled once and each case is stepped over it, so
+    the cases see common random numbers and each report equals the one
+    :func:`simulate` gives for its case alone, bit for bit.  The cases must
+    agree on seed, ``n_paths``, ``n_steps`` and objective dim; otherwise,
+    or for an empty list, ValueError is raised before anything is
+    allocated.  A diverging case raises :class:`SimulationDiverged` naming
+    the path its own :func:`simulate` names.
+    """
+    cases = list(cases)
+    if not cases:
+        raise ValueError("simulate_many needs at least one (objective, config) case")
+    objective, config = cases[0]
     dim = objective.dim
     if noise.dim != dim:
         raise ValueError(f"noise dim {noise.dim} != objective dim {dim}")
-    n_steps = config.n_steps
-    n_paths = config.n_paths
+    seed, n_paths, n_steps = config.seed, config.n_paths, config.n_steps
+    for i, (obj, cfg) in enumerate(cases[1:], start=1):
+        for name, got, want in (
+            ("objective dim", obj.dim, dim),
+            ("seed", cfg.seed, seed),
+            ("n_paths", cfg.n_paths, n_paths),
+            ("n_steps", cfg.n_steps, n_steps),
+        ):
+            if got != want:
+                raise ValueError(
+                    f"case {i} has {name} {got} but case 0 has {want}: cases share "
+                    "noise only when seed, n_paths, n_steps and dim agree"
+                )
     if n_steps * dim * 8 > DEFAULT_BLOCK_BYTES:
         raise ValueError(
             f"n_steps = {n_steps} is too many: one path's noise row needs "
             f"{n_steps * dim * 8} bytes, over DEFAULT_BLOCK_BYTES = {DEFAULT_BLOCK_BYTES} "
             "(raise eta0 or shorten the horizon)"
         )
-    ts = np.minimum(np.arange(n_steps) * config.eta0, config.schedule.S)
-    etas = config.schedule.value(ts)
-    weight = float(np.sum(etas))
-
-    x_star = objective.x_star if objective.x_star is not None else np.zeros(dim)
-    x_star = np.asarray(x_star, dtype=float)
-    x0 = x_star if config.x0 is None else np.asarray(config.x0, dtype=float)
-
     if block_size is None:
         per_path = max(n_steps * dim * 8, 1)
         block_size = max(1, min(n_paths, DEFAULT_BLOCK_BYTES // per_path))
@@ -257,174 +298,200 @@ def simulate(
         raise ValueError(f"block_size must be at least 1, got {block_size}")
     block_size = min(block_size, n_paths)
 
-    adam = config.algorithm == "adam"
-    diag_sigma = np.diag(noise.Sigma_g).copy()
+    runs = [_Run(obj, noise, cfg) for obj, cfg in cases]
     root = noise.root
     scale = _diagonal(root)
-    v_min = None
-    if adam:
-        root_v, v_min, v_last = _adam_root_v(config, etas, diag_sigma)
-        if not np.isfinite(v_last).all():  # shared by every path: the first one fails
-            raise SimulationDiverged(0)
-        c1_prime = config.c1_prime
-        sqrt_eta0 = math.sqrt(config.eta0)
-
-    wgrad = np.empty(n_paths)
-    wmom = np.empty(n_paths) if adam else None
-    final_sq = np.empty(n_paths)
-    final_val = np.empty(n_paths)
-    max_abs = 0.0
-    msum = np.zeros((n_steps, dim)) if (adam and config.track_mean_momentum) else None
-    msumsq = np.zeros((n_steps, dim)) if msum is not None else None
-    traces = [] if config.record_traces else None
 
     # One noise block and the per-step state, allocated once and reused by
-    # every block; a shorter last block uses leading views of each.
+    # every block and every case; a shorter last block uses leading views.
     noise_buf = np.empty((block_size, n_steps, dim))
-    x_buf = np.empty((block_size, dim))
-    tmp_buf = np.empty((block_size, dim))
-    peak_buf = np.empty((block_size, dim))
-    row_buf = np.empty(block_size)
-    wg_buf = np.empty(block_size)
-    if adam:
-        m_buf = np.empty((block_size, dim))
-        wm_buf = np.empty(block_size)
-    col = np.empty(dim) if msum is not None else None
+    state = np.empty((4, block_size, dim))  # x, tmp, peak, m
+    rows = np.empty((3, block_size))  # rowsum, wg, wm
 
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_paths, block_size):
-            stop = min(start + block_size, n_paths)
-            B = stop - start
+            B = min(block_size, n_paths - start)
             z = noise_buf[:B]
             for j in range(B):
-                path_rng(config.seed, start + j).standard_normal(out=z[j])
+                path_rng(seed, start + j).standard_normal(out=z[j])
             if scale is not None:
                 z *= scale
             else:
                 flat = z.reshape(-1, dim)
                 np.matmul(flat, root, out=flat)
+            for run in runs:
+                run.step(start, z, state[:, :B], rows[:, :B])
+    return [run.report() for run in runs]
 
-            x, tmp, peak, rowsum, wg = (
-                x_buf[:B], tmp_buf[:B], peak_buf[:B], row_buf[:B], wg_buf[:B]
-            )
-            x[:] = x0
-            wg.fill(0.0)
-            peak.fill(0.0)
-            if adam:
-                m, wm = m_buf[:B], wm_buf[:B]
-                m.fill(0.0)
-                wm.fill(0.0)
+
+class _Run:
+    """One case of :func:`simulate_many`: its step rates and the per-path
+    results and running sums that its blocks fill in."""
+
+    def __init__(self, objective: Objective, noise: NoiseModel, config: SdeConfig):
+        n_steps, n_paths, dim = config.n_steps, config.n_paths, objective.dim
+        self.objective, self.config = objective, config
+        self.ts = np.minimum(np.arange(n_steps) * config.eta0, config.schedule.S)
+        self.etas = config.schedule.value(self.ts)
+        self.weight = float(np.sum(self.etas))
+
+        x_star = objective.x_star if objective.x_star is not None else np.zeros(dim)
+        self.x_star = np.asarray(x_star, dtype=float)
+        self.x0 = self.x_star if config.x0 is None else np.asarray(config.x0, dtype=float)
+
+        self.adam = config.algorithm == "adam"
+        self.v_min = None
+        if self.adam:
+            diag_sigma = np.diag(noise.Sigma_g).copy()
+            self.root_v, self.v_min, v_last = _adam_root_v(config, self.etas, diag_sigma)
+            if not np.isfinite(v_last).all():  # shared by every path: the first one fails
+                raise SimulationDiverged(0)
+
+        self.wgrad = np.empty(n_paths)
+        self.wmom = np.empty(n_paths) if self.adam else None
+        self.final_sq = np.empty(n_paths)
+        self.final_val = np.empty(n_paths)
+        self.max_abs = 0.0
+        track = self.adam and config.track_mean_momentum
+        self.msum = np.zeros((n_steps, dim)) if track else None
+        self.msumsq = np.zeros((n_steps, dim)) if track else None
+        self.col = np.empty(dim) if track else None
+        self.traces = [] if config.record_traces else None
+
+    def step(self, start: int, z: np.ndarray, state: np.ndarray, rows: np.ndarray):
+        """Step the paths ``start, start + 1, ...`` over the noise block ``z``,
+        using the ``(4, B, dim)`` and ``(3, B)`` scratch arrays given."""
+        objective, config, etas = self.objective, self.config, self.etas
+        adam, msum, msumsq, col = self.adam, self.msum, self.msumsq, self.col
+        traces = self.traces
+        B, n_steps, _ = z.shape
+        x, tmp, peak, m = state
+        rowsum, wg, wm = rows
+        x[:] = self.x0
+        wg.fill(0.0)
+        peak.fill(0.0)
+        if adam:
+            m.fill(0.0)
+            wm.fill(0.0)
+            root_v = self.root_v
+            c1_prime = config.c1_prime
+            sqrt_eta0 = math.sqrt(config.eta0)
+        if traces is not None:
+            block_trace = np.empty((B, n_steps + 1, 2))
+
+        # Each update keeps the operation order of the textbook
+        # expression in its comment, so every float matches it.
+        for k in range(n_steps):
+            eta_k = etas[k]
+            g = objective.gradient(x)
+            # wg += eta_k * sum(g * g)
+            np.multiply(g, g, out=tmp)
+            np.sum(tmp, axis=1, out=rowsum)
+            rowsum *= eta_k
+            wg += rowsum
             if traces is not None:
-                block_trace = np.empty((B, n_steps + 1, 2))
-
-            # Each update keeps the operation order of the textbook
-            # expression in its comment, so every float matches it.
-            for k in range(n_steps):
-                eta_k = etas[k]
-                g = objective.gradient(x)
-                # wg += eta_k * sum(g * g)
-                np.multiply(g, g, out=tmp)
+                block_trace[:, k, 0] = np.linalg.norm(x, axis=1)
+                block_trace[:, k, 1] = np.linalg.norm(g, axis=1)
+            if adam:
+                # wm += eta_k * sum(m * m)
+                np.multiply(m, m, out=tmp)
+                if msum is not None:
+                    msum[k] += np.sum(m, axis=0, out=col)
+                    msumsq[k] += np.sum(tmp, axis=0, out=col)
                 np.sum(tmp, axis=1, out=rowsum)
                 rowsum *= eta_k
-                wg += rowsum
-                if traces is not None:
-                    block_trace[:, k, 0] = np.linalg.norm(x, axis=1)
-                    block_trace[:, k, 1] = np.linalg.norm(g, axis=1)
-                if adam:
-                    # wm += eta_k * sum(m * m)
-                    np.multiply(m, m, out=tmp)
-                    if msum is not None:
-                        msum[k] += np.sum(m, axis=0, out=col)
-                        msumsq[k] += np.sum(tmp, axis=0, out=col)
-                    np.sum(tmp, axis=1, out=rowsum)
-                    rowsum *= eta_k
-                    wm += rowsum
-                    step = config.eta0 * eta_k
-                    # x -= step * m / sqrt(v + eps)
-                    np.multiply(m, step, out=tmp)
-                    tmp /= root_v[k]
-                    x -= tmp
-                    # m = m - c1 * step * (m - g) + c1' * eta_k * sqrt(eta0) * z_k
-                    np.subtract(m, g, out=tmp)
-                    tmp *= config.c1 * step
-                    m -= tmp
-                    np.multiply(z[:, k, :], c1_prime * eta_k * sqrt_eta0, out=tmp)
-                    m += tmp
-                else:
-                    # x -= eta0 * eta_k * (g + z_k)
-                    np.add(g, z[:, k, :], out=tmp)
-                    tmp *= config.eta0 * eta_k
-                    x -= tmp
-                np.fmax(peak, np.abs(x, out=tmp), out=peak)
+                wm += rowsum
+                step = config.eta0 * eta_k
+                # x -= step * m / sqrt(v + eps)
+                np.multiply(m, step, out=tmp)
+                tmp /= root_v[k]
+                x -= tmp
+                # m = m - c1 * step * (m - g) + c1' * eta_k * sqrt(eta0) * z_k
+                np.subtract(m, g, out=tmp)
+                tmp *= config.c1 * step
+                m -= tmp
+                np.multiply(z[:, k, :], c1_prime * eta_k * sqrt_eta0, out=tmp)
+                m += tmp
+            else:
+                # x -= eta0 * eta_k * (g + z_k)
+                np.add(g, z[:, k, :], out=tmp)
+                tmp *= config.eta0 * eta_k
+                x -= tmp
+            np.fmax(peak, np.abs(x, out=tmp), out=peak)
 
-            if traces is not None:
-                gT = objective.gradient(x)
-                block_trace[:, n_steps, 0] = np.linalg.norm(x, axis=1)
-                block_trace[:, n_steps, 1] = np.linalg.norm(gT, axis=1)
-                traces.append(block_trace)
+        if traces is not None:
+            gT = objective.gradient(x)
+            block_trace[:, n_steps, 0] = np.linalg.norm(x, axis=1)
+            block_trace[:, n_steps, 1] = np.linalg.norm(gT, axis=1)
+            traces.append(block_trace)
 
-            bad = ~np.isfinite(x).all(axis=1) | ~np.isfinite(wg)
-            if adam:
-                bad |= ~np.isfinite(m).all(axis=1)
-            if bad.any():
-                raise SimulationDiverged(start + int(np.argmax(bad)))
-            # every iterate was finite, so the running max ignored no NaN
-            max_abs = max(max_abs, float(peak.max()))
+        bad = ~np.isfinite(x).all(axis=1) | ~np.isfinite(wg)
+        if adam:
+            bad |= ~np.isfinite(m).all(axis=1)
+        if bad.any():
+            raise SimulationDiverged(start + int(np.argmax(bad)))
+        # every iterate was finite, so the running max ignored no NaN
+        self.max_abs = max(self.max_abs, float(peak.max()))
 
-            diff = x - x_star
-            final_sq[start:stop] = np.sum(diff * diff, axis=1)
-            final_val[start:stop] = objective.value(x)
-            wgrad[start:stop] = wg / weight if weight > 0 else 0.0
-            if adam:
-                wmom[start:stop] = wm / weight if weight > 0 else 0.0
+        stop = start + B
+        diff = x - self.x_star
+        self.final_sq[start:stop] = np.sum(diff * diff, axis=1)
+        self.final_val[start:stop] = objective.value(x)
+        weight = self.weight
+        self.wgrad[start:stop] = wg / weight if weight > 0 else 0.0
+        if adam:
+            self.wmom[start:stop] = wm / weight if weight > 0 else 0.0
 
-    stats = {
-        "weighted_avg_grad_sq": _summary(wgrad),
-        "final_value": _summary(final_val),
-        "final_sq_dist": _summary(final_sq),
-    }
-    if adam:
-        stats["weighted_avg_momentum_sq"] = _summary(wmom)
-
-    trapping = {}
-    for eps in config.trap_eps:
-        hits = final_sq <= eps
-        freq = float(np.mean(hits))
-        se = math.sqrt(freq * (1.0 - freq) / n_paths) if n_paths > 1 else 0.0
-        trapping[eps] = StatSummary(freq, se, n_paths)
-
-    mean_m = None
-    if msum is not None:
-        mm = msum / n_paths
-        var = msumsq / n_paths - mm * mm
-        se_norm = np.sqrt(np.sum(np.clip(var, 0.0, None), axis=1) / n_paths)
-        mean_m = {
-            "t": ts,
-            "norm": np.linalg.norm(mm, axis=1),
-            "std_err": se_norm,
+    def report(self) -> SimulationReport:
+        config, n_paths, ts = self.config, self.config.n_paths, self.ts
+        stats = {
+            "weighted_avg_grad_sq": _summary(self.wgrad),
+            "final_value": _summary(self.final_val),
+            "final_sq_dist": _summary(self.final_sq),
         }
+        if self.adam:
+            stats["weighted_avg_momentum_sq"] = _summary(self.wmom)
 
-    flat_traces = None
-    if traces is not None:
-        t_grid = np.append(ts, min(n_steps * config.eta0, config.schedule.S))
-        flat_traces = []
-        offset = 0
-        for block_trace in traces:
-            for j in range(block_trace.shape[0]):
-                flat_traces.append((offset + j, t_grid, block_trace[j]))
-            offset += block_trace.shape[0]
+        trapping = {}
+        for eps in config.trap_eps:
+            hits = self.final_sq <= eps
+            freq = float(np.mean(hits))
+            se = math.sqrt(freq * (1.0 - freq) / n_paths) if n_paths > 1 else 0.0
+            trapping[eps] = StatSummary(freq, se, n_paths)
 
-    return SimulationReport(
-        algorithm=config.algorithm,
-        n_paths=n_paths,
-        n_steps=n_steps,
-        eta0=config.eta0,
-        seed=config.seed,
-        eta_weight=weight * config.eta0,
-        stats=stats,
-        trapping=trapping,
-        v_min=v_min,
-        max_abs_coordinate=max_abs,
-        mean_momentum=mean_m,
-        traces=flat_traces,
-    )
+        mean_m = None
+        if self.msum is not None:
+            mm = self.msum / n_paths
+            var = self.msumsq / n_paths - mm * mm
+            se_norm = np.sqrt(np.sum(np.clip(var, 0.0, None), axis=1) / n_paths)
+            mean_m = {
+                "t": ts,
+                "norm": np.linalg.norm(mm, axis=1),
+                "std_err": se_norm,
+            }
+
+        flat_traces = None
+        if self.traces is not None:
+            n_steps = ts.size
+            t_grid = np.append(ts, min(n_steps * config.eta0, config.schedule.S))
+            flat_traces = []
+            offset = 0
+            for block_trace in self.traces:
+                for j in range(block_trace.shape[0]):
+                    flat_traces.append((offset + j, t_grid, block_trace[j]))
+                offset += block_trace.shape[0]
+
+        return SimulationReport(
+            algorithm=config.algorithm,
+            n_paths=n_paths,
+            n_steps=ts.size,
+            eta0=config.eta0,
+            seed=config.seed,
+            eta_weight=self.weight * config.eta0,
+            stats=stats,
+            trapping=trapping,
+            v_min=self.v_min,
+            max_abs_coordinate=self.max_abs,
+            mean_momentum=mean_m,
+            traces=flat_traces,
+        )

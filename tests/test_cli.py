@@ -319,6 +319,28 @@ class TestBadInput:
         assert run_cli(["simulate", "--objective", "rosenbrock"]) == 1
         assert "diverged path" in self.one_line_error(capsys).err
 
+    @pytest.mark.parametrize("flag, value, match", [
+        ("--trap-eps", "nan", "trapping radius must be positive and finite, got nan"),
+        ("--trap-eps", "inf", "trapping radius must be positive and finite, got inf"),
+        ("--sigma2", "inf", "noise variance must be finite, got inf"),
+        ("--sigma2", "nan", "noise variance must be finite, got nan"),
+        ("--peak", "inf", "segment times and rates must be finite"),
+        ("--peak", "nan", "segment times and rates must be finite"),
+        ("--horizon", "inf", "segment times and rates must be finite"),
+        ("--eta0", "inf", "eta0 must be positive and finite, got inf"),
+        ("--x0-offset", "nan", "x0 must be finite"),
+        ("--x0-offset", "inf", "x0 must be finite"),
+    ])
+    def test_simulate_non_finite_input(self, capsys, recwarn, flag, value, match):
+        # NaN radii were reported as a "nan" trapping entry, an infinite
+        # variance ended in "Sigma_g must be symmetric", an infinite peak or
+        # x0 in a diverged path and an infinite eta0 in "times outside
+        # schedule domain", some after RuntimeWarning lines
+        assert run_cli(["simulate", "--paths", 4, flag, value]) == 1
+        captured = self.one_line_error(capsys)
+        assert match in captured.err and captured.out == ""
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_check_raw_lr_zero_scale(self, capsys):
         assert run_cli(["check", "--eta-max", 6e-3, "--raw-lr", "--lr-scale", 0,
                         "--warmup", 8.39, "--model", 4.05, "--tokens", 100]) == 1

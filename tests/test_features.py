@@ -1,4 +1,6 @@
 import json
+import re
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -247,6 +249,31 @@ class TestGeneralScheduleBases:
         cols[3] = cols[2]
         with pytest.raises(ScheduleError, match="eta discontinuous"):
             GeneralScheduleBatch(*cols)
+
+    @pytest.mark.parametrize("config", [
+        (inf, inf, 1.0, 1.0, 1.0, 4.0),  # infinite peak
+        (nan, nan, 1.0, 1.0, 1.0, 4.0),  # NaN peak
+        (0.5, nan, 1.0, 2.0, 3.0, 4.0),  # NaN decay target
+        (0.5, 0.5, 1.0, 1.0, 1.0, inf),  # infinite horizon
+        (0.5, 0.5, 1.0, 2.0, inf, inf),  # infinite plateau
+        (0.5, 0.5, 1.0, 1.0, 1.0, nan),  # NaN horizon
+        (0.5, 0.5, nan, 1.0, 1.0, 4.0),  # NaN marker
+        (inf, 0.5, 0.0, 0.0, 1.0, 4.0),  # the unused rate of empty phases: accepted
+        (0.5, nan, 1.0, 4.0, 4.0, 4.0),  # likewise
+    ])
+    def test_non_finite_config_matches_the_scalar_builder(self, config):
+        cols = [np.array([0.5, x, 0.5]) for x in config[:2]] + [
+            np.array([1.0, x, 1.0]) for x in config[2:5]] + [np.array([4.0, config[5], 4.0])]
+        try:
+            want = build_general_schedule(*config)
+        except ScheduleError as err:
+            with pytest.raises(ScheduleError, match=f"^{re.escape(str(err))}$"):
+                GeneralScheduleBatch(*cols)
+            return
+        batch = GeneralScheduleBatch(*cols)
+        assert batch.eta_max[1] == want.eta_max
+        for functional in ("eta", "deta_sq"):
+            assert batch.integral(0.0, batch.S, functional)[1] == want.integral(0.0, want.S, functional)
 
 
 class TestFeatureMatrix:

@@ -80,6 +80,13 @@ class TestConstruction:
                 (1.0, 1.0, 1.0),
             )
 
+    @pytest.mark.parametrize("field", ["t0", "t1", "eta0", "eta1"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_segment_rejected(self, field, bad):
+        args = {"t0": 0.0, "t1": 1.0, "eta0": 0.2, "eta1": 0.3, field: bad}
+        with pytest.raises(ScheduleError, match="segment times and rates must be finite"):
+            Segment("linear", **args)
+
     def test_constant_segment_requires_equal_rates(self):
         with pytest.raises(ScheduleError):
             Segment("constant", 0.0, 1.0, 0.2, 0.3)

@@ -1,10 +1,11 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from optlaws.schedule import Schedule, Segment, build_general_schedule
+from optlaws.schedule import Schedule, Segment, build_general_schedule, warmup_cosine_schedule
 from optlaws.sde import (
     NoiseModel,
     SdeConfig,
@@ -15,6 +16,7 @@ from optlaws.sde import (
     quadratic,
     rosenbrock,
     simulate,
+    simulate_many,
 )
 from optlaws.sde.simulate import DEFAULT_BLOCK_BYTES
 from util import reference_simulate
@@ -108,6 +110,31 @@ class TestSgdSimulation:
         with pytest.raises(ValueError):
             SdeConfig(schedule=sched, eta0=0.01, n_paths=2, trap_eps=(0.0,))
 
+    @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+    def test_non_finite_or_negative_trap_eps_refused(self, eps):
+        sched = constant_schedule(0.1, 1.0)
+        with pytest.raises(ValueError, match="trapping radius must be positive and finite"):
+            SdeConfig(schedule=sched, eta0=0.01, n_paths=2, trap_eps=(0.5, eps))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_eta0_and_x0_refused(self, bad):
+        sched = constant_schedule(0.1, 1.0)
+        with pytest.raises(ValueError, match="eta0 must be positive and finite"):
+            SdeConfig(schedule=sched, eta0=bad, n_paths=2)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            SdeConfig(schedule=sched, eta0=0.01, n_paths=2, x0=np.array([0.0, bad]))
+
+
+class TestNoiseModel:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_covariance_refused(self, bad):
+        sigma = np.eye(3)
+        sigma[1, 1] = bad
+        with pytest.raises(ValueError, match="Sigma_g must be finite"):
+            NoiseModel(sigma)
+        with pytest.raises(ValueError, match="noise variance must be finite"):
+            NoiseModel.isotropic(3, bad)
+
 
 class TestAdamSimulation:
     def test_v_stays_nonnegative(self):
@@ -179,6 +206,12 @@ def assert_matches_reference(objective, noise, config, block_size=None):
     """simulate() and the reference stepper agree bit for bit."""
     want = reference_simulate(objective, noise, config, block_size=block_size)
     got = simulate(objective, noise, config, block_size=block_size)
+    assert_same_report(got, want)
+    return got
+
+
+def assert_same_report(got, want):
+    """Two reports agree bit for bit: JSON, mean momentum and traces."""
     assert json.dumps(got.as_dict(), sort_keys=True) == json.dumps(want.as_dict(), sort_keys=True)
     if want.mean_momentum is None:
         assert got.mean_momentum is None
@@ -192,7 +225,6 @@ def assert_matches_reference(objective, noise, config, block_size=None):
         assert len(got.traces) == len(want.traces)
         for (i, t, tr), (j, u, ur) in zip(got.traces, want.traces):
             assert i == j and t.tobytes() == u.tobytes() and tr.tobytes() == ur.tobytes()
-    return got
 
 
 def correlated_system(dim, seed=0):
@@ -304,6 +336,104 @@ class TestMemory:
             base = tracemalloc.get_traced_memory()[0]
             simulate(obj, noise, cfg, block_size=block)
             peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * block_bytes
+
+
+class TestSimulateMany:
+    SCHEDULES = (build_general_schedule(0.8, 0.5, 0.2, 0.4, 0.7, 1.0),
+                 warmup_cosine_schedule(0.7, 0.3, 1.0))
+
+    def mixed_cases(self, dim):
+        """sgd and adam, quadratic and double well, two schedules, two x0,
+        momentum tracking and traces, all on one seed, path count and step count."""
+        a, b = self.SCHEDULES
+        base = SdeConfig(schedule=a, eta0=0.01, n_paths=29, seed=6, trap_eps=(0.01, 0.1))
+        return [
+            (isotropic_quadratic(dim), replace(base, record_traces=True)),
+            (double_well(dim), replace(base, schedule=b, algorithm="adam",
+                                       x0=np.full(dim, 1.3), track_mean_momentum=True)),
+            (double_well(dim), replace(base, schedule=b, x0=np.full(dim, 1.3))),
+            (isotropic_quadratic(dim), replace(base, algorithm="adam", c1=2.0, c2=3.0,
+                                               x0=np.full(dim, 0.5), track_mean_momentum=True,
+                                               record_traces=True)),
+        ]
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "correlated"])
+    @pytest.mark.parametrize("block_size", [1, 13, None])  # None: all 29 paths in one block
+    def test_each_case_equals_its_own_simulate(self, diagonal, block_size):
+        dim = 4
+        noise = NoiseModel(np.diag([0.3, 0.05, 1.2, 0.7])) if diagonal else correlated_system(dim)[1]
+        cases = self.mixed_cases(dim)
+        reports = simulate_many(cases, noise, block_size=block_size)
+        assert len(reports) == len(cases)
+        for (objective, config), got in zip(cases, reports):
+            assert_same_report(got, simulate(objective, noise, config, block_size=block_size))
+            assert_same_report(got, reference_simulate(objective, noise, config,
+                                                       block_size=block_size))
+
+    @pytest.mark.parametrize("change", ["seed", "n_paths", "n_steps", "dim", "empty"])
+    def test_mismatched_cases_refused_before_allocating(self, change):
+        # 10k paths x 400 steps x dim 16: a single noise block is 64 MB
+        dim = 16
+        noise = NoiseModel.isotropic(dim, 0.05)
+        first = (isotropic_quadratic(dim),
+                 SdeConfig(schedule=constant_schedule(0.5, 4.0), eta0=0.01, n_paths=10_000,
+                           seed=108))
+        objective, config = first
+        other, match = {
+            "seed": ((objective, replace(config, seed=109)), "seed 109"),
+            "n_paths": ((objective, replace(config, n_paths=9_999)), "n_paths 9999"),
+            "n_steps": ((objective, replace(config, eta0=0.02)), "n_steps 200"),
+            "dim": ((isotropic_quadratic(dim + 1), config), "objective dim 17"),
+            "empty": (None, "at least one"),
+        }[change]
+        cases = [] if other is None else [first, first, other]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=match):
+                simulate_many(cases, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("algorithm, variance, eta0, c2, path", [
+        ("sgd", 10.0, 0.14, 1.0, 11),
+        ("adam", 0.5, 0.15, 1.0, 1),
+        ("adam", 0.1, 0.01, 400.0, 0),  # v itself overflows
+    ])
+    def test_diverging_case_names_its_own_path(self, algorithm, variance, eta0, c2, path):
+        noise = NoiseModel.isotropic(3, variance)
+        bad = SdeConfig(schedule=constant_schedule(1.0, 10.0), eta0=eta0, n_paths=40, seed=0,
+                        algorithm=algorithm, c2=c2, x0=np.ones(3))
+        calm = replace(bad, schedule=constant_schedule(0.0, 10.0))  # frozen: never diverges
+        with pytest.raises(SimulationDiverged) as alone:
+            simulate(double_well(3), noise, bad, block_size=9)
+        with pytest.raises(SimulationDiverged) as err:
+            simulate_many([(double_well(3), calm), (double_well(3), bad),
+                           (double_well(3), calm)], noise, block_size=9)
+        assert err.value.path_index == alone.value.path_index == path
+
+    def test_peak_allocation_is_one_noise_block(self):
+        dim, block = 16, 64
+        base = SdeConfig(schedule=constant_schedule(0.5, 4.0), eta0=0.01, n_paths=3 * block,
+                         seed=0, x0=np.full(dim, 1.2))
+        cases = [
+            (double_well(dim), base),
+            (double_well(dim), replace(base, algorithm="adam")),
+            (isotropic_quadratic(dim), replace(base, schedule=warmup_cosine_schedule(0.5, 1.0, 4.0),
+                                               algorithm="adam")),
+        ]
+        noise = NoiseModel.isotropic(dim, 0.05)
+        block_bytes = block * base.n_steps * dim * 8
+        simulate_many(cases, noise, block_size=block)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            base_mem = tracemalloc.get_traced_memory()[0]
+            simulate_many(cases, noise, block_size=block)
+            peak = tracemalloc.get_traced_memory()[1] - base_mem
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * block_bytes
