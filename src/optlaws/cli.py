@@ -202,11 +202,11 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _write_grid_csv(rows, path: str):
+    # the bytes csv.writer gives: float reprs never need quoting, and "\r\n"
+    # is its line ending
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eta_max", "warmup_B", "R", "predicted_loss"])
-        for h, a, r, loss in rows:
-            writer.writerow([repr(float(h)), repr(float(a)), repr(float(r)), repr(float(loss))])
+        fh.write("eta_max,warmup_B,R,predicted_loss\r\n")
+        fh.write("".join(f"{h!r},{a!r},{r!r},{loss!r}\r\n" for h, a, r, loss in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +503,10 @@ def _cmd_validate(args) -> int:
     return 0 if suites["passed"] else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``optlaws`` parser, built on the first call and shared by every later
+    one: parsing stores nothing on it, so :func:`main` reuses it call after call."""
     parser = _Parser(prog="optlaws", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -582,6 +585,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one ``optlaws`` command line and return its exit code.
+
+    Safe to call many times in one process; every call parses with the one
+    parser :func:`build_parser` keeps.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

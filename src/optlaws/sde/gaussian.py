@@ -208,8 +208,8 @@ def closed_form_covariance(
     ``G`` and ``Sigma`` may carry leading batch dimensions (..., n, n).
     Symmetric G uses its eigendecomposition (scalar exponentials per
     eigenvalue pair); general G uses a matrix exponential per quadrature
-    node.  Each segment piece of [0, t] gets its own nodes, and node counts
-    double until two passes agree for the whole batch.
+    node, all nodes in one call.  Each segment piece of [0, t] gets its own
+    nodes, and node counts double until two passes agree for the whole batch.
     """
     G = np.asarray(G, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
@@ -252,10 +252,15 @@ def closed_form_covariance(
                 E = np.exp(-np.multiply.outer(dphi, lam))  # (q, ..., n)
                 I = np.einsum("q,q...i,q...j->...ij", w_s, E, E)
                 return U @ (M * I) @ UT
+            # one expm call on the stack of nodes; the terms are added to P in
+            # node order, so P is the per-node sum bit for bit
+            q = np.flatnonzero(w_s)
+            node = (-1,) + (1,) * zero.ndim  # a node axis ahead of the batch axes
+            K = expm(-G * dphi[q].reshape(node))
+            terms = w_s[q].reshape(node) * (K @ Sigma @ np.swapaxes(K, -1, -2))
             P = zero.copy()
-            for q in np.flatnonzero(w_s):
-                K = expm(-G * dphi[q])
-                P += w_s[q] * (K @ Sigma @ np.swapaxes(K, -1, -2))
+            for term in terms:
+                P += term
             return P
 
         n = QUAD_BASE_NODES

@@ -228,8 +228,6 @@ def _adam_root_v(config: SdeConfig, etas: np.ndarray, diag_sigma: np.ndarray):
     return root_v, v_min, v
 
 
-
-
 def simulate(
     objective: Objective,
     noise: NoiseModel,
@@ -243,7 +241,8 @@ def simulate(
     frequency of ||X_T - x*||^2 <= eps for each requested trapping radius.
     Raises :class:`SimulationDiverged` naming the first offending path when
     eta0 is too large for the landscape, and ValueError, before allocating
-    anything, when one path's noise row exceeds ``DEFAULT_BLOCK_BYTES``.
+    anything, when one path's noise row exceeds ``DEFAULT_BLOCK_BYTES`` or
+    the step rates or their sum overflow.
     This is the one-case call of :func:`simulate_many`.
     """
     return simulate_many([(objective, config)], noise, block_size)[0]
@@ -332,8 +331,18 @@ class _Run:
         n_steps, n_paths, dim = config.n_steps, config.n_paths, objective.dim
         self.objective, self.config = objective, config
         self.ts = np.minimum(np.arange(n_steps) * config.eta0, config.schedule.S)
-        self.etas = config.schedule.value(self.ts)
-        self.weight = float(np.sum(self.etas))
+        # a finite schedule can still overflow once its rates are multiplied out
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.etas = config.schedule.value(self.ts)
+            self.weight = float(np.sum(self.etas))
+        if not math.isfinite(self.weight):
+            bad = np.flatnonzero(~np.isfinite(self.etas))
+            what = (
+                f"step rate at t = {float(self.ts[bad[0]])!r} is {float(self.etas[bad[0]])!r}"
+                if bad.size
+                else f"step rates sum to {self.weight!r}"
+            )
+            raise ValueError(f"{what}: the schedule's rates overflow (lower the peak rate)")
 
         x_star = objective.x_star if objective.x_star is not None else np.zeros(dim)
         self.x_star = np.asarray(x_star, dtype=float)

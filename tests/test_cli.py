@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import optlaws
+from optlaws import cli
 from optlaws.cli import main, read_runs_csv, sweep_grid
 from optlaws.divergence import DEFAULT_PARAMS, critical_rate, gated_criterion
 from optlaws.law import FittedLaw, RunConfig, predict, reference_law
@@ -226,6 +227,20 @@ class TestSweep:
                 assert loss == np.exp(want["log_loss"])
         assert verdicts == {"stable", "diverge"}
 
+    @pytest.mark.parametrize("sentinel", [7.0, math.inf])
+    def test_grid_csv_bytes_match_csv_writer(self, tmp_path, sentinel):
+        rows = sweep_grid(reference_law(), DEFAULT_PARAMS, np.linspace(0.02, 1.0, 23),
+                          np.linspace(0.05, 6.0, 17), N=4.05, S=10.0, sentinel=sentinel)
+        assert {r[3] == sentinel for r in rows} == {True, False}  # diverged and priced cells
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["eta_max", "warmup_B", "R", "predicted_loss"])
+            for row in rows:
+                writer.writerow([repr(float(v)) for v in row])
+        cli._write_grid_csv(rows, tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == reference.read_bytes()
+
     def test_grid_builds_no_schedule_per_cell(self, monkeypatch):
         calls = count_per_config_calls(monkeypatch)
         rows = sweep_grid(reference_law(), DEFAULT_PARAMS, np.linspace(0.05, 0.8, 32),
@@ -330,13 +345,18 @@ class TestBadInput:
         ("--eta0", "inf", "eta0 must be positive and finite, got inf"),
         ("--x0-offset", "nan", "x0 must be finite"),
         ("--x0-offset", "inf", "x0 must be finite"),
+        ("--peak", "1e308", "step rate at t = 2.8000000000000003 is -inf"),
+        ("--algorithm adam --peak", "1e308", "step rate at t = 2.8000000000000003 is -inf"),
+        ("--peak", "1e306", "step rates sum to inf"),
     ])
     def test_simulate_non_finite_input(self, capsys, recwarn, flag, value, match):
         # NaN radii were reported as a "nan" trapping entry, an infinite
         # variance ended in "Sigma_g must be symmetric", an infinite peak or
         # x0 in a diverged path and an infinite eta0 in "times outside
-        # schedule domain", some after RuntimeWarning lines
-        assert run_cli(["simulate", "--paths", 4, flag, value]) == 1
+        # schedule domain", some after RuntimeWarning lines; a finite peak
+        # whose rates overflow once multiplied out warned three times before
+        # its diverged path
+        assert run_cli(["simulate", "--paths", 4, *flag.split(), value]) == 1
         captured = self.one_line_error(capsys)
         assert match in captured.err and captured.out == ""
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -462,15 +482,77 @@ class TestBadInput:
 
 
 class TestStartup:
-    def test_import_leaves_scipy_linalg_unloaded(self):
-        # scipy.linalg is slow to import and only the closed-form covariance
-        # of a non-symmetric generator needs it
-        code = "import sys, optlaws.cli; print('scipy.linalg' in sys.modules)"
+    @staticmethod
+    def after_import(expr: str) -> str:
+        """``expr`` printed by a fresh interpreter that only imported optlaws.cli."""
+        code = f"import sys, optlaws.cli; print({expr})"
         src = str(Path(optlaws.__file__).resolve().parents[1])
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True,
                               timeout=60)
-        assert done.stdout.strip() == "False"
+        return done.stdout.strip()
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # scipy.linalg is slow to import and only the closed-form covariance
+        # of a non-symmetric generator needs it
+        assert self.after_import("'scipy.linalg' in sys.modules") == "False"
+
+    def test_import_builds_no_parser(self):
+        # the parser is built by the first main call, not at import
+        assert self.after_import("optlaws.cli.build_parser.cache_info().currsize") == "0"
+
+
+class TestParserReuse:
+    """main reuses one parser, and a call leaves nothing on it for the next."""
+
+    def test_shared_parser_matches_fresh_parser(self, tmp_path, law_file, capsys,
+                                                monkeypatch):
+        cfg = {"model_B": 0.58, "tokens_B": 10.0, "eta1": 4.5e-3, "eta2": 4.5e-3,
+               "a1_B": 1.5, "a2_B": 1.5, "a3_B": 1.5}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        slower = {**cfg, "eta1": 1.5e-3, "eta2": 1.5e-3}
+        (tmp_path / "cfgs.json").write_text(json.dumps([cfg, slower]))
+        check = ["check", "--eta-max", 6e-3, "--warmup", 8.39, "--model", 4.05,
+                 "--tokens", 100]
+        simulate = ["simulate", "--dim", 2, "--paths", 5, "--horizon", 1.0, "--seed", 3]
+        sequence = [
+            ["fit", "--runs", "x.csv"],  # usage error: missing --out
+            ["--help"],
+            ["frobnicate"],
+            check + ["--raw-lr"],
+            check,
+            ["predict", "--law", law_file, "--config", tmp_path / "cfg.json"],
+            ["rank", "--law", law_file, "--configs", tmp_path / "cfgs.json",
+             "--gate-overrides", '{"bogus": 1}'],
+            ["rank", "--law", law_file, "--configs", tmp_path / "cfgs.json"],
+            simulate + ["--trap-eps", 0.1, 0.5],
+            simulate,
+        ]
+
+        def run_all():
+            out = []
+            for argv in sequence:
+                code = run_cli(argv)
+                captured = capsys.readouterr()
+                out.append((code, captured.out, captured.err))
+            return out
+
+        capsys.readouterr()
+        shared = run_all()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = run_all()
+        assert [code for code, _, _ in shared] == [1, 0, 1, 0, 0, 0, 1, 0, 0, 0]
+        assert shared[3][1] != shared[4][1]  # --raw-lr changed the peak rate
+        assert shared == fresh
+
+    def test_many_calls_build_one_parser(self, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(5):
+            assert run_cli(["check", "--eta-max", 0.4, "--warmup", 8.39, "--model", 4.05,
+                            "--tokens", 100]) == 0
+            assert run_cli(["frobnicate"]) == 1
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
 
 
 class TestUsageErrors:

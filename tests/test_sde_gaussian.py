@@ -20,7 +20,7 @@ from optlaws.sde import (
     quadratic,
 )
 from optlaws.sde import gaussian
-from util import count_per_config_calls, reference_rk4
+from util import count_per_config_calls, reference_closed_form, reference_rk4
 
 
 def constant_schedule(eta, T):
@@ -133,15 +133,18 @@ def adam_system():
     return adam_generator(random_spd(rng, 4), random_spd(rng, 4, shift=0.2), 1.0, 1.0, 1e-8)
 
 
+SCHEDULES = pytest.mark.parametrize("make_sched", [
+    lambda: build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 6.0),   # linear
+    lambda: build_general_schedule(0.9, 0.4, 0.5, 2.0, 4.0, 6.0),   # with a constant piece
+    lambda: warmup_cosine_schedule(0.7, 0.8, 6.0),                  # cosine
+], ids=["linear", "constant", "cosine"])
+
+
 class TestFoldedRK4:
     """The folded step against the stage-by-stage RK4 it rewrites."""
 
     @pytest.mark.parametrize("system", [sgd_batch, adam_system], ids=["sgd_batch", "adam"])
-    @pytest.mark.parametrize("make_sched", [
-        lambda: build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 6.0),   # linear
-        lambda: build_general_schedule(0.9, 0.4, 0.5, 2.0, 4.0, 6.0),   # with a constant piece
-        lambda: warmup_cosine_schedule(0.7, 0.8, 6.0),                  # cosine
-    ], ids=["linear", "constant", "cosine"])
+    @SCHEDULES
     def test_matches_reference_rk4(self, system, make_sched):
         sched = make_sched()
         G, Sg = system()
@@ -179,6 +182,35 @@ class TestFoldedRK4:
         finally:
             tracemalloc.stop()
         assert peak <= gaussian.ODE_CHUNK_BYTES + 16 * P.nbytes
+
+
+class TestClosedFormNodes:
+    """One expm call on the stack of nodes against one call per node."""
+
+    @SCHEDULES
+    def test_adam_matches_node_loop(self, make_sched):
+        sched = make_sched()
+        G, Sg = adam_system()
+        grid = [0.0, 0.3, 1.0, 2.9, 6.0]  # zero, a joint, the horizon
+        got = closed_form_covariance(G, Sg, sched, 0.01, grid)
+        want = reference_closed_form(G, Sg, sched, 0.01, grid)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_batch_axes_match_node_loop(self):
+        # a non-symmetric generator under a batch of noise matrices, and a
+        # batch of generators under one noise matrix
+        rng = np.random.default_rng(31)
+        sched = build_general_schedule(0.9, 0.4, 0.5, 2.0, 4.0, 6.0)
+        G = random_spd(rng, 3) + np.triu(rng.standard_normal((3, 3)), 1)
+        Gs = np.stack([G, G.T, 2.0 * G])
+        Sg = np.stack([random_spd(rng, 3, shift=0.2) for _ in range(2)])
+        for g, sigma, shape in ((G, Sg, (2, 3, 3)), (Gs, Sg[0], (3, 3, 3))):
+            got = closed_form_covariance(g, sigma, sched, 0.01, [1.3, 6.0])
+            want = reference_closed_form(g, sigma, sched, 0.01, [1.3, 6.0])
+            for a, b in zip(got, want):
+                assert a.shape == shape and np.array_equal(a, b)
 
 
 class TestAdamGenerator:

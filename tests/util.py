@@ -5,7 +5,9 @@ The quadrature oracle here only touches ``Schedule.value`` and
 the closed-form ``integral`` path it is used to check.  The reference SDE
 stepper shares only the per-path noise streams and the report container
 with ``optlaws.sde.simulate``.  The reference RK4 solver steps the
-covariance ODE stage by stage, the form the folded solver rewrites.
+covariance ODE stage by stage, the form the folded solver rewrites, and the
+reference closed form takes one matrix exponential per quadrature node, the
+loop the batched call replaces.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ from optlaws import RunRecord, compute_features, default_markers
 from optlaws.law import REFERENCE_COEFFICIENTS
 from optlaws.schedule import Schedule, Segment, build_general_schedule, warmup_cosine_schedule
 from optlaws.sde import SimulationDiverged, SimulationReport, StatSummary, path_rng
-from optlaws.sde.gaussian import ODE_BASE_STEPS, ODE_MAX_HALVINGS, ODE_TOL
+from optlaws.numerics import gauss_legendre_nodes
+from optlaws.sde.gaussian import (
+    ODE_BASE_STEPS,
+    ODE_MAX_HALVINGS,
+    ODE_TOL,
+    QUAD_BASE_NODES,
+    QUAD_MAX_DOUBLINGS,
+    QUAD_TOL,
+)
 
 LR_SCALE = 1.5e-2
 
@@ -327,3 +337,56 @@ def reference_rk4(G, Sigma, schedule, scale, t_grid):
         if err <= ODE_TOL:
             return cur
     return prev
+
+
+def reference_closed_form(G, Sigma, schedule, scale, t_grid):
+    """Node-by-node closed form, the oracle for a non-symmetric generator in
+    ``optlaws.sde.closed_form_covariance``.
+
+    The same nodes, weights and doubling rule, with one ``expm`` call and
+    one product per quadrature node, added to P in node order.
+    """
+    from scipy.linalg import expm
+
+    G = np.asarray(G, dtype=float)
+    Sigma = np.asarray(Sigma, dtype=float)
+    zero = np.zeros(np.broadcast_shapes(G.shape, Sigma.shape))
+    out = []
+    for t in (float(t) for t in t_grid):
+        pieces, phi_t = [], 0.0
+        for seg in schedule.segments:
+            if seg.t0 >= t:
+                break
+            hi = min(t, seg.t1)
+            pieces.append((seg, hi, phi_t))
+            phi_t += seg.integral(seg.t0, hi, "eta")
+
+        def value(n_nodes):
+            x, w = gauss_legendre_nodes(n_nodes)
+            w_s, dphi = [], []
+            for seg, hi, phi0 in pieces:
+                half = 0.5 * (hi - seg.t0)
+                nodes = half * (x + 1.0) + seg.t0
+                w_s.append(scale * seg.value(nodes) ** 2 * (half * w))
+                dphi.append(phi_t - (phi0 + seg.integral(seg.t0, nodes, "eta")))
+            w_s, dphi = np.concatenate(w_s), np.concatenate(dphi)
+            P = zero.copy()
+            for q in np.flatnonzero(w_s):
+                K = expm(-G * dphi[q])
+                P += w_s[q] * (K @ Sigma @ np.swapaxes(K, -1, -2))
+            return P
+
+        if t == 0.0:
+            out.append(zero.copy())
+            continue
+        n = QUAD_BASE_NODES
+        prev = value(n)
+        for _ in range(QUAD_MAX_DOUBLINGS):
+            n *= 2
+            cur = value(n)
+            err = np.max(np.abs(cur - prev), axis=(-2, -1))
+            prev = cur
+            if np.all(err <= QUAD_TOL * (1.0 + np.max(np.abs(cur), axis=(-2, -1)))):
+                break
+        out.append(prev)
+    return out
