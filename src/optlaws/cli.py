@@ -300,25 +300,12 @@ def _convergence_check(objective, noise, config, report):
 
     SGD's weighted-average squared gradient is held against the gradient
     bound, Adam's weighted-average squared momentum against the momentum
-    bound; the constants come from the noise model and ``config``.
+    bound.
     """
-    constants = {"x0": config.x0, "eta0": config.eta0}
     name, key = "gradient", "weighted_avg_grad_sq"
     if config.algorithm == "adam":
-        sigma = noise.Sigma_g
-        constants.update(
-            V=float(np.max(np.diag(sigma))) if np.any(sigma) else 0.0,
-            eps=config.eps,
-            c1=config.c1,
-            c2=config.c2,
-            c1_prime=config.c1_prime,
-            sigma_bar=noise.sigma_g ** 2,
-        )
         name, key = "momentum", "weighted_avg_momentum_sq"
-    bounds = sde.convergence_bound(
-        config.algorithm, objective, noise, config.schedule, config.T, constants
-    )
-    return name, report.stats[key], bounds[name]
+    return name, report.stats[key], sde.convergence_bound(objective, noise, config)[name]
 
 
 def _within_bound(stat, bound: float) -> bool:
@@ -600,7 +587,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (DataError, ValueError, OSError, sde.SimulationDiverged) as exc:
+    except (DataError, ValueError, OSError, MemoryError, sde.SimulationDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -340,16 +340,12 @@ def compute_features(
     policy: MarkerPolicy,
     N: float,
     powers=None,
-    S: float | None = None,
 ) -> FeatureVector:
-    """Feature vector of a schedule at model size N (billions).
+    """Feature vector of a schedule at model size N (billions), over its
+    horizon S.
 
-    ``S`` defaults to the schedule horizon.  Raises :class:`FeatureError`
-    when an integral that appears in a denominator (or under a negative
-    power) vanishes, e.g. for a zero-length or zero-rate warmup.
+    Raises :class:`FeatureError` when an integral that appears in a
+    denominator (or under a negative power) vanishes, e.g. for a
+    zero-length or zero-rate warmup.
     """
-    if S is None:
-        S = schedule.S
-    elif S != schedule.S:
-        raise FeatureError(f"S = {S} disagrees with schedule horizon {schedule.S}")
-    return features_from_bases(schedule_bases(schedule, policy), S, N, powers)
+    return features_from_bases(schedule_bases(schedule, policy), schedule.S, N, powers)

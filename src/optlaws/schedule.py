@@ -238,23 +238,28 @@ class Schedule:
         """d eta/dt at t; at a joint this is the right-hand limit."""
         return self._segment_at(t).derivative(t)
 
+    def pieces(self, u: float, v: float) -> list[tuple[Segment, float, float]]:
+        """(segment, lo, hi) for every segment that [u, v] overlaps in more than
+        a point, in time order; [lo, hi] is the overlap."""
+        if not (0.0 <= u <= v <= self.S):
+            raise ScheduleError(f"interval [{u}, {v}] outside schedule domain [0, {self.S}]")
+        if u == v:
+            return []
+        # lo = max(u, t0) and hi = min(v, t1), without the cost of two calls
+        return [(seg, seg.t0 if seg.t0 > u else u, seg.t1 if seg.t1 < v else v)
+                for seg in self.segments if seg.t0 < v and u < seg.t1]
+
     @property
     def eta_max(self) -> float:
         """Supremum of eta over [0, S]."""
-        return max(s.max_value(s.t0, s.t1) for s in self.segments)
+        return self.max_rate(0.0, self.S)
 
     def max_rate(self, u: float, v: float) -> float:
         """Supremum of eta over [u, v]."""
-        if not (0.0 <= u <= v <= self.S):
-            raise ScheduleError(f"interval [{u}, {v}] outside [0, {self.S}]")
-        if u == v:
+        pieces = self.pieces(u, v)
+        if not pieces:  # u == v
             return self.value(u)
-        best = 0.0
-        for seg in self.segments:
-            lo, hi = max(u, seg.t0), min(v, seg.t1)
-            if lo < hi:
-                best = max(best, seg.max_value(lo, hi))
-        return best
+        return max([seg.max_value(lo, hi) for seg, lo, hi in pieces])
 
     def integral(self, u: float, v: float, functional: str) -> float:
         """Exact integral of eta, eta^2 or (eta')^2 over [u, v].
@@ -262,15 +267,9 @@ class Schedule:
         Partial segments are split; the result is additive over adjacent
         intervals up to float rounding.
         """
-        if not (0.0 <= u <= v <= self.S):
-            raise ScheduleError(
-                f"integration bounds [{u}, {v}] outside schedule domain [0, {self.S}]"
-            )
         total = 0.0
-        for seg in self.segments:
-            lo, hi = max(u, seg.t0), min(v, seg.t1)
-            if lo < hi:
-                total += seg.integral(lo, hi, functional)
+        for seg, lo, hi in self.pieces(u, v):
+            total += seg.integral(lo, hi, functional)
         return total
 
     def scaled(self, k: float) -> "Schedule":

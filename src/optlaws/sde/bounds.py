@@ -11,6 +11,7 @@ import numpy as np
 from ..schedule import Schedule
 from .noise import NoiseModel
 from .objectives import Objective
+from .simulate import SdeConfig, start_points
 
 __all__ = [
     "sigma0",
@@ -21,98 +22,76 @@ __all__ = [
 ]
 
 
-def sigma0(noise: NoiseModel, N: int, C: float = 1.0) -> float:
-    """Noise amplitude sigma_g * sqrt((1 + sqrt(D/N)) + C/N^(2/3)).
+def sigma0(noise: NoiseModel, N: int) -> float:
+    """Noise amplitude sigma_g * sqrt((1 + sqrt(D/N)) + 1/N^(2/3)).
 
     Upper bound (in expectation) on the top eigenvalue of the D-sample
-    covariance estimate; C is the unspecified universal constant, exposed
-    as a knob and defaulting to 1.
+    covariance estimate, with the unspecified universal constant set to 1.
     """
     return noise.sigma_g * math.sqrt(
-        (1.0 + math.sqrt(noise.D / N)) + C / N ** (2.0 / 3.0)
+        (1.0 + math.sqrt(noise.D / N)) + 1.0 / N ** (2.0 / 3.0)
     )
 
 
 def convergence_bound(
-    algorithm: str,
     objective: Objective,
     noise: NoiseModel,
-    schedule: Schedule,
-    t: float,
-    constants: dict,
+    config: SdeConfig,
+    M: Optional[float] = None,
+    ell: Optional[float] = None,
 ) -> dict:
-    """Right-hand side of the convergence bounds at time t.
+    """Right-hand side of the convergence bounds for the run ``config`` describes.
+
+    Every constant comes from that run: I1 and I2 are the area and
+    squared-area integrals of eta over the schedule's span [0, S]; f0 is f
+    at the start :func:`simulate` uses (``config.x0``, else the objective's
+    x*); eta0, c1, c2, eps and c1' = ``config.c1_prime`` come from
+    ``config``; V (the largest diagonal entry of Sigma_g, 0 for zero noise)
+    and sigma_bar = sigma_g^2 from ``noise``; f_min, L and ell from the
+    objective.
 
     SGD returns {"gradient": ...} bounding the eta-weighted average squared
     gradient norm:
 
-        (f(X0) - f_min)/I1 + eta0 * L * sigma0^2 * N * I2 / (2 I1),
+        (f0 - f_min)/I1 + eta0 * L * sigma0^2 * N * I2 / (2 I1).
 
-    I1 and I2 being the area and squared-area integrals of eta on [0, t].
-    Adam returns {"momentum": ..., "gradient": ...}; the momentum bound
-    needs (V, eps, c1, c2, c1_prime, sigma_bar) and requires
-    1 - c2/(4 c1) > 0, the gradient bound additionally (ell, M, L).
-
-    ``constants`` supplies f0 (or x0), eta0 and the per-algorithm constants;
-    f_min and L default to the objective's fields.
+    Adam returns {"momentum": ...}, which needs 1 - c2/(4 c1) > 0, and when
+    ``M`` is given also {"gradient": ...}, which needs a gradient-norm bound
+    ``ell`` (the objective's unless overridden).  Adam's m and v start at 0.
     """
-    I1 = schedule.integral(0.0, t, "eta")
-    I2 = schedule.integral(0.0, t, "eta_sq")
+    schedule, eta0 = config.schedule, config.eta0
+    I1 = schedule.integral(0.0, schedule.S, "eta")
+    I2 = schedule.integral(0.0, schedule.S, "eta_sq")
     if I1 <= 0:
-        raise ValueError("bound needs a positive area integral on [0, t]")
-    if "f0" in constants:
-        f0 = constants["f0"]
-    elif "x0" in constants:
-        f0 = float(objective.value(np.asarray(constants["x0"], dtype=float)))
-    else:
-        raise ValueError("missing constants: need f0 or x0")
-    f_min = constants.get("f_min", objective.f_min)
+        raise ValueError("bound needs a positive area integral on [0, S]")
+    f_min = objective.f_min
     if f_min is None:
-        raise ValueError("missing constants: f_min")
-    eta0 = constants["eta0"]
-    N = objective.dim
+        raise ValueError(f"objective {objective.name!r} has no f_min")
+    f0 = float(objective.value(start_points(objective, config)[1]))
+    N, L = objective.dim, objective.L
 
-    if algorithm == "sgd":
-        L = constants.get("L", objective.L)
-        s0 = constants.get("sigma0", sigma0(noise, N, constants.get("C", 1.0)))
-        grad = (f0 - f_min) / I1 + eta0 * L * s0 * s0 * N * I2 / (2.0 * I1)
-        return {"gradient": grad}
-    if algorithm != "adam":
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if config.algorithm == "sgd":
+        s0 = sigma0(noise, N)
+        return {"gradient": (f0 - f_min) / I1 + eta0 * L * s0 * s0 * N * I2 / (2.0 * I1)}
 
-    try:
-        V = constants["V"]
-        eps = constants["eps"]
-        c1 = constants["c1"]
-        c2 = constants["c2"]
-        sigma_bar = constants["sigma_bar"]
-    except KeyError as missing:
-        raise ValueError(f"missing constants: {missing.args[0]}") from None
-    c1_prime = constants.get("c1_prime", c1 * math.sqrt(eta0))
+    c1, c2, eps = config.c1, config.c2, config.eps
     kappa = 1.0 - c2 / (4.0 * c1)
     if kappa <= 0:
         raise ValueError(f"need 1 - c2/(4 c1) > 0, got c1={c1}, c2={c2}")
-    m0 = np.asarray(constants.get("m0", np.zeros(N)), dtype=float)
-    v0 = np.asarray(constants.get("v0", np.zeros(N)), dtype=float)
+    V = float(np.max(np.diag(noise.Sigma_g))) if np.any(noise.Sigma_g) else 0.0
+    sigma_bar = noise.sigma_g ** 2
     sqv = math.sqrt(V + eps)
-    phi1_0 = f0 + float(np.sum(m0 * m0 / np.sqrt(v0 + eps))) / (2.0 * c1)
-    momentum = sqv * (phi1_0 - f_min) / (kappa * I1) + (
-        (c1_prime ** 2) / (2.0 * c1)
+    momentum = sqv * (f0 - f_min) / (kappa * I1) + (
+        (config.c1_prime ** 2) / (2.0 * c1)
     ) * sigma_bar * sqv * I2 / (kappa * math.sqrt(eps) * I1)
 
     out = {"momentum": momentum}
-    if "M" in constants:
-        ell = constants.get("ell", objective.ell)
-        L = constants.get("L", objective.L)
+    if M is not None:
+        ell = objective.ell if ell is None else ell
         if ell is None:
-            raise ValueError("missing constants: ell")
-        M = constants["M"]
-        g0 = objective.gradient(np.asarray(constants["x0"], dtype=float)) if "x0" in constants else None
-        cross = 0.0
-        if g0 is not None and np.any(m0):
-            cross = float(np.sum(g0 * m0 / np.sqrt(v0 + eps))) / c1
+            raise ValueError(f"the gradient bound needs ell; {objective.name!r} has none")
         head = 2.0 * sqv * (
-            f0 - cross - f_min + ell * M * math.sqrt(N) / (c1 * math.sqrt(eps))
+            f0 - f_min + ell * M * math.sqrt(N) / (c1 * math.sqrt(eps))
         ) / I1
         factor = 2.0 * L * sqv / (c1 * eps) + (
             1.0 + sigma_bar ** 2 / eps ** 2
@@ -129,14 +108,6 @@ class EscapeBounds:
     trapped_upper: float
     vacuous: bool
     asymptotic_order: Optional[float] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "escape_lower": self.escape_lower,
-            "trapped_upper": self.trapped_upper,
-            "vacuous": self.vacuous,
-            "asymptotic_order": self.asymptotic_order,
-        }
 
 
 def anti_concentration_bound(eps: float, trace: float) -> float:

@@ -169,10 +169,7 @@ def integrate_covariance_ode(
         out = []
         t_cur = 0.0
         for t_next in t_grid:
-            for seg in schedule.segments:
-                lo, hi = max(t_cur, seg.t0), min(t_next, seg.t1)
-                if not lo < hi:
-                    continue
+            for seg, lo, hi in schedule.pieces(t_cur, t_next):
                 n_steps = max(1, math.ceil((hi - lo) / step))
                 h = (hi - lo) / n_steps
                 t = lo
@@ -231,21 +228,18 @@ def closed_form_covariance(
         # Phi at each piece's start, summed segment by segment as
         # Schedule.integral adds them
         pieces, phi_t = [], 0.0
-        for seg in schedule.segments:
-            if seg.t0 >= t:
-                break
-            hi = min(t, seg.t1)
-            pieces.append((seg, hi, phi_t))
-            phi_t += seg.integral(seg.t0, hi, "eta")
+        for seg, lo, hi in schedule.pieces(0.0, t):
+            pieces.append((seg, lo, hi, phi_t))
+            phi_t += seg.integral(lo, hi, "eta")
 
         def value(n_nodes):
             x, w = gauss_legendre_nodes(n_nodes)
             w_s, dphi = [], []
-            for seg, hi, phi0 in pieces:
-                half = 0.5 * (hi - seg.t0)
-                nodes = half * (x + 1.0) + seg.t0
+            for seg, lo, hi, phi0 in pieces:
+                half = 0.5 * (hi - lo)
+                nodes = half * (x + 1.0) + lo
                 w_s.append(scale * seg.value(nodes) ** 2 * (half * w))
-                dphi.append(phi_t - (phi0 + seg.integral(seg.t0, nodes, "eta")))
+                dphi.append(phi_t - (phi0 + seg.integral(lo, nodes, "eta")))
             w_s, dphi = np.concatenate(w_s), np.concatenate(dphi)
             if symmetric:
                 # sum_q w_q * exp(-(lam_i + lam_j) dphi_q), assembled in the eigenbasis

@@ -86,10 +86,10 @@ class SdeConfig:
     """Simulation parameters.
 
     ``eta0`` is both the SDE rescaling parameter and the EM step; a run
-    covers the schedule's full span, ``T = schedule.S``, in
-    ``max(1, round(T / eta0))`` steps.  The Adam drift constants c1, c2
-    translate to averaging factors via c1hat = c1*eta0 and c2hat = c2*eta0,
-    and the momentum diffusion uses c1' = sqrt(c1*c1hat) = c1*sqrt(eta0).
+    covers the schedule's full span [0, S] in ``max(1, round(S / eta0))``
+    steps.  The Adam drift constants c1, c2 translate to averaging factors
+    via c1hat = c1*eta0 and c2hat = c2*eta0, and the momentum diffusion
+    uses c1' = sqrt(c1*c1hat) = c1*sqrt(eta0).
     """
 
     schedule: Schedule
@@ -119,16 +119,12 @@ class SdeConfig:
                 raise ValueError(f"trapping radius must be positive and finite, got {e}")
         if self.x0 is not None and not np.isfinite(self.x0).all():
             raise ValueError("x0 must be finite")
-        if self.T / self.eta0 == math.inf:
-            raise ValueError(f"n_steps = T/eta0 = {self.T}/{self.eta0} overflows")
-
-    @property
-    def T(self) -> float:
-        return self.schedule.S
+        if self.schedule.S / self.eta0 == math.inf:
+            raise ValueError(f"n_steps = S/eta0 = {self.schedule.S}/{self.eta0} overflows")
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.T / self.eta0)))
+        return max(1, int(round(self.schedule.S / self.eta0)))
 
     @property
     def c1_hat(self) -> float:
@@ -193,6 +189,14 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
     """Counter-based stream for one path, derived from (seed, path index)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def start_points(objective: Objective, config: SdeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(x*, x0) of a run: the objective's minimum (the origin when it names
+    none) and the start of every path, ``config.x0`` or else that minimum."""
+    x_star = np.zeros(objective.dim) if objective.x_star is None else objective.x_star
+    x_star = np.asarray(x_star, dtype=float)
+    return x_star, x_star if config.x0 is None else np.asarray(config.x0, dtype=float)
 
 
 def _summary(samples: np.ndarray) -> StatSummary:
@@ -344,9 +348,7 @@ class _Run:
             )
             raise ValueError(f"{what}: the schedule's rates overflow (lower the peak rate)")
 
-        x_star = objective.x_star if objective.x_star is not None else np.zeros(dim)
-        self.x_star = np.asarray(x_star, dtype=float)
-        self.x0 = self.x_star if config.x0 is None else np.asarray(config.x0, dtype=float)
+        self.x_star, self.x0 = start_points(objective, config)
 
         self.adam = config.algorithm == "adam"
         self.v_min = None

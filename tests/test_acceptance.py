@@ -292,21 +292,13 @@ def test_criterion_08_convergence_bound_domination():
         algo, sched = cfg.algorithm, cfg.schedule
         if objective.box is not None:
             assert rep.max_abs_coordinate <= objective.box
-        constants = {"x0": cfg.x0, "eta0": eta0}
         if algo == "adam":
             assert rep.v_min >= 0.0
-            constants.update(
-                V=float(np.max(np.diag(noise.Sigma_g))), eps=cfg.eps,
-                c1=cfg.c1, c2=cfg.c2, c1_prime=cfg.c1_prime,
-                sigma_bar=noise.sigma_g**2,
-            )
             stat = rep.stats["weighted_avg_momentum_sq"]
-            bound = convergence_bound(algo, objective, noise, sched,
-                                      cfg.T, constants)["momentum"]
+            bound = convergence_bound(objective, noise, cfg)["momentum"]
         else:
             stat = rep.stats["weighted_avg_grad_sq"]
-            bound = convergence_bound(algo, objective, noise, sched,
-                                      cfg.T, constants)["gradient"]
+            bound = convergence_bound(objective, noise, cfg)["gradient"]
         assert stat.mean <= bound + 3.0 * stat.std_err, (
             f"{objective.name}/{algo}/{sched.markers}: "
             f"{stat.mean} > {bound} + 3*{stat.std_err}"

@@ -433,10 +433,26 @@ class TestBadInput:
         assert "underflows to 0" in captured.err and captured.out == ""
         assert not (tmp_path / "g.csv").exists()
 
-    @pytest.mark.parametrize("eta0", [1e-6, 1e-320])  # a 512 MB noise row; T/eta0 = inf
+    @pytest.mark.parametrize("eta0", [1e-6, 1e-320])  # a 512 MB noise row; S/eta0 = inf
     def test_simulate_too_many_steps(self, capsys, eta0):
         assert run_cli(["simulate", "--eta0", eta0, "--dim", 16]) == 1
         assert "n_steps" in self.one_line_error(capsys).err
+
+    # 10**16 float64 entries are 71 PiB, beyond any address space, so numpy
+    # refuses them at once; they ended in an _ArrayMemoryError traceback
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--paths", 10**16],
+        ["sweep", "--eta-max-range", f"0.1:0.5:{10**16}", "--warmup-range", "1:2:2"],
+        ["sweep", "--eta-max-range", "0.1:0.5:2", "--warmup-range", f"1:2:{10**16}"],
+    ], ids=["simulate-paths", "sweep-eta-max-range", "sweep-warmup-range"])
+    def test_request_too_large_to_allocate(self, tmp_path, law_file, capsys, argv):
+        if argv[0] == "sweep":
+            argv = [*argv, "--law", law_file, "--model", 4, "--tokens", 100,
+                    "--out", tmp_path / "g.csv"]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        captured = self.one_line_error(capsys)
+        assert "Unable to allocate" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("command", ["predict", "rank"])
     def test_loss_overflows_exp(self, tmp_path, law_file, capsys, command):

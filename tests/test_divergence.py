@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optlaws.divergence import (
     DEFAULT_PARAMS,
@@ -155,6 +157,23 @@ class TestMonotonicity:
         # non-decreasing along eta (columns), non-increasing along a1 (rows)
         assert np.all(np.diff(grid, axis=1) >= -1e-15)
         assert np.all(np.diff(grid, axis=0) <= 1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=2),
+        st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2),
+        st.floats(1e-2, 1e2),
+        st.floats(1.0, 1e4),
+    )
+    def test_r_monotone_property(self, peaks, warms, n, s):
+        lo_h, hi_h = sorted(peaks)
+        lo_a, hi_a = sorted(warms)
+        # non-decreasing in the peak rate at either warmup
+        for a in (lo_a, hi_a):
+            assert criterion_R(hi_h, a, n, s).R >= criterion_R(lo_h, a, n, s).R
+        # non-increasing in the warmup at either peak rate
+        for h in (lo_h, hi_h):
+            assert criterion_R(h, hi_a, n, s).R <= criterion_R(h, lo_a, n, s).R
 
     def test_r_continuous_at_threshold(self):
         n, s = 4.05, 100.0

@@ -202,11 +202,6 @@ class TestComputeFeatures:
         with pytest.raises(FeatureError):
             compute_features(s, MarkerPolicy(2.0, 12.0, 2.0, 2.0), 4.0)
 
-    def test_horizon_mismatch_rejected(self):
-        s = build_general_schedule(0.4, 0.4, 2.0, 2.0, 2.0, 10.0)
-        with pytest.raises(FeatureError):
-            compute_features(s, default_markers(s), 4.0, S=12.0)
-
 
 def random_four_phase_arrays(rng, n):
     """Four-phase configs as arrays, with every kind of zero-length phase."""

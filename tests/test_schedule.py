@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optlaws.numerics import adaptive_simpson
 from optlaws.schedule import (
     FUNCTIONALS,
+    SEGMENT_KINDS,
     Schedule,
     ScheduleError,
     Segment,
@@ -258,6 +261,63 @@ class TestIntegrals:
         assert s.integral(a, S, "eta") == pytest.approx(
             h * (a_c - a) + h * (S - a_c) / 2.0, rel=1e-14
         )
+
+
+@st.composite
+def schedules(draw):
+    """A schedule of one to five segments of any kind, with any markers."""
+    S = draw(st.floats(1.0, 60.0))
+    n = draw(st.integers(1, 5))
+    # joints on a grid of S/100, so every segment has positive length
+    cuts = sorted(draw(st.lists(st.integers(1, 99), min_size=n - 1, max_size=n - 1,
+                                unique=True)))
+    times = [0.0, *(k * S / 100.0 for k in cuts), S]
+    rate = draw(st.floats(0.0, 1.0))
+    segs = []
+    for t0, t1 in zip(times, times[1:]):
+        kind = draw(st.sampled_from(SEGMENT_KINDS))
+        end = rate if kind == "constant" else draw(st.floats(0.0, 1.0))
+        segs.append(Segment(kind, t0, t1, rate, end))
+        rate = end
+    markers = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)))
+    return Schedule(tuple(segs), S, tuple(f * S for f in markers))
+
+
+@st.composite
+def split_points(draw, s):
+    """u <= v <= w in [0, S]; each point is a joint or anywhere in between."""
+    joints = [seg.t0 for seg in s.segments] + [s.S]
+    point = st.one_of(st.sampled_from(joints), st.floats(0.0, 1.0).map(lambda f: f * s.S))
+    return sorted(draw(st.lists(point, min_size=3, max_size=3)))
+
+
+class TestScheduleProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_integral_additive_over_adjacent_intervals(self, data):
+        s = data.draw(schedules())
+        u, v, w = data.draw(split_points(s))
+        for functional in FUNCTIONALS:
+            whole = s.integral(u, w, functional)
+            split = s.integral(u, v, functional) + s.integral(v, w, functional)
+            assert split == pytest.approx(whole, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(schedules())
+    def test_json_round_trip(self, s):
+        assert Schedule.from_json(s.to_json()) == s
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.floats(0.1, 10.0))
+    def test_scaled_integrals(self, data, k):
+        s = data.draw(schedules())
+        u, _, w = data.draw(split_points(s))
+        sk = s.scaled(k)
+        assert sk.integral(u, w, "eta") == pytest.approx(k * s.integral(u, w, "eta"), rel=1e-12)
+        for functional in ("eta_sq", "deta_sq"):
+            assert sk.integral(u, w, functional) == pytest.approx(
+                k * k * s.integral(u, w, functional), rel=1e-12
+            )
 
 
 class TestJson:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,15 +21,20 @@ def constant_schedule(eta, T):
     return Schedule((Segment("constant", 0.0, T, eta, eta),), T, (0.0, 0.0, 0.0))
 
 
+def run_config(schedule, eta0=0.01, **kwargs):
+    return SdeConfig(schedule=schedule, eta0=eta0, n_paths=1, **kwargs)
+
+
 class TestConvergenceBound:
     def test_sgd_constant_schedule_instantiation(self):
         # bound = (f0 - fmin)/(eta t) + eta0 L sigma0^2 N eta / 2
         eta, t, eta0 = 0.2, 5.0, 0.01
         obj = isotropic_quadratic(4, 1.5)
         noise = NoiseModel.isotropic(4, 0.3, D=64)
-        f0 = 2.0
-        got = convergence_bound("sgd", obj, noise, constant_schedule(eta, t), t,
-                                {"f0": f0, "eta0": eta0})["gradient"]
+        x0 = np.full(4, 0.8)
+        f0 = float(obj.value(x0))
+        got = convergence_bound(obj, noise, run_config(constant_schedule(eta, t), eta0,
+                                                       x0=x0))["gradient"]
         s0 = sigma0(noise, 4)
         expected = f0 / (eta * t) + eta0 * obj.L * s0**2 * 4 * eta / 2.0
         assert got == pytest.approx(expected, rel=1e-12)
@@ -36,40 +42,56 @@ class TestConvergenceBound:
     def test_sgd_noiseless_reduction(self):
         eta, t = 0.2, 5.0
         obj = isotropic_quadratic(4)
-        got = convergence_bound("sgd", obj, NoiseModel.zero(4), constant_schedule(eta, t),
-                                t, {"f0": 3.0, "eta0": 0.01})["gradient"]
+        x0 = np.full(4, math.sqrt(1.5))  # f0 = 3
+        got = convergence_bound(obj, NoiseModel.zero(4),
+                                run_config(constant_schedule(eta, t), x0=x0))["gradient"]
         assert got == pytest.approx(3.0 / (eta * t), rel=1e-12)
+
+    def test_start_defaults_to_the_minimum(self):
+        # no x0: paths start at x*, so f0 = f_min and only the noise term is left
+        eta, t = 0.2, 5.0
+        obj = isotropic_quadratic(4)
+        got = convergence_bound(obj, NoiseModel.zero(4),
+                                run_config(constant_schedule(eta, t)))["gradient"]
+        assert got == 0.0
 
     def test_sigma0_formula(self):
         noise = NoiseModel.isotropic(16, 2.0, D=64)
         expected = math.sqrt(2.0) * math.sqrt((1.0 + math.sqrt(64 / 16)) + 1.0 / 16 ** (2 / 3))
         assert sigma0(noise, 16) == pytest.approx(expected, rel=1e-12)
 
-    def test_missing_constants_rejected(self):
+    def test_objective_without_f_min_rejected(self):
+        obj = dataclasses.replace(isotropic_quadratic(4), f_min=None)
+        config = run_config(constant_schedule(0.2, 5.0))
+        with pytest.raises(ValueError, match="no f_min"):
+            convergence_bound(obj, NoiseModel.zero(4), config)
+
+    def test_adam_gradient_bound_without_ell_rejected(self):
+        obj = isotropic_quadratic(4)  # a quadratic names no gradient-norm bound
+        config = run_config(constant_schedule(0.2, 5.0), algorithm="adam")
+        assert "gradient" not in convergence_bound(obj, NoiseModel.zero(4), config)
+        with pytest.raises(ValueError, match="needs ell"):
+            convergence_bound(obj, NoiseModel.zero(4), config, M=1.0)
+
+    def test_adam_c2_at_four_c1_rejected(self):
         obj = isotropic_quadratic(4)
-        sched = constant_schedule(0.2, 5.0)
-        with pytest.raises(ValueError, match="missing constants"):
-            convergence_bound("sgd", obj, NoiseModel.zero(4), sched, 5.0, {"eta0": 0.01})
-        with pytest.raises(ValueError, match="missing constants"):
-            convergence_bound("adam", obj, NoiseModel.zero(4), sched, 5.0,
-                              {"f0": 1.0, "eta0": 0.01})
+        config = run_config(constant_schedule(0.2, 5.0), algorithm="adam", c1=0.5, c2=2.0)
+        with pytest.raises(ValueError, match="c2"):  # 1 - c2/(4 c1) = 0
+            convergence_bound(obj, NoiseModel.zero(4), config)
 
     def test_adam_stability_condition(self):
         obj = isotropic_quadratic(4)
-        sched = constant_schedule(0.2, 5.0)
-        consts = {"f0": 1.0, "eta0": 0.01, "V": 0.1, "eps": 1e-8,
-                  "c1": 1.0, "c2": 5.0, "sigma_bar": 0.1}
+        config = run_config(constant_schedule(0.2, 5.0), algorithm="adam", c1=1.0, c2=5.0)
         with pytest.raises(ValueError, match="c2"):
-            convergence_bound("adam", obj, NoiseModel.zero(4), sched, 5.0, consts)
+            convergence_bound(obj, NoiseModel.zero(4), config)
 
     def test_adam_momentum_and_gradient_bounds(self):
         obj = isotropic_quadratic(4)
         noise = NoiseModel.isotropic(4, 0.1, D=64)
         sched = constant_schedule(0.2, 5.0)
-        consts = {"f0": 1.0, "x0": np.ones(4) * 0.7, "eta0": 0.01, "V": 0.1,
-                  "eps": 1e-2, "c1": 1.0, "c2": 1.0, "sigma_bar": 0.1,
-                  "M": 1.0, "ell": 4.0}
-        out = convergence_bound("adam", obj, noise, sched, 5.0, consts)
+        config = run_config(sched, x0=np.ones(4) * 0.7, algorithm="adam", eps=1e-2,
+                            c1=1.0, c2=1.0)
+        out = convergence_bound(obj, noise, config, M=1.0, ell=4.0)
         assert out["momentum"] > 0.0
         assert out["gradient"] > out["momentum"]  # head term plus factor > 1
 
@@ -80,8 +102,7 @@ class TestConvergenceBound:
         x0 = np.full(8, 0.5)
         cfg = SdeConfig(schedule=sched, eta0=0.01, n_paths=500, seed=7, x0=x0)
         rep = simulate(obj, noise, cfg)
-        bound = convergence_bound("sgd", obj, noise, sched, 4.0,
-                                  {"x0": x0, "eta0": 0.01})["gradient"]
+        bound = convergence_bound(obj, noise, cfg)["gradient"]
         stat = rep.stats["weighted_avg_grad_sq"]
         assert stat.mean <= bound + 3.0 * stat.std_err
 
