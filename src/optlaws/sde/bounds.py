@@ -38,7 +38,6 @@ def convergence_bound(
     noise: NoiseModel,
     config: SdeConfig,
     M: Optional[float] = None,
-    ell: Optional[float] = None,
 ) -> dict:
     """Right-hand side of the convergence bounds for the run ``config`` describes.
 
@@ -56,8 +55,8 @@ def convergence_bound(
         (f0 - f_min)/I1 + eta0 * L * sigma0^2 * N * I2 / (2 I1).
 
     Adam returns {"momentum": ...}, which needs 1 - c2/(4 c1) > 0, and when
-    ``M`` is given also {"gradient": ...}, which needs a gradient-norm bound
-    ``ell`` (the objective's unless overridden).  Adam's m and v start at 0.
+    ``M`` is given also {"gradient": ...}, which needs the objective's
+    gradient-norm bound ``ell``.  Adam's m and v start at 0.
     """
     schedule, eta0 = config.schedule, config.eta0
     I1 = schedule.integral(0.0, schedule.S, "eta")
@@ -87,7 +86,7 @@ def convergence_bound(
 
     out = {"momentum": momentum}
     if M is not None:
-        ell = objective.ell if ell is None else ell
+        ell = objective.ell
         if ell is None:
             raise ValueError(f"the gradient bound needs ell; {objective.name!r} has none")
         head = 2.0 * sqv * (

@@ -313,10 +313,12 @@ class TestScheduleProperties:
         s = data.draw(schedules())
         u, _, w = data.draw(split_points(s))
         sk = s.scaled(k)
-        assert sk.integral(u, w, "eta") == pytest.approx(k * s.integral(u, w, "eta"), rel=1e-12)
+        assert sk.integral(u, w, "eta") == pytest.approx(
+            k * s.integral(u, w, "eta"), rel=1e-12, abs=1e-12
+        )
         for functional in ("eta_sq", "deta_sq"):
             assert sk.integral(u, w, functional) == pytest.approx(
-                k * k * s.integral(u, w, functional), rel=1e-12
+                k * k * s.integral(u, w, functional), rel=1e-12, abs=1e-12
             )
 
 

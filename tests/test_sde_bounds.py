@@ -91,7 +91,7 @@ class TestConvergenceBound:
         sched = constant_schedule(0.2, 5.0)
         config = run_config(sched, x0=np.ones(4) * 0.7, algorithm="adam", eps=1e-2,
                             c1=1.0, c2=1.0)
-        out = convergence_bound(obj, noise, config, M=1.0, ell=4.0)
+        out = convergence_bound(dataclasses.replace(obj, ell=4.0), noise, config, M=1.0)
         assert out["momentum"] > 0.0
         assert out["gradient"] > out["momentum"]  # head term plus factor > 1
 
