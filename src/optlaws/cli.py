@@ -30,6 +30,7 @@ from .divergence import (
 from .features import Normalizer
 from .law import (
     DIVERGED_LOSS,
+    ConfigBatch,
     FittedLaw,
     PretrainContext,
     RunConfig,
@@ -40,7 +41,7 @@ from .law import (
     rank,
 )
 from .numerics import adaptive_simpson
-from .schedule import Schedule, build_general_schedule
+from .schedule import Schedule, ScheduleError, ScheduleTable, build_general_schedule
 from .sde.objectives import CATALOG
 
 __all__ = ["main", "sweep_grid", "read_runs_csv"]
@@ -106,28 +107,75 @@ def _read_law(path: str) -> FittedLaw:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _config_schedule(cfg: dict, normalizer: Normalizer) -> Schedule:
-    return build_general_schedule(
-        normalizer.normalize_lr(cfg["eta1"]),
-        normalizer.normalize_lr(cfg["eta2"]),
-        cfg["a1_B"],
-        cfg["a2_B"],
-        cfg["a3_B"],
-        cfg["tokens_B"],
-    )
+SCHEDULE_FIELDS = ("eta1", "eta2", "a1_B", "a2_B", "a3_B", "tokens_B")
 
 
-def _load_config(cfg: dict, normalizer: Normalizer) -> RunConfig:
+def _read_fields(cfgs: list, fields) -> list[list]:
+    """The named fields of JSON configs, one list per field.
+
+    Refuses a config that is not an object, a missing field, and a value
+    that is not a JSON number a float can hold (a string, a bool, null, ...),
+    naming the field.  Numbers keep their JSON type, int or float.
+    """
+    cols = []
+    for field in fields:
+        try:
+            col = [cfg[field] for cfg in cfgs]
+        except KeyError as exc:
+            raise DataError(f"config is missing field {exc}") from None
+        except TypeError as exc:  # a config that is not a JSON object
+            raise DataError(f"malformed config: {exc}") from None
+        types = set(map(type, col))
+        if not types <= {int, float}:
+            bad = next(x for x in col if type(x) not in (int, float))
+            raise DataError(f"config field {field!r} must be a number, got {json.dumps(bad)}")
+        if int in types:
+            try:
+                [float(x) for x in col]
+            except OverflowError:
+                raise DataError(f"config field {field!r} is too large for a float") from None
+        cols.append(col)
+    return cols
+
+
+def _schedule_columns(cfgs: list, normalizer: Normalizer) -> list[list]:
+    """The :func:`build_general_schedule` arguments of JSON configs, one list
+    per argument."""
+    eta1, eta2, *rest = _read_fields(cfgs, SCHEDULE_FIELDS)
+    lr = normalizer.normalize_lr
+    return [[lr(x) for x in eta1], [lr(x) for x in eta2], *rest]
+
+
+def _load_config(cfg, normalizer: Normalizer) -> RunConfig:
+    """One JSON config: its schedule, its pre block's schedule if it has one,
+    then its model size, read in that order."""
+    schedule = lambda block: build_general_schedule(
+        *(col[0] for col in _schedule_columns([block], normalizer)))
+    main = schedule(cfg)
+    pre = None if cfg.get("pre") is None else PretrainContext(schedule(cfg["pre"]))
+    ((N,),) = _read_fields([cfg], ["model_B"])
+    return RunConfig(main, N, pre)
+
+
+def _load_candidates(cfgs: list, normalizer: Normalizer) -> ConfigBatch:
+    """JSON configs as one batch, read field by field into columns: a table
+    of their schedules and one of their pre blocks (a config without a pre
+    block fills its row with its own schedule).
+
+    A bad config makes the one-config reader replay the configs in input
+    order, so the error is the one the first bad config gives.
+    """
     try:
-        schedule = _config_schedule(cfg, normalizer)
-        pre = None
-        if "pre" in cfg and cfg["pre"] is not None:
-            pre = PretrainContext(_config_schedule(cfg["pre"], normalizer))
-        return RunConfig(schedule=schedule, N=cfg["model_B"], pre=pre)
-    except KeyError as exc:
-        raise DataError(f"config is missing field {exc}") from None
-    except TypeError as exc:  # not a JSON object, or a field of the wrong type
-        raise DataError(f"malformed config: {exc}") from None
+        table = ScheduleTable.four_phase(*_schedule_columns(cfgs, normalizer))
+        has_pre = [cfg.get("pre") is not None for cfg in cfgs]
+        pre = ScheduleTable.four_phase(*_schedule_columns(
+            [cfg["pre"] if p else cfg for cfg, p in zip(cfgs, has_pre)], normalizer))
+        (N,) = _read_fields(cfgs, ["model_B"])
+    except (DataError, ScheduleError):
+        for cfg in cfgs:
+            _load_config(cfg, normalizer)
+        raise
+    return ConfigBatch(table, np.array(N, dtype=float), pre, np.where(has_pre, pre.S, np.nan))
 
 
 def _gate_from_args(args) -> DivergenceParams:
@@ -250,9 +298,8 @@ def _cmd_rank(args) -> int:
         cfgs = json.load(fh)
     if not isinstance(cfgs, list) or not cfgs:
         raise DataError(f"{args.configs}: need a nonempty JSON list of configs")
-    normalizer = Normalizer(law.lr_scale)
-    configs = [_load_config(c, normalizer) for c in cfgs]
-    ranked = rank(law, configs, gate=_gate_from_args(args))
+    batch = _load_candidates(cfgs, Normalizer(law.lr_scale))
+    ranked = rank(law, batch, gate=_gate_from_args(args))
     table = [
         {
             "rank": i + 1,

@@ -21,6 +21,7 @@ __all__ = [
     "critical_rate",
     "divergence_ratio",
     "gated_criterion",
+    "gated_criteria",
     "DEFAULT_PARAMS",
 ]
 
@@ -152,3 +153,38 @@ def gated_criterion(
     if eta_max <= threshold:
         return CriterionResult(R=0.0, eta_L=eta_max, verdict="stable")
     return CriterionResult(R=math.inf, eta_L=threshold, verdict="diverge")
+
+
+def gated_criteria(eta_max, a1, N, S, params: DivergenceParams = DEFAULT_PARAMS):
+    """:func:`gated_criterion` over arrays of configurations: the arrays R and
+    eta_L, each element equal to the scalar result (R > 1: "diverge").
+
+    The critical rate stays one scalar :func:`critical_rate` per config,
+    since numpy's power can round differently from libm's; the rest runs
+    elementwise.  If any config is outside the gate's domain, the scalar
+    gate replays the configs in order and raises the first one's error.
+    """
+    eta_max, a1, N, S = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (eta_max, a1, N, S)))
+    warm = a1 != 0.0
+    with np.errstate(over="ignore"):  # an overflowing warmup fails the critical rate
+        a_sq = a1 * a1
+    try:
+        # criterion_R's input checks; divergence_ratio checks its denominator
+        if not (~warm | ((0 < eta_max) & (eta_max < math.inf) & (0 < a1) & (a1 < math.inf)
+                         & (a_sq != 0.0))).all():
+            raise ValueError
+        threshold = np.array([critical_rate(n, s, params) for n, s in zip(N.tolist(), S.tolist())])
+        eta_l = np.where(threshold < eta_max, threshold, eta_max)
+        if not (eta_l[warm] > 0).all():
+            raise ValueError
+        # a zero warmup: R = 0 at or below the critical rate, inf above it
+        R = np.where(threshold < eta_max, math.inf, 0.0)
+        with np.errstate(over="ignore"):  # R = inf, as the scalar ratio gives it
+            R[warm] = divergence_ratio(eta_max[warm], a_sq[warm], (S * S)[warm], eta_l[warm],
+                                       params)
+    except ValueError:
+        for args in zip(eta_max.tolist(), a1.tolist(), N.tolist(), S.tolist()):
+            gated_criterion(*args, params)
+        raise
+    return R, eta_l

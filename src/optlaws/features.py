@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import GeneralScheduleBatch, Schedule
+from .schedule import Schedule
 
 __all__ = [
     "FeatureError",
@@ -35,7 +35,7 @@ __all__ = [
     "default_markers",
     "collapsed_markers",
     "schedule_bases",
-    "general_schedule_bases",
+    "rule_bases",
     "feature_matrix",
     "features_from_bases",
     "compute_features",
@@ -218,15 +218,10 @@ def schedule_bases(schedule: Schedule, policy: MarkerPolicy) -> dict:
     return _bases(schedule, policy.a_c1, policy.a_c2, policy.a_e1, policy.a_e2)
 
 
-def general_schedule_bases(eta1, eta2, a1, a2, a3, S, rule: str) -> dict:
-    """:func:`schedule_bases` of ``build_general_schedule(eta1, eta2, a1, a2, a3, S)``
-    configurations given as arrays, split by the named marker rule.
-
-    Each element equals the scalar value exactly; an invalid configuration
-    raises the error :func:`build_general_schedule` gives it.
-    """
-    batch = GeneralScheduleBatch(eta1, eta2, a1, a2, a3, S)
-    return _bases(batch, *MARKER_RULES[rule](*batch.markers))
+def rule_bases(schedules, rule: str) -> dict:
+    """:func:`schedule_bases` of a :class:`Schedule` or, elementwise, of a
+    :class:`~optlaws.schedule.ScheduleTable`, split by the named marker rule."""
+    return _bases(schedules, *MARKER_RULES[rule](*schedules.markers))
 
 
 def _bases(schedule, a_c1, a_c2, a_e1, a_e2) -> dict:

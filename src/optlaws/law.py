@@ -10,6 +10,10 @@ Every command prices through one route, so a config has one log loss
 whichever command prices it and whatever batch it is in:
 :func:`_config_bases` (bases under the law's mode), :func:`_features` (the
 16-term map) and :func:`_log_losses` (the contraction, term by term).
+``_config_bases`` takes one :class:`~optlaws.schedule.Schedule` (``predict``)
+or a :class:`~optlaws.schedule.ScheduleTable` of many (``rank`` through a
+:class:`ConfigBatch`, ``fit`` and ``sweep`` through four-phase columns); the
+table's elements equal the schedule's values exactly.
 
 ``SimpleLaw`` is the fixed-model-size five-term law; its asymptotic gap
 between the cosine-cooldown and constant-then-cooldown families has closed
@@ -24,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divergence import DEFAULT_PARAMS, DivergenceParams, gated_criterion
+from .divergence import DEFAULT_PARAMS, DivergenceParams, gated_criteria
 from .features import (
     DEFAULT_POWERS,
     ESCAPE_INDICES,
@@ -34,11 +38,9 @@ from .features import (
     Normalizer,
     feature_matrix,
     features_from_bases,
-    general_schedule_bases,
-    marker_policy,
-    schedule_bases,
+    rule_bases,
 )
-from .schedule import Schedule, build_general_schedule
+from .schedule import Schedule, ScheduleTable, build_general_schedule
 
 __all__ = [
     "DIVERGED_LOSS",
@@ -46,6 +48,7 @@ __all__ = [
     "RunRecord",
     "RunConfig",
     "PretrainContext",
+    "ConfigBatch",
     "FittedLaw",
     "RankedConfig",
     "SimpleLaw",
@@ -138,6 +141,40 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
+class ConfigBatch:
+    """Candidate configurations as arrays: their schedules as one table, their
+    model sizes, and a table of the schedules they continue from with the
+    horizon each pre-training run reaches.
+
+    ``pre_S`` is NaN for a config with no pre-training context, whose row of
+    ``pre`` is a placeholder.
+    """
+
+    schedules: ScheduleTable
+    N: np.ndarray
+    pre: ScheduleTable
+    pre_S: np.ndarray
+
+    @classmethod
+    def from_configs(cls, configs) -> "ConfigBatch":
+        """The batch of a list of :class:`RunConfig`."""
+        configs = list(configs)
+        if not configs:
+            raise ValueError("rank needs at least one configuration")
+        pre = [cfg.pre for cfg in configs]
+        if any(p is not None and p.schedule is None and p.horizon > 0.0 for p in pre):
+            raise FeatureError("pre_S > 0 requires the pre-training schedule")
+        return cls(
+            ScheduleTable.from_schedules([cfg.schedule for cfg in configs]),
+            np.array([cfg.N for cfg in configs], dtype=float),
+            # a config without a pre-training schedule fills its row with its own
+            ScheduleTable.from_schedules([cfg.schedule if p is None or p.schedule is None
+                                          else p.schedule for cfg, p in zip(configs, pre)]),
+            np.array([math.nan if p is None else p.horizon for p in pre], dtype=float),
+        )
+
+
+@dataclass(frozen=True)
 class FittedLaw:
     """Coefficients, powers and conventions of one fitted law."""
 
@@ -220,41 +257,43 @@ def continual_features(
     """
     if pre_S > 0.0 and pre_schedule is None:
         raise FeatureError("pre_S > 0 requires the pre-training schedule")
-    config = replace(config, pre=PretrainContext(pre_schedule, pre_S))
-    bases, S, N, refused = _config_bases(law.as_continual(), [config])
+    bases, S, N, refused = _config_bases(
+        law.as_continual(), config.schedule, config.N, pre_schedule, pre_S)
     return FeatureVector(_features(bases, S, N, law.powers, refused)[0].tolist(), law.powers)
 
 
-def _config_bases(law: FittedLaw, configs) -> tuple[dict, np.ndarray, np.ndarray, dict]:
+def _config_bases(law: FittedLaw, schedules, N, pre=None, pre_S=None):
     """Bases, S and N arrays of configs under the law's mode, and the message
     of each config (by index) the continual rescaling refuses.
+
+    ``schedules`` is one :class:`Schedule` or a :class:`ScheduleTable`, and
+    ``N`` its model size(s); ``pre`` holds the schedule(s) pre-training ran
+    on, up to the horizon(s) ``pre_S`` (NaN or None: no pre-training
+    context; ``pre`` may be None when ``pre_S`` is 0).
 
     The continual mode divides the tail slope energy by the fourth power of
     the peak rate on [a_e2, S] of the continual schedule and adds the
     pre-training area integral to the warmup area.  A refused config, one
     without a positive peak there, gets a NaN tail energy: outside the domain.
     """
-    continual = law.mode == "continual"
-    if continual and any(cfg.pre is None for cfg in configs):
-        raise FeatureError(_NEEDS_PRE)
-    policies = [marker_policy(law.policy_rule, cfg.schedule) for cfg in configs]
-    rows = [schedule_bases(cfg.schedule, pol) for cfg, pol in zip(configs, policies)]
-    bases = {k: np.array([b[k] for b in rows]) for k in rows[0]}
-    S = np.array([cfg.schedule.S for cfg in configs], dtype=float)
-    N = np.array([cfg.N for cfg in configs], dtype=float)
+    row = lambda x: np.array(x, dtype=float, ndmin=1)
+    bases = {k: row(v) for k, v in rule_bases(schedules, law.policy_rule).items()}
+    S = schedules.S
     refused = {}
-    if continual:
-        h_tail = np.array([cfg.schedule.max_rate(pol.a_e2, cfg.schedule.S)
-                           for cfg, pol in zip(configs, policies)])
-        refused = {i: f"continual rescaling needs a positive peak rate on [{p.a_e2}, {c.schedule.S}]"
-                   for i, (h, c, p) in enumerate(zip(h_tail, configs, policies)) if not h > 0.0}
-        pre_area = np.array([cfg.pre.schedule.integral(0.0, cfg.pre.horizon, "eta")
-                             if cfg.pre.horizon > 0.0 else 0.0 for cfg in configs])
+    if law.mode == "continual":
+        if pre_S is None or np.isnan(pre_S).any():
+            raise FeatureError(_NEEDS_PRE)
+        a_e2 = MARKER_RULES[law.policy_rule](*schedules.markers)[3]
+        h_tail = row(schedules.max_rate(a_e2, S))
+        at = lambda x, i: x[i].item() if isinstance(x, np.ndarray) else x
+        refused = {i: f"continual rescaling needs a positive peak rate on [{at(a_e2, i)}, {at(S, i)}]"
+                   for i in np.flatnonzero(~(h_tail > 0.0)).tolist()}
+        pre_area = 0.0 if pre is None else row(pre.integral(0.0, pre_S, "eta"))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             tail = bases["tail_energy"] / h_tail ** 4
         bases["tail_energy"] = np.where(h_tail > 0.0, tail, np.nan)
         bases["warmup_area"] = bases["warmup_area"] + pre_area
-    return bases, S, N, refused
+    return bases, row(S), row(N), refused
 
 
 def _features(bases: dict, S, N, powers, refused=None) -> np.ndarray:
@@ -288,8 +327,8 @@ def general_log_losses(law: FittedLaw, eta1, eta2, a1, a2, a3, S, N) -> np.ndarr
     billions), priced in one pass."""
     if law.mode == "continual":
         raise FeatureError(_NEEDS_PRE)
-    bases = general_schedule_bases(eta1, eta2, a1, a2, a3, S, law.policy_rule)
-    return _log_losses(law.c, _features(bases, S, N, law.powers))
+    table = ScheduleTable.four_phase(eta1, eta2, a1, a2, a3, S)
+    return _log_losses(law.c, _features(rule_bases(table, law.policy_rule), S, N, law.powers))
 
 
 def _design_matrix(records, powers, policy_rule: str, normalizer: Normalizer):
@@ -298,9 +337,9 @@ def _design_matrix(records, powers, policy_rule: str, normalizer: Normalizer):
         raise LawFitError("no fittable rows: every record is divergent")
     col = lambda name: np.array([getattr(r, name) for r in rows], dtype=float)
     S, lr = col("tokens_B"), normalizer.normalize_lr
-    bases = general_schedule_bases(lr(col("eta1")), lr(col("eta2")), col("a1_B"), col("a2_B"),
-                                   col("a3_B"), S, policy_rule)
-    A = _features(bases, S, col("model_B"), powers)
+    table = ScheduleTable.four_phase(lr(col("eta1")), lr(col("eta2")), col("a1_B"), col("a2_B"),
+                                     col("a3_B"), S)
+    A = _features(rule_bases(table, policy_rule), S, col("model_B"), powers)
     y = np.log(col("loss"))
     return A, y
 
@@ -364,7 +403,9 @@ def fit(
 
 def predict(law: FittedLaw, config: RunConfig) -> dict:
     """Predicted {log_loss, loss} of a configuration under a fitted law."""
-    bases, S, N, refused = _config_bases(law, [config])
+    pre = config.pre
+    bases, S, N, refused = _config_bases(law, config.schedule, config.N,
+                                         pre and pre.schedule, pre and pre.horizon)
     log_loss = float(_log_losses(law.c, _features(bases, S, N, law.powers, refused))[0])
     try:
         return {"log_loss": log_loss, "loss": math.exp(log_loss)}
@@ -384,7 +425,7 @@ class RankedConfig:
 
 def rank(
     law: FittedLaw,
-    configs,
+    batch: ConfigBatch,
     gate: DivergenceParams = DEFAULT_PARAMS,
 ) -> list[RankedConfig]:
     """Order candidate configurations by predicted loss, gated for divergence.
@@ -393,41 +434,35 @@ def rank(
     by smaller peak rate, then smaller warmup, then input order.  Survivors
     the feature map cannot price (for example a zero warmup under a
     pretrain-mode law) follow with verdict "unpriced", and configs with
-    R > 1 come last with verdict "diverge"; both keep input order.
+    R > 1 come last with verdict "diverge"; both keep input order.  The
+    whole batch is gated and priced in one pass of array operations.
     """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("rank needs at least one configuration")
-    survivors, gated = [], []
-    for i, cfg in enumerate(configs):
-        schedule = cfg.schedule
-        eta_max, warmup = schedule.eta_max, schedule.markers[0]
-        res = gated_criterion(eta_max, warmup, cfg.N, schedule.S, gate)
-        if res.verdict == "diverge":
-            gated.append(RankedConfig(i, "diverge", res.R, res.eta_L, None, None))
-        else:
-            survivors.append((i, res, cfg, eta_max, warmup))
-    kept, unpriced = [], []
-    if survivors:
-        bases, S, N, _ = _config_bases(law, [cfg for _, _, cfg, _, _ in survivors])
-        F, priced = feature_matrix(bases, S, N, law.powers)
-        log_losses = _log_losses(law.c, F)
-        for (i, res, _, eta_max, warmup), log_loss, ok in zip(
-            survivors, log_losses.tolist(), priced
-        ):
-            if not ok:
-                unpriced.append(RankedConfig(i, "unpriced", res.R, res.eta_L, None, None))
-                continue
-            try:
-                loss = math.exp(log_loss)
-            except OverflowError:
-                raise ValueError(
-                    f"config {i}: log loss {log_loss!r} is too large: exp overflows"
-                ) from None
-            row = RankedConfig(i, "ok", res.R, res.eta_L, log_loss, loss)
-            kept.append(((log_loss, eta_max, warmup, i), row))
-    kept.sort(key=lambda t: t[0])
-    return [row for _, row in kept] + unpriced + gated
+    table = batch.schedules
+    eta_max, warmup = table.eta_max, table.markers[0]
+    R, eta_L = gated_criteria(eta_max, warmup, batch.N, table.S, gate)
+    survive = ~(R > 1.0)
+    # configs the gate rejects are priced too, from no pre-training, and never listed
+    bases, S, N, _ = _config_bases(law, table, batch.N, batch.pre,
+                                   np.where(survive, batch.pre_S, 0.0))
+    F, priced = feature_matrix(bases, S, N, law.powers)
+    log_losses = _log_losses(law.c, F)
+    ok = np.flatnonzero(priced & survive)
+    R, eta_L, ll = R.tolist(), eta_L.tolist(), log_losses.tolist()
+    loss = {}
+    for i in ok.tolist():
+        try:
+            loss[i] = math.exp(ll[i])
+        except OverflowError:
+            raise ValueError(
+                f"config {i}: log loss {ll[i]!r} is too large: exp overflows") from None
+    order = ok[np.lexsort((warmup[ok], eta_max[ok], log_losses[ok]))].tolist()
+    return (
+        [RankedConfig(i, "ok", R[i], eta_L[i], ll[i], loss[i]) for i in order]
+        + [RankedConfig(i, "unpriced", R[i], eta_L[i], None, None)
+           for i in np.flatnonzero(survive & ~priced).tolist()]
+        + [RankedConfig(i, "diverge", R[i], eta_L[i], None, None)
+           for i in np.flatnonzero(~survive).tolist()]
+    )
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ __all__ = [
     "Schedule",
     "ScheduleError",
     "FUNCTIONALS",
-    "GeneralScheduleBatch",
+    "ScheduleTable",
     "build_general_schedule",
     "warmup_cosine_schedule",
     "warmup_const_cooldown_schedule",
@@ -44,9 +44,9 @@ class ScheduleError(ValueError):
     """Invalid schedule construction or out-of-domain query."""
 
 
-# Closed forms of one linear or constant piece, written with arithmetic
-# operators only: Segment calls them with floats and GeneralScheduleBatch
-# with numpy arrays, so both evaluate the same expression in the same order.
+# Closed forms of one segment, written with arithmetic operators and np.sin
+# and np.cos only: Segment calls them with floats and ScheduleTable with
+# numpy arrays, so both evaluate the same expression in the same order.
 
 
 def _linear_value(e0, e1, tau, length):
@@ -54,25 +54,53 @@ def _linear_value(e0, e1, tau, length):
     return e0 + (e1 - e0) * tau / length
 
 
-def _linear_integral(e0, m, t0, u, v, functional):
-    """Integral over [u, v] of the linear piece starting at (t0, e0) with slope m."""
-    if functional == "deta_sq":
-        return m * m * (v - u)
-    tu, tv = u - t0, v - t0
-    if functional == "eta":
-        return (e0 * tv + 0.5 * m * tv * tv) - (e0 * tu + 0.5 * m * tu * tu)
-    return (e0 * e0 * tv + e0 * m * tv * tv + m * m * tv ** 3 / 3.0) - (
-        e0 * e0 * tu + e0 * m * tu * tu + m * m * tu ** 3 / 3.0
-    )
+def _segment_value(kind, t0, t1, e0, e1, t):
+    """Rate at t of the segment (kind, t0, t1, e0, e1)."""
+    if kind == "constant":
+        return np.full(t.shape, e0) if isinstance(t, np.ndarray) else e0
+    if kind == "linear":
+        return _linear_value(e0, e1, t - t0, t1 - t0)
+    theta = math.pi * (t - t0) / (t1 - t0)
+    return e1 + 0.5 * (e0 - e1) * (np.cos(theta) + 1.0)
 
 
-def _constant_integral(e0, u, v, functional):
-    """Integral over [u, v] of the constant piece at rate e0."""
+def _segment_integral(kind, t0, t1, e0, e1, u, v, functional):
+    """Integral over [u, v] (within [t0, t1]) of the functional on the segment."""
+    if kind == "constant":
+        if functional == "eta":
+            return e0 * (v - u)
+        if functional == "eta_sq":
+            return e0 ** 2 * (v - u)
+        return 0.0
+    if kind == "linear":
+        m = (e1 - e0) / (t1 - t0)
+        if functional == "deta_sq":
+            return m * m * (v - u)
+        tu, tv = u - t0, v - t0
+        if functional == "eta":
+            return (e0 * tv + 0.5 * m * tv * tv) - (e0 * tu + 0.5 * m * tu * tu)
+        return (e0 * e0 * tv + e0 * m * tv * tv + m * m * tv ** 3 / 3.0) - (
+            e0 * e0 * tu + e0 * m * tu * tu + m * m * tu ** 3 / 3.0
+        )
+    # cosine: eta = c + A*cos(theta), theta = pi*(t - t0)/length
+    ell = t1 - t0
+    amp = 0.5 * (e0 - e1)
+    c = e1 + amp
+    thu = math.pi * (u - t0) / ell
+    thv = math.pi * (v - t0) / ell
     if functional == "eta":
-        return e0 * (v - u)
+        return c * (v - u) + amp * ell / math.pi * (np.sin(thv) - np.sin(thu))
     if functional == "eta_sq":
-        return e0 ** 2 * (v - u)
-    return 0.0
+        # integral of cos^2 in t: (ell/pi) * [theta/2 + sin(2 theta)/4]
+        sq = lambda th: 0.5 * th + 0.25 * np.sin(2.0 * th)
+        return (
+            c * c * (v - u)
+            + 2.0 * c * amp * ell / math.pi * (np.sin(thv) - np.sin(thu))
+            + amp * amp * ell / math.pi * (sq(thv) - sq(thu))
+        )
+    # deta_sq: eta' = -(A pi / ell) sin(theta)
+    sn = lambda th: 0.5 * th - 0.25 * np.sin(2.0 * th)
+    return amp * amp * math.pi / ell * (sn(thv) - sn(thu))
 
 
 @dataclass(frozen=True)
@@ -121,12 +149,7 @@ class Segment:
 
     def value(self, t):
         """Rate at t; t may be a float or an array within [t0, t1]."""
-        if self.kind == "constant":
-            return np.full(t.shape, self.eta0) if isinstance(t, np.ndarray) else self.eta0
-        if self.kind == "linear":
-            return _linear_value(self.eta0, self.eta1, t - self.t0, self.length)
-        theta = math.pi * (t - self.t0) / self.length
-        return self.eta1 + 0.5 * (self.eta0 - self.eta1) * (np.cos(theta) + 1.0)
+        return _segment_value(self.kind, self.t0, self.t1, self.eta0, self.eta1, t)
 
     def derivative(self, t: float) -> float:
         if self.kind == "constant":
@@ -145,29 +168,9 @@ class Segment:
         u and v may be floats or arrays."""
         if functional not in FUNCTIONALS:
             raise ScheduleError(f"unknown functional {functional!r}")
-        if self.kind == "constant":
-            return _constant_integral(self.eta0, u, v, functional)
-        if self.kind == "linear":
-            return _linear_integral(self.eta0, self.slope, self.t0, u, v, functional)
-        # cosine: eta = c + A*cos(theta), theta = pi*(t - t0)/length
-        ell = self.length
-        amp = 0.5 * (self.eta0 - self.eta1)
-        c = self.eta1 + amp
-        thu = math.pi * (u - self.t0) / ell
-        thv = math.pi * (v - self.t0) / ell
-        if functional == "eta":
-            return c * (v - u) + amp * ell / math.pi * (np.sin(thv) - np.sin(thu))
-        if functional == "eta_sq":
-            # integral of cos^2 in t: (ell/pi) * [theta/2 + sin(2 theta)/4]
-            sq = lambda th: 0.5 * th + 0.25 * np.sin(2.0 * th)
-            return (
-                c * c * (v - u)
-                + 2.0 * c * amp * ell / math.pi * (np.sin(thv) - np.sin(thu))
-                + amp * amp * ell / math.pi * (sq(thv) - sq(thu))
-            )
-        # deta_sq: eta' = -(A pi / ell) sin(theta)
-        sn = lambda th: 0.5 * th - 0.25 * np.sin(2.0 * th)
-        return amp * amp * math.pi / ell * (sn(thv) - sn(thu))
+        return _segment_integral(
+            self.kind, self.t0, self.t1, self.eta0, self.eta1, u, v, functional
+        )
 
 
 @dataclass(frozen=True)
@@ -294,12 +297,36 @@ class Schedule:
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
+        """The schedule :meth:`to_json` wrote; a malformed payload raises a
+        :class:`ScheduleError` that names the field at fault."""
         payload = json.loads(text)
-        segs = tuple(
-            Segment(d["kind"], d["t0"], d["t1"], d["eta0"], d["eta1"])
-            for d in payload["segments"]
-        )
-        return cls(segs, payload["S"], tuple(payload["markers"]))
+        if not isinstance(payload, dict):
+            raise ScheduleError(f"a schedule file holds a JSON object, not {type(payload).__name__}")
+        try:
+            segs = tuple(
+                Segment(d["kind"], *(_number(d[key], key) for key in ("t0", "t1", "eta0", "eta1")))
+                for d in payload["segments"]
+            )
+            markers = tuple(_number(a, "markers") for a in payload["markers"])
+            if len(markers) != 3:
+                raise ScheduleError(f"schedule field 'markers' holds 3 numbers, not {len(markers)}")
+            return cls(segs, _number(payload["S"], "S"), markers)
+        except KeyError as exc:
+            raise ScheduleError(f"schedule file is missing field {exc}") from None
+        except TypeError as exc:  # a list where an object belongs, or the like
+            raise ScheduleError(f"malformed schedule file: {exc}") from None
+
+
+def _number(x, field: str):
+    """x, which must be a JSON number (not a bool) a float can hold, from the
+    named field."""
+    if type(x) not in (int, float):
+        raise ScheduleError(f"schedule field {field!r} must be a number, got {json.dumps(x)}")
+    try:
+        float(x)
+    except OverflowError:  # an integer literal of more than 308 digits
+        raise ScheduleError(f"schedule field {field!r} is too large for a float") from None
+    return x
 
 
 def build_general_schedule(
@@ -332,17 +359,52 @@ def _general_pieces(eta1, eta2, a1, a2, a3, S):
     )
 
 
-class GeneralScheduleBatch:
-    """Many :func:`build_general_schedule` configurations held as arrays.
+class ScheduleTable:
+    """n schedules as padded ``(n, k)`` arrays of segment kind (an index into
+    ``SEGMENT_KINDS``), t0, t1, eta0 and eta1, with length-n arrays ``S`` and
+    ``markers = (a1, a2, a3)``.
 
-    The arguments broadcast to one shape.  ``integral`` and ``eta_max``
-    walk the four phases in order with the segment closed forms above and
-    skip empty phases as :class:`Schedule` does, so every element equals
-    the value of the scalar schedule exactly.
+    Row i holds schedule i's segments in time order.  Empty segments
+    (t0 == t1) pad the rows of shorter schedules and stand for the dropped
+    phases of four-phase configurations; they never contribute.
+    :meth:`integral`, :meth:`max_rate` and :attr:`eta_max` walk the columns
+    with the segment closed forms above, so each element equals the
+    :class:`Schedule` method on its row exactly.
     """
 
-    def __init__(self, eta1, eta2, a1, a2, a3, S):
-        args = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (eta1, eta2, a1, a2, a3, S)))
+    def __init__(self, kind, t0, t1, eta0, eta1, S, markers):
+        self.kind, self.t0, self.t1, self.eta0, self.eta1 = kind, t0, t1, eta0, eta1
+        self.S = S
+        self.markers = tuple(markers)
+        # the kinds present in each column
+        self._kinds = [[int(col[0])] if col.min() == col.max()
+                       else np.flatnonzero(np.bincount(col, minlength=3)).tolist()
+                       for col in kind.T]
+
+    @classmethod
+    def from_schedules(cls, schedules) -> "ScheduleTable":
+        """The table of any :class:`Schedule` objects."""
+        schedules = list(schedules)
+        k = max(len(s.segments) for s in schedules)
+        rows = np.array([
+            [(SEGMENT_KINDS.index(g.kind), g.t0, g.t1, g.eta0, g.eta1) for g in s.segments]
+            + [(SEGMENT_KINDS.index("constant"), s.S, s.S, 0.0, 0.0)] * (k - len(s.segments))
+            for s in schedules
+        ], dtype=float)
+        S = np.array([s.S for s in schedules], dtype=float)
+        markers = np.array([s.markers for s in schedules], dtype=float).T
+        return cls(rows[..., 0].astype(int), *np.moveaxis(rows[..., 1:], -1, 0), S, markers)
+
+    @classmethod
+    def four_phase(cls, eta1, eta2, a1, a2, a3, S) -> "ScheduleTable":
+        """The table of :func:`build_general_schedule` configurations given as
+        columns (1-d arrays, or scalars that broadcast to them).
+
+        An invalid configuration raises the error the scalar builder gives
+        the first one.
+        """
+        args = [np.atleast_1d(x) for x in np.broadcast_arrays(
+            *(np.asarray(x, dtype=float) for x in (eta1, eta2, a1, a2, a3, S)))]
         eta1, eta2, a1, a2, a3, S = args
         pieces = _general_pieces(eta1, eta2, a1, a2, a3, S)
         valid = (
@@ -363,46 +425,80 @@ class GeneralScheduleBatch:
             end, seen = np.where(present, e1, end), seen | present
         if not valid.all():
             i = int(np.argmin(valid))
-            # the scalar constructor raises the error of the first invalid config
-            build_general_schedule(*(float(x.flat[i]) for x in args))
+            build_general_schedule(*(float(x[i]) for x in args))
             raise ScheduleError(f"invalid four-phase configuration at index {i}")
-        self.S = S
-        self.markers = (a1, a2, a3)
-        self._pieces = pieces
+        kind = np.array([SEGMENT_KINDS.index(p[0]) for p in pieces])
+        # (t0, t1, eta0, eta1) x phase x config, so that column j of each
+        # (n, 4) array is contiguous: the walks go column by column
+        block = np.empty((4, 4, S.size))
+        for i, piece in enumerate(pieces):
+            for f, x in enumerate(piece[1:]):
+                block[f, i] = x
+        return cls(np.broadcast_to(kind, (S.size, 4)), *np.swapaxes(block, 1, 2), S,
+                   (a1, a2, a3))
+
+    def _check(self, u, v):
+        inside = (0.0 <= u) & (u <= v) & (v <= self.S)
+        if not inside.all():
+            i = int(np.argmin(inside))
+            u, v = (np.broadcast_to(x, self.S.shape)[i] for x in (u, v))
+            raise ScheduleError(
+                f"row {i}: interval [{u}, {v}] outside schedule domain [0, {self.S[i]}]")
+
+    def _pieces(self, u, v):
+        """(j, t0, t1, eta0, eta1) of each column j, with [lo, hi], its overlap
+        with [u, v] (lo < hi where they overlap)."""
+        for j in range(self.kind.shape[1]):
+            t0, t1 = self.t0[:, j], self.t1[:, j]
+            yield (j, t0, t1, self.eta0[:, j], self.eta1[:, j]), np.maximum(u, t0), np.minimum(v, t1)
+
+    def _by_kind(self, seg, f, *args):
+        """``f(kind, t0, t1, e0, e1, *args)`` on each row of a column, by the
+        kind of that row's segment."""
+        j, *ends = seg
+        out = None
+        for code in self._kinds[j]:
+            part = f(SEGMENT_KINDS[code], *ends, *args)
+            out = part if out is None else np.where(self.kind[:, j] == code, part, out)
+        return out
 
     def integral(self, u, v, functional: str) -> np.ndarray:
-        """Elementwise Schedule.integral of eta or (eta')^2 over [u, v] (u <= v
-        within [0, S]).  eta^2 is left out: numpy's cube is not libm's."""
+        """Elementwise :meth:`Schedule.integral` of eta or (eta')^2 over [u, v]
+        (u <= v within [0, S]).  eta^2 is left out: numpy's cube is not libm's."""
         if functional not in ("eta", "deta_sq"):
-            raise ScheduleError(f"batched integrals cover eta and deta_sq, not {functional!r}")
+            raise ScheduleError(f"table integrals cover eta and deta_sq, not {functional!r}")
+        self._check(u, v)
         total = 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for kind, t0, t1, e0, e1 in self._pieces:
-                lo, hi = np.maximum(u, t0), np.minimum(v, t1)
-                if kind == "constant":
-                    part = _constant_integral(e0, lo, hi, functional)
-                else:
-                    part = _linear_integral(e0, (e1 - e0) / (t1 - t0), t0, lo, hi, functional)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for seg, lo, hi in self._pieces(u, v):
+                part = self._by_kind(seg, _segment_integral, lo, hi, functional)
                 total = total + np.where(lo < hi, part, 0.0)
         return total
 
+    def max_rate(self, u, v) -> np.ndarray:
+        """Elementwise :meth:`Schedule.max_rate`, with the comparisons of
+        Python's max; where u == v, the rate at u of the last segment that
+        starts at or before u, as :meth:`Schedule.value` reads it."""
+        self._check(u, v)
+        best = np.zeros(self.S.shape)
+        seen = np.zeros(self.S.shape, dtype=bool)
+        point = u == v
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for seg, lo, hi in self._pieces(u, v):
+                _, t0, t1, _, _ = seg
+                start = self._by_kind(seg, _segment_value, lo)
+                end = self._by_kind(seg, _segment_value, hi)
+                peak = np.where(end > start, end, start)
+                inside = lo < hi
+                best = np.where(inside & (~seen | (peak > best)), peak, best)
+                seen |= inside
+                best = np.where(point & (t0 < t1) & (t0 <= u), start, best)
+        return best
+
     @property
     def eta_max(self) -> np.ndarray:
-        """Elementwise Schedule.eta_max, with the comparisons of Python's max."""
-        best, seen = 0.0, np.zeros(self.S.shape, dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for kind, t0, t1, e0, e1 in self._pieces:
-                if kind == "constant":
-                    peak = e0
-                else:
-                    length = t1 - t0
-                    start = _linear_value(e0, e1, 0.0, length)
-                    end = _linear_value(e0, e1, length, length)
-                    peak = np.where(end > start, end, start)
-                present = t0 < t1
-                best = np.where(present & (~seen | (peak > best)), peak, best)
-                seen = seen | present
-        return best
+        """Elementwise :attr:`Schedule.eta_max`."""
+        return self.max_rate(0.0, self.S)
 
 
 def warmup_cosine_schedule(eta_max: float, a: float, S: float) -> Schedule:

@@ -497,6 +497,166 @@ class TestBadInput:
         assert match in err and "bad_law.json" in err
 
 
+    @pytest.mark.parametrize("value", ["1", True, None], ids=["str", "bool", "null"])
+    @pytest.mark.parametrize("where", ["predict", "rank", "pre"])
+    def test_config_field_not_a_number(self, tmp_path, law_file, capsys, where, value):
+        # predict read "1" and true as 1.0 and exited 0, rank ended in a
+        # TypeError traceback from the gate, and a pre block's message did
+        # not name the field
+        cfg = {"model_B": 0.58, "tokens_B": 10.0, "eta1": 6e-3, "eta2": 6e-3,
+               "a1_B": 1.0, "a2_B": 1.0, "a3_B": 1.0}
+        field = "eta1" if where == "pre" else "model_B"
+        if where == "pre":
+            cfg["pre"] = {**cfg, "eta1": value}
+        else:
+            cfg[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg if where == "predict" else [cfg]))
+        flag = "--config" if where == "predict" else "--configs"
+        command = "predict" if where == "predict" else "rank"
+        capsys.readouterr()
+        assert run_cli([command, "--law", law_file, flag, path]) == 1
+        captured = self.one_line_error(capsys)
+        assert f"config field {field!r} must be a number, got {json.dumps(value)}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["predict", "rank"])
+    def test_config_integer_too_large_for_a_float(self, tmp_path, law_file, capsys, command):
+        # ended in an OverflowError traceback
+        text = ('{"model_B": 0.58, "tokens_B": 1' + "0" * 400 + ', "eta1": 0.006, '
+                '"eta2": 0.006, "a1_B": 1.0, "a2_B": 1.0, "a3_B": 1.0}')
+        path = tmp_path / "cfg.json"
+        path.write_text(text if command == "predict" else f"[{text}]")
+        flag = "--config" if command == "predict" else "--configs"
+        capsys.readouterr()
+        assert run_cli([command, "--law", law_file, flag, path]) == 1
+        assert "field 'tokens_B' is too large for a float" in self.one_line_error(capsys).err
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"S": 1}', "missing field 'segments'"),
+        ("[1, 2]", "JSON object, not list"),
+        ('{"S": 1.0, "markers": [0, 0, 0], "segments": [{"kind": "linear", "t0": 0, '
+         '"t1": 1, "eta0": "a", "eta1": 0}]}', "field 'eta0' must be a number"),
+    ], ids=["missing-segments", "list", "string-rate"])
+    def test_simulate_malformed_schedule_file(self, tmp_path, capsys, text, match):
+        # each ended in a KeyError or TypeError traceback
+        path = tmp_path / "schedule.json"
+        path.write_text(text)
+        assert run_cli(["simulate", "--paths", 4, "--schedule-json", path]) == 1
+        captured = self.one_line_error(capsys)
+        assert match in captured.err and captured.out == ""
+
+
+DROP = object()  # a field left out of a config
+
+
+def _mixed_candidates(rng, n):
+    """Four-phase JSON configs at lr_scale 1: a tenth with a zero warmup at,
+    below or one ulp above the critical rate, a tenth with a tiny warmup whose
+    square is subnormal, short warmups and high peaks that diverge, and every
+    other config with a pre block."""
+    cfgs = []
+    for i in range(n):
+        S = float(rng.uniform(2.0, 60.0))
+        N = float(rng.uniform(0.05, 8.0))
+        a1, a2, a3 = (float(x) for x in np.sort(rng.uniform(0.0, 0.8, 3)) * S)
+        h1 = float(rng.uniform(0.02, 1.0))
+        h2 = float(rng.uniform(0.3, 1.0)) * h1 if a2 > a1 else h1
+        kind = i % 10
+        if kind == 0:  # zero warmup around the critical rate
+            thr = critical_rate(N, S)
+            h1 = h2 = (thr, 0.5 * thr, math.nextafter(thr, math.inf))[i // 10 % 3]
+            a1 = 0.0
+        elif kind == 1:  # a1^2 subnormal: the ratio overflows to inf
+            a1 = 1e-160
+        cfg = {"model_B": N, "tokens_B": S, "eta1": h1, "eta2": h2,
+               "a1_B": a1, "a2_B": a2, "a3_B": a3}
+        if i % 2:
+            cfg["pre"] = {**cfg, "model_B": 1.0, "tokens_B": 2.0 * S, "a3_B": a3 + S}
+        cfgs.append(cfg)
+    return cfgs
+
+
+class TestRankRoute:
+    """rank reads its configs into one table and gates them elementwise."""
+
+    @pytest.fixture()
+    def unit_law(self, tmp_path):
+        # lr_scale 1: JSON rates are the normalized rates the gate sees
+        path = tmp_path / "unit_law.json"
+        path.write_text(FittedLaw(c=reference_law().c, lr_scale=1.0).to_json())
+        return path
+
+    @pytest.mark.parametrize("mode", ["pretrain", "continual"])
+    def test_rank_builds_no_schedule_per_config(self, tmp_path, monkeypatch, capsys, mode):
+        cfgs = _mixed_candidates(np.random.default_rng(71), 200)
+        if mode == "continual":
+            cfgs = [c for c in cfgs if "pre" in c]
+        law = tmp_path / "law.json"
+        law.write_text(FittedLaw(c=reference_law().c, lr_scale=1.0, mode=mode).to_json())
+        path = tmp_path / "cfgs.json"
+        path.write_text(json.dumps(cfgs))
+        capsys.readouterr()
+        calls = count_per_config_calls(monkeypatch)
+        assert run_cli(["rank", "--law", law, "--configs", path]) == 0
+        assert not any(calls.values()), calls  # no per-config call of any kind
+        verdicts = {row["verdict"] for row in json.loads(capsys.readouterr().out)}
+        assert verdicts == {"ok", "unpriced", "diverge"}
+
+    def test_rows_equal_the_scalar_gate(self, tmp_path, unit_law, capsys):
+        cfgs = _mixed_candidates(np.random.default_rng(73), 200)
+        path = tmp_path / "cfgs.json"
+        path.write_text(json.dumps(cfgs))
+        capsys.readouterr()
+        assert run_cli(["rank", "--law", unit_law, "--configs", path]) == 0
+        table = json.loads(capsys.readouterr().out)
+        seen = set()
+        for row in table:
+            cfg = cfgs[row["index"]]
+            s = build_general_schedule(*(cfg[k] for k in cli.SCHEDULE_FIELDS))
+            gate = gated_criterion(s.eta_max, s.markers[0], cfg["model_B"], s.S)
+            assert row["R"] == (gate.R if math.isfinite(gate.R) else None)
+            assert row["eta_L"] == gate.eta_L
+            assert (row["verdict"] == "diverge") == (gate.verdict == "diverge")
+            seen.add((cfg["a1_B"] == 0.0, gate.R))
+        assert (True, 0.0) in seen and (True, math.inf) in seen  # both zero-warmup cases
+        assert any(cfg["a1_B"] == 1e-160 for cfg in cfgs)
+
+    @pytest.mark.parametrize("changes, message", [
+        ([{}, {"pre": {"a1_B": 5.0}}, {"a1_B": 4.0, "a2_B": 2.0}],
+         "markers must satisfy 0 <= a1 <= a2 <= a3 <= S, got (5.0, 1.0, 1.0)"),
+        ([{"a1_B": 2.0, "pre": {"a1_B": 5.0}}],
+         "markers must satisfy 0 <= a1 <= a2 <= a3 <= S, got (2.0, 1.0, 1.0)"),
+        ([{"model_B": "x"}, {"eta1": None}], "config field 'model_B' must be a number"),
+        ([{}, {"a1_B": 2.0}, {"tokens_B": DROP}],
+         "markers must satisfy 0 <= a1 <= a2 <= a3 <= S, got (2.0, 1.0, 1.0)"),
+        ([{}, {"tokens_B": DROP}, {"a1_B": 2.0}], "config is missing field 'tokens_B'"),
+        ([{}, {"eta1": 0.0, "eta2": 0.0}, {"model_B": 0.0}],
+         "criterion inputs must be finite and strictly positive, got eta_max=0.0"),
+        ([{}, {"model_B": 0.0, "a1_B": 0.0}, {"eta1": 0.0, "eta2": 0.0}],
+         "N and S must be finite and strictly positive, got N=0.0"),
+        ([{}, {"a1_B": 1e-170}], "warmup a1=1e-170 is too small"),
+    ], ids=["pre-block-first", "schedule-before-its-pre-block", "typed-field-first",
+            "schedule-first", "missing-field-first", "gate-first", "critical-rate-first",
+            "warmup-square-underflows"])
+    def test_first_error_comes_from_the_first_bad_config(self, tmp_path, unit_law, capsys,
+                                                         changes, message):
+        base = {"model_B": 0.58, "tokens_B": 10.0, "eta1": 0.3, "eta2": 0.3,
+                "a1_B": 1.0, "a2_B": 1.0, "a3_B": 1.0}
+        change = lambda d: {k: v for k, v in {**base, **d}.items() if v is not DROP}
+        cfgs = []
+        for c in changes:
+            cfg = change({k: v for k, v in c.items() if k != "pre"})
+            if "pre" in c:
+                cfg["pre"] = change(c["pre"])
+            cfgs.append(cfg)
+        path = tmp_path / "cfgs.json"
+        path.write_text(json.dumps(cfgs))
+        capsys.readouterr()
+        assert run_cli(["rank", "--law", unit_law, "--configs", path]) == 1
+        assert f"error: {message}" in TestBadInput.one_line_error(capsys).err
+
+
 class TestStartup:
     @staticmethod
     def after_import(expr: str) -> str:

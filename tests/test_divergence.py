@@ -11,6 +11,7 @@ from optlaws.divergence import (
     criterion_R,
     critical_rate,
     divergence_ratio,
+    gated_criteria,
     gated_criterion,
 )
 from optlaws.features import Normalizer
@@ -123,6 +124,41 @@ class TestCriterion:
                     gated_criterion(0.4, warmup, N, S, params)
             with pytest.raises(ValueError):
                 criterion_R(0.4, 1.0, N, S, params)
+
+
+class TestGatedCriteria:
+    """The array gate equals the scalar gate element by element."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats(1e-3, 2.0),  # peak rate
+        st.sampled_from([0.0, 1e-160]) | st.floats(1e-3, 20.0),  # warmup, zero or tiny too
+        st.floats(0.05, 10.0), st.floats(0.5, 100.0),  # N, S
+        st.sampled_from([None, "at", "above"]),  # peak at or one ulp above the critical rate
+    ), min_size=1, max_size=20))
+    def test_elements_equal_gated_criterion(self, rows):
+        cols = []
+        for h, a, N, S, edge in rows:
+            if edge is not None:
+                h = critical_rate(N, S)
+                h = h if edge == "at" else math.nextafter(h, math.inf)
+            cols.append((h, a, N, S))
+        R, eta_L = gated_criteria(*(np.array(c) for c in zip(*cols)))
+        for args, r, e in zip(cols, R.tolist(), eta_L.tolist()):
+            want = gated_criterion(*args)
+            assert (r, e) == (want.R, want.eta_L)
+
+    @pytest.mark.parametrize("rows, match", [
+        ([(0.4, 1.0, 1.0, 10.0), (0.0, 1.0, 1.0, 10.0), (0.4, 0.0, 0.0, 10.0)],
+         "criterion inputs must be finite and strictly positive, got eta_max=0.0"),
+        ([(0.4, 1.0, 1.0, 10.0), (0.4, 0.0, 0.0, 10.0), (0.0, 1.0, 1.0, 10.0)],
+         "N and S must be finite and strictly positive, got N=0.0"),
+        ([(0.4, 1.0, 1.0, 10.0), (0.4, 1e-170, 1.0, 10.0)], "a1\\^2 underflows to 0"),
+        ([(1e-100, 1e-100, 4.0, 100.0)], "c3 \\* a1\\^2 \\* eta_L\\^2 underflows to 0"),
+    ])
+    def test_first_invalid_config_raises_its_error(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            gated_criteria(*(np.array(c) for c in zip(*rows)))
 
 
 class TestRatioUnderflow:

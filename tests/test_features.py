@@ -19,14 +19,14 @@ from optlaws.features import (
     compute_features,
     default_markers,
     feature_matrix,
-    general_schedule_bases,
     marker_policy,
+    rule_bases,
     schedule_bases,
 )
 from optlaws.schedule import (
-    GeneralScheduleBatch,
     Schedule,
     ScheduleError,
+    ScheduleTable,
     Segment,
     build_general_schedule,
     warmup_const_cooldown_schedule,
@@ -203,6 +203,11 @@ class TestComputeFeatures:
             compute_features(s, MarkerPolicy(2.0, 12.0, 2.0, 2.0), 4.0)
 
 
+def four_phase_bases(eta1, eta2, a1, a2, a3, S, rule):
+    """rule_bases of four-phase configurations given as columns."""
+    return rule_bases(ScheduleTable.four_phase(eta1, eta2, a1, a2, a3, S), rule)
+
+
 def random_four_phase_arrays(rng, n):
     """Four-phase configs as arrays, with every kind of zero-length phase."""
     S = rng.uniform(1.0, 60.0, n)
@@ -218,12 +223,12 @@ def random_four_phase_arrays(rng, n):
     return h1, h2, a1, a2, a3, S
 
 
-class TestGeneralScheduleBases:
+class TestScheduleTable:
     @pytest.mark.parametrize("rule", sorted(MARKER_RULES))
     def test_batch_equals_scalar_bases_exactly(self, rule):
         rng = np.random.default_rng(31)
         cols = random_four_phase_arrays(rng, 3000)
-        got = general_schedule_bases(*cols, rule)
+        got = four_phase_bases(*cols, rule)
         for i, args in enumerate(zip(*(c.tolist() for c in cols))):
             s = build_general_schedule(*args)
             want = schedule_bases(s, marker_policy(rule, s))
@@ -235,15 +240,15 @@ class TestGeneralScheduleBases:
             np.array([3.0, 3.0, 3.0]), np.array([10.0, 10.0, 10.0]),
         ]
         with pytest.raises(ScheduleError, match="markers must satisfy"):
-            GeneralScheduleBatch(*cols)
+            ScheduleTable.four_phase(*cols)
         cols[2] = np.array([1.0, 1.0, 1.0])
         cols[1] = np.array([0.5, -0.1, 0.5])
         with pytest.raises(ScheduleError, match="rates must be nonnegative"):
-            GeneralScheduleBatch(*cols)
+            ScheduleTable.four_phase(*cols)
         cols[1] = np.array([0.5, 0.5, 0.4])  # h1 -> h2 jump where the decay phase is empty
         cols[3] = cols[2]
         with pytest.raises(ScheduleError, match="eta discontinuous"):
-            GeneralScheduleBatch(*cols)
+            ScheduleTable.four_phase(*cols)
 
     @pytest.mark.parametrize("config", [
         (inf, inf, 1.0, 1.0, 1.0, 4.0),  # infinite peak
@@ -263,9 +268,9 @@ class TestGeneralScheduleBases:
             want = build_general_schedule(*config)
         except ScheduleError as err:
             with pytest.raises(ScheduleError, match=f"^{re.escape(str(err))}$"):
-                GeneralScheduleBatch(*cols)
+                ScheduleTable.four_phase(*cols)
             return
-        batch = GeneralScheduleBatch(*cols)
+        batch = ScheduleTable.four_phase(*cols)
         assert batch.eta_max[1] == want.eta_max
         for functional in ("eta", "deta_sq"):
             assert batch.integral(0.0, batch.S, functional)[1] == want.integral(0.0, want.S, functional)
@@ -278,7 +283,7 @@ class TestFeatureMatrix:
         a = rng.uniform(0.02, 0.8, 50) * S
         h = rng.uniform(0.05, 1.0, 50)
         N = rng.uniform(0.05, 8.0, 50)
-        F, ok = feature_matrix(general_schedule_bases(h, h, a, a, a, S, "a1/a3/a2"), S, N)
+        F, ok = feature_matrix(four_phase_bases(h, h, a, a, a, S, "a1/a3/a2"), S, N)
         assert F.shape == (50, 16) and ok.all()
         expected = [linear_family_expected(*args) for args in zip(a, h, S, N)]
         np.testing.assert_allclose(F, expected, rtol=1e-12)
@@ -290,7 +295,7 @@ class TestFeatureMatrix:
         a2 = rng.uniform(a1 / S + 0.05, 0.9) * S
         h = rng.uniform(0.05, 1.0, 50)
         N = rng.uniform(0.05, 8.0, 50)
-        bases = general_schedule_bases(h, h, a1, a1, a2, S, "all-a1")
+        bases = four_phase_bases(h, h, a1, a1, a2, S, "all-a1")
         F, ok = feature_matrix(bases, S, N)
         assert ok.all()
         expected = [const_family_expected(*args) for args in zip(a1, a2, h, S, N)]
@@ -302,7 +307,7 @@ class TestFeatureMatrix:
         inside = (cols[2] > 0) & (cols[4] < cols[5])  # warmup and cooldown keep rows in domain
         ok_cols = [c[inside] for c in cols]
         N = rng.uniform(0.05, 8.0, len(ok_cols[0]))
-        F, ok = feature_matrix(general_schedule_bases(*ok_cols, "a1/a3/a2"), ok_cols[5], N)
+        F, ok = feature_matrix(four_phase_bases(*ok_cols, "a1/a3/a2"), ok_cols[5], N)
         assert ok.all()
         for row, args, n in zip(F, zip(*(c.tolist() for c in ok_cols)), N):
             s = build_general_schedule(*args)
@@ -312,7 +317,7 @@ class TestFeatureMatrix:
         h = np.array([0.4, 0.4, 0.4])
         a = np.array([2.0, 0.0, 3.0])
         S = np.array([10.0, 10.0, 10.0])
-        F, ok = feature_matrix(general_schedule_bases(h, h, a, a, a, S, "a1/a3/a2"), S, 4.0)
+        F, ok = feature_matrix(four_phase_bases(h, h, a, a, a, S, "a1/a3/a2"), S, 4.0)
         assert ok.tolist() == [True, False, True]
         assert np.isfinite(F[ok]).all()
 

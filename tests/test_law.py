@@ -13,6 +13,7 @@ from optlaws.law import (
     DIVERGED_LOSS,
     REFERENCE_COEFFICIENTS,
     FittedLaw,
+    ConfigBatch,
     LawFitError,
     PretrainContext,
     RunConfig,
@@ -41,6 +42,11 @@ GRID = dict(
     token_sizes=(3.0, 10.0),
     model_sizes=(0.58, 4.05),
 )
+
+
+def rank_configs(law, configs, **kwargs):
+    """rank over the batch of a list of RunConfig."""
+    return rank(law, ConfigBatch.from_configs(configs), **kwargs)
 
 
 def _config(h_norm, a_B, S_B, N, h2_norm=None, a2_B=None, a3_B=None):
@@ -218,18 +224,18 @@ class TestRank:
             f = compute_features(cfg.schedule, default_markers(cfg.schedule), cfg.N)
             oracle.append((float(np.dot(REFERENCE_COEFFICIENTS, f.values)), i))
         expected = [i for _, i in sorted(oracle)]
-        ranked = rank(law, configs)
+        ranked = rank_configs(law, configs)
         assert [r.verdict for r in ranked] == ["ok"] * 3
         assert [r.index for r in ranked] == expected
 
     def test_singleton(self):
         law = reference_law()
-        ranked = rank(law, [_config(0.4, 2.0, 10.0, 0.5)])
+        ranked = rank_configs(law, [_config(0.4, 2.0, 10.0, 0.5)])
         assert len(ranked) == 1 and ranked[0].verdict == "ok"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            rank(reference_law(), [])
+            rank_configs(reference_law(), [])
 
     def test_zero_warmup_gated_at_critical_rate(self):
         # with no warmup only a peak at or below the critical rate is stable;
@@ -242,7 +248,7 @@ class TestRank:
                       N=0.58, pre=pre)
             for h in (eta_crit, math.nextafter(eta_crit, 1.0))
         )
-        ok, gated = rank(law, [hot, cool])
+        ok, gated = rank_configs(law, [hot, cool])
         assert (ok.index, ok.verdict, ok.R, ok.eta_L) == (1, "ok", 0.0, eta_crit)
         assert (gated.index, gated.verdict, gated.R, gated.eta_L) == (
             0, "diverge", math.inf, eta_crit)
@@ -259,7 +265,7 @@ class TestRank:
             _config(0.1, 2.0, 10.0, 4.05),
             _config(0.2, 2.0, 10.0, 4.05),
         ]
-        ranked = rank(law, configs)
+        ranked = rank_configs(law, configs)
         assert [(r.index, r.verdict) for r in ranked][2:] == [(1, "unpriced"), (0, "diverge")]
         assert sorted(r.index for r in ranked[:2]) == [2, 3]
         assert all(r.verdict == "ok" for r in ranked[:2])
@@ -273,7 +279,7 @@ class TestRank:
         law = reference_law()
         hot = _config(0.9, 0.05, 3.0, 4.05)  # high peak, tiny warmup
         cool = _config(0.1, 2.0, 10.0, 4.05)
-        ranked = rank(law, [hot, cool])
+        ranked = rank_configs(law, [hot, cool])
         assert ranked[-1].index == 0 and ranked[-1].verdict == "diverge"
         assert ranked[-1].R > 1.0
         assert ranked[0].verdict == "ok"
@@ -286,7 +292,7 @@ class TestRank:
             _config(0.2, 1.0, 10.0, 0.5),
             _config(0.2, 1.0, 10.0, 0.5),
         ]
-        ranked = rank(law, configs)
+        ranked = rank_configs(law, configs)
         assert [r.verdict for r in ranked] == ["ok"] * 4
         assert [r.index for r in ranked] == [2, 3, 1, 0]
 
@@ -300,8 +306,8 @@ class TestRank:
             _config(0.15, 2.0, 10.0, 0.58),
             _config(0.3, 3.0, 10.0, 0.5),
         ]
-        base = rank(law, configs)
-        moved = rank(shifted, configs)
+        base = rank_configs(law, configs)
+        moved = rank_configs(shifted, configs)
         assert all(r.verdict == "ok" for r in base)
         assert [r.index for r in base] == [r.index for r in moved]
         for rb, rm in zip(base, moved):
@@ -443,7 +449,7 @@ class TestOneRoute:
         runs = _random_runs(61)
         configs = [RunConfig(build_general_schedule(*r[:6]), r[6]) for r in runs]
         general = general_log_losses(law, *(np.array(col) for col in zip(*runs)))
-        ok = [r for r in rank(law, configs) if r.verdict == "ok"]
+        ok = [r for r in rank_configs(law, configs) if r.verdict == "ok"]
         assert len(ok) >= len(runs) // 2
         for r in ok:
             want = predict(law, configs[r.index])["log_loss"]
@@ -455,7 +461,7 @@ class TestOneRoute:
         pre = PretrainContext(build_general_schedule(0.3, 0.3, 1.0, 1.0, 1.0, 20.0))
         configs = [RunConfig(build_general_schedule(*r[:6]), r[6], pre)
                    for r in _random_runs(67)]
-        ok = [r for r in rank(law, configs) if r.verdict == "ok"]
+        ok = [r for r in rank_configs(law, configs) if r.verdict == "ok"]
         assert len(ok) >= len(configs) // 2
         for r in ok:
             assert r.log_loss == predict(law, configs[r.index])["log_loss"]
@@ -481,12 +487,12 @@ class TestOneRoute:
         for h1, h2, f1, f2, f3, S, N in runs:
             a1, a2, a3 = f1 * S, (f1 + f2) * S, (f1 + f2 + f3) * S
             configs.append(RunConfig(build_general_schedule(h1, h2, a1, a2, a3, S), N))
-        full = {r.index: r.log_loss for r in rank(law, configs)}
+        full = {r.index: r.log_loss for r in rank_configs(law, configs)}
         for i, cfg in enumerate(configs):
-            assert rank(law, [cfg])[0].log_loss == full[i]
+            assert rank_configs(law, [cfg])[0].log_loss == full[i]
         drop = data.draw(st.integers(0, len(configs) - 1))
         kept = [i for i in range(len(configs)) if i != drop]
-        for r in rank(law, [configs[i] for i in kept]):
+        for r in rank_configs(law, [configs[i] for i in kept]):
             assert r.log_loss == full[kept[r.index]]
 
 

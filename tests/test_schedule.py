@@ -12,6 +12,7 @@ from optlaws.schedule import (
     SEGMENT_KINDS,
     Schedule,
     ScheduleError,
+    ScheduleTable,
     Segment,
     build_general_schedule,
     warmup_cosine_schedule,
@@ -322,7 +323,54 @@ class TestScheduleProperties:
             )
 
 
+class TestScheduleTableExact:
+    """Every element of a table of schedules equals the Schedule method."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_table_equals_schedules(self, data):
+        rows = data.draw(st.lists(schedules(), min_size=1, max_size=4))
+        table = ScheduleTable.from_schedules(rows)
+        # per row: two of its split points, and a joint (or an end) for u == v
+        points = [data.draw(split_points(s)) for s in rows]
+        joints = [data.draw(st.sampled_from([g.t0 for g in s.segments] + [s.S])) for s in rows]
+        u = np.array([p[0] for p in points])
+        v = np.array([p[2] for p in points])
+        at = np.array(joints)
+        for functional in ("eta", "deta_sq"):
+            got = table.integral(u, v, functional).tolist()
+            assert got == [s.integral(a, b, functional) for s, a, b in zip(rows, u, v)]
+            whole = table.integral(0.0, table.S, functional).tolist()
+            assert whole == [s.integral(0.0, s.S, functional) for s in rows]
+        assert table.max_rate(u, v).tolist() == [s.max_rate(a, b) for s, a, b in zip(rows, u, v)]
+        assert table.max_rate(at, at).tolist() == [s.max_rate(a, a) for s, a in zip(rows, at)]
+        assert table.eta_max.tolist() == [s.eta_max for s in rows]
+
+    def test_interval_outside_domain_rejected(self):
+        table = ScheduleTable.from_schedules([build_general_schedule(
+            0.4, 0.4, 1.0, 1.0, 1.0, 5.0)] * 2)
+        with pytest.raises(ScheduleError, match="row 1"):
+            table.integral(0.0, np.array([5.0, 6.0]), "eta")
+        with pytest.raises(ScheduleError, match="eta and deta_sq"):
+            table.integral(0.0, 1.0, "eta_sq")
+
+
 class TestJson:
+    @pytest.mark.parametrize("text, match", [
+        ('{"S": 1}', "missing field 'segments'"),
+        ('[1, 2]', "JSON object, not list"),
+        ('{"S": 1.0, "markers": [0, 0, 0], "segments": [{"kind": "linear", "t0": 0, '
+         '"t1": 1, "eta0": "a", "eta1": 0}]}', "field 'eta0' must be a number, got \"a\""),
+        ('{"S": true, "markers": [0, 0, 0], "segments": []}', "field 'S' must be a number"),
+        ('{"S": 1, "markers": [0, 0], "segments": []}', "'markers' holds 3 numbers, not 2"),
+        ('{"S": 1, "markers": [0, 0, 0], "segments": [[0, 1]]}', "malformed schedule file"),
+        ('{"S": 1' + "0" * 400 + ', "markers": [0, 0, 0], "segments": []}',
+         "field 'S' is too large for a float"),
+    ])
+    def test_malformed_payload_names_the_field(self, text, match):
+        with pytest.raises(ScheduleError, match=match):
+            Schedule.from_json(text)
+
     def test_round_trip_preserves_values(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
