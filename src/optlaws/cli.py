@@ -41,7 +41,7 @@ from .law import (
     rank,
 )
 from .numerics import adaptive_simpson
-from .schedule import Schedule, ScheduleError, ScheduleTable, build_general_schedule
+from .schedule import Schedule, ScheduleTable, build_general_schedule
 from .sde.objectives import CATALOG
 
 __all__ = ["main", "sweep_grid", "read_runs_csv"]
@@ -160,21 +160,12 @@ def _load_config(cfg, normalizer: Normalizer) -> RunConfig:
 def _load_candidates(cfgs: list, normalizer: Normalizer) -> ConfigBatch:
     """JSON configs as one batch, read field by field into columns: a table
     of their schedules and one of their pre blocks (a config without a pre
-    block fills its row with its own schedule).
-
-    A bad config makes the one-config reader replay the configs in input
-    order, so the error is the one the first bad config gives.
-    """
-    try:
-        table = ScheduleTable.four_phase(*_schedule_columns(cfgs, normalizer))
-        has_pre = [cfg.get("pre") is not None for cfg in cfgs]
-        pre = ScheduleTable.four_phase(*_schedule_columns(
-            [cfg["pre"] if p else cfg for cfg, p in zip(cfgs, has_pre)], normalizer))
-        (N,) = _read_fields(cfgs, ["model_B"])
-    except (DataError, ScheduleError):
-        for cfg in cfgs:
-            _load_config(cfg, normalizer)
-        raise
+    block fills its row with its own schedule)."""
+    table = ScheduleTable.four_phase(*_schedule_columns(cfgs, normalizer))
+    has_pre = [cfg.get("pre") is not None for cfg in cfgs]
+    pre = ScheduleTable.four_phase(*_schedule_columns(
+        [cfg["pre"] if p else cfg for cfg, p in zip(cfgs, has_pre)], normalizer))
+    (N,) = _read_fields(cfgs, ["model_B"])
     return ConfigBatch(table, np.array(N, dtype=float), pre, np.where(has_pre, pre.S, np.nan))
 
 
@@ -298,8 +289,19 @@ def _cmd_rank(args) -> int:
         cfgs = json.load(fh)
     if not isinstance(cfgs, list) or not cfgs:
         raise DataError(f"{args.configs}: need a nonempty JSON list of configs")
-    batch = _load_candidates(cfgs, Normalizer(law.lr_scale))
-    ranked = rank(law, batch, gate=_gate_from_args(args))
+    normalizer = Normalizer(law.lr_scale)
+    try:
+        ranked = rank(law, _load_candidates(cfgs, normalizer), gate=_gate_from_args(args))
+    except (DataError, ValueError):
+        # Replay the one-config route in input order: each config, the gate
+        # overrides, then the gate on each config.  It raises the error of the
+        # first bad config, naming its numbers as the file writes them (the
+        # columns hold floats: a horizon of 10 would read 10.0).
+        configs = [_load_config(cfg, normalizer) for cfg in cfgs]
+        gate = _gate_from_args(args)
+        for c in configs:
+            gated_criterion(c.schedule.eta_max, c.schedule.markers[0], c.N, c.schedule.S, gate)
+        raise
     table = [
         {
             "rank": i + 1,

@@ -101,6 +101,9 @@ def write_inputs(directory: str) -> None:
             _candidates()[0], _config(0.58, 10.0, 0.0, 0.0, 1.0, 1.0, 1.0),
             _config(0.0, 10.0, 0.3, 0.3, 1.0, 1.0, 1.0),
         ]),
+        # the gate refuses a negative model size, named as written (-1, 10)
+        "bad_gate_int.json": json.dumps([
+            _candidates()[0], _config(-1, 10, 0.3, 0.3, 0.0, 1.0, 1.0)]),
         # continual rescaling refuses a zero tail peak; integer horizon
         "config_refused.json": json.dumps({
             **_config(4.05, 10, 0.4, 0.0, 1.0, 3.0, 6.0),
@@ -127,6 +130,8 @@ COMMANDS = {
                               "--configs", "{dir}/bad_order.json"],
     "rank_first_bad_gate": ["rank", "--law", "{dir}/law_pretrain.json",
                             "--configs", "{dir}/bad_gate.json"],
+    "rank_gate_error_integers": ["rank", "--law", "{dir}/law_pretrain.json",
+                                 "--configs", "{dir}/bad_gate_int.json"],
     "predict_refused": ["predict", "--law", "{dir}/law_continual.json",
                         "--config", "{dir}/config_refused.json"],
 }

@@ -636,9 +636,11 @@ class TestRankRoute:
         ([{}, {"model_B": 0.0, "a1_B": 0.0}, {"eta1": 0.0, "eta2": 0.0}],
          "N and S must be finite and strictly positive, got N=0.0"),
         ([{}, {"a1_B": 1e-170}], "warmup a1=1e-170 is too small"),
+        ([{}, {"model_B": -1, "a1_B": 0.0, "tokens_B": 10}],
+         "N and S must be finite and strictly positive, got N=-1, S=10"),
     ], ids=["pre-block-first", "schedule-before-its-pre-block", "typed-field-first",
             "schedule-first", "missing-field-first", "gate-first", "critical-rate-first",
-            "warmup-square-underflows"])
+            "warmup-square-underflows", "integers-named-as-written"])
     def test_first_error_comes_from_the_first_bad_config(self, tmp_path, unit_law, capsys,
                                                          changes, message):
         base = {"model_B": 0.58, "tokens_B": 10.0, "eta1": 0.3, "eta2": 0.3,
