@@ -44,9 +44,9 @@ GRID = dict(
 )
 
 
-def rank_configs(law, configs, **kwargs):
+def rank_configs(law, configs):
     """rank over the batch of a list of RunConfig."""
-    return rank(law, ConfigBatch.from_configs(configs), **kwargs)
+    return rank(law, ConfigBatch.from_configs(configs))
 
 
 def _config(h_norm, a_B, S_B, N, h2_norm=None, a2_B=None, a3_B=None):
