@@ -466,6 +466,22 @@ class TestOneRoute:
         for r in ok:
             assert r.log_loss == predict(law, configs[r.index])["log_loss"]
 
+    @pytest.mark.parametrize("mode", ["pretrain", "continual"])
+    def test_cosine_schedules_rank_as_predict_prices_them(self, mode):
+        # cosine and four-phase rows in one table, and a pre-training run
+        # stopped before its own horizon
+        law = replace(reference_law(), mode=mode)
+        pre = PretrainContext(warmup_cosine_schedule(0.3, 2.0, 20.0), 15.0)
+        configs = []
+        for i, (h1, _, a1, a2, a3, S, N) in enumerate(_random_runs(71)):
+            s = (warmup_cosine_schedule(h1, a1, S) if i % 2
+                 else build_general_schedule(h1, h1, a1, a2, a3, S))
+            configs.append(RunConfig(s, N, pre))
+        ok = [r for r in rank_configs(law, configs) if r.verdict == "ok"]
+        assert len(ok) >= len(configs) // 2
+        for r in ok:
+            assert r.log_loss == predict(law, configs[r.index])["log_loss"]
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
