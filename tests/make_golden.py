@@ -1,22 +1,26 @@
 """Write tests/golden/manifest.json: the bytes the golden commands give.
 
-    PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py          # rewrite the manifest
+    PYTHONPATH=src python tests/make_golden.py --check  # list moved entries
 
 Each command runs in-process through ``optlaws.cli.main`` on the inputs
 :func:`write_inputs` puts in a scratch directory.  For each one the manifest
 records the argv (with ``{dir}`` for the input directory and ``{out}`` for
 the ``--out`` file), the exit code, and the sha256 and length of stdout,
-stderr and the ``--out`` file; ``tests/test_golden.py`` reruns them and
-compares.  It also records the numpy and scipy versions, since numpy's
+stderr and the ``--out`` file, with the input directory written as ``{dir}``
+in stdout and stderr; ``tests/test_golden.py`` reruns them and compares.  It also records the numpy and scipy versions, since numpy's
 elementwise powers can round differently from one release to the next.
 
 A change that alters an output on purpose reruns this script and says which
-entries moved and why.
+entries moved and why.  ``--check`` prints the entries whose bytes differ
+from the manifest, one name a line, and exits 1 if there are any; it writes
+nothing.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -32,8 +36,12 @@ from optlaws import cli
 from optlaws.divergence import critical_rate
 from optlaws.law import reference_law
 
-MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "manifest.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+MANIFEST = os.path.join(HERE, "golden", "manifest.json")
+RUNS_CSV = os.path.join(HERE, "fixtures", "synthetic_runs.csv")
 LR_SCALE = 1.5e-2
+# the run-log sizes of runs_steps.csv are step counts of this many tokens
+TOKEN_LENGTH, BATCH = 2048, 512
 
 
 def _config(model, tokens, eta1, eta2, a1, a2, a3, **extra) -> dict:
@@ -79,10 +87,30 @@ def _continual_candidates() -> list[dict]:
     return cfgs
 
 
+def _runs_as_steps() -> str:
+    """The fixture run log with its sizes given as steps of TOKEN_LENGTH x BATCH
+    tokens, as ``fit --token-length --batch`` reads them."""
+    with open(RUNS_CSV, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    per_step = TOKEN_LENGTH * BATCH / 1e9
+    for row in rows:
+        for key in ("tokens_B", "a1_B", "a2_B", "a3_B"):
+            row[key] = repr(float(row[key]) / per_step)
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def write_inputs(directory: str) -> None:
-    """Write the laws and configs the golden commands read."""
+    """Write the laws, configs and run logs the golden commands read."""
     law = reference_law()
+    with open(RUNS_CSV, encoding="utf-8") as fh:
+        runs = fh.read()
     files = {
+        "runs.csv": runs,
+        "runs_steps.csv": _runs_as_steps(),
         "law_pretrain.json": law.to_json(),
         "law_continual.json": law.as_continual().to_json(),
         "candidates.json": json.dumps(_candidates()),
@@ -134,6 +162,28 @@ COMMANDS = {
                                  "--configs", "{dir}/bad_gate_int.json"],
     "predict_refused": ["predict", "--law", "{dir}/law_continual.json",
                         "--config", "{dir}/config_refused.json"],
+    "check": ["check", "--eta-max", "0.4", "--warmup", "8.39", "--model", "4.05",
+              "--tokens", "100", "--out", "{out}"],
+    "check_raw_lr": ["check", "--eta-max", "0.006", "--raw-lr", "--warmup", "0.5",
+                     "--model", "0.58", "--tokens", "10", "--out", "{out}"],
+    "check_gate_overrides": ["check", "--eta-max", "0.9", "--warmup", "0.5", "--model", "0.58",
+                             "--tokens", "10", "--out", "{out}", "--gate-overrides",
+                             '{"c3_hat": 3000.0, "alpha1_hat": 0.25}'],
+    "sweep": ["sweep", "--law", "{dir}/law_pretrain.json", "--eta-max-range", "0.05:0.9:6",
+              "--warmup-range", "0.1:3:5", "--model", "0.58", "--tokens", "10",
+              "--out", "{out}"],
+    "sweep_gate_overrides": ["sweep", "--law", "{dir}/law_pretrain.json",
+                             "--eta-max-range", "0.05:0.9:6", "--warmup-range", "0.1:3:5",
+                             "--model", "4.05", "--tokens", "30", "--out", "{out}",
+                             "--gate-overrides", '{"c2_hat": 20.0, "c3_hat": 50.0}'],
+    "sweep_sentinel": ["sweep", "--law", "{dir}/law_pretrain.json", "--eta-max-range",
+                       "0.05:0.9:6", "--warmup-range", "0.01:0.5:3", "--model", "0.58",
+                       "--tokens", "10", "--out", "{out}", "--sentinel", "9.5"],
+    "fit": ["fit", "--runs", "{dir}/runs.csv", "--out", "{out}"],
+    "fit_no_escape_terms": ["fit", "--runs", "{dir}/runs.csv", "--out", "{out}",
+                            "--no-escape-terms"],
+    "fit_token_length_batch": ["fit", "--runs", "{dir}/runs_steps.csv", "--out", "{out}",
+                               "--token-length", str(TOKEN_LENGTH), "--batch", str(BATCH)],
 }
 
 
@@ -154,18 +204,31 @@ def run(argv: list[str], directory: str) -> dict:
     if os.path.exists(out):
         with open(out, "rb") as fh:
             written = _digest(fh.read())
-    return {"argv": argv, "exit": code, "stdout": _digest(stdout.getvalue().encode()),
-            "stderr": _digest(stderr.getvalue().encode()), "out": written}
+    # reports and messages that name an input or output file name it by {dir}
+    text = lambda f: _digest(f.getvalue().replace(directory, "{dir}").encode())
+    return {"argv": argv, "exit": code, "stdout": text(stdout), "stderr": text(stderr),
+            "out": written}
 
 
 def environment() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def main() -> int:
+def main(args=None) -> int:
+    check = (sys.argv[1:] if args is None else args) == ["--check"]
     with tempfile.TemporaryDirectory() as directory:
         write_inputs(directory)
         commands = {name: run(argv, directory) for name, argv in COMMANDS.items()}
+    if check:
+        with open(MANIFEST, encoding="utf-8") as fh:
+            recorded = json.load(fh)
+        if recorded["environment"] != environment():
+            print(f"recorded under {recorded['environment']}, running {environment()}",
+                  file=sys.stderr)
+        old = recorded["commands"]
+        moved = sorted(n for n in old.keys() | commands.keys() if old.get(n) != commands.get(n))
+        print("".join(f"{n}\n" for n in moved), end="")
+        return 1 if moved else 0
     os.makedirs(os.path.dirname(MANIFEST), exist_ok=True)
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         json.dump({"environment": environment(), "commands": commands}, fh,
