@@ -41,7 +41,7 @@ from .law import (
     rank,
 )
 from .numerics import adaptive_simpson
-from .schedule import Schedule, ScheduleTable, build_general_schedule
+from .schedule import Schedule, ScheduleTable, build_general_schedule, json_input
 from .sde.objectives import CATALOG
 
 __all__ = ["main", "sweep_grid", "read_runs_csv"]
@@ -76,9 +76,11 @@ def read_runs_csv(path: str, token_length=None, batch=None) -> list[RunRecord]:
     """Parse a run-log CSV into records.
 
     Default columns carry sizes pre-converted to billions of tokens; when
-    ``token_length`` and ``batch`` are given, the size columns are raw step
-    counts, converted to billions here and nowhere else.
+    ``token_length`` and ``batch`` are given (one alone is an error), the size
+    columns are raw step counts, converted to billions here and nowhere else.
     """
+    if (token_length is None) != (batch is None):
+        raise DataError("--token-length and --batch go together: give both or neither")
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -89,7 +91,7 @@ def read_runs_csv(path: str, token_length=None, batch=None) -> list[RunRecord]:
         for lineno, row in enumerate(reader, start=2):
             try:
                 vals = {k: float(row[k]) for k in RUNS_COLUMNS[:-1]}
-                if token_length is not None and batch is not None:
+                if token_length is not None:
                     for key in ("tokens_B", "a1_B", "a2_B", "a3_B"):
                         vals[key] = Normalizer.tokens_billions(vals[key], token_length, batch)
                 records.append(RunRecord(**vals, diverged=int(row["diverged"]) != 0))
@@ -111,31 +113,9 @@ SCHEDULE_FIELDS = ("eta1", "eta2", "a1_B", "a2_B", "a3_B", "tokens_B")
 
 
 def _read_fields(cfgs: list, fields) -> list[list]:
-    """The named fields of JSON configs, one list per field.
-
-    Refuses a config that is not an object, a missing field, and a value
-    that is not a JSON number a float can hold (a string, a bool, null, ...),
-    naming the field.  Numbers keep their JSON type, int or float.
-    """
-    cols = []
-    for field in fields:
-        try:
-            col = [cfg[field] for cfg in cfgs]
-        except KeyError as exc:
-            raise DataError(f"config is missing field {exc}") from None
-        except TypeError as exc:  # a config that is not a JSON object
-            raise DataError(f"malformed config: {exc}") from None
-        types = set(map(type, col))
-        if not types <= {int, float}:
-            bad = next(x for x in col if type(x) not in (int, float))
-            raise DataError(f"config field {field!r} must be a number, got {json.dumps(bad)}")
-        if int in types:
-            try:
-                [float(x) for x in col]
-            except OverflowError:
-                raise DataError(f"config field {field!r} is too large for a float") from None
-        cols.append(col)
-    return cols
+    """The named number fields of JSON configs, one list per field."""
+    with json_input("config") as numbers:
+        return [numbers([cfg[field] for cfg in cfgs], field) for field in fields]
 
 
 def _schedule_columns(cfgs: list, normalizer: Normalizer) -> list[list]:
@@ -181,11 +161,10 @@ def _gate_from_args(args) -> DivergenceParams:
     known = DEFAULT_PARAMS.__dict__
     unknown = sorted(set(overrides) - set(known))
     if unknown:
-        raise DataError(
-            f"--gate-overrides: unknown parameter(s) {', '.join(unknown)}; "
-            f"known: {', '.join(known)}"
-        )
-    return DivergenceParams(**{**known, **overrides})
+        raise DataError(f"--gate-overrides: unknown parameter(s) {', '.join(unknown)}; "
+                        f"known: {', '.join(known)}")
+    with json_input("--gate-overrides") as numbers:
+        return DivergenceParams(**{**known, **{k: numbers([v], k)[0] for k, v in overrides.items()}})
 
 
 def sweep_grid(

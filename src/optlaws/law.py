@@ -33,6 +33,7 @@ from .features import (
     DEFAULT_POWERS,
     ESCAPE_INDICES,
     MARKER_RULES,
+    TERM_NAMES,
     FeatureError,
     FeatureVector,
     Normalizer,
@@ -40,7 +41,7 @@ from .features import (
     features_from_bases,
     rule_bases,
 )
-from .schedule import Schedule, ScheduleTable, build_general_schedule
+from .schedule import Schedule, ScheduleTable, build_general_schedule, json_input
 
 __all__ = [
     "DIVERGED_LOSS",
@@ -192,6 +193,13 @@ class FittedLaw:
         object.__setattr__(self, "powers", tuple(float(x) for x in self.powers))
         if len(self.c) != 16 or len(self.powers) != 16:
             raise ValueError("a law carries exactly 16 coefficients and powers")
+        for field in ("c", "powers"):
+            values = getattr(self, field)
+            if not all(map(math.isfinite, values)):
+                i = next(i for i, x in enumerate(values) if not math.isfinite(x))
+                raise ValueError(f"law {field}[{i}] ({TERM_NAMES[i]}) must be finite, got {values[i]}")
+        if type(self.escape_terms) is not bool:
+            raise ValueError(f"law field 'escape_terms' must be a bool, got {self.escape_terms!r}")
         if self.mode not in ("pretrain", "continual"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.policy_rule not in MARKER_RULES:
@@ -220,21 +228,17 @@ class FittedLaw:
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError(f"a law file holds a JSON object, not {type(d).__name__}")
-        try:
+        with json_input("law") as numbers:
             return cls(
-                c=tuple(d["c"]),
-                powers=tuple(d["powers"]),
-                lr_scale=d["lr_scale"],
+                c=tuple(numbers(d["c"], "c")),
+                powers=tuple(numbers(d["powers"], "powers")),
+                lr_scale=numbers([d["lr_scale"]], "lr_scale")[0],
                 policy_rule=d["policy"],
                 mode=d["mode"],
                 escape_terms=d.get("escape_terms", True),
-                residual_rms=d.get("residual_rms"),
-                condition_number=d.get("condition_number"),
+                **{k: None if d.get(k) is None else numbers([d[k]], k)[0]
+                   for k in ("residual_rms", "condition_number")},
             )
-        except KeyError as exc:
-            raise ValueError(f"law file is missing field {exc}") from None
-        except TypeError as exc:  # a field of the wrong type, e.g. a number for "c"
-            raise ValueError(f"malformed law file: {exc}") from None
 
 
 def reference_law() -> FittedLaw:

@@ -18,6 +18,7 @@ over arbitrary sub-intervals are exact up to float rounding.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from bisect import bisect_right
@@ -41,7 +42,39 @@ FUNCTIONALS = ("eta", "eta_sq", "deta_sq")
 
 
 class ScheduleError(ValueError):
-    """Invalid schedule construction or out-of-domain query."""
+    """Invalid schedule construction, out-of-domain query or malformed JSON input."""
+
+
+@contextlib.contextmanager
+def json_input(noun: str):
+    """A ``with`` block that reads the fields of a JSON ``noun``: "config" (one
+    entry of a file), "schedule" or "law" (what a whole file holds), or a flag.
+
+    The block gets ``numbers(values, field)``, the one reader of JSON numbers:
+    it returns the values of the named field if each is an int or a float (not
+    a bool) that a float can hold, as JSON wrote it.  Anything else, a missing
+    field and a value of the wrong shape raise one :class:`ScheduleError` line
+    naming the field.  Domain checks (finite, positive, ordered) are the caller's.
+    """
+    def numbers(values, field: str):
+        types = set(map(type, values))
+        if not types <= {int, float}:
+            bad = next(x for x in values if type(x) not in (int, float))
+            raise ScheduleError(f"{noun} field {field!r} must be a number, got {json.dumps(bad)}")
+        if int in types:
+            try:
+                [float(x) for x in values]
+            except OverflowError:  # an integer literal of more than 308 digits
+                raise ScheduleError(f"{noun} field {field!r} is too large for a float") from None
+        return values
+
+    what = noun if noun == "config" else f"{noun} file"
+    try:
+        yield numbers
+    except KeyError as exc:
+        raise ScheduleError(f"{what} is missing field {exc}") from None
+    except TypeError as exc:  # a list where an object belongs, or the like
+        raise ScheduleError(f"malformed {what}: {exc}") from None
 
 
 # Closed forms of one segment, written with arithmetic operators and np.sin
@@ -302,31 +335,15 @@ class Schedule:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ScheduleError(f"a schedule file holds a JSON object, not {type(payload).__name__}")
-        try:
+        with json_input("schedule") as numbers:
             segs = tuple(
-                Segment(d["kind"], *(_number(d[key], key) for key in ("t0", "t1", "eta0", "eta1")))
+                Segment(d["kind"], *(numbers([d[key]], key)[0] for key in ("t0", "t1", "eta0", "eta1")))
                 for d in payload["segments"]
             )
-            markers = tuple(_number(a, "markers") for a in payload["markers"])
+            markers = tuple(numbers(payload["markers"], "markers"))
             if len(markers) != 3:
                 raise ScheduleError(f"schedule field 'markers' holds 3 numbers, not {len(markers)}")
-            return cls(segs, _number(payload["S"], "S"), markers)
-        except KeyError as exc:
-            raise ScheduleError(f"schedule file is missing field {exc}") from None
-        except TypeError as exc:  # a list where an object belongs, or the like
-            raise ScheduleError(f"malformed schedule file: {exc}") from None
-
-
-def _number(x, field: str):
-    """x, which must be a JSON number (not a bool) a float can hold, from the
-    named field."""
-    if type(x) not in (int, float):
-        raise ScheduleError(f"schedule field {field!r} must be a number, got {json.dumps(x)}")
-    try:
-        float(x)
-    except OverflowError:  # an integer literal of more than 308 digits
-        raise ScheduleError(f"schedule field {field!r} is too large for a float") from None
-    return x
+            return cls(segs, numbers([payload["S"]], "S")[0], markers)
 
 
 def build_general_schedule(

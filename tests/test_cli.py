@@ -13,9 +13,9 @@ import optlaws
 from optlaws import cli
 from optlaws.cli import main, read_runs_csv, sweep_grid
 from optlaws.divergence import DEFAULT_PARAMS, critical_rate, gated_criterion
-from optlaws.law import FittedLaw, RunConfig, predict, reference_law
+from optlaws.law import REFERENCE_COEFFICIENTS, FittedLaw, RunConfig, predict, reference_law
 from optlaws.schedule import build_general_schedule
-from util import count_per_config_calls, fixture_corpus, records_to_csv
+from util import count_per_config_calls, fixture_corpus, law_text, records_to_csv
 
 
 def run_cli(args):
@@ -326,6 +326,29 @@ class TestBadInput:
                         "--tokens", 100, "--gate-overrides", '{"bogus": 1}']) == 1
         assert "bogus" in self.one_line_error(capsys).err
 
+    @pytest.mark.parametrize("command", ["check", "rank", "sweep"])
+    @pytest.mark.parametrize("value, match", [
+        ("true", "field 'c1_hat' must be a number, got true"),
+        ("1" + "0" * 400, "field 'c1_hat' is too large for a float"),
+    ], ids=["bool", "400-digits"])
+    def test_gate_override_not_a_number(self, tmp_path, law_file, capsys, command, value, match):
+        # true gated with c1_hat = 1.0 and exited 0; the integer ended in an
+        # OverflowError traceback
+        (tmp_path / "cfgs.json").write_text(json.dumps([{
+            "model_B": 0.58, "tokens_B": 10.0, "eta1": 6e-3, "eta2": 6e-3,
+            "a1_B": 1.0, "a2_B": 1.0, "a3_B": 1.0}]))
+        argv = {
+            "check": ["--eta-max", 0.4, "--warmup", 1, "--model", 1, "--tokens", 10],
+            "rank": ["--law", law_file, "--configs", tmp_path / "cfgs.json"],
+            "sweep": ["--law", law_file, "--eta-max-range", "0.1:0.5:3", "--warmup-range",
+                      "1:2:2", "--model", 1, "--tokens", 10, "--out", tmp_path / "g.csv"],
+        }[command]
+        capsys.readouterr()
+        assert run_cli([command, *argv, "--gate-overrides", f'{{"c1_hat": {value}}}']) == 1
+        captured = self.one_line_error(capsys)
+        assert f"error: --gate-overrides {match}" in captured.err and captured.out == ""
+        assert not (tmp_path / "g.csv").exists()
+
     def test_simulate_dim_zero(self, capsys):
         assert run_cli(["simulate", "--dim", 0, "--paths", 4]) == 1
         assert "--dim" in self.one_line_error(capsys).err
@@ -365,6 +388,14 @@ class TestBadInput:
         assert run_cli(["check", "--eta-max", 6e-3, "--raw-lr", "--lr-scale", 0,
                         "--warmup", 8.39, "--model", 4.05, "--tokens", 100]) == 1
         assert "lr_scale" in self.one_line_error(capsys).err
+
+    @pytest.mark.parametrize("flag", ["--token-length", "--batch"])
+    def test_fit_step_size_flag_alone(self, tmp_path, runs_csv, capsys, flag):
+        # one of the two read the size columns as billions and exited 0
+        out = tmp_path / "law.json"
+        assert run_cli(["fit", "--runs", runs_csv, "--out", out, flag, 2048]) == 1
+        assert "--token-length and --batch go together" in self.one_line_error(capsys).err
+        assert not out.exists()
 
     def test_fit_zero_lr_scale(self, tmp_path, runs_csv, capsys):
         assert run_cli(["fit", "--runs", runs_csv, "--out", tmp_path / "law.json",
@@ -470,9 +501,23 @@ class TestBadInput:
         assert run_cli([command, "--law", huge, *flag]) == 1
         assert "log loss" in self.one_line_error(capsys).err
 
+    # the new cases loaded a law from strings, bools and NaN (predict exited 0,
+    # sweep wrote nan losses) or ended in an OverflowError traceback
     @pytest.mark.parametrize("command", ["predict", "rank", "sweep"])
     @pytest.mark.parametrize("text, match", [
         ("missing", "missing field 'powers'"), ("[1, 2]", "JSON object"),
+        pytest.param(law_text(c=[str(x) for x in REFERENCE_COEFFICIENTS]),
+                     "law field 'c' must be a number, got \"-0.000692\"", id="c-strings"),
+        pytest.param(law_text(lr_scale=True), "law field 'lr_scale' must be a number, got true",
+                     id="lr-scale-bool"),
+        pytest.param(law_text(c=[math.nan] * 16), "law c[0] (warmup_lr_area) must be finite",
+                     id="c-nan"),
+        pytest.param(law_text(powers=[math.inf] * 16), "law powers[0] (warmup_lr_area) must be "
+                     "finite", id="powers-inf"),
+        pytest.param(law_text(lr_scale=10**400), "law field 'lr_scale' is too large for a float",
+                     id="lr-scale-400-digits"),
+        pytest.param(law_text(c=[10**400] * 16), "law field 'c' is too large for a float",
+                     id="c-400-digits"),
     ])
     def test_malformed_law_file(self, tmp_path, law_file, capsys, command, text, match):
         bad_law = tmp_path / "bad_law.json"

@@ -1,0 +1,149 @@
+"""The CLI contract under fuzzed JSON inputs.
+
+Config, ``pre`` block, schedule and law files and ``--gate-overrides`` get
+fields dropped or replaced by lists, objects, ``null``, strings, bools, NaN,
++-inf, 0, negatives, 1e308, 1e-320 and a 400-digit integer.  Whatever the
+input, a command exits 0 with strict JSON on stdout, or 1 with exactly one
+``error:`` line on stderr; a traceback or a RuntimeWarning fails the test.
+Examples are derandomized and capped in number, so the suite stays
+deterministic; sizes stay small (at most 50 paths, ranges of at most 8 points).
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from optlaws import cli
+from optlaws.law import reference_law
+from optlaws.schedule import build_general_schedule
+
+DROP = object()  # a field left out
+ODD = [DROP, [], [1.0], {}, None, "1", "x", True, False, math.nan, math.inf, -math.inf,
+       0, 0.0, -1, -0.5, 1e308, 1e-320, 10**400]
+odd = st.sampled_from(ODD)
+# odd values, and good ones often enough that some commands get far
+value = st.one_of(odd, st.sampled_from([0.5, 1, 2.0, 6e-3]))
+CONTRACT = settings(max_examples=120, derandomize=True, database=None, deadline=None)
+
+CONFIG = {"model_B": 0.58, "tokens_B": 10.0, "eta1": 6e-3, "eta2": 6e-3,
+          "a1_B": 1.0, "a2_B": 2.0, "a3_B": 6.0}
+LAW = json.loads(reference_law().to_json())
+SCHEDULE = json.loads(build_general_schedule(0.5, 0.4, 0.5, 1.0, 1.5, 2.0).to_json())
+
+
+def changed(obj, changes):
+    """A copy of the JSON object with (key, value) changes; DROP deletes."""
+    obj = dict(obj)
+    for key, v in changes:
+        if v is DROP:
+            obj.pop(key, None)
+        else:
+            obj[key] = v
+    return obj
+
+
+def edits(keys):
+    """Up to three (key, value) changes to a JSON object."""
+    return st.lists(st.tuples(st.sampled_from(keys), value), max_size=3)
+
+
+def _strict(constant):
+    raise AssertionError(f"stdout is not strict JSON: {constant}")
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+def write(path, payload):
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def check_contract(argv):
+    """Run one command line and hold it to the contract."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    assert code in (0, 1), (code, argv)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+    else:
+        json.loads(out.getvalue(), parse_constant=_strict)
+    return code
+
+
+@CONTRACT
+@given(mode=st.sampled_from(["pretrain", "continual"]),
+       configs=st.lists(st.tuples(edits([*CONFIG, "pre"]), st.none() | edits(list(CONFIG))),
+                        min_size=1, max_size=3),
+       listed=st.booleans())
+def test_config_files(workdir, mode, configs, listed):
+    law = write(workdir / "law.json", {**LAW, "mode": mode})
+    cfgs = [changed(CONFIG, main) if pre is None
+            else {**changed(CONFIG, main), "pre": changed(CONFIG, pre)} for main, pre in configs]
+    if listed:
+        check_contract(["rank", "--law", law, "--configs", write(workdir / "cfgs.json", cfgs)])
+    else:
+        check_contract(["predict", "--law", law, "--config", write(workdir / "cfg.json", cfgs[0])])
+
+
+@CONTRACT
+@given(top=edits(list(SCHEDULE)),
+       segment=st.lists(st.tuples(st.integers(0, len(SCHEDULE["segments"]) - 1),
+                                  st.sampled_from(["kind", "t0", "t1", "eta0", "eta1"]), value),
+                        max_size=2),
+       marker=st.none() | st.tuples(st.integers(0, 2), value),
+       paths=st.integers(1, 50))
+def test_schedule_files(workdir, top, segment, marker, paths):
+    payload = json.loads(json.dumps(SCHEDULE))
+    for i, key, v in segment:
+        payload["segments"][i] = changed(payload["segments"][i], [(key, v)])
+    if marker is not None and marker[1] is not DROP:
+        payload["markers"][marker[0]] = marker[1]
+    path = write(workdir / "schedule.json", changed(payload, top))
+    check_contract(["simulate", "--schedule-json", path, "--dim", 2, "--paths", paths])
+
+
+@CONTRACT
+@given(top=edits(list(LAW)),
+       term=st.none() | st.tuples(st.sampled_from(["c", "powers"]), st.integers(0, 15), value),
+       command=st.sampled_from(["predict", "rank", "sweep"]))
+def test_law_files(workdir, top, term, command):
+    payload = json.loads(json.dumps(LAW))
+    if term is not None and term[2] is not DROP:
+        payload[term[0]][term[1]] = term[2]
+    law = write(workdir / "law.json", changed(payload, top))
+    argv = {
+        "predict": ["--config", write(workdir / "cfg.json", CONFIG)],
+        "rank": ["--configs", write(workdir / "cfgs.json", [CONFIG, CONFIG])],
+        "sweep": ["--eta-max-range", "0.05:0.9:8", "--warmup-range", "0.1:3:8", "--model", 0.58,
+                  "--tokens", 10, "--out", workdir / "grid.csv"],
+    }[command]
+    check_contract([command, "--law", law, *argv])
+
+
+@CONTRACT
+@given(overrides=st.one_of(
+           st.dictionaries(st.sampled_from(["c1_hat", "c2_hat", "c3_hat", "alpha1_hat",
+                                            "alpha2_hat", "bogus"]),
+                           value.filter(lambda v: v is not DROP), max_size=2),
+           odd.filter(lambda v: v is not DROP)),
+       command=st.sampled_from(["check", "rank", "sweep"]))
+def test_gate_overrides(workdir, overrides, command):
+    law = write(workdir / "law.json", LAW)
+    argv = {
+        "check": ["--eta-max", 0.4, "--warmup", 1, "--model", 0.58, "--tokens", 10],
+        "rank": ["--law", law, "--configs", write(workdir / "cfgs.json", [CONFIG])],
+        "sweep": ["--law", law, "--eta-max-range", "0.05:0.9:4", "--warmup-range", "0.1:3:4",
+                  "--model", 0.58, "--tokens", 10, "--out", workdir / "grid.csv"],
+    }[command]
+    # the = form: argparse takes a separate "-Infinity" for a flag
+    check_contract([command, *argv, f"--gate-overrides={json.dumps(overrides)}"])

@@ -34,7 +34,7 @@ from optlaws.schedule import (
     warmup_cosine_schedule,
     warmup_const_cooldown_schedule,
 )
-from util import LR_SCALE, count_per_config_calls, make_grid_records
+from util import LR_SCALE, count_per_config_calls, law_text, make_grid_records
 
 GRID = dict(
     warm_fracs=(0.05, 0.15, 0.3, 0.5),
@@ -591,15 +591,47 @@ class TestSimpleLaw:
 
 
 class TestLawJson:
+    # the new cases loaded (strings and bools read as floats, any escape_terms
+    # or diagnostics kept as written) or ended in an OverflowError
     @pytest.mark.parametrize("text, match", [
         ('{"c": [0.0], "lr_scale": 0.015}', "missing field 'powers'"),
         ("[1, 2, 3]", "JSON object, not list"),
         ('{"c": 5, "powers": [], "lr_scale": 0.015, "policy": "a1/a3/a2", "mode": "pretrain"}',
          "malformed law file"),
+        pytest.param(law_text(c=[str(x) for x in REFERENCE_COEFFICIENTS]),
+                     "law field 'c' must be a number, got \"-0.000692\"", id="c-strings"),
+        pytest.param(law_text(c=[None] * 16), "law field 'c' must be a number, got null",
+                     id="c-null"),
+        pytest.param(law_text(powers=[True] * 16), "law field 'powers' must be a number, got true",
+                     id="powers-bool"),
+        pytest.param(law_text(lr_scale=True), "law field 'lr_scale' must be a number, got true",
+                     id="lr-scale-bool"),
+        pytest.param(law_text(lr_scale=10**400), "law field 'lr_scale' is too large for a float",
+                     id="lr-scale-400-digits"),
+        pytest.param(law_text(c=[10**400] * 16), "law field 'c' is too large for a float",
+                     id="c-400-digits"),
+        pytest.param(law_text(residual_rms="0.1"),
+                     "law field 'residual_rms' must be a number, got \"0.1\"", id="rms-string"),
+        pytest.param(law_text(escape_terms="no"), "law field 'escape_terms' must be a bool",
+                     id="escape-terms-string"),
     ])
     def test_malformed_law_is_value_error(self, text, match):
         with pytest.raises(ValueError, match=match):
             FittedLaw.from_json(text)
+
+    @pytest.mark.parametrize("field", ["c", "powers"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_term_is_refused(self, field, value):
+        # NaN coefficients priced every config at NaN: sweep wrote nan losses,
+        # and an infinite power left every rank survivor unpriced
+        law = reference_law()
+        terms = list(getattr(law, field))
+        terms[5] = value
+        with pytest.raises(ValueError, match=rf"law {field}\[5\] \(warmup_slope_energy\) "
+                                             rf"must be finite, got {value}"):
+            FittedLaw.from_json(law_text(**{field: terms}))
+        with pytest.raises(ValueError, match="must be finite"):
+            replace(law, **{field: tuple(terms)})
 
     def test_round_trip(self):
         records = make_grid_records(**GRID)

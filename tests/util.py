@@ -13,13 +13,14 @@ loop the batched call replaces.
 from __future__ import annotations
 
 import io
+import json
 import math
 
 import numpy as np
 from scipy.integrate import quad
 
 from optlaws import RunRecord, compute_features, default_markers
-from optlaws.law import REFERENCE_COEFFICIENTS
+from optlaws.law import REFERENCE_COEFFICIENTS, reference_law
 from optlaws.schedule import Schedule, Segment, build_general_schedule, warmup_cosine_schedule
 from optlaws.sde import SimulationDiverged, SimulationReport, StatSummary, path_rng
 from optlaws.numerics import gauss_legendre_nodes
@@ -133,6 +134,11 @@ def make_grid_records(
                         RunRecord(N, S, raw, raw, a, a, a, loss)
                     )
     return records
+
+
+def law_text(**changes) -> str:
+    """The reference law's JSON with the given fields replaced."""
+    return json.dumps({**json.loads(reference_law().to_json()), **changes})
 
 
 def records_to_csv(records: list[RunRecord]) -> str:
