@@ -137,6 +137,15 @@ def write_inputs(directory: str) -> None:
             **_config(4.05, 10, 0.4, 0.0, 1.0, 3.0, 6.0),
             "pre": _config(0.58, 20.0, 0.3, 0.3, 1.0, 1.0, 1.0)}),
     }
+    # law files the reader refuses, each naming the file and the field
+    payload = json.loads(law.to_json())
+    for name, changes in {
+        "law_c_strings.json": {"c": [str(x) for x in payload["c"]]},
+        "law_lr_scale_bool.json": {"lr_scale": True},
+        "law_c_nan.json": {"c": [math.nan] * 16},
+        "law_lr_scale_400_digits.json": {"lr_scale": 10**400},
+    }.items():
+        files[name] = json.dumps({**payload, **changes})
     for name, text in files.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -184,6 +193,24 @@ COMMANDS = {
                             "--no-escape-terms"],
     "fit_token_length_batch": ["fit", "--runs", "{dir}/runs_steps.csv", "--out", "{out}",
                                "--token-length", str(TOKEN_LENGTH), "--batch", str(BATCH)],
+    "predict_law_c_strings": ["predict", "--law", "{dir}/law_c_strings.json",
+                              "--config", "{dir}/config.json"],
+    "rank_law_lr_scale_bool": ["rank", "--law", "{dir}/law_lr_scale_bool.json",
+                               "--configs", "{dir}/candidates.json"],
+    "sweep_law_c_nan": ["sweep", "--law", "{dir}/law_c_nan.json", "--eta-max-range",
+                        "0.05:0.9:6", "--warmup-range", "0.1:3:5", "--model", "0.58",
+                        "--tokens", "10", "--out", "{out}"],
+    "predict_law_lr_scale_400_digits": ["predict", "--law", "{dir}/law_lr_scale_400_digits.json",
+                                        "--config", "{dir}/config.json"],
+    "check_gate_override_bool": ["check", "--eta-max", "0.4", "--warmup", "1", "--model", "1",
+                                 "--tokens", "10", "--gate-overrides", '{"c1_hat": true}'],
+    "sweep_gate_override_400_digits": ["sweep", "--law", "{dir}/law_pretrain.json",
+                                       "--eta-max-range", "0.05:0.9:6", "--warmup-range",
+                                       "0.1:3:5", "--model", "0.58", "--tokens", "10",
+                                       "--out", "{out}", "--gate-overrides",
+                                       '{"c3_hat": 1' + "0" * 400 + "}"],
+    "fit_token_length_alone": ["fit", "--runs", "{dir}/runs.csv", "--out", "{out}",
+                               "--token-length", str(TOKEN_LENGTH)],
 }
 
 
@@ -215,7 +242,11 @@ def environment() -> dict:
 
 
 def main(args=None) -> int:
-    check = (sys.argv[1:] if args is None else args) == ["--check"]
+    args = sys.argv[1:] if args is None else args
+    if args not in ([], ["--check"]):
+        print("usage: make_golden.py [--check]", file=sys.stderr)
+        return 2
+    check = args == ["--check"]
     with tempfile.TemporaryDirectory() as directory:
         write_inputs(directory)
         commands = {name: run(argv, directory) for name, argv in COMMANDS.items()}
