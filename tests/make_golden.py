@@ -8,8 +8,12 @@ Each command runs in-process through ``optlaws.cli.main`` on the inputs
 records the argv (with ``{dir}`` for the input directory and ``{out}`` for
 the ``--out`` file), the exit code, and the sha256 and length of stdout,
 stderr and the ``--out`` file, with the input directory written as ``{dir}``
-in stdout and stderr; ``tests/test_golden.py`` reruns them and compares.  It also records the numpy and scipy versions, since numpy's
-elementwise powers can round differently from one release to the next.
+in stdout and stderr.  Any other file a command writes in the input
+directory (a ``--trace-csv``, say) is recorded by name under ``files``, a
+key left out when there is none.  ``tests/test_golden.py`` reruns the
+commands and compares.  The manifest also records the numpy and scipy
+versions, since numpy's elementwise powers can round differently from one
+release to the next.
 
 A change that alters an output on purpose reruns this script and says which
 entries moved and why.  ``--check`` prints the entries whose bytes differ
@@ -211,6 +215,22 @@ COMMANDS = {
                                        '{"c3_hat": 1' + "0" * 400 + "}"],
     "fit_token_length_alone": ["fit", "--runs", "{dir}/runs.csv", "--out", "{out}",
                                "--token-length", str(TOKEN_LENGTH)],
+    **{f"simulate_{algorithm}_{objective}": [
+        "simulate", "--objective", objective, "--algorithm", algorithm, "--paths", "200",
+        "--seed", "3", "--trap-eps", "0.05", "0.5", "--trace-csv", "{dir}/trace.csv",
+        "--out", "{out}"]
+       for algorithm in ("sgd", "adam") for objective in ("quadratic", "double_well")},
+    "validate_quick": ["validate", "--quick", "--seed", "0", "--out", "{out}"],
+    # sweep errors with one fault each
+    **{f"sweep_{name}": ["sweep", "--law", "{dir}/law_pretrain.json", "--eta-max-range", eta,
+                         "--warmup-range", warmup, "--model", model, "--tokens", "10",
+                         "--out", "{out}"]
+       for name, eta, warmup, model in [
+           ("warmup_at_horizon", "0.05:0.9:6", "0.1:10:5", "0.58"),
+           ("zero_peak", "0:0.9:6", "0.1:3:5", "0.58"),
+           ("warmup_square_underflows", "0.05:0.9:6", "1e-200:3:5", "0.58"),
+           ("zero_model", "0.05:0.9:6", "0.1:3:5", "0"),
+       ]},
 }
 
 
@@ -219,22 +239,29 @@ def _digest(data: bytes) -> dict:
 
 
 def run(argv: list[str], directory: str) -> dict:
-    """Run one templated argv and record its exit code and output digests."""
+    """Run one templated argv and record its exit code and output digests.
+
+    Every file the command writes in ``directory`` is removed afterwards, so
+    each command sees the inputs alone."""
     out = os.path.join(directory, "out.json")
-    if os.path.exists(out):
-        os.remove(out)
+    inputs = set(os.listdir(directory))
     args = [a.replace("{dir}", directory).replace("{out}", out) for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(args)
-    written = None
-    if os.path.exists(out):
-        with open(out, "rb") as fh:
-            written = _digest(fh.read())
+    written = {}
+    for name in sorted(set(os.listdir(directory)) - inputs):
+        path = os.path.join(directory, name)
+        with open(path, "rb") as fh:
+            written[name] = _digest(fh.read())
+        os.remove(path)
     # reports and messages that name an input or output file name it by {dir}
     text = lambda f: _digest(f.getvalue().replace(directory, "{dir}").encode())
-    return {"argv": argv, "exit": code, "stdout": text(stdout), "stderr": text(stderr),
-            "out": written}
+    record = {"argv": argv, "exit": code, "stdout": text(stdout), "stderr": text(stderr),
+              "out": written.pop("out.json", None)}
+    if written:
+        record["files"] = written
+    return record
 
 
 def environment() -> dict:
