@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import math
 import os
@@ -23,8 +22,7 @@ from .divergence import (
     DEFAULT_PARAMS,
     DivergenceParams,
     criterion_R,
-    critical_rate,
-    divergence_ratio,
+    gated_criteria,
     gated_criterion,
 )
 from .features import Normalizer
@@ -54,8 +52,7 @@ class DataError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
+    def error(self, message):  # usage errors exit 1 with one line, not argparse's 2
         raise SystemExit(f"error: {message}")
 
 
@@ -81,6 +78,8 @@ def read_runs_csv(path: str, token_length=None, batch=None) -> list[RunRecord]:
     """
     if (token_length is None) != (batch is None):
         raise DataError("--token-length and --batch go together: give both or neither")
+    if token_length is not None and max(abs(token_length), abs(batch)) > sys.float_info.max:
+        raise DataError("--token-length or --batch is too large for a float")
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -100,13 +99,15 @@ def read_runs_csv(path: str, token_length=None, batch=None) -> list[RunRecord]:
     return records
 
 
-def _read_law(path: str) -> FittedLaw:
+def _read_json(path: str, parse=json.loads):
+    """``parse`` of a JSON file's text; an error raised while decoding or
+    parsing it (bytes that are not UTF-8, a syntax error, or a law or
+    schedule field at fault) names the file."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return FittedLaw.from_json(text)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        try:
+            return parse(fh.read())
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 SCHEDULE_FIELDS = ("eta1", "eta2", "a1_B", "a2_B", "a3_B", "tokens_B")
@@ -180,33 +181,29 @@ def sweep_grid(
 
     Cells the divergence criterion rejects (R > 1) carry the sentinel loss.
     Schedules are linear warmup to the peak rate followed by linear
-    cooldown to zero.  The gate and the law price the whole grid in one
-    numpy pass; R equals :func:`gated_criterion` on each cell exactly.
+    cooldown to zero.  The ranges are checked first (every warmup in (0, S),
+    then every peak rate positive); then :func:`gated_criteria` gates the
+    whole grid, raising the first bad cell's error, and the law prices it,
+    each in one numpy pass.
     """
     if len(eta_values) == 0 or len(warmup_values) == 0:
         raise ValueError("sweep ranges must be nonempty")
-    # Input checks in cell order.  A cell fails through its warmup, its peak
-    # rate, or N and S, so the scalar gate on the first row and the first
-    # column raises the error the first failing cell would.
-    for i, a in enumerate(warmup_values):
+    for a in warmup_values:
         if a <= 0 or a >= S:
             raise ValueError(f"warmup {a} outside (0, S={S})")
-        for h in eta_values if i == 0 else eta_values[:1]:
-            if h <= 0:
-                raise ValueError(f"peak rate {h} must be positive")
-            gated_criterion(h, a, N, S, gate)
-    h = np.asarray(eta_values, dtype=float)
-    a = np.asarray(warmup_values, dtype=float)[:, np.newaxis]
-    threshold = critical_rate(N, S, gate)
-    eta_l = np.where(threshold < h, threshold, h)  # min(h, threshold) as criterion_R takes it
-    R = divergence_ratio(h, a * a, S * S, eta_l, gate)  # one row per warmup
+    for h in eta_values:
+        if h <= 0:
+            raise ValueError(f"peak rate {h} must be positive")
+    h, a = np.meshgrid(np.asarray(eta_values, dtype=float), np.asarray(warmup_values, dtype=float))
+    R, _ = gated_criteria(h, a, N, S, gate)  # one row per warmup
     stable = ~(R > 1.0)
     loss = np.full(R.shape, float(sentinel))
     if stable.any():
-        hs, ws = np.broadcast_to(h, R.shape)[stable], np.broadcast_to(a, R.shape)[stable]
-        loss[stable] = np.exp(general_log_losses(law, hs, hs, ws, ws, ws, S, N))
-    cells = itertools.product(a.ravel().tolist(), h.tolist())
-    return [(h, a, r, l) for (a, h), r, l in zip(cells, R.ravel().tolist(), loss.ravel().tolist())]
+        hs, ws = h[stable], a[stable]
+        with np.errstate(over="ignore"):  # a loss too large for exp is inf, as CSV holds it
+            loss[stable] = np.exp(general_log_losses(law, hs, hs, ws, ws, ws, S, N))
+    return list(zip(h.ravel().tolist(), a.ravel().tolist(), R.ravel().tolist(),
+                    loss.ravel().tolist()))
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -214,6 +211,8 @@ def _parse_range(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise DataError(f"range must be lo:hi:count, got {text!r}")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not math.isfinite(hi - lo):  # false for a NaN or infinite end too
+        raise DataError(f"range ends and their span must be finite, got {text!r}")
     if n < 1:
         raise DataError(f"range count must be >= 1, got {n}")
     return np.linspace(lo, hi, n)
@@ -254,18 +253,15 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    law = _read_law(args.law)
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    pred = predict(law, _load_config(cfg, Normalizer(law.lr_scale)))
+    law = _read_json(args.law, FittedLaw.from_json)
+    pred = predict(law, _load_config(_read_json(args.config), Normalizer(law.lr_scale)))
     sys.stdout.write(_dump_json(pred, args.out))
     return 0
 
 
 def _cmd_rank(args) -> int:
-    law = _read_law(args.law)
-    with open(args.configs, encoding="utf-8") as fh:
-        cfgs = json.load(fh)
+    law = _read_json(args.law, FittedLaw.from_json)
+    cfgs = _read_json(args.configs)
     if not isinstance(cfgs, list) or not cfgs:
         raise DataError(f"{args.configs}: need a nonempty JSON list of configs")
     normalizer = Normalizer(law.lr_scale)
@@ -308,7 +304,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    law = _read_law(args.law)
+    law = _read_json(args.law, FittedLaw.from_json)
     rows = sweep_grid(
         law,
         _gate_from_args(args),
@@ -347,8 +343,7 @@ def _cmd_simulate(args) -> int:
     objective = CATALOG[args.objective](args.dim)
     noise = sde.NoiseModel.isotropic(args.dim, args.sigma2, D=args.noise_samples)
     if args.schedule_json:
-        with open(args.schedule_json, encoding="utf-8") as fh:
-            schedule = Schedule.from_json(fh.read())
+        schedule = _read_json(args.schedule_json, Schedule.from_json)
     else:
         schedule = build_general_schedule(
             args.peak, args.peak, args.warmup, args.warmup, args.warmup, args.horizon
@@ -386,12 +381,12 @@ def _cmd_simulate(args) -> int:
     }
     sys.stdout.write(_dump_json(payload, args.out))
     if args.trace_csv and report.traces is not None:
+        # the bytes csv.writer gives, as in _write_grid_csv
         with open(args.trace_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "t", "x_norm", "grad_norm"])
-            for path_idx, t_grid, tr in report.traces:
-                for t, (xn, gn) in zip(t_grid, tr):
-                    writer.writerow([path_idx, repr(float(t)), repr(float(xn)), repr(float(gn))])
+            fh.write("path,t,x_norm,grad_norm\r\n")
+            for i, t_grid, tr in report.traces:
+                fh.write("".join(f"{i},{t!r},{xn!r},{gn!r}\r\n"
+                                 for t, (xn, gn) in zip(t_grid.tolist(), tr.tolist())))
     return 0
 
 

@@ -116,21 +116,13 @@ def divergence_ratio(eta_max, a_sq, s_sq, eta_l, params: DivergenceParams = DEFA
     underflows to 0.
     """
     denom = params.c3_hat * a_sq * eta_l * eta_l
-    if isinstance(denom, np.ndarray):
-        zero = np.flatnonzero(denom == 0.0)
-        if zero.size:
-            first = (np.broadcast_to(x, denom.shape).flat[zero[0]] for x in (eta_l, a_sq))
-            raise _ratio_underflow(*first)
-    elif denom == 0.0:
-        raise _ratio_underflow(eta_l, a_sq)
+    if np.count_nonzero(denom == 0.0):  # one test for scalars and arrays alike
+        i = np.flatnonzero(denom == 0.0)[0]
+        eta_l, a_sq = (np.broadcast_to(x, np.shape(denom)).flat[i] for x in (eta_l, a_sq))
+        raise ValueError(f"divergence ratio: c3 * a1^2 * eta_L^2 underflows to 0 at "
+                         f"eta_L={eta_l:g}, a1^2={a_sq:g}")
     excess = eta_max - eta_l
     return s_sq * excess * excess / denom
-
-
-def _ratio_underflow(eta_l, a_sq) -> ValueError:
-    return ValueError(
-        f"divergence ratio: c3 * a1^2 * eta_L^2 underflows to 0 at eta_L={eta_l:g}, a1^2={a_sq:g}"
-    )
 
 
 def gated_criterion(
@@ -159,13 +151,15 @@ def gated_criteria(eta_max, a1, N, S, params: DivergenceParams = DEFAULT_PARAMS)
     """:func:`gated_criterion` over arrays of configurations: the arrays R and
     eta_L, each element equal to the scalar result (R > 1: "diverge").
 
-    The critical rate stays one scalar :func:`critical_rate` per config,
-    since numpy's power can round differently from libm's; the rest runs
-    elementwise.  If any config is outside the gate's domain, the scalar
-    gate replays the configs in order and raises the first one's error.
+    The critical rate is one scalar :func:`critical_rate` per element of
+    ``np.broadcast(N, S)`` (one for a grid at one N and S), since numpy's
+    power can round differently from libm's; the rest runs elementwise.  If
+    any config is outside the gate's domain, the scalar gate replays the
+    configs in order (row-major) and raises the first one's error.
     """
+    NS = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (N, S)))
     eta_max, a1, N, S = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (eta_max, a1, N, S)))
+        *(np.asarray(x, dtype=float) for x in (eta_max, a1)), *NS)
     warm = a1 != 0.0
     with np.errstate(over="ignore"):  # an overflowing warmup fails the critical rate
         a_sq = a1 * a1
@@ -174,7 +168,8 @@ def gated_criteria(eta_max, a1, N, S, params: DivergenceParams = DEFAULT_PARAMS)
         if not (~warm | ((0 < eta_max) & (eta_max < math.inf) & (0 < a1) & (a1 < math.inf)
                          & (a_sq != 0.0))).all():
             raise ValueError
-        threshold = np.array([critical_rate(n, s, params) for n, s in zip(N.tolist(), S.tolist())])
+        threshold = np.reshape([critical_rate(n, s, params) for n, s in zip(
+            *(x.ravel().tolist() for x in NS))], NS[0].shape)
         eta_l = np.where(threshold < eta_max, threshold, eta_max)
         if not (eta_l[warm] > 0).all():
             raise ValueError
@@ -184,7 +179,7 @@ def gated_criteria(eta_max, a1, N, S, params: DivergenceParams = DEFAULT_PARAMS)
             R[warm] = divergence_ratio(eta_max[warm], a_sq[warm], (S * S)[warm], eta_l[warm],
                                        params)
     except ValueError:
-        for args in zip(eta_max.tolist(), a1.tolist(), N.tolist(), S.tolist()):
+        for args in zip(*(x.ravel().tolist() for x in (eta_max, a1, N, S))):
             gated_criterion(*args, params)
         raise
     return R, eta_l

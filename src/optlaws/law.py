@@ -122,10 +122,15 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class PretrainContext:
-    """The schedule a continual-training run resumes from."""
+    """The schedule a continual-training run resumes from; with no schedule,
+    the horizon must be given and not positive (no pre-training area)."""
 
-    schedule: Schedule
+    schedule: Schedule | None
     S: float | None = None  # defaults to the full pre-training horizon
+
+    def __post_init__(self):
+        if self.schedule is None and (self.S is None or self.S > 0.0):
+            raise FeatureError("pre_S > 0 requires the pre-training schedule")
 
     @property
     def horizon(self) -> float:
@@ -163,8 +168,6 @@ class ConfigBatch:
         if not configs:
             raise ValueError("rank needs at least one configuration")
         pre = [cfg.pre for cfg in configs]
-        if any(p is not None and p.schedule is None and p.horizon > 0.0 for p in pre):
-            raise FeatureError("pre_S > 0 requires the pre-training schedule")
         return cls(
             ScheduleTable.from_schedules([cfg.schedule for cfg in configs]),
             np.array([cfg.N for cfg in configs], dtype=float),
@@ -257,12 +260,12 @@ def continual_features(
 ) -> FeatureVector:
     """Feature map for continual training: the one-config case of the
     continual-mode route (see :func:`_config_bases`), applied whatever the
-    law's mode, after a pre-training run on ``pre_schedule`` up to ``pre_S``.
+    law's mode, after a pre-training run on ``pre_schedule`` up to ``pre_S``
+    (the pair a :class:`PretrainContext` holds, and checks).
     """
-    if pre_S > 0.0 and pre_schedule is None:
-        raise FeatureError("pre_S > 0 requires the pre-training schedule")
+    pre = PretrainContext(pre_schedule, pre_S)
     bases, S, N, refused = _config_bases(
-        law.as_continual(), config.schedule, config.N, pre_schedule, pre_S)
+        law.as_continual(), config.schedule, config.N, pre.schedule, pre.horizon)
     return FeatureVector(_features(bases, S, N, law.powers, refused)[0].tolist(), law.powers)
 
 

@@ -241,6 +241,18 @@ class TestSweep:
         cli._write_grid_csv(rows, tmp_path / "grid.csv")
         assert (tmp_path / "grid.csv").read_bytes() == reference.read_bytes()
 
+    @pytest.mark.parametrize("etas, warms, N, match", [
+        ("0.05:0.9:6", "0.1:12:5", 0, r"warmup 12\.0 outside \(0, S=10\.0\)"),
+        ("0:0.9:6", "0.1:3:5", 0, r"peak rate 0\.0 must be positive"),
+        ("0:0.9:6", "0.1:12:5", 0.58, r"warmup 12\.0 outside"),
+    ], ids=["warmup-over-model", "peak-over-model", "warmup-over-peak"])
+    def test_range_checks_come_before_the_gate(self, etas, warms, N, match):
+        # with two faults the sweep's own checks win; the gate refused
+        # --model 0 first when it ran on the first row and column
+        with pytest.raises(ValueError, match=match):
+            sweep_grid(reference_law(), DEFAULT_PARAMS, cli._parse_range(etas),
+                       cli._parse_range(warms), N=N, S=10.0)
+
     def test_grid_builds_no_schedule_per_cell(self, monkeypatch):
         calls = count_per_config_calls(monkeypatch)
         rows = sweep_grid(reference_law(), DEFAULT_PARAMS, np.linspace(0.05, 0.8, 32),
@@ -348,6 +360,71 @@ class TestBadInput:
         captured = self.one_line_error(capsys)
         assert f"error: --gate-overrides {match}" in captured.err and captured.out == ""
         assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("predict", "--config"), ("predict", "--law"), ("rank", "--configs"),
+        ("simulate", "--schedule-json")])
+    def test_json_syntax_error_names_the_file(self, tmp_path, law_file, capsys, command, flag):
+        # a truncated config, configs or schedule file printed only
+        # "error: Expecting value: line 1 column 13 (char 12)"
+        bad = tmp_path / "truncated.json"
+        bad.write_text('{"model_B": ')
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_B": 0.58, "tokens_B": 10.0, "eta1": 6e-3,
+                                   "eta2": 6e-3, "a1_B": 1.0, "a2_B": 1.0, "a3_B": 1.0}))
+        argv = {"predict": {"--law": law_file, "--config": cfg},
+                "rank": {"--law": law_file, "--configs": cfg},
+                "simulate": {"--paths": 4, "--schedule-json": cfg}}[command]
+        capsys.readouterr()
+        assert run_cli([command, *(x for k, v in {**argv, flag: bad}.items() for x in (k, v))]) == 1
+        captured = self.one_line_error(capsys)
+        assert captured.err == f"error: {bad}: Expecting value: line 1 column 13 (char 12)\n"
+        assert captured.out == ""
+
+    def test_file_not_utf8_names_the_file(self, tmp_path, law_file, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"model_B": "\xe9"}')
+        capsys.readouterr()
+        assert run_cli(["predict", "--law", law_file, "--config", bad]) == 1
+        assert self.one_line_error(capsys).err.startswith(
+            f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--eta-max", 0.4, "--warmup", 1, "--model", 1, "--tokens", 10,
+         "--gate-overrides", "-Infinity"],
+        ["check", "--eta-max", 0.4],
+        ["frobnicate"],
+    ], ids=["flag-like-value", "missing-flags", "unknown-command"])
+    def test_usage_error_is_one_line(self, capsys, argv):
+        # argparse's usage block came before the error line
+        assert run_cli(argv) == 1
+        self.one_line_error(capsys)
+
+    def test_sweep_range_must_be_finite(self, tmp_path, law_file, capsys):
+        # an infinite end warned from np.linspace before the gate refused it
+        capsys.readouterr()
+        assert run_cli(["sweep", "--law", law_file, "--eta-max-range", "inf:0.5:2",
+                        "--warmup-range", "0.1:3:4", "--model", 0.58, "--tokens", 10,
+                        "--out", tmp_path / "g.csv"]) == 1
+        assert "range ends and their span must be finite, got 'inf:0.5:2'" in (
+            self.one_line_error(capsys).err)
+
+    def test_sweep_loss_too_large_for_exp_is_inf(self, tmp_path, law_file, capsys):
+        # a tiny model size wrote its inf losses after a RuntimeWarning
+        capsys.readouterr()
+        assert run_cli(["sweep", "--law", law_file, "--eta-max-range", "0.05:0.9:4",
+                        "--warmup-range", "0.1:3:4", "--model", 1e-320, "--tokens", 10,
+                        "--out", tmp_path / "g.csv"]) == 0
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader((tmp_path / "g.csv").open()))
+        assert "inf" in {r["predicted_loss"] for r in rows}
+
+    def test_fit_step_size_too_large_for_a_float(self, tmp_path, runs_csv, capsys):
+        # ended in an OverflowError traceback
+        assert run_cli(["fit", "--runs", runs_csv, "--out", tmp_path / "law.json",
+                        "--token-length", "1" + "0" * 400, "--batch", 2]) == 1
+        assert "--token-length or --batch is too large for a float" in (
+            self.one_line_error(capsys).err)
 
     def test_simulate_dim_zero(self, capsys):
         assert run_cli(["simulate", "--dim", 0, "--paths", 4]) == 1

@@ -5,8 +5,11 @@ fields dropped or replaced by lists, objects, ``null``, strings, bools, NaN,
 +-inf, 0, negatives, 1e308, 1e-320 and a 400-digit integer.  Whatever the
 input, a command exits 0 with strict JSON on stdout, or 1 with exactly one
 ``error:`` line on stderr; a traceback or a RuntimeWarning fails the test.
-Examples are derandomized and capped in number, so the suite stays
-deterministic; sizes stay small (at most 50 paths, ranges of at most 8 points).
+The numeric flags of ``check``, ``sweep``, ``simulate`` and ``fit`` get
+the same odd values as text (and ``-Infinity``, which argparse reads as a
+flag).  Examples are derandomized and capped in number, so the suite stays
+deterministic; sizes stay small (at most 4 dimensions, 50 paths, ranges of
+at most 8 points).
 """
 
 import contextlib
@@ -50,6 +53,28 @@ def changed(obj, changes):
 def edits(keys):
     """Up to three (key, value) changes to a JSON object."""
     return st.lists(st.tuples(st.sampled_from(keys), value), max_size=3)
+
+
+# numeric flag values as text: odd ones, and plain ones often enough that
+# some commands get far
+FLAG_ODD = ["nan", "inf", "-inf", "-Infinity", "0", "-0.0", "-1", "1e308", "1e-320",
+            "1" + "0" * 400, "x", "", "true"]
+real_flag = st.sampled_from(FLAG_ODD) | st.sampled_from(["0.5", "2", "4.05", "10"])
+
+
+def size_flag(most, odd=()):
+    """A count flag: odd text, or an integer from 1 to ``most``."""
+    return st.sampled_from(["-1", "0", "1.5", "x", "", *odd]) | st.integers(1, most).map(str)
+
+
+def flag_edits(flags: dict):
+    """Up to three changes to a command's flags, each dropped (DROP) or given a value."""
+    return st.lists(st.one_of(*(st.tuples(st.just(k), st.just(DROP) | v)
+                                for k, v in flags.items())), max_size=3)
+
+
+def flag_argv(defaults: dict, changes) -> list:
+    return [x for k, v in changed(defaults, changes).items() for x in (k, v)]
 
 
 def _strict(constant):
@@ -147,3 +172,51 @@ def test_gate_overrides(workdir, overrides, command):
     }[command]
     # the = form: argparse takes a separate "-Infinity" for a flag
     check_contract([command, *argv, f"--gate-overrides={json.dumps(overrides)}"])
+
+
+CHECK_FLAGS = {"--eta-max": "0.4", "--warmup": "1", "--model": "0.58", "--tokens": "10",
+               "--lr-scale": "0.015"}
+grid_range = st.builds(lambda lo, hi, n: f"{lo}:{hi}:{n}", real_flag, real_flag, size_flag(8))
+SWEEP_FLAGS = {"--eta-max-range": "0.05:0.9:4", "--warmup-range": "0.1:3:4", "--model": "0.58",
+               "--tokens": "10", "--sentinel": "7"}
+SIMULATE_FLAGS = {"--dim": "2", "--paths": "8", "--peak": "0.5", "--warmup": "1",
+                  "--horizon": "4", "--eta0": "0.01", "--sigma2": "0.1",
+                  "--noise-samples": "64", "--x0-offset": "1", "--trap-eps": "0.1",
+                  "--seed": "0"}
+FIT_FLAGS = {"--lr-scale": "0.015", "--token-length": "2048", "--batch": "512"}
+
+
+@CONTRACT
+@given(changes=flag_edits(dict.fromkeys(CHECK_FLAGS, real_flag)), raw=st.booleans())
+def test_check_flags(changes, raw):
+    check_contract(["check", *flag_argv(CHECK_FLAGS, changes), *(["--raw-lr"] if raw else [])])
+
+
+@CONTRACT
+@given(changes=flag_edits({"--eta-max-range": grid_range, "--warmup-range": grid_range,
+                           "--model": real_flag, "--tokens": real_flag,
+                           "--sentinel": real_flag}))
+def test_sweep_flags(workdir, changes):
+    law = write(workdir / "law.json", LAW)
+    check_contract(["sweep", "--law", law, "--out", workdir / "grid.csv",
+                    *flag_argv(SWEEP_FLAGS, changes)])
+
+
+@CONTRACT
+@given(changes=flag_edits({**dict.fromkeys(SIMULATE_FLAGS, real_flag), "--dim": size_flag(4),
+                           "--paths": size_flag(50), "--noise-samples": size_flag(64),
+                           "--seed": size_flag(2**40, ["1" + "0" * 400])}),
+       objective=st.sampled_from(["quadratic", "double_well"]),
+       algorithm=st.sampled_from(["sgd", "adam"]))
+def test_simulate_flags(changes, objective, algorithm):
+    check_contract(["simulate", "--objective", objective, "--algorithm", algorithm,
+                    *flag_argv(SIMULATE_FLAGS, changes)])
+
+
+@CONTRACT
+@given(changes=flag_edits({"--lr-scale": real_flag,
+                           **dict.fromkeys(["--token-length", "--batch"],
+                                           size_flag(4096, ["1" + "0" * 400, "-" + "9" * 400]))}))
+def test_fit_flags(workdir, runs_csv, changes):
+    check_contract(["fit", "--runs", runs_csv, "--out", workdir / "fitted.json",
+                    *flag_argv(FIT_FLAGS, changes)])

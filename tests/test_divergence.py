@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optlaws import divergence
+from optlaws.cli import sweep_grid
 from optlaws.divergence import (
     DEFAULT_PARAMS,
     DivergenceParams,
@@ -15,6 +17,8 @@ from optlaws.divergence import (
     gated_criterion,
 )
 from optlaws.features import Normalizer
+from optlaws.law import ConfigBatch, RunConfig, rank, reference_law
+from optlaws.schedule import build_general_schedule
 
 
 def oracle_R(eta_max, a1, N, S, p=DEFAULT_PARAMS):
@@ -159,6 +163,52 @@ class TestGatedCriteria:
     def test_first_invalid_config_raises_its_error(self, rows, match):
         with pytest.raises(ValueError, match=match):
             gated_criteria(*(np.array(c) for c in zip(*rows)))
+
+
+    def test_grid_equals_gated_criterion(self):
+        h, a = np.meshgrid([0.05, 0.3, 0.9], [0.0, 1e-160, 0.5, 3.0])
+        R, eta_L = gated_criteria(h, a, 0.58, 10.0)
+        assert R.shape == eta_L.shape == (4, 3)
+        for args, r, e in zip(zip(h.ravel().tolist(), a.ravel().tolist()),
+                              R.ravel().tolist(), eta_L.ravel().tolist()):
+            want = gated_criterion(*args, 0.58, 10.0)
+            assert (r, e) == (want.R, want.eta_L)
+
+    def test_grid_raises_the_first_bad_cell_in_row_major_order(self):
+        # (0, 2) has a warmup whose square underflows, (1, 1) a zero peak
+        h = np.array([[0.4, 0.4, 0.4], [0.4, 0.0, 0.4]])
+        a = np.array([[1.0, 1.0, 1e-170], [1.0, 1.0, 1.0]])
+        with pytest.raises(ValueError, match="warmup a1=1e-170 is too small"):
+            gated_criteria(h, a, 0.58, 10.0)
+        with pytest.raises(ValueError, match="got eta_max=0.0"):
+            gated_criteria(h.T, a.T, 0.58, 10.0)
+
+
+class TestCriticalRateCalls:
+    """The gate computes the critical rate once per (N, S) it is given."""
+
+    @staticmethod
+    def count(monkeypatch):
+        calls = []
+        wrapped = divergence.critical_rate
+        monkeypatch.setattr(divergence, "critical_rate",
+                            lambda *args: calls.append(args) or wrapped(*args))
+        return calls
+
+    def test_one_call_for_a_sweep_grid(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        rows = sweep_grid(reference_law(), DEFAULT_PARAMS, np.linspace(0.05, 0.9, 128),
+                          np.linspace(0.1, 6.0, 128), N=4.05, S=10.0)
+        assert len(rows) == 128 * 128
+        assert len(calls) == 1
+
+    def test_one_call_per_rank_config(self, monkeypatch):
+        configs = [RunConfig(build_general_schedule(h, h, a, a, a, S), N)
+                   for h, a, S, N in [(0.1, 1.0, 10.0, 0.58), (0.3, 0.5, 10.0, 0.58),
+                                      (0.2, 0.0, 30.0, 4.05), (0.9, 2.0, 30.0, 4.05)]]
+        calls = self.count(monkeypatch)
+        rank(reference_law(), ConfigBatch.from_configs(configs))
+        assert len(calls) == len(configs)
 
 
 class TestRatioUnderflow:

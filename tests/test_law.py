@@ -413,6 +413,28 @@ class TestContinual:
         with pytest.raises(FeatureError, match="pre-training context"):
             predict(law, _config(0.4, 2.0, 10.0, 4.0))
 
+    @pytest.mark.parametrize("route", ["predict", "rank", "continual_features"])
+    def test_pre_horizon_without_pre_schedule_is_refused(self, route):
+        # predict priced PretrainContext(None, 5.0) as if pre-training had
+        # zero area, while rank and continual_features refused it
+        law = reference_law().as_continual()
+        cfg = _config(0.4, 2.0, 10.0, 4.0)
+        call = {
+            "predict": lambda: predict(law, replace(cfg, pre=PretrainContext(None, 5.0))),
+            "rank": lambda: rank_configs(law, [replace(cfg, pre=PretrainContext(None, 5.0))]),
+            "continual_features": lambda: continual_features(law, None, 5.0, cfg),
+        }[route]
+        with pytest.raises(FeatureError, match=r"pre_S > 0 requires the pre-training schedule"):
+            call()
+
+    def test_zero_pre_horizon_needs_no_pre_schedule(self):
+        law = reference_law().as_continual()
+        cfg = replace(_config(0.1, 2.0, 10.0, 0.58), pre=PretrainContext(None, 0.0))
+        want = predict(law, cfg)["log_loss"]
+        assert rank_configs(law, [cfg])[0].log_loss == want
+        assert want == sum(c * f for c, f in zip(
+            law.c, continual_features(law, None, 0.0, cfg).values))
+
     def test_predict_uses_pre_context(self):
         law = reference_law().as_continual()
         pre = PretrainContext(build_general_schedule(0.5, 0.5, 1.0, 1.0, 1.0, 20.0))
