@@ -220,6 +220,11 @@ COMMANDS = {
         "--seed", "3", "--trap-eps", "0.05", "0.5", "--trace-csv", "{dir}/trace.csv",
         "--out", "{out}"]
        for algorithm in ("sgd", "adam") for objective in ("quadratic", "double_well")},
+    # a seed of two 32-bit words; 1,000 steps at dim 64 make noise blocks of
+    # 131 paths, so the 140 paths span a full block and a partial one
+    "simulate_two_word_seed_two_blocks": [
+        "simulate", "--dim", "64", "--horizon", "10", "--paths", "140",
+        "--seed", str(2**32 + 5), "--out", "{out}"],
     "validate_quick": ["validate", "--quick", "--seed", "0", "--out", "{out}"],
     # sweep errors with one fault each
     **{f"sweep_{name}": ["sweep", "--law", "{dir}/law_pretrain.json", "--eta-max-range", eta,
