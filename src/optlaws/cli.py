@@ -56,8 +56,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("OPTLAWS_SEED", "0"))
+def _seed(args) -> int:
+    """The run's seed: ``--seed``, else ``OPTLAWS_SEED``, else 0.  A value
+    that is not a non-negative integer is refused by the name it came in."""
+    if args.seed is not None:
+        source, text = "--seed", args.seed
+    else:
+        source, text = "OPTLAWS_SEED", os.environ.get("OPTLAWS_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise DataError(f"{source} must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _dump_json(payload, path=None) -> str:
@@ -340,6 +352,8 @@ def _within_bound(stat, bound: float) -> bool:
 def _cmd_simulate(args) -> int:
     if args.dim < 1:
         raise DataError(f"--dim must be at least 1, got {args.dim}")
+    if args.noise_samples < 1:
+        raise DataError(f"--noise-samples must be at least 1, got {args.noise_samples}")
     objective = CATALOG[args.objective](args.dim)
     noise = sde.NoiseModel.isotropic(args.dim, args.sigma2, D=args.noise_samples)
     if args.schedule_json:
@@ -353,7 +367,7 @@ def _cmd_simulate(args) -> int:
         schedule=schedule,
         eta0=args.eta0,
         n_paths=args.paths,
-        seed=args.seed if args.seed is not None else _default_seed(),
+        seed=_seed(args),
         algorithm=args.algorithm,
         trap_eps=tuple(args.trap_eps or ()),
         x0=x0,
@@ -507,8 +521,7 @@ def _validate_suites(seed: int, quick: bool) -> dict:
 
 
 def _cmd_validate(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    suites = _validate_suites(seed, args.quick)
+    suites = _validate_suites(_seed(args), args.quick)
     sys.stdout.write(_dump_json(suites, args.out))
     return 0 if suites["passed"] else 2
 

@@ -15,7 +15,14 @@ Gaussian increments.
 
 Each path owns a counter-based Philox stream derived from
 (seed, path index), so ensembles are reproducible and independent of how
-paths are grouped into blocks.
+paths are grouped into blocks.  :func:`path_rng` defines the streams:
+Philox keyed by ``SeedSequence(entropy=seed, spawn_key=(i,))``.  A Philox
+stream is fully set by its 128-bit key and its counter (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so the fill does
+not build a seed sequence and a generator per path: the keys of a block
+are derived in one numpy pass (:func:`_path_keys`, a port of numpy's
+seed-sequence mixing), and one generator per call is re-keyed, its counter
+reset, for each path.  The streams are the ones :func:`path_rng` gives.
 
 The noise does not depend on the state, so Adam's second moment v follows
 the same deterministic recursion on every path (the deterministic v of the
@@ -25,15 +32,15 @@ exactly as ``v_min``.
 
 Paths are stepped in blocks.  One noise buffer of block size is allocated
 per call and refilled in place for every block, path by path from its own
-stream.  When the noise root is diagonal (isotropic noise, which is all
-the CLI uses) the buffer is scaled by that diagonal in place; otherwise it
-is multiplied by the root and the product written back.  The per-step
-updates run in place on preallocated ``(block, dim)`` arrays, in the same
-operation order as the expressions above, so results are bit-identical to
-stepping with fresh arrays and a per-path v.  Peak memory is about one
-noise block (``DEFAULT_BLOCK_BYTES``) plus the ``(n_steps, dim)`` v table;
-a non-diagonal root adds a second block, the copy numpy makes for the
-product it writes back.
+stream through the one re-keyed generator.  When the noise root is
+diagonal (isotropic noise, which is all the CLI uses) the buffer is scaled
+by that diagonal in place; otherwise it is multiplied by the root and the
+product written back.  The per-step updates run in place on preallocated
+``(block, dim)`` arrays, in the same operation order as the expressions
+above, so results are bit-identical to stepping with fresh arrays and a
+per-path v.  Peak memory is about one noise block (``DEFAULT_BLOCK_BYTES``)
+plus the ``(n_steps, dim)`` v table; a non-diagonal root adds a second
+block, the copy numpy makes for the product it writes back.
 
 :func:`simulate_many` steps several cases, each an ``(objective, config)``
 pair, over the same noise (common random numbers): each block is filled
@@ -48,6 +55,7 @@ noise, so they are refused with ValueError before anything is allocated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -108,8 +116,11 @@ class SdeConfig:
     def __post_init__(self):
         if not 0 < self.eta0 < math.inf:
             raise ValueError(f"eta0 must be positive and finite, got {self.eta0}")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # each path index must fit one 32-bit word of its Philox key
+        if not _is_int(self.n_paths) or not 1 <= self.n_paths < 2**32:
+            raise ValueError(f"n_paths must be an integer in [1, 2**32), got {self.n_paths!r}")
         if self.algorithm not in ("sgd", "adam"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm == "adam" and self.eps <= 0:
@@ -185,10 +196,71 @@ class SimulationReport:
         return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
     """Counter-based stream for one path, derived from (seed, path index)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence: pool size, hash and mix constants
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's ``hashmix`` with its own running hash constant.  The
+    constants do not depend on the data, so every path shares them."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ out >> 16
+
+
+def _path_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """The ``(stop - start, 2)`` uint64 Philox keys of paths start..stop-1.
+
+    Row j is ``SeedSequence(entropy=seed, spawn_key=(start + j,))
+    .generate_state(2, np.uint64)``, the key :func:`path_rng` gives its
+    Philox, computed for every path at once on uint32 columns.  The seed's
+    words are 1-element columns, so the pool mixing of the seed alone is
+    done once and broadcast when the path index is mixed in.  Needs
+    ``seed >= 0`` and ``stop <= 2**32`` (one word per path index).
+    """
+    seed = int(seed)
+    words = [seed >> shift & _MASK32 for shift in range(0, seed.bit_length() or 1, 32)]
+    words += [0] * (_POOL - len(words))  # a spawn key pads the seed to the pool size
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    lo0, hi0, lo1, hi1 = (hashmix(word).astype(np.uint64) for word in pool)
+    return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=1)
 
 
 def start_points(objective: Objective, config: SdeConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -311,12 +383,22 @@ def simulate_many(
     state = np.empty((4, block_size, dim))  # x, tmp, peak, m
     rows = np.empty((3, block_size))  # rowsum, wg, wm
 
+    # One generator, re-keyed per path: counter 0, the path's key and an
+    # empty output buffer give the stream path_rng builds for that path.
+    # Lists, not arrays: the state setter reads them item by item.
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    fresh = {**bitgen.state, "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0}
+    fresh["state"] = key_state = {"counter": [0] * 4, "key": None}
+
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_paths, block_size):
             B = min(block_size, n_paths - start)
             z = noise_buf[:B]
-            for j in range(B):
-                path_rng(seed, start + j).standard_normal(out=z[j])
+            for key, row in zip(_path_keys(seed, start, start + B).tolist(), z):
+                key_state["key"] = key
+                bitgen.state = fresh
+                rng.standard_normal(out=row)
             if scale is not None:
                 z *= scale
             else:

@@ -226,6 +226,11 @@ COMMANDS = {
         "simulate", "--dim", "64", "--horizon", "10", "--paths", "140",
         "--seed", str(2**32 + 5), "--out", "{out}"],
     "validate_quick": ["validate", "--quick", "--seed", "0", "--out", "{out}"],
+    # flag errors that name the flag (or the n_paths field)
+    "simulate_seed_negative": ["simulate", "--seed", "-1"],
+    "validate_seed_negative": ["validate", "--quick", "--seed", "-1"],
+    "simulate_noise_samples_zero": ["simulate", "--noise-samples", "0"],
+    "simulate_paths_two_words": ["simulate", "--paths", str(2**32)],
     # sweep errors with one fault each
     **{f"sweep_{name}": ["sweep", "--law", "{dir}/law_pretrain.json", "--eta-max-range", eta,
                          "--warmup-range", warmup, "--model", model, "--tokens", "10",

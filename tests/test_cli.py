@@ -547,20 +547,43 @@ class TestBadInput:
         assert "n_steps" in self.one_line_error(capsys).err
 
     # 10**16 float64 entries are 71 PiB, beyond any address space, so numpy
-    # refuses them at once; they ended in an _ArrayMemoryError traceback
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--paths", 10**16],
-        ["sweep", "--eta-max-range", f"0.1:0.5:{10**16}", "--warmup-range", "1:2:2"],
-        ["sweep", "--eta-max-range", "0.1:0.5:2", "--warmup-range", f"1:2:{10**16}"],
+    # refuses them at once; they ended in an _ArrayMemoryError traceback.
+    # SdeConfig refuses 10**16 paths before anything is allocated.
+    @pytest.mark.parametrize("argv, match", [
+        (["simulate", "--paths", 10**16], "n_paths must be an integer in [1, 2**32)"),
+        (["sweep", "--eta-max-range", f"0.1:0.5:{10**16}", "--warmup-range", "1:2:2"],
+         "Unable to allocate"),
+        (["sweep", "--eta-max-range", "0.1:0.5:2", "--warmup-range", f"1:2:{10**16}"],
+         "Unable to allocate"),
     ], ids=["simulate-paths", "sweep-eta-max-range", "sweep-warmup-range"])
-    def test_request_too_large_to_allocate(self, tmp_path, law_file, capsys, argv):
+    def test_request_too_large_to_allocate(self, tmp_path, law_file, capsys, argv, match):
         if argv[0] == "sweep":
             argv = [*argv, "--law", law_file, "--model", 4, "--tokens", 100,
                     "--out", tmp_path / "g.csv"]
         capsys.readouterr()
         assert run_cli(argv) == 1
         captured = self.one_line_error(capsys)
-        assert "Unable to allocate" in captured.err and captured.out == ""
+        assert match in captured.err and captured.out == ""
+
+    # each named numpy's message instead: "expected non-negative integer",
+    # "invalid literal for int() with base 10: 'x'" and "D must be at least 1"
+    @pytest.mark.parametrize("argv, env, match", [
+        (["simulate", "--seed", -1], None, "--seed must be a non-negative integer, got -1"),
+        (["validate", "--quick", "--seed", -1], None,
+         "--seed must be a non-negative integer, got -1"),
+        (["simulate"], "x", "OPTLAWS_SEED must be a non-negative integer, got 'x'"),
+        (["validate", "--quick"], "-3", "OPTLAWS_SEED must be a non-negative integer, got '-3'"),
+        (["simulate", "--noise-samples", 0], None, "--noise-samples must be at least 1, got 0"),
+        (["simulate", "--paths", 2**32], None,
+         "n_paths must be an integer in [1, 2**32), got 4294967296"),
+    ], ids=["simulate-seed", "validate-seed", "simulate-env-seed", "validate-env-seed",
+            "noise-samples", "paths-two-words"])
+    def test_bad_flag_is_named(self, capsys, monkeypatch, argv, env, match):
+        if env is not None:
+            monkeypatch.setenv("OPTLAWS_SEED", env)
+        assert run_cli(argv) == 1
+        captured = self.one_line_error(capsys)
+        assert captured.err == f"error: {match}\n" and captured.out == ""
 
     @pytest.mark.parametrize("command", ["predict", "rank"])
     def test_loss_overflows_exp(self, tmp_path, law_file, capsys, command):

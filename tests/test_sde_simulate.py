@@ -18,7 +18,7 @@ from optlaws.sde import (
     simulate,
     simulate_many,
 )
-from optlaws.sde.simulate import DEFAULT_BLOCK_BYTES
+from optlaws.sde.simulate import DEFAULT_BLOCK_BYTES, _path_keys
 from util import reference_simulate
 
 
@@ -123,6 +123,66 @@ class TestSgdSimulation:
             SdeConfig(schedule=sched, eta0=bad, n_paths=2)
         with pytest.raises(ValueError, match="x0 must be finite"):
             SdeConfig(schedule=sched, eta0=0.01, n_paths=2, x0=np.array([0.0, bad]))
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", True), ("seed", 1.0), ("seed", -2**70),
+        ("n_paths", 0), ("n_paths", 2**32), ("n_paths", True), ("n_paths", 3.0),
+    ])
+    def test_bad_seed_or_path_count_refused_at_once(self, field, value):
+        # the noise fill splits the seed into 32-bit words and each path
+        # index into one, so both are refused before any key is derived
+        sched = constant_schedule(0.1, 1.0)
+        kwargs = {"schedule": sched, "eta0": 0.01, "n_paths": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SdeConfig(**kwargs)
+
+    def test_numpy_integer_seed_accepted(self):
+        sched = constant_schedule(0.1, 1.0)
+        cfg = SdeConfig(schedule=sched, eta0=0.01, n_paths=3, seed=np.int64(2**40))
+        noise = NoiseModel.isotropic(2, 0.3)
+        got = simulate(isotropic_quadratic(2), noise, cfg)
+        want = simulate(isotropic_quadratic(2), noise, replace(cfg, seed=2**40))
+        assert got.stats == want.stats
+
+
+class TestPathKeys:
+    """The keys derived in one numpy pass are the seed sequence's, word for word."""
+
+    @staticmethod
+    def seed_sequence_key(seed, path):
+        return np.random.SeedSequence(entropy=seed, spawn_key=(path,)).generate_state(
+            2, np.uint64)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1,
+                                      12345678901234567890123])
+    def test_keys_equal_seed_sequence_state(self, seed):
+        keys = _path_keys(seed, 0, 2048)
+        assert keys.dtype == np.uint64 and keys.shape == (2048, 2)
+        want = np.array([self.seed_sequence_key(seed, i) for i in range(2048)])
+        np.testing.assert_array_equal(keys, want)
+        for path in (2**31, 2**32 - 1):
+            np.testing.assert_array_equal(_path_keys(seed, path, path + 1)[0],
+                                          self.seed_sequence_key(seed, path))
+
+    def test_one_philox_per_call(self, monkeypatch):
+        built = {"Philox": 0, "SeedSequence": 0, "Generator": 0}
+
+        def counting(name):
+            make = getattr(np.random, name)
+
+            def build(*args, **kwargs):
+                built[name] += 1
+                return make(*args, **kwargs)
+            return build
+
+        for name in built:
+            monkeypatch.setattr(np.random, name, counting(name))
+        cfg = SdeConfig(schedule=constant_schedule(0.5, 0.2), eta0=0.01, n_paths=1000,
+                        seed=2**32 + 5)
+        simulate(isotropic_quadratic(3), NoiseModel.isotropic(3, 0.1), cfg, block_size=64)
+        assert built["Philox"] == 1 and built["Generator"] == 1, built
+        assert built["SeedSequence"] <= 1, built
 
 
 class TestNoiseModel:
@@ -257,6 +317,14 @@ class TestReferenceStepper:
     def test_odd_block_sizes(self, block_size):
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=53, seed=8,
                         record_traces=True, trap_eps=(0.5,))
+        assert_matches_reference(double_well(4), NoiseModel.isotropic(4, 0.1), cfg,
+                                 block_size=block_size)
+
+    @pytest.mark.parametrize("block_size", [1, 13])
+    def test_two_word_seed(self, block_size):
+        # the reference draws through path_rng, so this checks the derived keys
+        cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=29, seed=2**32 + 5,
+                        trap_eps=(0.5,))
         assert_matches_reference(double_well(4), NoiseModel.isotropic(4, 0.1), cfg,
                                  block_size=block_size)
 
