@@ -137,10 +137,14 @@ def gated_criterion(
     The criterion itself requires a1 > 0 (and rejects any other nonzero
     a1); with no warmup the ratio blows up, so such configs diverge
     (R = inf) unless the peak rate already sits at or below the critical
-    rate (zero numerator, R = 0 in the limit).
+    rate (zero numerator, R = 0 in the limit).  A zero warmup needs a
+    non-negative peak rate: a NaN or negative one raises ValueError.
     """
     if a1 != 0.0:
         return criterion_R(eta_max, a1, N, S, params)
+    if not eta_max >= 0:
+        raise ValueError(f"with a zero warmup the peak rate must be non-negative, "
+                         f"got eta_max={eta_max}")
     threshold = critical_rate(N, S, params)
     if eta_max <= threshold:
         return CriterionResult(R=0.0, eta_L=eta_max, verdict="stable")
@@ -164,9 +168,10 @@ def gated_criteria(eta_max, a1, N, S, params: DivergenceParams = DEFAULT_PARAMS)
     with np.errstate(over="ignore"):  # an overflowing warmup fails the critical rate
         a_sq = a1 * a1
     try:
-        # criterion_R's input checks; divergence_ratio checks its denominator
-        if not (~warm | ((0 < eta_max) & (eta_max < math.inf) & (0 < a1) & (a1 < math.inf)
-                         & (a_sq != 0.0))).all():
+        # criterion_R's input checks, or the zero-warmup peak check;
+        # divergence_ratio checks its denominator
+        if not np.where(warm, (0 < eta_max) & (eta_max < math.inf) & (0 < a1) & (a1 < math.inf)
+                        & (a_sq != 0.0), eta_max >= 0).all():
             raise ValueError
         threshold = np.reshape([critical_rate(n, s, params) for n, s in zip(
             *(x.ravel().tolist() for x in NS))], NS[0].shape)
@@ -174,7 +179,7 @@ def gated_criteria(eta_max, a1, N, S, params: DivergenceParams = DEFAULT_PARAMS)
         if not (eta_l[warm] > 0).all():
             raise ValueError
         # a zero warmup: R = 0 at or below the critical rate, inf above it
-        R = np.where(threshold < eta_max, math.inf, 0.0)
+        R = np.where(eta_max <= threshold, 0.0, math.inf)
         with np.errstate(over="ignore"):  # R = inf, as the scalar ratio gives it
             R[warm] = divergence_ratio(eta_max[warm], a_sq[warm], (S * S)[warm], eta_l[warm],
                                        params)

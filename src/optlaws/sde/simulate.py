@@ -15,14 +15,13 @@ Gaussian increments.
 
 Each path owns a counter-based Philox stream derived from
 (seed, path index), so ensembles are reproducible and independent of how
-paths are grouped into blocks.  :func:`path_rng` defines the streams:
-Philox keyed by ``SeedSequence(entropy=seed, spawn_key=(i,))``.  A Philox
-stream is fully set by its 128-bit key and its counter (Salmon et al.,
-"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so the fill does
-not build a seed sequence and a generator per path: the keys of a block
-are derived in one numpy pass (:func:`_path_keys`, a port of numpy's
-seed-sequence mixing), and one generator per call is re-keyed, its counter
-reset, for each path.  The streams are the ones :func:`path_rng` gives.
+paths are grouped into blocks.  :func:`path_rng` defines the streams: the
+seed's one Philox key, with path i's counter starting 2**128 * i draws in,
+as ``Philox.jumped(i)`` places it.  Streams under one key that start that
+far apart do not overlap (Salmon et al., "Parallel Random Numbers: As Easy
+as 1, 2, 3", SC'11), and a Philox stream is fully set by its key and its
+counter, so the fill builds one generator per call and resets its counter
+for each path.
 
 The noise does not depend on the state, so Adam's second moment v follows
 the same deterministic recursion on every path (the deterministic v of the
@@ -32,10 +31,10 @@ exactly as ``v_min``.
 
 Paths are stepped in blocks.  One noise buffer of block size is allocated
 per call and refilled in place for every block, path by path from its own
-stream through the one re-keyed generator.  When the noise root is
-diagonal (isotropic noise, which is all the CLI uses) the buffer is scaled
-by that diagonal in place; otherwise it is multiplied by the root and the
-product written back.  The per-step updates run in place on preallocated
+stream through the one generator.  When the noise root is diagonal
+(isotropic noise, which is all the CLI uses) the buffer is scaled by that
+diagonal in place; otherwise it is multiplied by the root and the product
+written back.  The per-step updates run in place on preallocated
 ``(block, dim)`` arrays, in the same operation order as the expressions
 above, so results are bit-identical to stepping with fresh arrays and a
 per-path v.  Peak memory is about one noise block (``DEFAULT_BLOCK_BYTES``)
@@ -118,7 +117,7 @@ class SdeConfig:
             raise ValueError(f"eta0 must be positive and finite, got {self.eta0}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        # each path index must fit one 32-bit word of its Philox key
+        # 2**32 paths would need 32 GiB for each per-path result array alone
         if not _is_int(self.n_paths) or not 1 <= self.n_paths < 2**32:
             raise ValueError(f"n_paths must be an integer in [1, 2**32), got {self.n_paths!r}")
         if self.algorithm not in ("sgd", "adam"):
@@ -132,6 +131,9 @@ class SdeConfig:
             raise ValueError("x0 must be finite")
         if self.schedule.S / self.eta0 == math.inf:
             raise ValueError(f"n_steps = S/eta0 = {self.schedule.S}/{self.eta0} overflows")
+        # plain ints, so a numpy integer never reaches the JSON report
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n_paths", int(self.n_paths))
 
     @property
     def n_steps(self) -> int:
@@ -201,66 +203,11 @@ def _is_int(value) -> bool:
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based stream for one path, derived from (seed, path index)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-# numpy's SeedSequence: pool size, hash and mix constants
-_POOL = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's ``hashmix`` with its own running hash constant.  The
-    constants do not depend on the data, so every path shares them."""
-    const = init
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_L - y * _MIX_R
-    return out ^ out >> 16
-
-
-def _path_keys(seed: int, start: int, stop: int) -> np.ndarray:
-    """The ``(stop - start, 2)`` uint64 Philox keys of paths start..stop-1.
-
-    Row j is ``SeedSequence(entropy=seed, spawn_key=(start + j,))
-    .generate_state(2, np.uint64)``, the key :func:`path_rng` gives its
-    Philox, computed for every path at once on uint32 columns.  The seed's
-    words are 1-element columns, so the pool mixing of the seed alone is
-    done once and broadcast when the path index is mixed in.  Needs
-    ``seed >= 0`` and ``stop <= 2**32`` (one word per path index).
-    """
-    seed = int(seed)
-    words = [seed >> shift & _MASK32 for shift in range(0, seed.bit_length() or 1, 32)]
-    words += [0] * (_POOL - len(words))  # a spawn key pads the seed to the pool size
-    entropy = [np.array([w], dtype=np.uint32) for w in words]
-    entropy.append(np.arange(start, stop, dtype=np.uint32))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    lo0, hi0, lo1, hi1 = (hashmix(word).astype(np.uint64) for word in pool)
-    return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=1)
+    """Counter-based stream for one path: the seed's Philox stream jumped
+    ``path_index`` times, i.e. its key with the counter at words
+    ``[0, 0, path_index, 0]``."""
+    bitgen = np.random.Philox(np.random.SeedSequence(seed)).jumped(path_index)
+    return np.random.Generator(bitgen)
 
 
 def start_points(objective: Objective, config: SdeConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -383,20 +330,21 @@ def simulate_many(
     state = np.empty((4, block_size, dim))  # x, tmp, peak, m
     rows = np.empty((3, block_size))  # rowsum, wg, wm
 
-    # One generator, re-keyed per path: counter 0, the path's key and an
-    # empty output buffer give the stream path_rng builds for that path.
-    # Lists, not arrays: the state setter reads them item by item.
-    bitgen = np.random.Philox(0)
+    # One generator keyed by the seed.  Counter [0, 0, i, 0] and an empty
+    # output buffer give the stream path_rng builds for path i.  Lists, not
+    # arrays: the state setter reads them item by item.
+    bitgen = np.random.Philox(np.random.SeedSequence(seed))
     rng = np.random.Generator(bitgen)
     fresh = {**bitgen.state, "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0}
-    fresh["state"] = key_state = {"counter": [0] * 4, "key": None}
+    counter = [0] * 4
+    fresh["state"] = {"counter": counter, "key": fresh["state"]["key"].tolist()}
 
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_paths, block_size):
             B = min(block_size, n_paths - start)
             z = noise_buf[:B]
-            for key, row in zip(_path_keys(seed, start, start + B).tolist(), z):
-                key_state["key"] = key
+            for i, row in enumerate(z, start):
+                counter[2] = i
                 bitgen.state = fresh
                 rng.standard_normal(out=row)
             if scale is not None:

@@ -174,6 +174,26 @@ class TestGatedCriteria:
             want = gated_criterion(*args, 0.58, 10.0)
             assert (r, e) == (want.R, want.eta_L)
 
+    def test_zero_warmup_peaks_agree_with_gated_criterion(self):
+        threshold = critical_rate(1.0, 10.0)
+        peaks = [math.nan, -1.0, 0.0, threshold, math.inf]
+        for h in peaks:
+            try:
+                want = gated_criterion(h, 0.0, 1.0, 10.0)
+            except ValueError as err:
+                assert str(err) == ("with a zero warmup the peak rate must be non-negative, "
+                                    f"got eta_max={h}")
+                with pytest.raises(ValueError) as array_err:
+                    gated_criteria(np.array([h]), 0.0, 1.0, 10.0)
+                assert str(array_err.value) == str(err)
+                continue
+            R, eta_L = gated_criteria(np.array([h]), 0.0, 1.0, 10.0)
+            assert (R.item(), eta_L.item()) == (want.R, want.eta_L)
+        ok = peaks[2:]
+        R, eta_L = gated_criteria(np.array(ok), 0.0, 1.0, 10.0)
+        assert R.tolist() == [0.0, 0.0, math.inf]
+        assert eta_L.tolist() == [0.0, threshold, threshold]
+
     def test_grid_raises_the_first_bad_cell_in_row_major_order(self):
         # (0, 2) has a warmup whose square underflows, (1, 1) a zero peak
         h = np.array([[0.4, 0.4, 0.4], [0.4, 0.0, 0.4]])

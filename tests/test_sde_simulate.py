@@ -18,7 +18,7 @@ from optlaws.sde import (
     simulate,
     simulate_many,
 )
-from optlaws.sde.simulate import DEFAULT_BLOCK_BYTES, _path_keys
+from optlaws.sde.simulate import DEFAULT_BLOCK_BYTES
 from util import reference_simulate
 
 
@@ -130,40 +130,24 @@ class TestSgdSimulation:
         ("n_paths", 0), ("n_paths", 2**32), ("n_paths", True), ("n_paths", 3.0),
     ])
     def test_bad_seed_or_path_count_refused_at_once(self, field, value):
-        # the noise fill splits the seed into 32-bit words and each path
-        # index into one, so both are refused before any key is derived
+        # both are refused before any noise is drawn
         sched = constant_schedule(0.1, 1.0)
         kwargs = {"schedule": sched, "eta0": 0.01, "n_paths": 2, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SdeConfig(**kwargs)
 
     def test_numpy_integer_seed_accepted(self):
-        sched = constant_schedule(0.1, 1.0)
-        cfg = SdeConfig(schedule=sched, eta0=0.01, n_paths=3, seed=np.int64(2**40))
+        # the report holds plain ints, so it dumps to the same JSON
+        cfg = SdeConfig(schedule=constant_schedule(0.1, 1.0), eta0=0.01, n_paths=3, seed=2**40)
         noise = NoiseModel.isotropic(2, 0.3)
-        got = simulate(isotropic_quadratic(2), noise, cfg)
-        want = simulate(isotropic_quadratic(2), noise, replace(cfg, seed=2**40))
-        assert got.stats == want.stats
+        want = json.dumps(simulate(isotropic_quadratic(2), noise, cfg).as_dict())
+        for field, value in (("seed", np.int64(2**40)), ("n_paths", np.uint64(3))):
+            got = simulate(isotropic_quadratic(2), noise, replace(cfg, **{field: value}))
+            assert json.dumps(got.as_dict()) == want
 
 
 class TestPathKeys:
-    """The keys derived in one numpy pass are the seed sequence's, word for word."""
-
-    @staticmethod
-    def seed_sequence_key(seed, path):
-        return np.random.SeedSequence(entropy=seed, spawn_key=(path,)).generate_state(
-            2, np.uint64)
-
-    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1,
-                                      12345678901234567890123])
-    def test_keys_equal_seed_sequence_state(self, seed):
-        keys = _path_keys(seed, 0, 2048)
-        assert keys.dtype == np.uint64 and keys.shape == (2048, 2)
-        want = np.array([self.seed_sequence_key(seed, i) for i in range(2048)])
-        np.testing.assert_array_equal(keys, want)
-        for path in (2**31, 2**32 - 1):
-            np.testing.assert_array_equal(_path_keys(seed, path, path + 1)[0],
-                                          self.seed_sequence_key(seed, path))
+    """Every path's stream comes from the seed's one Philox key."""
 
     def test_one_philox_per_call(self, monkeypatch):
         built = {"Philox": 0, "SeedSequence": 0, "Generator": 0}
@@ -182,7 +166,7 @@ class TestPathKeys:
                         seed=2**32 + 5)
         simulate(isotropic_quadratic(3), NoiseModel.isotropic(3, 0.1), cfg, block_size=64)
         assert built["Philox"] == 1 and built["Generator"] == 1, built
-        assert built["SeedSequence"] <= 1, built
+        assert built["SeedSequence"] == 1, built
 
 
 class TestNoiseModel:
@@ -322,7 +306,7 @@ class TestReferenceStepper:
 
     @pytest.mark.parametrize("block_size", [1, 13])
     def test_two_word_seed(self, block_size):
-        # the reference draws through path_rng, so this checks the derived keys
+        # the reference draws through path_rng, so this checks the per-path counters
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=29, seed=2**32 + 5,
                         trap_eps=(0.5,))
         assert_matches_reference(double_well(4), NoiseModel.isotropic(4, 0.1), cfg,
@@ -330,7 +314,7 @@ class TestReferenceStepper:
 
     @pytest.mark.parametrize("algorithm, variance, eta0, c2, path", [
         ("sgd", 10.0, 0.14, 1.0, 11),
-        ("adam", 0.5, 0.15, 1.0, 1),
+        ("adam", 0.5, 0.15, 1.0, 10),
         ("adam", 0.1, 0.01, 400.0, 0),  # v itself overflows
     ])
     def test_diverging_run_names_the_same_path(self, algorithm, variance, eta0, c2, path):
@@ -469,7 +453,7 @@ class TestSimulateMany:
 
     @pytest.mark.parametrize("algorithm, variance, eta0, c2, path", [
         ("sgd", 10.0, 0.14, 1.0, 11),
-        ("adam", 0.5, 0.15, 1.0, 1),
+        ("adam", 0.5, 0.15, 1.0, 10),
         ("adam", 0.1, 0.01, 400.0, 0),  # v itself overflows
     ])
     def test_diverging_case_names_its_own_path(self, algorithm, variance, eta0, c2, path):
