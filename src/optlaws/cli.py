@@ -25,7 +25,7 @@ from .divergence import (
     gated_criteria,
     gated_criterion,
 )
-from .features import Normalizer
+from .features import LR_SCALE, MARKER_RULES, Normalizer
 from .law import (
     DIVERGED_LOSS,
     ConfigBatch,
@@ -498,8 +498,9 @@ def _validate_suites(seed: int, quick: bool) -> dict:
     obj = sde.isotropic_quadratic(dim)
     noise = sde.NoiseModel.isotropic(dim, 1.0, D=64)
     trap_sched = build_general_schedule(1.0, 1.0, 0.5, 0.5, 0.5, 2.0)
-    ga = sde.gaussian_approx(obj, noise, trap_sched, np.zeros(dim), "sgd", [2.0], eta0=0.01)
-    trace = float(np.trace(ga.P_closed[0]))
+    P = sde.closed_form_covariance(obj.hessian_at(np.zeros(dim)), noise.Sigma_g, trap_sched,
+                                   0.01, [2.0])
+    trace = float(np.trace(P[0]))
     eps_list = tuple(f * trace for f in (0.01, 0.1, 0.5))
     config = sde.SdeConfig(
         schedule=trap_sched, eta0=0.01, n_paths=500 if quick else 2000,
@@ -537,8 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
-    p.add_argument("--policy", default="a1/a3/a2", choices=["a1/a3/a2", "all-a1"])
-    p.add_argument("--lr-scale", type=float, default=1.5e-2)
+    p.add_argument("--policy", default="a1/a3/a2", choices=list(MARKER_RULES))
+    p.add_argument("--lr-scale", type=float, default=LR_SCALE)
     p.add_argument("--token-length", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--no-escape-terms", action="store_true")
@@ -563,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=float, required=True, help="model size in billions")
     p.add_argument("--tokens", type=float, required=True, help="horizon in billions of tokens")
     p.add_argument("--raw-lr", action="store_true", help="eta-max is a raw LR; normalize it")
-    p.add_argument("--lr-scale", type=float, default=1.5e-2)
+    p.add_argument("--lr-scale", type=float, default=LR_SCALE)
     p.add_argument("--gate-overrides", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_check)

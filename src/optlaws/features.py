@@ -28,6 +28,7 @@ __all__ = [
     "Normalizer",
     "MarkerPolicy",
     "FeatureVector",
+    "LR_SCALE",
     "TERM_NAMES",
     "DEFAULT_POWERS",
     "MARKER_RULES",
@@ -37,7 +38,7 @@ __all__ = [
     "schedule_bases",
     "rule_bases",
     "feature_matrix",
-    "features_from_bases",
+    "checked_feature_matrix",
     "compute_features",
 ]
 
@@ -71,6 +72,9 @@ DEFAULT_POWERS = (
     -0.25, -0.25, 0.2, 1.0,
 )
 
+# Default raw learning rate that normalizes to 1.
+LR_SCALE = 1.5e-2
+
 # Indices of the escape block, droppable in 12-term mode.
 ESCAPE_INDICES = (4, 5, 6, 7)
 
@@ -89,7 +93,7 @@ class Normalizer:
     learnable parameters.
     """
 
-    lr_scale: float = 1.5e-2
+    lr_scale: float = LR_SCALE
 
     def __post_init__(self):
         if not (isinstance(self.lr_scale, numbers.Real) and 0 < self.lr_scale < math.inf):
@@ -302,32 +306,32 @@ def feature_matrix(bases: dict, S, N, powers=None) -> tuple[np.ndarray, np.ndarr
     return F, ok
 
 
-def features_from_bases(
-    bases: dict, S: float, N: float, powers=None
-) -> FeatureVector:
-    """Assemble the 16-entry vector from precomputed base quantities.
-
-    The one-row case of :func:`feature_matrix`.  Split out from
-    :func:`compute_features` so that the continual-training variant can
-    rescale the tail slope energy and extend the warmup area before
-    assembly.  Outside the domain it raises a :class:`FeatureError` that
-    names the first failing term.
+def checked_feature_matrix(bases: dict, S, N, powers=None, refused=None) -> np.ndarray:
+    """The ``(n, 16)`` matrix of :func:`feature_matrix` when every row is in
+    the domain; otherwise a :class:`FeatureError` for the first row outside
+    it: its ``refused`` message (a dict of messages by row index) if it has
+    one, else the message naming that row's first failing term.
     """
+    F, ok = feature_matrix(bases, S, N, powers)
+    if ok.all():
+        return F
+    i = int(np.argmin(ok))
+    if refused and i in refused:
+        raise FeatureError(refused[i])
     p = _powers(powers)
-    F, ok = feature_matrix(bases, S, N, p)
-    if not ok[0]:
-        B = np.empty((1, 16))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            _fill_bases(B, *_columns(bases, S, N))
-        for j, (name, base) in enumerate(zip(TERM_NAMES, B[0])):
-            den = B[0, _DENOMINATORS[j]] if j in _DENOMINATORS else 1.0
-            if den <= 0.0:
-                raise FeatureError(f"zero or negative denominator for term {name!r}: {den}")
-            if base < 0.0:
-                raise FeatureError(f"negative base for term {name!r}: {base}")
-            if base == 0.0 and p[j] < 0.0:
-                raise FeatureError(f"zero base with negative power for term {name!r}")
-    return FeatureVector(F[0].tolist(), p)  # validation names a non-finite entry
+    B = np.empty((1, 16))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        _fill_bases(B, *(np.broadcast_to(c, ok.shape)[i:i + 1] for c in _columns(bases, S, N)))
+    for j, (name, base) in enumerate(zip(TERM_NAMES, B[0])):
+        den = B[0, _DENOMINATORS[j]] if j in _DENOMINATORS else 1.0
+        if den <= 0.0:
+            raise FeatureError(f"zero or negative denominator for term {name!r}: {den}")
+        if base < 0.0:
+            raise FeatureError(f"negative base for term {name!r}: {base}")
+        if base == 0.0 and p[j] < 0.0:
+            raise FeatureError(f"zero base with negative power for term {name!r}")
+    FeatureVector(F[i].tolist(), p)  # validation names a non-finite entry
+    raise FeatureError(f"configuration {i} is outside the feature map's domain")
 
 
 def compute_features(
@@ -343,4 +347,6 @@ def compute_features(
     denominator (or under a negative power) vanishes, e.g. for a
     zero-length or zero-rate warmup.
     """
-    return features_from_bases(schedule_bases(schedule, policy), schedule.S, N, powers)
+    bases = schedule_bases(schedule, policy)
+    p = _powers(powers)
+    return FeatureVector(checked_feature_matrix(bases, schedule.S, N, p)[0].tolist(), p)

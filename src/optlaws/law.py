@@ -8,8 +8,11 @@ criterion rejects.
 
 Every command prices through one route, so a config has one log loss
 whichever command prices it and whatever batch it is in:
-:func:`_config_bases` (bases under the law's mode), :func:`_features` (the
-16-term map) and :func:`_log_losses` (the contraction, term by term).
+:func:`_config_bases` (bases under the law's mode),
+:func:`~optlaws.features.checked_feature_matrix` (the 16-term map, which
+raises the error of the first config outside its domain; ``rank`` lists
+such configs as unpriced instead) and :func:`_log_losses` (the contraction,
+term by term).
 ``_config_bases`` takes one :class:`~optlaws.schedule.Schedule` (``predict``)
 or a :class:`~optlaws.schedule.ScheduleTable` of many (``rank`` through a
 :class:`ConfigBatch`, ``fit`` and ``sweep`` through four-phase columns); the
@@ -36,9 +39,10 @@ from .features import (
     TERM_NAMES,
     FeatureError,
     FeatureVector,
+    LR_SCALE,
     Normalizer,
+    checked_feature_matrix,
     feature_matrix,
-    features_from_bases,
     rule_bases,
 )
 from .schedule import Schedule, ScheduleTable, build_general_schedule, json_input
@@ -184,7 +188,7 @@ class FittedLaw:
 
     c: tuple[float, ...]
     powers: tuple[float, ...] = DEFAULT_POWERS
-    lr_scale: float = 1.5e-2
+    lr_scale: float = LR_SCALE
     policy_rule: str = "a1/a3/a2"
     mode: str = "pretrain"  # or "continual"
     escape_terms: bool = True
@@ -266,7 +270,8 @@ def continual_features(
     pre = PretrainContext(pre_schedule, pre_S)
     bases, S, N, refused = _config_bases(
         law.as_continual(), config.schedule, config.N, pre.schedule, pre.horizon)
-    return FeatureVector(_features(bases, S, N, law.powers, refused)[0].tolist(), law.powers)
+    F = checked_feature_matrix(bases, S, N, law.powers, refused)
+    return FeatureVector(F[0].tolist(), law.powers)
 
 
 def _config_bases(law: FittedLaw, schedules, N, pre=None, pre_S=None):
@@ -303,21 +308,6 @@ def _config_bases(law: FittedLaw, schedules, N, pre=None, pre_S=None):
     return bases, row(S), row(N), refused
 
 
-def _features(bases: dict, S, N, powers, refused=None) -> np.ndarray:
-    """(n, 16) feature matrix of the bases; raises the FeatureError of the
-    first row outside the feature map's domain, its ``refused`` message if
-    it has one."""
-    F, ok = feature_matrix(bases, S, N, powers)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        if refused and i in refused:
-            raise FeatureError(refused[i])
-        row = lambda x: float(np.broadcast_to(x, ok.shape)[i])
-        features_from_bases({k: row(v) for k, v in bases.items()}, row(S), row(N), powers)
-        raise FeatureError(f"configuration {i} is outside the feature map's domain")
-    return F
-
-
 def _log_losses(c, F: np.ndarray) -> np.ndarray:
     """Log losses ``F @ c``, accumulated term by term in table order, so a
     row gives the same bits alone or in any batch."""
@@ -335,7 +325,8 @@ def general_log_losses(law: FittedLaw, eta1, eta2, a1, a2, a3, S, N) -> np.ndarr
     if law.mode == "continual":
         raise FeatureError(_NEEDS_PRE)
     table = ScheduleTable.four_phase(eta1, eta2, a1, a2, a3, S)
-    return _log_losses(law.c, _features(rule_bases(table, law.policy_rule), S, N, law.powers))
+    F = checked_feature_matrix(rule_bases(table, law.policy_rule), S, N, law.powers)
+    return _log_losses(law.c, F)
 
 
 def _design_matrix(records, powers, policy_rule: str, normalizer: Normalizer):
@@ -346,7 +337,7 @@ def _design_matrix(records, powers, policy_rule: str, normalizer: Normalizer):
     S, lr = col("tokens_B"), normalizer.normalize_lr
     table = ScheduleTable.four_phase(lr(col("eta1")), lr(col("eta2")), col("a1_B"), col("a2_B"),
                                      col("a3_B"), S)
-    A = _features(rule_bases(table, policy_rule), S, col("model_B"), powers)
+    A = checked_feature_matrix(rule_bases(table, policy_rule), S, col("model_B"), powers)
     y = np.log(col("loss"))
     return A, y
 
@@ -413,7 +404,8 @@ def predict(law: FittedLaw, config: RunConfig) -> dict:
     pre = config.pre
     bases, S, N, refused = _config_bases(law, config.schedule, config.N,
                                          pre and pre.schedule, pre and pre.horizon)
-    log_loss = float(_log_losses(law.c, _features(bases, S, N, law.powers, refused))[0])
+    F = checked_feature_matrix(bases, S, N, law.powers, refused)
+    log_loss = float(_log_losses(law.c, F)[0])
     try:
         return {"log_loss": log_loss, "loss": math.exp(log_loss)}
     except OverflowError:

@@ -298,8 +298,6 @@ class GaussianApprox:
     P_closed: list[np.ndarray]
     mean: np.ndarray
     generator: np.ndarray
-    Sigma: np.ndarray
-    diffusion_scale: float
 
     def max_route_gap(self) -> float:
         return max(
@@ -353,6 +351,4 @@ def gaussian_approx(
         P_closed=P_closed,
         mean=mean,
         generator=G,
-        Sigma=S_mat,
-        diffusion_scale=scale,
     )

@@ -11,8 +11,9 @@ import pytest
 
 import optlaws
 from optlaws import cli
-from optlaws.cli import main, read_runs_csv, sweep_grid
+from optlaws.cli import RUNS_COLUMNS, main, read_runs_csv, sweep_grid
 from optlaws.divergence import DEFAULT_PARAMS, critical_rate, gated_criterion
+from optlaws.features import FeatureError, compute_features, default_markers
 from optlaws.law import REFERENCE_COEFFICIENTS, FittedLaw, RunConfig, predict, reference_law
 from optlaws.schedule import build_general_schedule
 from util import count_per_config_calls, fixture_corpus, law_text, records_to_csv
@@ -56,6 +57,22 @@ class TestFit:
         bad.write_text("\n".join(lines) + "\n")
         assert run_cli(["fit", "--runs", bad, "--out", tmp_path / "law.json"]) == 1
         assert "line 4" in capsys.readouterr().err
+
+    def test_zero_warmup_in_third_row_names_its_term(self, tmp_path, runs_csv, capsys):
+        # the first bad row is not row 0; fit raises the error that row raises alone
+        lines = runs_csv.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[RUNS_COLUMNS.index("a1_B")] = "0.0"
+        lines[3] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        row = read_runs_csv(str(bad))[2]
+        s = row.normalized_schedule()
+        with pytest.raises(FeatureError) as want:
+            compute_features(s, default_markers(s), row.model_B)
+        assert str(want.value) == "zero base with negative power for term 'warmup_lr_area'"
+        assert run_cli(["fit", "--runs", bad, "--out", tmp_path / "law.json"]) == 1
+        assert capsys.readouterr().err == f"error: {want.value}\n"
 
     def test_wrong_header_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

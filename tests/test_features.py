@@ -15,6 +15,7 @@ from optlaws.features import (
     FeatureVector,
     MarkerPolicy,
     Normalizer,
+    checked_feature_matrix,
     collapsed_markers,
     compute_features,
     default_markers,
@@ -23,6 +24,7 @@ from optlaws.features import (
     rule_bases,
     schedule_bases,
 )
+from optlaws.law import RunConfig, _config_bases, continual_features, reference_law
 from optlaws.schedule import (
     Schedule,
     ScheduleError,
@@ -342,6 +344,97 @@ class TestFeatureMatrix:
         assert ok.all()
         assert np.isfinite(F).all() and (F >= 0.0).all()
         assert (F[:, 15] == 1.0).all()
+
+
+def _alone(s, N=4.0, powers=None):
+    """Bases, S and N of one config under the standard split, and the call
+    that prices it alone."""
+    row = {**schedule_bases(s, default_markers(s)), "S": s.S, "N": N}
+    return row, lambda: compute_features(s, default_markers(s), N, powers)
+
+
+def _raw_alone(row, powers=None):
+    """A bases row no schedule gives, priced alone by the checked map."""
+    return row, lambda: checked_feature_matrix(
+        {k: row[k] for k in row if k not in ("S", "N")}, row["S"], row["N"], powers)
+
+
+_GOOD = [build_general_schedule(0.4, 0.4, 2.0, 2.0, 2.0, 10.0),
+         build_general_schedule(0.7, 0.3, 1.0, 4.0, 6.0, 12.0),
+         build_general_schedule(0.2, 0.2, 3.0, 3.0, 3.0, 20.0)]
+_ZERO_WARMUP = build_general_schedule(0.4, 0.4, 0.0, 0.0, 0.0, 10.0)
+_NEGATIVE = {**_alone(_GOOD[0])[0], "warmup_energy": -1.0}
+_ABS_POWERS = tuple(abs(p) for p in DEFAULT_POWERS)
+
+# kind -> (the first bad row and its call alone, powers, a later bad row with
+# another message, the message)
+_FIRST_BAD = {
+    "negative base": (
+        _raw_alone(_NEGATIVE), None, _alone(_ZERO_WARMUP)[0],
+        "negative base for term 'warmup_slope_energy': -1.0"),
+    "zero base with a negative power": (
+        _alone(_ZERO_WARMUP), None, _NEGATIVE,
+        "zero base with negative power for term 'warmup_lr_area'"),
+    "zero denominator under custom powers": (
+        _alone(_ZERO_WARMUP, powers=_ABS_POWERS), _ABS_POWERS, _NEGATIVE,
+        "zero or negative denominator for term 'tail_slope_energy_per_warmup_lr_area': 0.0"),
+    "non-finite entry": (  # N over a tail area below 1 overflows
+        _alone(build_general_schedule(0.1, 0.1, 2.0, 2.0, 2.0, 10.0), N=1e308), None,
+        _alone(_ZERO_WARMUP)[0],
+        "feature entry 'model_per_tail_lr_area' is not finite nonnegative: inf"),
+}
+
+
+class TestCheckedFeatureMatrix:
+    """A batch's first row outside the domain raises the error that row
+    raises alone, wherever it sits and whatever bad rows follow it."""
+
+    @staticmethod
+    def batch(rows):
+        cols = {k: np.array([r[k] for r in rows]) for k in rows[0]}
+        return cols, cols.pop("S"), cols.pop("N")
+
+    def test_rows_in_the_domain_are_the_feature_matrix(self):
+        bases, S, N = self.batch([_alone(s)[0] for s in _GOOD])
+        F, ok = feature_matrix(bases, S, N)
+        assert ok.all() and np.array_equal(checked_feature_matrix(bases, S, N), F)
+
+    @pytest.mark.parametrize("kind", sorted(_FIRST_BAD))
+    def test_first_bad_row_mid_batch(self, kind):
+        (bad, alone), powers, later, message = _FIRST_BAD[kind]
+        with pytest.raises(FeatureError) as want:
+            alone()
+        assert str(want.value) == message
+        good = [_alone(s)[0] for s in _GOOD]
+        bases, S, N = self.batch(good[:2] + [bad, good[2], later])
+        with pytest.raises(FeatureError, match=f"^{re.escape(message)}$"):
+            checked_feature_matrix(bases, S, N, powers)
+
+    def test_bad_row_with_no_failing_term_is_named_by_index(self):
+        # a NaN base under a zero power gives the term 1.0: no term and no
+        # entry is at fault, but the row is still outside the domain
+        nan_row = {**_alone(_GOOD[0])[0], "tail_energy": nan}
+        bases, S, N = self.batch([_alone(_GOOD[1])[0], nan_row, _alone(_ZERO_WARMUP)[0]])
+        with pytest.raises(FeatureError,
+                           match="^configuration 1 is outside the feature map's domain$"):
+            checked_feature_matrix(bases, S, N, (0.0,) * 16)
+
+    def test_first_refused_continual_row_mid_batch(self):
+        law = reference_law().as_continual()
+        zero_tail = build_general_schedule(0.0, 0.0, 2.0, 2.0, 2.0, 10.0)  # no peak past a_e2
+        with pytest.raises(FeatureError) as want:
+            continual_features(law, None, 0.0, RunConfig(zero_tail, 4.0))
+        assert str(want.value) == "continual rescaling needs a positive peak rate on [2.0, 10.0]"
+        # bad rows after it: a zero warmup (no pre-training area lifts it)
+        # and a refused row with other markers
+        later_tail = build_general_schedule(0.0, 0.0, 3.0, 3.0, 3.0, 12.0)
+        rows = [*_GOOD[:2], zero_tail, _GOOD[2], _ZERO_WARMUP, later_tail]
+        N = np.full(len(rows), 4.0)
+        bases, S, N, refused = _config_bases(
+            law, ScheduleTable.from_schedules(rows), N, None, np.zeros(len(rows)))
+        assert sorted(refused) == [2, 5]
+        with pytest.raises(FeatureError, match=f"^{re.escape(str(want.value))}$"):
+            checked_feature_matrix(bases, S, N, law.powers, refused)
 
 
 class TestFeatureVector:
