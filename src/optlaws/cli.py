@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import sde
+from . import sde, validate
 from .divergence import (
     DEFAULT_PARAMS,
     DivergenceParams,
@@ -25,7 +25,7 @@ from .divergence import (
     gated_criteria,
     gated_criterion,
 )
-from .features import LR_SCALE, MARKER_RULES, Normalizer
+from .features import DEFAULT_MARKER_RULE, LR_SCALE, MARKER_RULES, Normalizer
 from .law import (
     DIVERGED_LOSS,
     ConfigBatch,
@@ -38,7 +38,6 @@ from .law import (
     predict,
     rank,
 )
-from .numerics import adaptive_simpson
 from .schedule import Schedule, ScheduleTable, build_general_schedule, json_input
 from .sde.objectives import CATALOG
 
@@ -331,24 +330,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _convergence_check(objective, noise, config, report):
-    """(name, statistic, bound) of the convergence bound an ensemble must respect.
-
-    SGD's weighted-average squared gradient is held against the gradient
-    bound, Adam's weighted-average squared momentum against the momentum
-    bound.
-    """
-    name, key = "gradient", "weighted_avg_grad_sq"
-    if config.algorithm == "adam":
-        name, key = "momentum", "weighted_avg_momentum_sq"
-    return name, report.stats[key], sde.convergence_bound(objective, noise, config)[name]
-
-
-def _within_bound(stat, bound: float) -> bool:
-    """A Monte-Carlo mean respects an upper bound up to three standard errors."""
-    return bool(stat.mean <= bound + 3.0 * stat.std_err)
-
-
 def _cmd_simulate(args) -> int:
     if args.dim < 1:
         raise DataError(f"--dim must be at least 1, got {args.dim}")
@@ -374,11 +355,7 @@ def _cmd_simulate(args) -> int:
         record_traces=bool(args.trace_csv),
     )
     report = sde.simulate(objective, noise, config)
-
-    name, stat, bound = _convergence_check(objective, noise, config, report)
-    checks = {f"{name}_bound_dominates": _within_bound(stat, bound)}
-    if args.algorithm == "adam":
-        checks["v_nonnegative"] = bool(report.v_min >= 0.0)
+    bounds, checks = validate.simulation_checks(objective, noise, config, report)
     payload = {
         "config": {
             "objective": args.objective,
@@ -390,139 +367,23 @@ def _cmd_simulate(args) -> int:
             "schedule": json.loads(schedule.to_json()),
         },
         "report": report.as_dict(),
-        "bounds": {name: bound},
+        "bounds": bounds,
         "checks": checks,
     }
     sys.stdout.write(_dump_json(payload, args.out))
-    if args.trace_csv and report.traces is not None:
+    if args.trace_csv:
         # the bytes csv.writer gives, as in _write_grid_csv
+        t_grid = report.trace_t.tolist()
         with open(args.trace_csv, "w", newline="", encoding="utf-8") as fh:
             fh.write("path,t,x_norm,grad_norm\r\n")
-            for i, t_grid, tr in report.traces:
+            for i, trace in enumerate(report.traces):
                 fh.write("".join(f"{i},{t!r},{xn!r},{gn!r}\r\n"
-                                 for t, (xn, gn) in zip(t_grid.tolist(), tr.tolist())))
+                                 for t, (xn, gn) in zip(t_grid, trace.tolist())))
     return 0
 
 
-def _validate_suites(seed: int, quick: bool) -> dict:
-    rng = np.random.default_rng(seed)
-    suites = {}
-
-    # 1. closed-form integrals against adaptive Simpson on point evaluations
-    n_sched = 8 if quick else 40
-    worst = 0.0
-    for _ in range(n_sched):
-        S = float(rng.uniform(2.0, 50.0))
-        a1, a2, a3 = np.sort(rng.uniform(0.0, S, size=3))
-        h1, h2 = rng.uniform(0.05, 1.0, size=2)
-        schedule = build_general_schedule(h1, h2, a1, a2, a3, S)
-        # each segment's own rate: at a joint the schedule reads the next
-        # segment, whose slope differs
-        for functional, f in (
-            ("eta", lambda seg, t: seg.value(t)),
-            ("eta_sq", lambda seg, t: seg.value(t) ** 2),
-            ("deta_sq", lambda seg, t: seg.derivative(t) ** 2),
-        ):
-            exact = schedule.integral(0.0, S, functional)
-            approx = sum(
-                adaptive_simpson(functools.partial(f, seg), seg.t0, seg.t1, tol=1e-12)
-                for seg in schedule.segments
-            )
-            worst = max(worst, abs(exact - approx) / max(1.0, abs(exact)))
-    suites["integral_consistency"] = {"max_rel_err": worst, "passed": bool(worst <= 1e-9)}
-
-    # 2. Gaussian-approximation route agreement
-    dim = 3
-    A = rng.standard_normal((dim, dim))
-    H = A @ A.T / dim + 0.3 * np.eye(dim)
-    obj = sde.quadratic(H)
-    noise = sde.NoiseModel(np.eye(dim) * 0.5, D=32)
-    schedule = build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 5.0)
-    grid = np.linspace(0.5, 5.0, 6)
-    gaps = {}
-    for algo in ("sgd", "adam"):
-        ga = sde.gaussian_approx(obj, noise, schedule, np.zeros(dim), algo, grid, eta0=0.01)
-        gaps[algo] = ga.max_route_gap()
-    suites["gaussian_approx_routes"] = {
-        "max_gap": max(gaps.values()),
-        "per_algorithm": gaps,
-        "passed": bool(max(gaps.values()) <= 1e-6),
-    }
-
-    # 3. convergence-bound domination on a quadratic
-    dim = 8
-    paths = 500 if quick else 2000
-    obj = sde.isotropic_quadratic(dim)
-    noise = sde.NoiseModel.isotropic(dim, 0.05, D=64)
-    x0 = np.full(dim, 1.0 / math.sqrt(dim))
-    ok = True
-    detail = {}
-    configs = {
-        algo: sde.SdeConfig(
-            schedule=schedule, eta0=0.01, n_paths=paths, seed=seed, algorithm=algo, x0=x0
-        )
-        for algo in ("sgd", "adam")
-    }
-    reports = sde.simulate_many([(obj, config) for config in configs.values()], noise)
-    for (algo, config), rep in zip(configs.items(), reports):
-        _, stat, bound = _convergence_check(obj, noise, config, rep)
-        passed = _within_bound(stat, bound)
-        detail[algo] = {"empirical": stat.mean, "bound": bound, "passed": passed}
-        ok &= passed
-    suites["bound_domination"] = {**detail, "passed": bool(ok)}
-
-    # 4. anti-concentration: empirical mass near the mean stays under the bound
-    samples = 10**4 if quick else 10**5
-    ok = True
-    cases = []
-    for dim in (2, 8):
-        variances = rng.uniform(0.2, 2.0, size=dim)
-        tr = float(np.sum(variances))
-        for frac in (0.05, 0.3):
-            eps = frac * tr / math.e
-            x = rng.standard_normal((samples, dim)) * np.sqrt(variances)
-            emp = float(np.mean(np.sum(x * x, axis=1) <= eps))
-            bound = sde.anti_concentration_bound(eps, tr)
-            cases.append({"dim": dim, "eps": eps, "empirical": emp, "bound": bound})
-            ok &= emp <= bound
-    suites["anti_concentration"] = {"cases": cases, "passed": bool(ok)}
-
-    # 5. trace concentration of the empirical covariance
-    n_trials = 500 if quick else 2000
-    rm = sde.random_matrix_checks(np.eye(32), D=32, N=32, n_trials=n_trials, seed=seed)
-    passed = all(f <= b for f, b in zip(rm.deviation_freq, rm.bernstein))
-    suites["random_matrix"] = {**rm.as_dict(), "passed": bool(passed)}
-
-    # 6. trapping probability against the covariance-trace bound
-    dim = 6
-    obj = sde.isotropic_quadratic(dim)
-    noise = sde.NoiseModel.isotropic(dim, 1.0, D=64)
-    trap_sched = build_general_schedule(1.0, 1.0, 0.5, 0.5, 0.5, 2.0)
-    P = sde.closed_form_covariance(obj.hessian_at(np.zeros(dim)), noise.Sigma_g, trap_sched,
-                                   0.01, [2.0])
-    trace = float(np.trace(P[0]))
-    eps_list = tuple(f * trace for f in (0.01, 0.1, 0.5))
-    config = sde.SdeConfig(
-        schedule=trap_sched, eta0=0.01, n_paths=500 if quick else 2000,
-        seed=seed, algorithm="sgd", trap_eps=eps_list,
-    )
-    rep = sde.simulate(obj, noise, config)
-    ok = True
-    cases = []
-    for eps in eps_list:
-        stat = rep.trapping[eps]
-        bound = sde.anti_concentration_bound(eps, trace)
-        passed = _within_bound(stat, bound)
-        cases.append({"eps": eps, "empirical": stat.mean, "bound": bound, "passed": passed})
-        ok &= passed
-    suites["trapping_bound"] = {"cases": cases, "trace": trace, "passed": bool(ok)}
-
-    suites["passed"] = all(v["passed"] for k, v in suites.items() if k != "passed")
-    return suites
-
-
 def _cmd_validate(args) -> int:
-    suites = _validate_suites(_seed(args), args.quick)
+    suites = validate.run(_seed(args), args.quick)
     sys.stdout.write(_dump_json(suites, args.out))
     return 0 if suites["passed"] else 2
 
@@ -538,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
-    p.add_argument("--policy", default="a1/a3/a2", choices=list(MARKER_RULES))
+    p.add_argument("--policy", default=DEFAULT_MARKER_RULE, choices=list(MARKER_RULES))
     p.add_argument("--lr-scale", type=float, default=LR_SCALE)
     p.add_argument("--token-length", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)

@@ -32,6 +32,7 @@ __all__ = [
     "TERM_NAMES",
     "DEFAULT_POWERS",
     "MARKER_RULES",
+    "DEFAULT_MARKER_RULE",
     "marker_policy",
     "default_markers",
     "collapsed_markers",
@@ -133,11 +134,14 @@ def _collapsed_splits(a1, a2, a3):
     return a1, a1, a1, a1
 
 
+# The rule laws are fitted and priced under unless another is named.
+DEFAULT_MARKER_RULE = "a1/a3/a2"
+
 # Marker rule name -> split points (a_c1, a_c2, a_e1, a_e2) from the phase
 # markers (a1, a2, a3).  The rules only pick markers, so they apply
 # elementwise to arrays of markers as well.
 MARKER_RULES = {
-    "a1/a3/a2": _standard_splits,
+    DEFAULT_MARKER_RULE: _standard_splits,
     "all-a1": _collapsed_splits,
 }
 
@@ -154,7 +158,7 @@ def default_markers(schedule: Schedule) -> MarkerPolicy:
     start bounds the tail one, and both escape integrals split at the
     decay/plateau boundary.
     """
-    return marker_policy("a1/a3/a2", schedule)
+    return marker_policy(DEFAULT_MARKER_RULE, schedule)
 
 
 def collapsed_markers(schedule: Schedule) -> MarkerPolicy:

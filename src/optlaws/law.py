@@ -18,9 +18,10 @@ or a :class:`~optlaws.schedule.ScheduleTable` of many (``rank`` through a
 :class:`ConfigBatch`, ``fit`` and ``sweep`` through four-phase columns); the
 table's elements equal the schedule's values exactly.
 
-``SimpleLaw`` is the fixed-model-size five-term law; its asymptotic gap
-between the cosine-cooldown and constant-then-cooldown families has closed
-forms evaluated by :func:`prop1_gap`.
+``SimpleLaw`` is the fixed-model-size five-term law: :func:`simple_law_eval`
+prices it from the integrals :func:`~optlaws.features.rule_bases` gives under
+the ``"all-a1"`` rule, and :func:`prop1_gap` gives its asymptotic gap between
+the cosine-cooldown and constant-then-cooldown families in closed form.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 from .divergence import DEFAULT_PARAMS, DivergenceParams, gated_criteria
 from .features import (
+    DEFAULT_MARKER_RULE,
     DEFAULT_POWERS,
     ESCAPE_INDICES,
     MARKER_RULES,
@@ -64,7 +66,6 @@ __all__ = [
     "continual_features",
     "simple_law_eval",
     "prop1_gap",
-    "unit_simple_law",
     "reference_law",
     "REFERENCE_COEFFICIENTS",
 ]
@@ -189,7 +190,7 @@ class FittedLaw:
     c: tuple[float, ...]
     powers: tuple[float, ...] = DEFAULT_POWERS
     lr_scale: float = LR_SCALE
-    policy_rule: str = "a1/a3/a2"
+    policy_rule: str = DEFAULT_MARKER_RULE
     mode: str = "pretrain"  # or "continual"
     escape_terms: bool = True
     residual_rms: float | None = None
@@ -345,7 +346,7 @@ def _design_matrix(records, powers, policy_rule: str, normalizer: Normalizer):
 def fit(
     records,
     powers=None,
-    policy_rule: str = "a1/a3/a2",
+    policy_rule: str = DEFAULT_MARKER_RULE,
     include_escape: bool = True,
     normalizer: Normalizer = Normalizer(),
 ) -> FittedLaw:
@@ -492,39 +493,25 @@ class SimpleLaw:
                 raise ValueError(f"SimpleLaw field {name} must be strictly positive")
 
 
-def unit_simple_law(b: float = 0.0) -> SimpleLaw:
-    return SimpleLaw(b=b)
-
-
-def simple_law_eval(
-    law: SimpleLaw,
-    schedule: Schedule,
-    a: float | None = None,
-    S: float | None = None,
-) -> float:
+def simple_law_eval(law: SimpleLaw, schedule: Schedule) -> float:
     """Evaluate the five-term law on any schedule via exact integrals.
 
-    ``a`` defaults to the schedule's warmup marker; a constant phase, if
-    present, is folded into the cooldown integrals because everything past
-    ``a`` counts as cooldown here.
+    The integrals split at the warmup marker a1 (the ``"all-a1"`` marker
+    rule of :func:`~optlaws.features.rule_bases`), so a constant phase, if
+    present, is folded into the cooldown integrals: everything past a1
+    counts as cooldown here.
     """
-    if a is None:
-        a = schedule.markers[0]
-    if S is None:
-        S = schedule.S
-    iw = schedule.integral(0.0, a, "eta")
-    it = schedule.integral(a, S, "eta")
+    bases = rule_bases(schedule, "all-a1")
+    iw, it = bases["warmup_area"], bases["tail_area"]
     if iw <= 0 or it <= 0:
         raise ValueError(f"law needs positive area integrals, got warmup {iw}, tail {it}")
-    ew = schedule.integral(0.0, a, "deta_sq")
-    et = schedule.integral(a, S, "deta_sq")
     return (
         law.c1 * iw ** -law.alpha1
         + law.c2 * it ** -law.alpha2
-        + law.c3_bias / S
+        + law.c3_bias / schedule.S
         + law.b
-        + law.c4 * ew ** law.alpha3
-        + law.c5 * et ** law.alpha4
+        + law.c4 * bases["warmup_energy"] ** law.alpha3
+        + law.c5 * bases["tail_energy"] ** law.alpha4
     )
 
 

@@ -39,7 +39,9 @@ written back.  The per-step updates run in place on preallocated
 above, so results are bit-identical to stepping with fresh arrays and a
 per-path v.  Peak memory is about one noise block (``DEFAULT_BLOCK_BYTES``)
 plus the ``(n_steps, dim)`` v table; a non-diagonal root adds a second
-block, the copy numpy makes for the product it writes back.
+block, the copy numpy makes for the product it writes back, and
+``record_traces`` adds the ``(n_paths, n_steps + 1, 2)`` trace array the
+stepper writes each block's rows of in place.
 
 :func:`simulate_many` steps several cases, each an ``(objective, config)``
 pair, over the same noise (common random numbers): each block is filled
@@ -177,7 +179,8 @@ class SimulationReport:
     v_min: Optional[float] = None
     max_abs_coordinate: float = 0.0
     mean_momentum: Optional[dict] = None
-    traces: Optional[list] = None
+    traces: Optional[np.ndarray] = None  # (n_paths, n_steps + 1, 2): |x|, |grad f| per time
+    trace_t: Optional[np.ndarray] = None  # the n_steps + 1 times of the traces
 
     def as_dict(self) -> dict:
         out = {
@@ -397,15 +400,15 @@ class _Run:
         self.msum = np.zeros((n_steps, dim)) if track else None
         self.msumsq = np.zeros((n_steps, dim)) if track else None
         self.col = np.empty(dim) if track else None
-        self.traces = [] if config.record_traces else None
+        self.traces = np.empty((n_paths, n_steps + 1, 2)) if config.record_traces else None
 
     def step(self, start: int, z: np.ndarray, state: np.ndarray, rows: np.ndarray):
         """Step the paths ``start, start + 1, ...`` over the noise block ``z``,
         using the ``(4, B, dim)`` and ``(3, B)`` scratch arrays given."""
         objective, config, etas = self.objective, self.config, self.etas
         adam, msum, msumsq, col = self.adam, self.msum, self.msumsq, self.col
-        traces = self.traces
         B, n_steps, _ = z.shape
+        trace = None if self.traces is None else self.traces[start:start + B]
         x, tmp, peak, m = state
         rowsum, wg, wm = rows
         x[:] = self.x0
@@ -417,8 +420,6 @@ class _Run:
             root_v = self.root_v
             c1_prime = config.c1_prime
             sqrt_eta0 = math.sqrt(config.eta0)
-        if traces is not None:
-            block_trace = np.empty((B, n_steps + 1, 2))
 
         # Each update keeps the operation order of the textbook
         # expression in its comment, so every float matches it.
@@ -430,9 +431,9 @@ class _Run:
             np.sum(tmp, axis=1, out=rowsum)
             rowsum *= eta_k
             wg += rowsum
-            if traces is not None:
-                block_trace[:, k, 0] = np.linalg.norm(x, axis=1)
-                block_trace[:, k, 1] = np.linalg.norm(g, axis=1)
+            if trace is not None:
+                trace[:, k, 0] = np.linalg.norm(x, axis=1)
+                trace[:, k, 1] = np.linalg.norm(g, axis=1)
             if adam:
                 # wm += eta_k * sum(m * m)
                 np.multiply(m, m, out=tmp)
@@ -460,11 +461,9 @@ class _Run:
                 x -= tmp
             np.fmax(peak, np.abs(x, out=tmp), out=peak)
 
-        if traces is not None:
-            gT = objective.gradient(x)
-            block_trace[:, n_steps, 0] = np.linalg.norm(x, axis=1)
-            block_trace[:, n_steps, 1] = np.linalg.norm(gT, axis=1)
-            traces.append(block_trace)
+        if trace is not None:
+            trace[:, n_steps, 0] = np.linalg.norm(x, axis=1)
+            trace[:, n_steps, 1] = np.linalg.norm(objective.gradient(x), axis=1)
 
         bad = ~np.isfinite(x).all(axis=1) | ~np.isfinite(wg)
         if adam:
@@ -511,16 +510,9 @@ class _Run:
                 "std_err": se_norm,
             }
 
-        flat_traces = None
+        trace_t = None
         if self.traces is not None:
-            n_steps = ts.size
-            t_grid = np.append(ts, min(n_steps * config.eta0, config.schedule.S))
-            flat_traces = []
-            offset = 0
-            for block_trace in self.traces:
-                for j in range(block_trace.shape[0]):
-                    flat_traces.append((offset + j, t_grid, block_trace[j]))
-                offset += block_trace.shape[0]
+            trace_t = np.append(ts, min(ts.size * config.eta0, config.schedule.S))
 
         return SimulationReport(
             algorithm=config.algorithm,
@@ -534,5 +526,6 @@ class _Run:
             v_min=self.v_min,
             max_abs_coordinate=self.max_abs,
             mean_momentum=mean_m,
-            traces=flat_traces,
+            traces=self.traces,
+            trace_t=trace_t,
         )

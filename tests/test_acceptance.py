@@ -18,10 +18,10 @@ from optlaws.features import collapsed_markers, compute_features, default_marker
 from optlaws.law import (
     REFERENCE_COEFFICIENTS,
     RunConfig,
+    SimpleLaw,
     fit,
     predict,
     prop1_gap,
-    unit_simple_law,
 )
 from optlaws.numerics import adaptive_simpson
 from optlaws.schedule import (
@@ -156,7 +156,7 @@ def test_criterion_04_noiseless_oracle_recovery():
 
 
 def test_criterion_05_asymptotic_schedule_gap():
-    law = unit_simple_law()
+    law = SimpleLaw()
     svals = (1e2, 1e4, 1e6, 1e8)
     gaps = [prop1_gap(law, 0.01, 0.85, S) for S in svals]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import optlaws
-from optlaws import cli
+from optlaws import cli, validate
 from optlaws.cli import RUNS_COLUMNS, main, read_runs_csv, sweep_grid
 from optlaws.divergence import DEFAULT_PARAMS, critical_rate, gated_criterion
 from optlaws.features import FeatureError, compute_features, default_markers
@@ -323,6 +323,10 @@ class TestValidate:
         for key in ("integral_consistency", "gaussian_approx_routes", "bound_domination",
                     "anti_concentration", "random_matrix", "trapping_bound"):
             assert payload[key]["passed"], key
+
+    def test_cli_writes_what_run_returns(self, capsys):
+        assert run_cli(["validate", "--quick", "--seed", 0]) == 0
+        assert capsys.readouterr().out == cli._dump_json(validate.run(0, True))
 
 
 class TestBadInput:

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -6,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optlaws.cli import read_runs_csv
+from optlaws import features
+from optlaws.cli import build_parser, read_runs_csv
 from optlaws.divergence import critical_rate
-from optlaws.features import FeatureError, Normalizer, compute_features, default_markers
+from optlaws.features import (
+    DEFAULT_MARKER_RULE,
+    FeatureError,
+    Normalizer,
+    collapsed_markers,
+    compute_features,
+    default_markers,
+)
 from optlaws.law import (
     DIVERGED_LOSS,
     REFERENCE_COEFFICIENTS,
@@ -27,14 +36,20 @@ from optlaws.law import (
     rank,
     reference_law,
     simple_law_eval,
-    unit_simple_law,
 )
 from optlaws.schedule import (
     build_general_schedule,
     warmup_cosine_schedule,
     warmup_const_cooldown_schedule,
 )
-from util import LR_SCALE, count_per_config_calls, law_text, make_grid_records
+from util import (
+    LR_SCALE,
+    count_per_config_calls,
+    law_text,
+    make_grid_records,
+    random_four_phase,
+    random_schedule,
+)
 
 GRID = dict(
     warm_fracs=(0.05, 0.15, 0.3, 0.5),
@@ -542,7 +557,7 @@ class TestSimpleLaw:
             SimpleLaw(alpha2=-1.0)
 
     def test_eval_constant_phase_folds_into_cooldown(self):
-        law = unit_simple_law()
+        law = SimpleLaw()
         h, a, a_c, S = 0.5, 1.0, 8.0, 10.0
         s = warmup_const_cooldown_schedule(h, a, a_c, S)
         val = simple_law_eval(law, s)
@@ -552,10 +567,51 @@ class TestSimpleLaw:
         assert val == pytest.approx(expected, rel=1e-12)
 
     def test_eval_rejects_zero_warmup(self):
-        law = unit_simple_law()
+        law = SimpleLaw()
         s = build_general_schedule(0.4, 0.4, 0.0, 0.0, 0.0, 10.0)
         with pytest.raises(ValueError):
             simple_law_eval(law, s)
+
+    def test_zero_warmup_refusal_message(self):
+        s = build_general_schedule(0.4, 0.4, 0.0, 0.0, 0.0, 10.0)
+        with pytest.raises(ValueError) as err:
+            simple_law_eval(SimpleLaw(), s)
+        assert str(err.value) == "law needs positive area integrals, got warmup 0.0, tail 2.0"
+
+    @staticmethod
+    def four_integral_eval(law, schedule):
+        """The five-term law from its four integrals, each taken on the
+        schedule directly, split at the warmup marker."""
+        a, S = schedule.markers[0], schedule.S
+        iw = schedule.integral(0.0, a, "eta")
+        it = schedule.integral(a, S, "eta")
+        if iw <= 0 or it <= 0:
+            raise ValueError(f"law needs positive area integrals, got warmup {iw}, tail {it}")
+        ew = schedule.integral(0.0, a, "deta_sq")
+        et = schedule.integral(a, S, "deta_sq")
+        return (
+            law.c1 * iw ** -law.alpha1
+            + law.c2 * it ** -law.alpha2
+            + law.c3_bias / S
+            + law.b
+            + law.c4 * ew ** law.alpha3
+            + law.c5 * et ** law.alpha4
+        )
+
+    @pytest.mark.parametrize("draw", [random_schedule, random_four_phase])
+    def test_eval_equals_four_integral_formula(self, draw):
+        rng = np.random.default_rng(517)
+        for _ in range(600):
+            law = SimpleLaw(*rng.uniform(0.1, 2.0, size=9), b=float(rng.normal()))
+            s = draw(rng)
+            try:
+                want = self.four_integral_eval(law, s)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    simple_law_eval(law, s)
+                assert str(err.value) == str(exc)
+            else:
+                assert simple_law_eval(law, s) == want
 
     def test_gap_matches_direct_evaluation(self):
         # with symmetric escape constants the closed forms equal the
@@ -582,14 +638,14 @@ class TestSimpleLaw:
         assert prop1_gap(law, r_a, r_ac, S, eta_max=h) == pytest.approx(direct, rel=1e-12)
 
     def test_gap_vanishes_with_horizon(self):
-        law = unit_simple_law()
+        law = SimpleLaw()
         gaps = [prop1_gap(law, 0.01, 0.85, 10.0**k) for k in range(2, 9)]
         assert all(g > 0 and math.isfinite(g) for g in gaps)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < gaps[0]
 
     def test_cosine_worse_when_no_constant_phase(self):
-        law = unit_simple_law()
+        law = SimpleLaw()
         h, S = 0.5, 20.0
         a = 0.1 * S
         cos = warmup_cosine_schedule(h, a, S)
@@ -597,19 +653,34 @@ class TestSimpleLaw:
         assert simple_law_eval(law, cos) > simple_law_eval(law, con)
 
     def test_gap_decreasing_on_geometric_grid(self):
-        law = unit_simple_law()
+        law = SimpleLaw()
         svals = [10.0**k for k in range(1, 8)]
         gaps = [prop1_gap(law, 0.01, 0.85, S) for S in svals]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_invalid_ratios(self):
-        law = unit_simple_law()
+        law = SimpleLaw()
         with pytest.raises(ValueError):
             prop1_gap(law, 0.0, 0.5, 100.0)
         with pytest.raises(ValueError):
             prop1_gap(law, 0.6, 0.5, 100.0)
         with pytest.raises(ValueError):
             prop1_gap(law, 0.01, 1.0, 100.0)
+
+
+class TestDefaultMarkerRule:
+    def test_defaults_are_the_one_constant(self):
+        # the rule name is not interned, so `is` tells one object from a copy
+        assert FittedLaw(c=REFERENCE_COEFFICIENTS).policy_rule is DEFAULT_MARKER_RULE
+        assert inspect.signature(fit).parameters["policy_rule"].default is DEFAULT_MARKER_RULE
+        argv = ["fit", "--runs", "runs.csv", "--out", "law.json"]
+        assert build_parser().parse_args(argv).policy is DEFAULT_MARKER_RULE
+
+    def test_default_markers_read_the_constant(self, monkeypatch):
+        s = build_general_schedule(0.8, 0.4, 1.0, 3.0, 6.0, 10.0)
+        assert default_markers(s) != collapsed_markers(s)
+        monkeypatch.setattr(features, "DEFAULT_MARKER_RULE", "all-a1")
+        assert default_markers(s) == collapsed_markers(s)
 
 
 class TestLawJson:

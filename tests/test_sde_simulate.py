@@ -83,9 +83,24 @@ class TestSgdSimulation:
         cfg = SdeConfig(schedule=sched, eta0=0.01, n_paths=2, seed=0,
                         x0=np.ones(4), record_traces=True)
         rep = simulate(obj, NoiseModel.zero(4), cfg)
-        for _, _, trace in rep.traces:
+        for trace in rep.traces:
             grads = trace[:, 1]
             assert np.all(np.diff(grads) <= 1e-14)
+
+    @pytest.mark.parametrize("eta0", [0.01, 0.06])  # 0.06: 17 steps end past S = 1
+    def test_trace_array_and_times(self, eta0):
+        sched = constant_schedule(0.5, 1.0)
+        cfg = SdeConfig(schedule=sched, eta0=eta0, n_paths=7, seed=0, x0=np.ones(3),
+                        record_traces=True)
+        rep = simulate(isotropic_quadratic(3), NoiseModel.isotropic(3, 0.1), cfg, block_size=3)
+        n_steps = cfg.n_steps
+        assert rep.traces.shape == (7, n_steps + 1, 2)
+        assert rep.trace_t.shape == (n_steps + 1,)
+        assert rep.trace_t[-1] == min(n_steps * eta0, sched.S)
+        assert np.isfinite(rep.traces).all()
+        plain = simulate(isotropic_quadratic(3), NoiseModel.isotropic(3, 0.1),
+                         replace(cfg, record_traces=False))
+        assert plain.traces is None and plain.trace_t is None
 
     def test_ou_stationary_variance(self):
         lam, eta, eta0 = 1.0, 0.1, 0.01
@@ -264,11 +279,11 @@ def assert_same_report(got, want):
         for key, arr in want.mean_momentum.items():
             assert got.mean_momentum[key].tobytes() == arr.tobytes(), key
     if want.traces is None:
-        assert got.traces is None
+        assert got.traces is None and got.trace_t is None
     else:
-        assert len(got.traces) == len(want.traces)
-        for (i, t, tr), (j, u, ur) in zip(got.traces, want.traces):
-            assert i == j and t.tobytes() == u.tobytes() and tr.tobytes() == ur.tobytes()
+        assert got.traces.shape == want.traces.shape
+        assert got.trace_t.tobytes() == want.trace_t.tobytes()
+        assert got.traces.tobytes() == want.traces.tobytes()
 
 
 def correlated_system(dim, seed=0):

@@ -282,15 +282,14 @@ def reference_simulate(objective, noise, config, block_size=None):
             "norm": np.linalg.norm(mm, axis=1),
             "std_err": np.sqrt(np.sum(np.clip(var, 0.0, None), axis=1) / n_paths),
         }
-    flat_traces = None
+    trace_t = None
     if config.record_traces:
-        t_grid = np.append(ts, min(n_steps * config.eta0, config.schedule.S))
-        flat_traces = [(i, t_grid, row) for i, row in enumerate(np.concatenate(traces))]
+        trace_t = np.append(ts, min(n_steps * config.eta0, config.schedule.S))
     return SimulationReport(
         algorithm=config.algorithm, n_paths=n_paths, n_steps=n_steps, eta0=config.eta0,
         seed=config.seed, eta_weight=weight * config.eta0, stats=stats, trapping=trapping,
         v_min=v_min if adam else None, max_abs_coordinate=max_abs, mean_momentum=mean_m,
-        traces=flat_traces,
+        traces=np.concatenate(traces) if config.record_traces else None, trace_t=trace_t,
     )
 
 
