@@ -151,14 +151,16 @@ def _load_config(cfg, normalizer: Normalizer) -> RunConfig:
 
 def _load_candidates(cfgs: list, normalizer: Normalizer) -> ConfigBatch:
     """JSON configs as one batch, read field by field into columns: a table
-    of their schedules and one of their pre blocks (a config without a pre
-    block fills its row with its own schedule)."""
+    of their schedules, then the LR areas of their pre blocks (NaN for a
+    config without one), from one table of the pre blocks present."""
     table = ScheduleTable.four_phase(*_schedule_columns(cfgs, normalizer))
-    has_pre = [cfg.get("pre") is not None for cfg in cfgs]
-    pre = ScheduleTable.four_phase(*_schedule_columns(
-        [cfg["pre"] if p else cfg for cfg, p in zip(cfgs, has_pre)], normalizer))
+    rows = [i for i, cfg in enumerate(cfgs) if cfg.get("pre") is not None]
+    pre_area = np.full(len(cfgs), math.nan)
+    if rows:
+        pre = ScheduleTable.four_phase(*_schedule_columns([cfgs[i]["pre"] for i in rows], normalizer))
+        pre_area[rows] = pre.integral(0.0, pre.S, "eta")
     (N,) = _read_fields(cfgs, ["model_B"])
-    return ConfigBatch(table, np.array(N, dtype=float), pre, np.where(has_pre, pre.S, np.nan))
+    return ConfigBatch(table, np.array(N, dtype=float), pre_area)
 
 
 def _gate_from_args(args) -> DivergenceParams:

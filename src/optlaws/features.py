@@ -177,14 +177,13 @@ class FeatureVector:
 
     values: tuple[float, ...]
     powers: tuple[float, ...] = DEFAULT_POWERS
-    names: tuple[str, ...] = TERM_NAMES
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
         if len(self.values) != 16 or len(self.powers) != 16:
             raise FeatureError("feature vector has exactly 16 entries")
-        for name, v in zip(self.names, self.values):
+        for name, v in zip(TERM_NAMES, self.values):
             if not math.isfinite(v) or v < 0.0:
                 raise FeatureError(f"feature entry {name!r} is not finite nonnegative: {v}")
         if self.values[15] != 1.0:
@@ -210,7 +209,7 @@ class FeatureVector:
         """JSON-ready list of {name, power, value}, table order."""
         return [
             {"name": n, "power": p, "value": v}
-            for n, p, v in zip(self.names, self.powers, self.values)
+            for n, p, v in zip(TERM_NAMES, self.powers, self.values)
         ]
 
 

@@ -15,8 +15,11 @@ such configs as unpriced instead) and :func:`_log_losses` (the contraction,
 term by term).
 ``_config_bases`` takes one :class:`~optlaws.schedule.Schedule` (``predict``)
 or a :class:`~optlaws.schedule.ScheduleTable` of many (``rank`` through a
-:class:`ConfigBatch`, ``fit`` and ``sweep`` through four-phase columns); the
-table's elements equal the schedule's values exactly.
+:class:`ConfigBatch`, ``sweep`` through four-phase columns); the table's
+elements equal the schedule's values exactly.  It alone reads the law's
+mode: a continual-mode law reads pre-training only through its LR area
+(:attr:`PretrainContext.area`, one number per config) and refuses a config
+without one.
 
 ``SimpleLaw`` is the fixed-model-size five-term law: :func:`simple_law_eval`
 prices it from the integrals :func:`~optlaws.features.rule_bases` gives under
@@ -138,8 +141,11 @@ class PretrainContext:
             raise FeatureError("pre_S > 0 requires the pre-training schedule")
 
     @property
-    def horizon(self) -> float:
-        return self.schedule.S if self.S is None else self.S
+    def area(self) -> float:
+        """The pre-training LR area: the integral of eta over [0, S]."""
+        if self.schedule is None:
+            return 0.0
+        return self.schedule.integral(0.0, self.schedule.S if self.S is None else self.S, "eta")
 
 
 @dataclass(frozen=True)
@@ -154,17 +160,13 @@ class RunConfig:
 @dataclass(frozen=True)
 class ConfigBatch:
     """Candidate configurations as arrays: their schedules as one table, their
-    model sizes, and a table of the schedules they continue from with the
-    horizon each pre-training run reaches.
-
-    ``pre_S`` is NaN for a config with no pre-training context, whose row of
-    ``pre`` is a placeholder.
+    model sizes, and the LR area of the pre-training run each continues from
+    (:attr:`PretrainContext.area`; NaN for a config with no context).
     """
 
     schedules: ScheduleTable
     N: np.ndarray
-    pre: ScheduleTable
-    pre_S: np.ndarray
+    pre_area: np.ndarray
 
     @classmethod
     def from_configs(cls, configs) -> "ConfigBatch":
@@ -172,14 +174,10 @@ class ConfigBatch:
         configs = list(configs)
         if not configs:
             raise ValueError("rank needs at least one configuration")
-        pre = [cfg.pre for cfg in configs]
         return cls(
             ScheduleTable.from_schedules([cfg.schedule for cfg in configs]),
             np.array([cfg.N for cfg in configs], dtype=float),
-            # a config without a pre-training schedule fills its row with its own
-            ScheduleTable.from_schedules([cfg.schedule if p is None or p.schedule is None
-                                          else p.schedule for cfg, p in zip(configs, pre)]),
-            np.array([math.nan if p is None else p.horizon for p in pre], dtype=float),
+            np.array([math.nan if cfg.pre is None else cfg.pre.area for cfg in configs]),
         )
 
 
@@ -268,40 +266,38 @@ def continual_features(
     law's mode, after a pre-training run on ``pre_schedule`` up to ``pre_S``
     (the pair a :class:`PretrainContext` holds, and checks).
     """
-    pre = PretrainContext(pre_schedule, pre_S)
-    bases, S, N, refused = _config_bases(
-        law.as_continual(), config.schedule, config.N, pre.schedule, pre.horizon)
+    bases, S, N, refused = _config_bases(law.as_continual(), config.schedule, config.N,
+                                         PretrainContext(pre_schedule, pre_S).area)
     F = checked_feature_matrix(bases, S, N, law.powers, refused)
     return FeatureVector(F[0].tolist(), law.powers)
 
 
-def _config_bases(law: FittedLaw, schedules, N, pre=None, pre_S=None):
+def _config_bases(law: FittedLaw, schedules, N, pre_area=None):
     """Bases, S and N arrays of configs under the law's mode, and the message
     of each config (by index) the continual rescaling refuses.
 
     ``schedules`` is one :class:`Schedule` or a :class:`ScheduleTable`, and
-    ``N`` its model size(s); ``pre`` holds the schedule(s) pre-training ran
-    on, up to the horizon(s) ``pre_S`` (NaN or None: no pre-training
-    context; ``pre`` may be None when ``pre_S`` is 0).
+    ``N`` its model size(s); ``pre_area`` is the LR area of the pre-training
+    run(s) each continues from (NaN or None: no pre-training context, which
+    the continual mode refuses).  The pretrain mode ignores it.
 
     The continual mode divides the tail slope energy by the fourth power of
     the peak rate on [a_e2, S] of the continual schedule and adds the
-    pre-training area integral to the warmup area.  A refused config, one
-    without a positive peak there, gets a NaN tail energy: outside the domain.
+    pre-training area to the warmup area.  A refused config, one without a
+    positive peak there, gets a NaN tail energy: outside the domain.
     """
     row = lambda x: np.array(x, dtype=float, ndmin=1)
     bases = {k: row(v) for k, v in rule_bases(schedules, law.policy_rule).items()}
     S = schedules.S
     refused = {}
     if law.mode == "continual":
-        if pre_S is None or np.isnan(pre_S).any():
+        if pre_area is None or np.isnan(pre_area).any():
             raise FeatureError(_NEEDS_PRE)
         a_e2 = MARKER_RULES[law.policy_rule](*schedules.markers)[3]
         h_tail = row(schedules.max_rate(a_e2, S))
         at = lambda x, i: x[i].item() if isinstance(x, np.ndarray) else x
         refused = {i: f"continual rescaling needs a positive peak rate on [{at(a_e2, i)}, {at(S, i)}]"
                    for i in np.flatnonzero(~(h_tail > 0.0)).tolist()}
-        pre_area = 0.0 if pre is None else row(pre.integral(0.0, pre_S, "eta"))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             tail = bases["tail_energy"] / h_tail ** 4
         bases["tail_energy"] = np.where(h_tail > 0.0, tail, np.nan)
@@ -322,12 +318,11 @@ def _log_losses(c, F: np.ndarray) -> np.ndarray:
 def general_log_losses(law: FittedLaw, eta1, eta2, a1, a2, a3, S, N) -> np.ndarray:
     """Predicted log losses of ``build_general_schedule(eta1, eta2, a1, a2, a3, S)``
     configurations at model size N, all given as arrays (normalized rates,
-    billions), priced in one pass."""
-    if law.mode == "continual":
-        raise FeatureError(_NEEDS_PRE)
+    billions), priced in one pass.  They have no pre-training context, which
+    a continual-mode law refuses."""
     table = ScheduleTable.four_phase(eta1, eta2, a1, a2, a3, S)
-    F = checked_feature_matrix(rule_bases(table, law.policy_rule), S, N, law.powers)
-    return _log_losses(law.c, F)
+    bases, S, N, _ = _config_bases(law, table, N)
+    return _log_losses(law.c, checked_feature_matrix(bases, S, N, law.powers))
 
 
 def _design_matrix(records, powers, policy_rule: str, normalizer: Normalizer):
@@ -402,9 +397,8 @@ def fit(
 
 def predict(law: FittedLaw, config: RunConfig) -> dict:
     """Predicted {log_loss, loss} of a configuration under a fitted law."""
-    pre = config.pre
     bases, S, N, refused = _config_bases(law, config.schedule, config.N,
-                                         pre and pre.schedule, pre and pre.horizon)
+                                         None if config.pre is None else config.pre.area)
     F = checked_feature_matrix(bases, S, N, law.powers, refused)
     log_loss = float(_log_losses(law.c, F)[0])
     try:
@@ -442,8 +436,7 @@ def rank(
     R, eta_L = gated_criteria(eta_max, warmup, batch.N, table.S, gate)
     survive = ~(R > 1.0)
     # configs the gate rejects are priced too, from no pre-training, and never listed
-    bases, S, N, _ = _config_bases(law, table, batch.N, batch.pre,
-                                   np.where(survive, batch.pre_S, 0.0))
+    bases, S, N, _ = _config_bases(law, table, batch.N, np.where(survive, batch.pre_area, 0.0))
     F, priced = feature_matrix(bases, S, N, law.powers)
     log_losses = _log_losses(law.c, F)
     ok = np.flatnonzero(priced & survive)

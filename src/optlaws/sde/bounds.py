@@ -41,8 +41,9 @@ def convergence_bound(
 ) -> dict:
     """Right-hand side of the convergence bounds for the run ``config`` describes.
 
-    Every constant comes from that run: I1 and I2 are the area and
-    squared-area integrals of eta over the schedule's span [0, S]; f0 is f
+    Every constant comes from that run: I1 and I2 are the exact area and
+    squared-area integrals of eta over [0, S] (the report's ``eta_weight`` is
+    the discrete area of the steps taken, over [0, n_steps*eta0]); f0 is f
     at the start :func:`simulate` uses (``config.x0``, else the objective's
     x*); eta0, c1, c2, eps and c1' = ``config.c1_prime`` come from
     ``config``; V (the largest diagonal entry of Sigma_g, 0 for zero noise)

@@ -46,6 +46,7 @@ from ..numerics import gauss_legendre_nodes
 from ..schedule import Schedule
 from .noise import NoiseModel
 from .objectives import Objective
+from .simulate import adam_c1_prime
 
 __all__ = [
     "GaussianApprox",
@@ -337,7 +338,7 @@ def gaussian_approx(
         mean = x_star
     elif algorithm == "adam":
         G, S_mat = adam_generator(H, noise.Sigma_g, c1, c2, eps)
-        c1_prime = c1 * math.sqrt(eta0)
+        c1_prime = adam_c1_prime(c1, eta0)
         scale = c1_prime * c1_prime
         mean = np.concatenate([x_star, np.zeros_like(x_star), np.diag(noise.Sigma_g)])
     else:

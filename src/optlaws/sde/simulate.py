@@ -94,11 +94,12 @@ class SimulationDiverged(RuntimeError):
 class SdeConfig:
     """Simulation parameters.
 
-    ``eta0`` is both the SDE rescaling parameter and the EM step; a run
-    covers the schedule's full span [0, S] in ``max(1, round(S / eta0))``
-    steps.  The Adam drift constants c1, c2 translate to averaging factors
-    via c1hat = c1*eta0 and c2hat = c2*eta0, and the momentum diffusion
-    uses c1' = sqrt(c1*c1hat) = c1*sqrt(eta0).
+    ``eta0`` is both the SDE rescaling parameter and the EM step.  A run
+    takes ``n_steps = max(1, round(S / eta0))`` steps, step k at time
+    ``min(k*eta0, S)``: it spans [0, n_steps*eta0], not [0, S] (S = 1 and
+    eta0 = 0.03 give 33 steps, ending at 0.99).  The Adam drift constants
+    c1, c2 give averaging factors c1hat = c1*eta0 and c2hat = c2*eta0, and
+    the momentum diffusion uses c1' = sqrt(c1*c1hat) (:func:`adam_c1_prime`).
     """
 
     schedule: Schedule
@@ -146,12 +147,13 @@ class SdeConfig:
         return self.c1 * self.eta0
 
     @property
-    def c2_hat(self) -> float:
-        return self.c2 * self.eta0
-
-    @property
     def c1_prime(self) -> float:
-        return math.sqrt(self.c1 * self.c1_hat)
+        return adam_c1_prime(self.c1, self.eta0)
+
+
+def adam_c1_prime(c1: float, eta0: float) -> float:
+    """Adam's momentum-noise coefficient c1' = sqrt(c1*c1hat), c1hat = c1*eta0."""
+    return math.sqrt(c1 * (c1 * eta0))
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,7 @@ def write_inputs(directory: str) -> None:
         "law_continual.json": law.as_continual().to_json(),
         "candidates.json": json.dumps(_candidates()),
         "continual_candidates.json": json.dumps(_continual_candidates()),
+        "candidates_no_pre.json": json.dumps([c for c in _candidates() if "pre" not in c]),
         "config.json": json.dumps(_candidates()[5]),
         "config_int.json": json.dumps(_candidates()[25]),
         "config_continual.json": json.dumps(_continual_candidates()[2]),
@@ -161,6 +162,11 @@ COMMANDS = {
     "rank_continual": ["rank", "--law", "{dir}/law_continual.json",
                        "--configs", "{dir}/continual_candidates.json", "--out", "{out}",
                        "--gate-overrides", '{"c3_hat": 3000.0, "c1_hat": 1.9}'],
+    # configs without a pre block: priced from no pre-training by a pretrain
+    # law, refused by a continual one
+    **{f"rank_{mode}_no_pre": ["rank", "--law", f"{{dir}}/law_{mode}.json",
+                               "--configs", "{dir}/candidates_no_pre.json", "--out", "{out}"]
+       for mode in ("pretrain", "continual")},
     "predict_pretrain": ["predict", "--law", "{dir}/law_pretrain.json",
                          "--config", "{dir}/config.json", "--out", "{out}"],
     "predict_integer_fields": ["predict", "--law", "{dir}/law_pretrain.json",

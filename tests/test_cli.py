@@ -13,9 +13,11 @@ import optlaws
 from optlaws import cli, validate
 from optlaws.cli import RUNS_COLUMNS, main, read_runs_csv, sweep_grid
 from optlaws.divergence import DEFAULT_PARAMS, critical_rate, gated_criterion
-from optlaws.features import FeatureError, compute_features, default_markers
-from optlaws.law import REFERENCE_COEFFICIENTS, FittedLaw, RunConfig, predict, reference_law
+from optlaws.features import FeatureError, Normalizer, compute_features, default_markers
+from optlaws.law import (REFERENCE_COEFFICIENTS, ConfigBatch, FittedLaw, RunConfig, predict,
+                         reference_law)
 from optlaws.schedule import build_general_schedule
+import make_golden
 from util import count_per_config_calls, fixture_corpus, law_text, records_to_csv
 
 
@@ -787,6 +789,17 @@ class TestRankRoute:
             seen.add((cfg["a1_B"], gate.R))
         assert (0.0, 0.0) in seen and (0.0, math.inf) in seen  # both zero-warmup cases
         assert (1e-160, math.inf) in seen  # a subnormal a1^2 whose ratio overflows
+
+    @pytest.mark.parametrize("candidates", [make_golden._candidates,
+                                            make_golden._continual_candidates])
+    def test_pre_areas_equal_the_configs_areas(self, candidates):
+        # one pre-training area per config, whether read as columns or one
+        # config at a time; NaN exactly where a config has no pre block
+        cfgs, normalizer = candidates(), Normalizer(reference_law().lr_scale)
+        got = cli._load_candidates(cfgs, normalizer).pre_area
+        want = ConfigBatch.from_configs([cli._load_config(c, normalizer) for c in cfgs]).pre_area
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got).tolist() == ["pre" not in c for c in cfgs]
 
     @pytest.mark.parametrize("changes, message", [
         ([{}, {"pre": {"a1_B": 5.0}}, {"a1_B": 4.0, "a2_B": 2.0}],

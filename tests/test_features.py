@@ -431,7 +431,7 @@ class TestCheckedFeatureMatrix:
         rows = [*_GOOD[:2], zero_tail, _GOOD[2], _ZERO_WARMUP, later_tail]
         N = np.full(len(rows), 4.0)
         bases, S, N, refused = _config_bases(
-            law, ScheduleTable.from_schedules(rows), N, None, np.zeros(len(rows)))
+            law, ScheduleTable.from_schedules(rows), N, np.zeros(len(rows)))
         assert sorted(refused) == [2, 5]
         with pytest.raises(FeatureError, match=f"^{re.escape(str(want.value))}$"):
             checked_feature_matrix(bases, S, N, law.powers, refused)

@@ -450,6 +450,16 @@ class TestContinual:
         assert want == sum(c * f for c, f in zip(
             law.c, continual_features(law, None, 0.0, cfg).values))
 
+    def test_pre_context_area(self):
+        # no schedule: no area; a horizon short of S: the area of [0, horizon]
+        assert PretrainContext(None, 0.0).area == 0.0
+        s = build_general_schedule(0.5, 0.3, 2.0, 6.0, 12.0, 20.0)
+        assert PretrainContext(s).area == s.integral(0.0, 20.0, "eta")
+        partial = PretrainContext(s, 4.0).area
+        assert partial == s.integral(0.0, 4.0, "eta")
+        # the warmup to 0.5 on [0, 2], then the decay to 0.4 at t = 4
+        assert partial == pytest.approx(0.5 * 2.0 / 2 + (0.5 + 0.4) / 2 * 2.0, rel=1e-15)
+
     def test_predict_uses_pre_context(self):
         law = reference_law().as_continual()
         pre = PretrainContext(build_general_schedule(0.5, 0.5, 1.0, 1.0, 1.0, 20.0))

@@ -12,6 +12,7 @@ from optlaws.schedule import (
 )
 from optlaws.sde import (
     NoiseModel,
+    SdeConfig,
     adam_generator,
     closed_form_covariance,
     gaussian_approx,
@@ -235,6 +236,18 @@ class TestAdamGenerator:
         Hhat, _ = adam_generator(H, random_spd(rng, 3, shift=0.2), 1.0, 1.0, 1e-8)
         eigs = np.linalg.eigvals(Hhat)
         assert np.all(eigs.real > 0.0)
+
+    def test_diffusion_scale_is_the_simulations_c1_prime(self):
+        # at c1 = 3, eta0 = 0.01, c1*sqrt(eta0) is an ulp off sqrt(c1*c1*eta0)
+        rng = np.random.default_rng(29)
+        H, Sigma = random_spd(rng, 3), random_spd(rng, 3, shift=0.2)
+        sched = build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 3.0)
+        t = np.linspace(0.5, 3.0, 4)
+        ga = gaussian_approx(quadratic(H), NoiseModel(Sigma), sched, np.zeros(3), "adam", t,
+                             eta0=0.01, c1=3.0)
+        scale = SdeConfig(sched, 0.01, 1, algorithm="adam", c1=3.0).c1_prime ** 2
+        want = closed_form_covariance(*adam_generator(H, Sigma, 3.0, 1.0, 1e-8), sched, scale, t)
+        assert np.asarray(ga.P_closed).tobytes() == np.asarray(want).tobytes()
 
 
 class TestValidation:
