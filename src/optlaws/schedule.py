@@ -97,6 +97,19 @@ def _segment_value(kind, t0, t1, e0, e1, t):
     return e1 + 0.5 * (e0 - e1) * (np.cos(theta) + 1.0)
 
 
+def _steep_linear_integral(e0, e1, t0, t1, u, v, functional):
+    """Integral of eta or eta^2 over [u, v] of a linear segment whose slope
+    overflows (a steep rise over a tiny length), where the closed form's
+    inf * 0 gives NaN: the exact trapezoid rules of a linear rate, from its
+    values at u and v, which need no slope."""
+    a = _linear_value(e0, e1, u - t0, t1 - t0)
+    b = _linear_value(e0, e1, v - t0, t1 - t0)
+    w = v - u
+    if functional == "eta":
+        return (w * a + w * b) / 2.0
+    return (w * a * a + w * a * b + w * b * b) / 3.0
+
+
 def _segment_integral(kind, t0, t1, e0, e1, u, v, functional):
     """Integral over [u, v] (within [t0, t1]) of the functional on the segment."""
     if kind == "constant":
@@ -109,12 +122,19 @@ def _segment_integral(kind, t0, t1, e0, e1, u, v, functional):
         m = (e1 - e0) / (t1 - t0)
         if functional == "deta_sq":
             return m * m * (v - u)
+        if not isinstance(m, np.ndarray) and not math.isfinite(m):
+            return _steep_linear_integral(e0, e1, t0, t1, u, v, functional)
         tu, tv = u - t0, v - t0
         if functional == "eta":
-            return (e0 * tv + 0.5 * m * tv * tv) - (e0 * tu + 0.5 * m * tu * tu)
-        return (e0 * e0 * tv + e0 * m * tv * tv + m * m * tv ** 3 / 3.0) - (
-            e0 * e0 * tu + e0 * m * tu * tu + m * m * tu ** 3 / 3.0
-        )
+            out = (e0 * tv + 0.5 * m * tv * tv) - (e0 * tu + 0.5 * m * tu * tu)
+        else:
+            out = (e0 * e0 * tv + e0 * m * tv * tv + m * m * tv ** 3 / 3.0) - (
+                e0 * e0 * tu + e0 * m * tu * tu + m * m * tu ** 3 / 3.0
+            )
+        if isinstance(m, np.ndarray) and not np.isfinite(m).all():  # a ScheduleTable column
+            steep = _steep_linear_integral(e0, e1, t0, t1, u, v, functional)
+            return np.where(np.isfinite(m), out, steep)
+        return out
     # cosine: eta = c + A*cos(theta), theta = pi*(t - t0)/length
     ell = t1 - t0
     amp = 0.5 * (e0 - e1)

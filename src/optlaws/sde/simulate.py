@@ -20,8 +20,13 @@ seed's one Philox key, with path i's counter starting 2**128 * i draws in,
 as ``Philox.jumped(i)`` places it.  Streams under one key that start that
 far apart do not overlap (Salmon et al., "Parallel Random Numbers: As Easy
 as 1, 2, 3", SC'11), and a Philox stream is fully set by its key and its
-counter, so the fill builds one generator per call and resets its counter
-for each path.
+counter, so a generator can draw any path's stream once its counter is
+reset.  Each block is filled by up to ``_MAX_FILL_THREADS`` threads, one per
+usable CPU (and never more than the block has paths), each with its own
+generator built once per call: a thread fills a contiguous share of the
+block's rows, path by path, and the draws run with the GIL released.  Which
+thread draws a path never changes its numbers, so results do not depend on
+the thread count.
 
 The noise does not depend on the state, so Adam's second moment v follows
 the same deterministic recursion on every path (the deterministic v of the
@@ -31,10 +36,11 @@ exactly as ``v_min``.
 
 Paths are stepped in blocks.  One noise buffer of block size is allocated
 per call and refilled in place for every block, path by path from its own
-stream through the one generator.  When the noise root is diagonal
-(isotropic noise, which is all the CLI uses) the buffer is scaled by that
-diagonal in place; otherwise it is multiplied by the root and the product
-written back.  The per-step updates run in place on preallocated
+stream.  When the noise root is diagonal (isotropic noise, which is all the
+CLI uses) each fill thread scales its own rows by that diagonal in place;
+otherwise, once every share is filled, the calling thread multiplies the
+whole block by the root and writes the product back.  Stepping runs in the
+calling thread.  The per-step updates run in place on preallocated
 ``(block, dim)`` arrays, in the same operation order as the expressions
 above, so results are bit-identical to stepping with fresh arrays and a
 per-path v.  Peak memory is about one noise block (``DEFAULT_BLOCK_BYTES``)
@@ -57,6 +63,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -77,6 +84,7 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK_BYTES = 64 * 2**20
+_MAX_FILL_THREADS = 8
 
 
 class SimulationDiverged(RuntimeError):
@@ -335,31 +343,68 @@ def simulate_many(
     state = np.empty((4, block_size, dim))  # x, tmp, peak, m
     rows = np.empty((3, block_size))  # rowsum, wg, wm
 
-    # One generator keyed by the seed.  Counter [0, 0, i, 0] and an empty
-    # output buffer give the stream path_rng builds for path i.  Lists, not
-    # arrays: the state setter reads them item by item.
-    bitgen = np.random.Philox(np.random.SeedSequence(seed))
-    rng = np.random.Generator(bitgen)
-    fresh = {**bitgen.state, "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0}
-    counter = [0] * 4
-    fresh["state"] = {"counter": counter, "key": fresh["state"]["key"].tolist()}
+    # One generator per fill thread, all keyed by the seed.  The calling
+    # thread fills the first share of each block and the pool the others
+    # (a pool starts no thread until a share is submitted to it).
+    # Imported here: concurrent.futures would add to `import optlaws.cli`.
+    from concurrent.futures import ThreadPoolExecutor
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_paths, block_size):
-            B = min(block_size, n_paths - start)
-            z = noise_buf[:B]
-            for i, row in enumerate(z, start):
-                counter[2] = i
-                bitgen.state = fresh
-                rng.standard_normal(out=row)
-            if scale is not None:
-                z *= scale
-            else:
-                flat = z.reshape(-1, dim)
-                np.matmul(flat, root, out=flat)
-            for run in runs:
-                run.step(start, z, state[:, :B], rows[:, :B])
+    seed_seq = np.random.SeedSequence(seed)
+    n_fill = min(_usable_cpus(), _MAX_FILL_THREADS, block_size)
+    fills = [_PathFill(seed_seq) for _ in range(n_fill)]
+    with ThreadPoolExecutor(max(len(fills) - 1, 1)) as pool:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n_paths, block_size):
+                B = min(block_size, n_paths - start)
+                z = noise_buf[:B]
+                n = min(len(fills), B)
+                cuts = [B * j // n for j in range(n + 1)]
+                shares = [(z[lo:hi], start + lo, scale) for lo, hi in zip(cuts, cuts[1:])]
+                pending = [pool.submit(f, *share) for f, share in zip(fills[1:], shares[1:])]
+                fills[0](*shares[0])
+                for future in pending:
+                    future.result()
+                if scale is None:
+                    flat = z.reshape(-1, dim)
+                    np.matmul(flat, root, out=flat)
+                for run in runs:
+                    run.step(start, z, state[:, :B], rows[:, :B])
     return [run.report() for run in runs]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; each fills its share of a block."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _PathFill:
+    """A generator keyed by the seed that draws any path's stream: counter
+    [0, 0, i, 0] and an empty output buffer give the stream path_rng
+    builds for path i.  Each fill thread owns one."""
+
+    def __init__(self, seed_seq: np.random.SeedSequence):
+        self.bitgen = np.random.Philox(seed_seq)
+        self.rng = np.random.Generator(self.bitgen)
+        # lists, not arrays: the state setter reads them item by item
+        state = self.bitgen.state
+        self.counter = [0] * 4
+        self.fresh = {**state, "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+                      "state": {"counter": self.counter, "key": state["state"]["key"].tolist()}}
+
+    def __call__(self, z: np.ndarray, start: int, scale: Optional[np.ndarray]):
+        """Fill the rows of ``z`` with the streams of paths start, start + 1,
+        ..., then scale them by the root's diagonal ``scale`` unless None."""
+        for i, row in enumerate(z, start):
+            self.counter[2] = i
+            self.bitgen.state = self.fresh
+            self.rng.standard_normal(out=row)
+        if scale is not None:
+            # numpy's error state is per context: a pool thread does not
+            # inherit the caller's
+            with np.errstate(over="ignore", invalid="ignore"):
+                z *= scale
 
 
 class _Run:

@@ -231,6 +231,13 @@ COMMANDS = {
     "simulate_two_word_seed_two_blocks": [
         "simulate", "--dim", "64", "--horizon", "10", "--paths", "140",
         "--seed", str(2**32 + 5), "--out", "{out}"],
+    # one path: a block with fewer paths than fill threads
+    "simulate_one_path": ["simulate", "--paths", "1", "--seed", "3", "--out", "{out}"],
+    # 40 paths in one block, and path 35, the first to diverge, lies in the
+    # last rows: another thread's share of the fill whenever there are two
+    "simulate_diverged_late_path": [
+        "simulate", "--objective", "double_well", "--dim", "3", "--peak", "1", "--warmup", "0",
+        "--horizon", "10", "--eta0", "0.14", "--paths", "40", "--sigma2", "9", "--seed", "9"],
     "validate_quick": ["validate", "--quick", "--seed", "0", "--out", "{out}"],
     # flag errors that name the flag (or the n_paths field)
     "simulate_seed_negative": ["simulate", "--seed", "-1"],

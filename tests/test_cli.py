@@ -858,6 +858,10 @@ class TestStartup:
         # the parser is built by the first main call, not at import
         assert self.after_import("optlaws.cli.build_parser.cache_info().currsize") == "0"
 
+    def test_import_leaves_concurrent_futures_unloaded(self):
+        # only simulate's threaded noise fill needs it, and it imports it there
+        assert self.after_import("'concurrent.futures' in sys.modules") == "False"
+
 
 class TestParserReuse:
     """main reuses one parser, and a call leaves nothing on it for the next."""

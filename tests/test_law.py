@@ -460,6 +460,17 @@ class TestContinual:
         # the warmup to 0.5 on [0, 2], then the decay to 0.4 at t = 4
         assert partial == pytest.approx(0.5 * 2.0 / 2 + (0.5 + 0.4) / 2 * 2.0, rel=1e-15)
 
+    def test_pre_block_with_overflowing_warmup_slope_is_priced(self):
+        # the pre block's warmup slope 1e200 / 1e-300 overflows; its area is
+        # still finite, so it is a pre-training context like any other
+        law = reference_law().as_continual()
+        pre = PretrainContext(build_general_schedule(1e200, 1e200, 1e-300, 1e-300, 1e-300, 10.0))
+        assert pre.area == pytest.approx(5e200, rel=1e-15)
+        cfg = RunConfig(build_general_schedule(0.1, 0.1, 2.0, 2.0, 8.0, 10.0), 4.05, pre)
+        want = predict(law, cfg)["log_loss"]
+        assert math.isfinite(want)
+        assert rank_configs(law, [cfg])[0].log_loss == want
+
     def test_predict_uses_pre_context(self):
         law = reference_law().as_continual()
         pre = PretrainContext(build_general_schedule(0.5, 0.5, 1.0, 1.0, 1.0, 20.0))

@@ -264,6 +264,64 @@ class TestIntegrals:
         )
 
 
+def _closed_linear_integral(e0, e1, t0, t1, u, v, functional):
+    """The linear closed form of eta or eta^2 through the slope, the only
+    form used before steep slopes were handled."""
+    m = (e1 - e0) / (t1 - t0)
+    tu, tv = u - t0, v - t0
+    if functional == "eta":
+        return (e0 * tv + 0.5 * m * tv * tv) - (e0 * tu + 0.5 * m * tu * tu)
+    return (e0 * e0 * tv + e0 * m * tv * tv + m * m * tv ** 3 / 3.0) - (
+        e0 * e0 * tu + e0 * m * tu * tu + m * m * tu ** 3 / 3.0
+    )
+
+
+class TestSteepLinear:
+    """A linear piece whose slope overflows still has its finite integrals."""
+
+    STEEP = build_general_schedule(1e200, 1e200, 1e-300, 1e-300, 1e-300, 10.0)
+
+    def test_overflowing_warmup_slope_has_its_area(self):
+        s = self.STEEP
+        assert s.segments[0].slope == math.inf
+        assert s.integral(0.0, 1e-300, "eta") == 5e-101  # h * a1 / 2
+        assert s.integral(0.0, 1e-300, "eta_sq") == pytest.approx(1e100 / 3.0, rel=1e-15)
+        half = s.segments[0].integral(0.0, np.array([0.0, 5e-301, 1e-300]), "eta")
+        assert half.tolist() == [0.0, 1.25e-101, 5e-101]
+
+    def test_table_route_agrees(self):
+        calm = build_general_schedule(0.4, 0.4, 2.0, 2.0, 2.0, 10.0)
+        v = np.array([1e-300, 2.0])
+        want = [self.STEEP.integral(0.0, 1e-300, "eta"), calm.integral(0.0, 2.0, "eta")]
+        assert want[0] == 5e-101
+        tables = (ScheduleTable.from_schedules([self.STEEP, calm]),
+                  ScheduleTable.four_phase([1e200, 0.4], [1e200, 0.4], [1e-300, 2.0],
+                                           [1e-300, 2.0], [1e-300, 2.0], 10.0))
+        for table in tables:
+            assert table.integral(0.0, v, "eta").tolist() == want
+
+    def test_finite_slopes_keep_the_closed_form_bits(self):
+        rng = np.random.default_rng(19)
+        n = 1000
+        e0, e1 = rng.uniform(0.0, 1.0, (2, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, n))
+        t0 = rng.uniform(0.0, 50.0, n)
+        t1 = t0 + 10.0 ** rng.uniform(-4.0, 2.0, n)
+        u, v = np.sort(rng.uniform(t0, t1, (2, n)), axis=0)
+        for functional in ("eta", "eta_sq"):
+            want = [_closed_linear_integral(*row, functional)
+                    for row in zip(e0.tolist(), e1.tolist(), t0.tolist(), t1.tolist(),
+                                   u.tolist(), v.tolist())]
+            got = [Segment("linear", a, b, c, d).integral(x, y, functional)
+                   for a, b, c, d, x, y in zip(t0.tolist(), t1.tolist(), e0.tolist(),
+                                               e1.tolist(), u.tolist(), v.tolist())]
+            assert got == want
+        col = lambda x: x[:, None]
+        table = ScheduleTable(np.zeros((n, 1), dtype=int), col(t0), col(t1), col(e0), col(e1),
+                              t1, (t0, t0, t0))
+        assert table.integral(u, v, "eta").tolist() == _closed_linear_integral(
+            e0, e1, t0, t1, u, v, "eta").tolist()
+
+
 @st.composite
 def schedules(draw):
     """A schedule of one to five segments of any kind, with any markers."""

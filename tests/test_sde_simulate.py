@@ -1,4 +1,6 @@
+import importlib
 import json
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -20,6 +22,9 @@ from optlaws.sde import (
 )
 from optlaws.sde.simulate import DEFAULT_BLOCK_BYTES
 from util import reference_simulate
+
+# the module, which the package's simulate function shadows as an attribute
+simulate_module = importlib.import_module("optlaws.sde.simulate")
 
 
 def constant_schedule(eta, T):
@@ -165,6 +170,7 @@ class TestPathKeys:
     """Every path's stream comes from the seed's one Philox key."""
 
     def test_one_philox_per_call(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 3)
         built = {"Philox": 0, "SeedSequence": 0, "Generator": 0}
 
         def counting(name):
@@ -177,11 +183,15 @@ class TestPathKeys:
 
         for name in built:
             monkeypatch.setattr(np.random, name, counting(name))
-        cfg = SdeConfig(schedule=constant_schedule(0.5, 0.2), eta0=0.01, n_paths=1000,
-                        seed=2**32 + 5)
-        simulate(isotropic_quadratic(3), NoiseModel.isotropic(3, 0.1), cfg, block_size=64)
-        assert built["Philox"] == 1 and built["Generator"] == 1, built
-        assert built["SeedSequence"] == 1, built
+        # 16, 63 and 63 blocks: a generator per block or per path would show
+        for n_paths, block_size in ((1000, 64), (1000, 16), (500, 8)):
+            built.update(dict.fromkeys(built, 0))
+            cfg = SdeConfig(schedule=constant_schedule(0.5, 0.2), eta0=0.01, n_paths=n_paths,
+                            seed=2**32 + 5)
+            simulate(isotropic_quadratic(3), NoiseModel.isotropic(3, 0.1), cfg,
+                     block_size=block_size)
+            assert built["Philox"] == 3 and built["Generator"] == 3, (n_paths, built)
+            assert built["SeedSequence"] == 1, (n_paths, built)
 
 
 class TestNoiseModel:
@@ -504,3 +514,86 @@ class TestSimulateMany:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * block_bytes
+
+
+class TestFillThreads:
+    """Each block's fill is split across threads without moving a float."""
+
+    SCHED = build_general_schedule(0.8, 0.5, 0.5, 1.0, 1.5, 2.0)
+
+    @pytest.fixture(params=[1, 2, 3, 7])
+    def threads(self, request, monkeypatch):
+        monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("case", [
+        "sgd", "adam_tracked_traced", "sgd_correlated", "adam_correlated", "partial_last_block",
+        "one_path",
+    ])
+    def test_reports_match_reference(self, threads, case):
+        dim = 4
+        noise = NoiseModel(np.diag([0.3, 0.05, 1.2, 0.7]))
+        objective = double_well(dim)
+        cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=23, seed=5, trap_eps=(0.5,),
+                        x0=np.full(dim, 1.3))
+        block_size = 9  # blocks of 9, 9 and 5 paths
+        if case == "adam_tracked_traced":
+            cfg = replace(cfg, algorithm="adam", c1=2.0, c2=3.0, track_mean_momentum=True,
+                          record_traces=True)
+        elif case.endswith("correlated"):
+            objective, noise = correlated_system(dim)
+            cfg = replace(cfg, algorithm=case.split("_")[0], x0=None,
+                          track_mean_momentum=case.startswith("adam"))
+        elif case == "partial_last_block":
+            cfg = replace(cfg, n_paths=12)  # the last block has 2 paths
+            block_size = 5
+        elif case == "one_path":
+            cfg = replace(cfg, n_paths=1)
+            block_size = None
+        assert_matches_reference(objective, noise, cfg, block_size=block_size)
+
+    def test_diverging_run_names_the_same_path(self, threads):
+        # path 35 of one 40-path block diverges first: a later share than
+        # the calling thread's at every thread count above 1
+        objective = double_well(3)
+        cfg = SdeConfig(schedule=build_general_schedule(1.0, 1.0, 0.0, 0.0, 0.0, 10.0),
+                        eta0=0.14, n_paths=40, seed=9, x0=objective.x_star + np.ones(3) / 3**0.5)
+        noise = NoiseModel.isotropic(3, 9.0)
+        for run in (reference_simulate, simulate):
+            with pytest.raises(SimulationDiverged) as err:
+                run(objective, noise, cfg)
+            assert err.value.path_index == 35
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 3)
+        fill = simulate_module._PathFill.__call__
+
+        def failing(self, z, start, scale):
+            if threading.current_thread() is not threading.main_thread():
+                raise OSError(f"fill failed at path {start}")
+            fill(self, z, start, scale)
+
+        cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=30, seed=1)
+        noise = NoiseModel.isotropic(2, 0.1)
+        before = threading.active_count()
+        simulate(isotropic_quadratic(2), noise, cfg, block_size=12)
+        assert threading.active_count() == before
+        monkeypatch.setattr(simulate_module._PathFill, "__call__", failing)
+        with pytest.raises(OSError, match="fill failed at path"):
+            simulate(isotropic_quadratic(2), noise, cfg, block_size=12)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus, n_paths, want", [(64, 100, 8), (64, 5, 5), (2, 100, 2)])
+    def test_thread_count(self, monkeypatch, cpus, n_paths, want):
+        monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: cpus)
+        built = []
+
+        class Counted(simulate_module._PathFill):
+            def __init__(self, seed_seq):
+                built.append(self)
+                super().__init__(seed_seq)
+
+        monkeypatch.setattr(simulate_module, "_PathFill", Counted)
+        cfg = SdeConfig(schedule=self.SCHED, eta0=0.1, n_paths=n_paths, seed=1)
+        simulate(isotropic_quadratic(2), NoiseModel.isotropic(2, 0.1), cfg)
+        assert len(built) == want
