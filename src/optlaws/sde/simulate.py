@@ -19,44 +19,61 @@ paths are grouped into blocks.  :func:`path_rng` defines the streams: the
 seed's one Philox key, with path i's counter starting 2**128 * i draws in,
 as ``Philox.jumped(i)`` places it.  Streams under one key that start that
 far apart do not overlap (Salmon et al., "Parallel Random Numbers: As Easy
-as 1, 2, 3", SC'11), and a Philox stream is fully set by its key and its
-counter, so a generator can draw any path's stream once its counter is
-reset.  Each block is filled by up to ``_MAX_FILL_THREADS`` threads, one per
-usable CPU (and never more than the block has paths), each with its own
-generator built once per call: a thread fills a contiguous share of the
-block's rows, path by path, and the draws run with the GIL released.  Which
-thread draws a path never changes its numbers, so results do not depend on
-the thread count.
+as 1, 2, 3", SC'11), and a Philox stream is fully set by its key, its
+counter and its output buffer, so a generator can draw any path's stream
+once its counter is reset, and can stop a stream after any step and resume
+it later from the saved ``bitgen.state`` with the same numbers.
 
 The noise does not depend on the state, so Adam's second moment v follows
 the same deterministic recursion on every path (the deterministic v of the
-Adam SDE in Malladi et al., arXiv 2205.10287).  It is run once per call;
-its ``sqrt(v_k + eps)`` rows feed every path and its minimum is reported
-exactly as ``v_min``.
+Adam SDE in Malladi et al., arXiv 2205.10287).  It is one ``dim``-vector
+recursion, run once per call for its minimum, reported exactly as
+``v_min``, and again alongside each block's steps, where its
+``sqrt(v_k + eps)`` feeds every path.
 
 Paths are stepped in blocks.  One noise buffer of block size is allocated
 per call and refilled in place for every block, path by path from its own
-stream.  When the noise root is diagonal (isotropic noise, which is all the
-CLI uses) each fill thread scales its own rows by that diagonal in place;
-otherwise, once every share is filled, the calling thread multiplies the
-whole block by the root and writes the product back.  Stepping runs in the
-calling thread.  The per-step updates run in place on preallocated
-``(block, dim)`` arrays, in the same operation order as the expressions
-above, so results are bit-identical to stepping with fresh arrays and a
-per-path v.  Peak memory is about one noise block (``DEFAULT_BLOCK_BYTES``)
-plus the ``(n_steps, dim)`` v table; a non-diagonal root adds a second
-block, the copy numpy makes for the product it writes back, and
+stream.  Each block's steps are cut into two halves, ``[0, n_steps // 2)``
+and the rest, and the halves are filled in turn (block by block) while the
+calling thread steps the half before: half 1 of a block fills while half 0
+is stepped, and half 0 of the next block while half 1 is stepped, so the
+fill never writes the steps being read.  A path's Philox state is saved per
+row after its first half and its second half resumes from it.  The fill is
+cut into about ``_SHARES_PER_THREAD`` shares per fill thread, taken from one
+shared iterator: by one pool thread per usable CPU but one (at most
+``_MAX_FILL_THREADS`` threads in all, and never more than the block has
+paths), and by the calling thread once it has stepped the half before.  The
+calling thread then waits for the pool before stepping what it filled.
+Each fill thread owns a generator built once per call, draws with the GIL
+released, and scales its own share by the root's diagonal (isotropic noise,
+which is all the CLI uses).  Which thread draws a path never changes its
+numbers, so results do not depend on the thread count.  A correlated root
+is multiplied in once the whole block is filled, as one product over the
+block in the calling thread: BLAS's rounding of a row can depend on how
+many rows the product has, so it is not split, and such a block is filled
+before it is stepped.  So is a block with a single fill thread, which has
+nothing to overlap, or with half rows of fewer than ``_MIN_HALF_NORMALS``
+normals (a one-step run has an empty first half), whose draws are too
+short to outweigh saving and restoring their states.  The per-step updates
+run in place on preallocated ``(block, dim)`` arrays, in the same
+operation order as the expressions above, so results are bit-identical to
+stepping with fresh arrays and a per-path v.  Peak memory is about one
+noise block (``DEFAULT_BLOCK_BYTES``) plus, per case, its block's ``x``
+(and Adam's ``m``) and per-path sums and results; a non-diagonal root adds
+a second block, the copy numpy makes for the product it writes back, and
 ``record_traces`` adds the ``(n_paths, n_steps + 1, 2)`` trace array the
 stepper writes each block's rows of in place.
 
 :func:`simulate_many` steps several cases, each an ``(objective, config)``
-pair, over the same noise (common random numbers): each block is filled
-and scaled once and every case is stepped over it in turn, reusing the
-same state arrays, so peak memory stays at one block however many cases
-there are.  A case's report is bit-identical to its own :func:`simulate`
-run, which is the one-case call of :func:`simulate_many`.  Cases that
-differ in seed, ``n_paths``, ``n_steps`` or objective dim draw different
-noise, so they are refused with ValueError before anything is allocated.
+pair, over the same noise (common random numbers): each half of a block
+is filled and scaled once and every case is stepped over it in turn.  A
+case keeps its paths' state from one half to the next in arrays of its own,
+small next to the noise block, so peak memory stays near one block however
+many cases there are.  A case's report is bit-identical to its own
+:func:`simulate` run, which is the one-case call of :func:`simulate_many`.
+Cases that differ in seed, ``n_paths``, ``n_steps`` or objective dim draw
+different noise, so they are refused with ValueError before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -85,6 +102,11 @@ __all__ = [
 
 DEFAULT_BLOCK_BYTES = 64 * 2**20
 _MAX_FILL_THREADS = 8
+_SHARES_PER_THREAD = 8
+# A half row of fewer normals draws in under about 40 us, too little next to
+# the GIL-held work of saving and restoring its Philox state: the fill
+# threads then slow the stepping more than they hide (measured on 2 CPUs).
+_MIN_HALF_NORMALS = 2048
 
 
 class SimulationDiverged(RuntimeError):
@@ -231,10 +253,19 @@ def start_points(objective: Objective, config: SdeConfig) -> tuple[np.ndarray, n
     return x_star, x_star if config.x0 is None else np.asarray(config.x0, dtype=float)
 
 
-def _summary(samples: np.ndarray) -> StatSummary:
+def _summary(name: str, samples: np.ndarray) -> StatSummary:
+    """Mean and standard error of finite samples; ValueError naming ``name``
+    when either overflows a double."""
     n = samples.size
-    mean = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(samples))
+        se = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    for what, value in (("mean", mean), ("std_err", se)):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{name} {what} is {value!r}: the paths' values overflow a double "
+                "(lower the noise variance or the peak rate)"
+            )
     return StatSummary(mean, se, n)
 
 
@@ -244,24 +275,22 @@ def _diagonal(root: np.ndarray) -> Optional[np.ndarray]:
     return d if np.array_equal(root, np.diag(d)) else None
 
 
-def _adam_root_v(config: SdeConfig, etas: np.ndarray, diag_sigma: np.ndarray):
-    """Run Adam's second-moment recursion once, for every path at once.
+def _adam_v(config: SdeConfig, etas: np.ndarray, diag_sigma: np.ndarray):
+    """Run Adam's second-moment recursion, the same for every path.
 
-    Returns ``sqrt(v_k + eps)`` for the steps k = 0..n-1 as an
-    ``(n_steps, dim)`` array, the smallest entry of v_1..v_n, and v_n.
+    Yields ``(sqrt(v_k + eps), v_{k+1})`` for the steps k = 0..n-1: two
+    arrays rewritten in place at each step.
     """
-    root_v = np.empty((etas.size, diag_sigma.size))
     v = np.zeros(diag_sigma.size)
-    v_min = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, eta_k in enumerate(etas):
-            np.sqrt(v + config.eps, out=root_v[k])
-            step = config.eta0 * eta_k
-            v = v - config.c2 * step * (v - diag_sigma)
-            vm = float(v.min()) if v.size else 0.0
-            if vm < v_min:
-                v_min = vm
-    return root_v, v_min, v
+    root_v, dv = np.empty_like(v), np.empty_like(v)
+    for eta_k in etas:
+        np.add(v, config.eps, out=root_v)
+        np.sqrt(root_v, out=root_v)
+        # v <- v - c2 * step * (v - diag(Sigma)), step = eta0 * eta_k
+        np.subtract(v, diag_sigma, out=dv)
+        dv *= config.c2 * (config.eta0 * eta_k)
+        v -= dv
+        yield root_v, v
 
 
 def simulate(
@@ -333,47 +362,73 @@ def simulate_many(
         raise ValueError(f"block_size must be at least 1, got {block_size}")
     block_size = min(block_size, n_paths)
 
-    runs = [_Run(obj, noise, cfg) for obj, cfg in cases]
+    runs = [_Run(obj, noise, cfg, block_size) for obj, cfg in cases]
     root = noise.root
     scale = _diagonal(root)
+    n_fill = min(_usable_cpus(), _MAX_FILL_THREADS, block_size)
+    # (start, paths, first step, end step) of each half block, in fill
+    # order.  Halves need a second fill thread to overlap anything, long
+    # enough rows, and a diagonal root: a correlated one is one product over
+    # the whole block.
+    half = n_steps // 2
+    if scale is None or n_fill < 2 or half * dim < _MIN_HALF_NORMALS:
+        half = 0
+    spans = ((0, half), (half, n_steps)) if half else ((0, n_steps),)
+    chunks = [(start, min(block_size, n_paths - start), k0, k1)
+              for start in range(0, n_paths, block_size) for k0, k1 in spans]
 
-    # One noise block and the per-step state, allocated once and reused by
-    # every block and every case; a shorter last block uses leading views.
+    # One noise block, allocated once and refilled half by half; a shorter
+    # last block uses leading rows.  saved[r] is row r's Philox state
+    # between its two halves.
     noise_buf = np.empty((block_size, n_steps, dim))
-    state = np.empty((4, block_size, dim))  # x, tmp, peak, m
-    rows = np.empty((3, block_size))  # rowsum, wg, wm
+    saved = np.empty(block_size, dtype=object)
+    # the stepping's scratch, shared by every case: tmp, peak and rowsum
+    scratch = (np.empty((block_size, dim)), np.empty((block_size, dim)), np.empty(block_size))
+    # the diagonal scale as up to 512 rows of steps, so that a share scales
+    # without numpy buffering the broadcast operand
+    scale_rows = None if scale is None else np.tile(scale, (min(n_steps - half, 512), 1))
 
-    # One generator per fill thread, all keyed by the seed.  The calling
-    # thread fills the first share of each block and the pool the others
-    # (a pool starts no thread until a share is submitted to it).
-    # Imported here: concurrent.futures would add to `import optlaws.cli`.
+    # One generator per fill thread, all keyed by the seed; the calling
+    # thread is one of them.  Imported here: concurrent.futures would add to
+    # `import optlaws.cli`.
     from concurrent.futures import ThreadPoolExecutor
 
     seed_seq = np.random.SeedSequence(seed)
-    n_fill = min(_usable_cpus(), _MAX_FILL_THREADS, block_size)
     fills = [_PathFill(seed_seq) for _ in range(n_fill)]
-    with ThreadPoolExecutor(max(len(fills) - 1, 1)) as pool:
+    with ThreadPoolExecutor(max(n_fill - 1, 1)) as pool:
+
+        def begin(chunk):
+            """Start the pool filling ``chunk``: its shares and the pool's futures."""
+            start, B, k0, k1 = chunk
+            n = min(B, _SHARES_PER_THREAD * n_fill)
+            cuts = [B * j // n for j in range(n + 1)]
+            # one list iterator, whose next() hands each share to one thread
+            shares = iter([(noise_buf[lo:hi, k0:k1], start + lo,
+                            saved[lo:hi] if k0 else None,
+                            saved[lo:hi] if k1 < n_steps else None)
+                           for lo, hi in zip(cuts, cuts[1:])])
+            return shares, [pool.submit(f.drain, shares, scale_rows) for f in fills[1:]]
+
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n_paths, block_size):
-                B = min(block_size, n_paths - start)
-                z = noise_buf[:B]
-                n = min(len(fills), B)
-                cuts = [B * j // n for j in range(n + 1)]
-                shares = [(z[lo:hi], start + lo, scale) for lo, hi in zip(cuts, cuts[1:])]
-                pending = [pool.submit(f, *share) for f, share in zip(fills[1:], shares[1:])]
-                fills[0](*shares[0])
-                for future in pending:
+            filling = None
+            for j, (start, B, k0, k1) in enumerate(chunks):
+                shares, futures = filling or begin(chunks[j])
+                fills[0].drain(shares, scale_rows)
+                for future in futures:
                     future.result()
+                z = noise_buf[:B]
                 if scale is None:
                     flat = z.reshape(-1, dim)
                     np.matmul(flat, root, out=flat)
+                # two halves never overlap, so the next fills as this one steps
+                filling = begin(chunks[j + 1]) if half and j + 1 < len(chunks) else None
                 for run in runs:
-                    run.step(start, z, state[:, :B], rows[:, :B])
+                    run.step(start, z, k0, k1, tuple(a[:B] for a in scratch))
     return [run.report() for run in runs]
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; each fills its share of a block."""
+    """The CPUs this process may run on; each fills shares of a block."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -382,36 +437,66 @@ def _usable_cpus() -> int:
 class _PathFill:
     """A generator keyed by the seed that draws any path's stream: counter
     [0, 0, i, 0] and an empty output buffer give the stream path_rng
-    builds for path i.  Each fill thread owns one."""
+    builds for path i, and a saved state resumes a stream where it stopped.
+    Each fill thread owns one."""
 
     def __init__(self, seed_seq: np.random.SeedSequence):
         self.bitgen = np.random.Philox(seed_seq)
         self.rng = np.random.Generator(self.bitgen)
         # lists, not arrays: the state setter reads them item by item
         state = self.bitgen.state
+        key = state["state"]["key"].tolist()
         self.counter = [0] * 4
         self.fresh = {**state, "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
-                      "state": {"counter": self.counter, "key": state["state"]["key"].tolist()}}
+                      "state": {"counter": self.counter, "key": key}}
+        self.resumed = {**state, "state": {"counter": None, "key": key}}
 
-    def __call__(self, z: np.ndarray, start: int, scale: Optional[np.ndarray]):
-        """Fill the rows of ``z`` with the streams of paths start, start + 1,
-        ..., then scale them by the root's diagonal ``scale`` unless None."""
-        for i, row in enumerate(z, start):
-            self.counter[2] = i
-            self.bitgen.state = self.fresh
+    def __call__(self, z: np.ndarray, first: int, load, store):
+        """Fill the rows of ``z``, each one span of steps, with the next draws
+        of paths first, first + 1, ...: from the states in ``load``, or from
+        the start of each stream when it is None.  Each row's state after
+        its draws goes into ``store`` unless that is None, as a tuple of
+        arrays and ints rather than the state dict: the garbage collector
+        stops tracking such a tuple, so a block's worth of saved states
+        does not slow its collections."""
+        resumed = self.resumed
+        for r, row in enumerate(z):
+            if load is None:
+                self.counter[2] = first + r
+                self.bitgen.state = self.fresh
+            else:
+                (resumed["state"]["counter"], resumed["buffer"], resumed["buffer_pos"],
+                 resumed["has_uint32"], resumed["uinteger"]) = load[r]
+                self.bitgen.state = resumed
             self.rng.standard_normal(out=row)
-        if scale is not None:
-            # numpy's error state is per context: a pool thread does not
-            # inherit the caller's
-            with np.errstate(over="ignore", invalid="ignore"):
-                z *= scale
+            if store is not None:
+                state = self.bitgen.state
+                store[r] = (state["state"]["counter"], state["buffer"], state["buffer_pos"],
+                            state["has_uint32"], state["uinteger"])
+
+    def drain(self, shares, scale_rows: Optional[np.ndarray]):
+        """Fill ``(z, first, load, store)`` shares from the shared iterator
+        ``shares`` until it runs dry, scaling each by the root's diagonal,
+        given as ``scale_rows`` (a row per step), unless that is None."""
+        # numpy's error state is per context: a pool thread does not
+        # inherit the caller's
+        with np.errstate(over="ignore", invalid="ignore"):
+            for z, first, load, store in shares:
+                self(z, first, load, store)
+                if scale_rows is None:
+                    continue
+                for k in range(0, z.shape[1], len(scale_rows)):
+                    piece = z[:, k:k + len(scale_rows)]
+                    np.multiply(piece, scale_rows[:piece.shape[1]], out=piece)
 
 
 class _Run:
-    """One case of :func:`simulate_many`: its step rates and the per-path
+    """One case of :func:`simulate_many`: its step rates, the state of a
+    block's paths from one span of steps to the next, and the per-path
     results and running sums that its blocks fill in."""
 
-    def __init__(self, objective: Objective, noise: NoiseModel, config: SdeConfig):
+    def __init__(self, objective: Objective, noise: NoiseModel, config: SdeConfig,
+                 block_size: int):
         n_steps, n_paths, dim = config.n_steps, config.n_paths, objective.dim
         self.objective, self.config = objective, config
         self.ts = np.minimum(np.arange(n_steps) * config.eta0, config.schedule.S)
@@ -433,9 +518,15 @@ class _Run:
         self.adam = config.algorithm == "adam"
         self.v_min = None
         if self.adam:
-            diag_sigma = np.diag(noise.Sigma_g).copy()
-            self.root_v, self.v_min, v_last = _adam_root_v(config, self.etas, diag_sigma)
-            if not np.isfinite(v_last).all():  # shared by every path: the first one fails
+            # v is run once here for v_min, and again through each block's steps
+            self.diag_sigma = np.diag(noise.Sigma_g).copy()
+            self.v_min = math.inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _, v in _adam_v(config, self.etas, self.diag_sigma):
+                    vm = float(v.min()) if v.size else 0.0
+                    if vm < self.v_min:
+                        self.v_min = vm
+            if not np.isfinite(v).all():  # shared by every path: the first one fails
                 raise SimulationDiverged(0)
 
         self.wgrad = np.empty(n_paths)
@@ -448,29 +539,44 @@ class _Run:
         self.msumsq = np.zeros((n_steps, dim)) if track else None
         self.col = np.empty(dim) if track else None
         self.traces = np.empty((n_paths, n_steps + 1, 2)) if config.record_traces else None
+        # a block's paths from one span of steps to the next: x and the
+        # running sum wg, m and wm for Adam, and the largest |x_i| so far
+        self.x = np.empty((block_size, dim))
+        self.wg = np.empty(block_size)
+        self.m = np.empty((block_size, dim)) if self.adam else None
+        self.wm = np.empty(block_size) if self.adam else None
+        self.peak = 0.0
 
-    def step(self, start: int, z: np.ndarray, state: np.ndarray, rows: np.ndarray):
-        """Step the paths ``start, start + 1, ...`` over the noise block ``z``,
-        using the ``(4, B, dim)`` and ``(3, B)`` scratch arrays given."""
+    def step(self, start: int, z: np.ndarray, k0: int, k1: int, scratch: tuple):
+        """Step the paths ``start, start + 1, ...`` through steps k0..k1-1
+        over the noise block ``z``, with the ``(B, dim)``, ``(B, dim)`` and
+        ``(B,)`` arrays of ``scratch``, which hold nothing between calls.
+        Step 0 starts the paths at x0; the span that reaches the last step
+        checks them for divergence and records their results."""
         objective, config, etas = self.objective, self.config, self.etas
         adam, msum, msumsq, col = self.adam, self.msum, self.msumsq, self.col
         B, n_steps, _ = z.shape
         trace = None if self.traces is None else self.traces[start:start + B]
-        x, tmp, peak, m = state
-        rowsum, wg, wm = rows
-        x[:] = self.x0
-        wg.fill(0.0)
+        x, wg = self.x[:B], self.wg[:B]
+        tmp, peak, rowsum = scratch
         peak.fill(0.0)
+        if k0 == 0:
+            x[:] = self.x0
+            wg.fill(0.0)
+            self.peak = 0.0
         if adam:
-            m.fill(0.0)
-            wm.fill(0.0)
-            root_v = self.root_v
+            m, wm = self.m[:B], self.wm[:B]
+            if k0 == 0:
+                m.fill(0.0)
+                wm.fill(0.0)
+                self.v_steps = _adam_v(config, etas, self.diag_sigma)
+            v_steps = self.v_steps
             c1_prime = config.c1_prime
             sqrt_eta0 = math.sqrt(config.eta0)
 
         # Each update keeps the operation order of the textbook
         # expression in its comment, so every float matches it.
-        for k in range(n_steps):
+        for k in range(k0, k1):
             eta_k = etas[k]
             g = objective.gradient(x)
             # wg += eta_k * sum(g * g)
@@ -493,7 +599,7 @@ class _Run:
                 step = config.eta0 * eta_k
                 # x -= step * m / sqrt(v + eps)
                 np.multiply(m, step, out=tmp)
-                tmp /= root_v[k]
+                tmp /= next(v_steps)[0]
                 x -= tmp
                 # m = m - c1 * step * (m - g) + c1' * eta_k * sqrt(eta0) * z_k
                 np.subtract(m, g, out=tmp)
@@ -507,7 +613,10 @@ class _Run:
                 tmp *= config.eta0 * eta_k
                 x -= tmp
             np.fmax(peak, np.abs(x, out=tmp), out=peak)
+        self.peak = max(self.peak, float(peak.max()))
 
+        if k1 < n_steps:
+            return
         if trace is not None:
             trace[:, n_steps, 0] = np.linalg.norm(x, axis=1)
             trace[:, n_steps, 1] = np.linalg.norm(objective.gradient(x), axis=1)
@@ -518,7 +627,7 @@ class _Run:
         if bad.any():
             raise SimulationDiverged(start + int(np.argmax(bad)))
         # every iterate was finite, so the running max ignored no NaN
-        self.max_abs = max(self.max_abs, float(peak.max()))
+        self.max_abs = max(self.max_abs, self.peak)
 
         stop = start + B
         diff = x - self.x_star
@@ -531,13 +640,11 @@ class _Run:
 
     def report(self) -> SimulationReport:
         config, n_paths, ts = self.config, self.config.n_paths, self.ts
-        stats = {
-            "weighted_avg_grad_sq": _summary(self.wgrad),
-            "final_value": _summary(self.final_val),
-            "final_sq_dist": _summary(self.final_sq),
-        }
+        samples = {"weighted_avg_grad_sq": self.wgrad, "final_value": self.final_val,
+                   "final_sq_dist": self.final_sq}
         if self.adam:
-            stats["weighted_avg_momentum_sq"] = _summary(self.wmom)
+            samples["weighted_avg_momentum_sq"] = self.wmom
+        stats = {name: _summary(name, values) for name, values in samples.items()}
 
         trapping = {}
         for eps in config.trap_eps:

@@ -231,6 +231,13 @@ COMMANDS = {
     "simulate_two_word_seed_two_blocks": [
         "simulate", "--dim", "64", "--horizon", "10", "--paths", "140",
         "--seed", str(2**32 + 5), "--out", "{out}"],
+    # 1,001 steps cut into halves of 500 and 501 steps, in noise blocks of
+    # 130 paths and 10 paths, with Adam's traces written out
+    "simulate_adam_uneven_halves_two_blocks": [
+        "simulate", "--algorithm", "adam", "--dim", "64", "--horizon", "10.01", "--paths", "140",
+        "--trace-csv", "{dir}/trace.csv", "--out", "{out}"],
+    # a noise variance whose ensemble statistics overflow a double
+    "simulate_sigma2_overflows_statistics": ["simulate", "--sigma2", "1e250"],
     # one path: a block with fewer paths than fill threads
     "simulate_one_path": ["simulate", "--paths", "1", "--seed", "3", "--out", "{out}"],
     # 40 paths in one block, and path 35, the first to diverge, lies in the

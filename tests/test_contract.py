@@ -220,3 +220,11 @@ def test_simulate_flags(changes, objective, algorithm):
 def test_fit_flags(workdir, runs_csv, changes):
     check_contract(["fit", "--runs", runs_csv, "--out", workdir / "fitted.json",
                     *flag_argv(FIT_FLAGS, changes)])
+
+
+@pytest.mark.parametrize("algorithm", ["sgd", "adam"])
+@pytest.mark.parametrize("sigma2", ["1e200", "1e250"])
+def test_simulate_overflowing_statistics_refused(algorithm, sigma2):
+    # the paths stay finite, but their statistics overflow a double
+    assert check_contract(["simulate", "--algorithm", algorithm, "--paths", "3",
+                           "--sigma2", sigma2]) == 1

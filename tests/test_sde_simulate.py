@@ -1,6 +1,8 @@
 import importlib
 import json
+import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -25,6 +27,7 @@ from util import reference_simulate
 
 # the module, which the package's simulate function shadows as an attribute
 simulate_module = importlib.import_module("optlaws.sde.simulate")
+MIN_HALF_NORMALS = simulate_module._MIN_HALF_NORMALS
 
 
 def constant_schedule(eta, T):
@@ -124,6 +127,15 @@ class TestSgdSimulation:
         with pytest.raises(SimulationDiverged) as err:
             simulate(obj, NoiseModel.zero(2), cfg)
         assert "path 0" in str(err.value)
+
+    @pytest.mark.parametrize("algorithm, stat", [("sgd", "weighted_avg_grad_sq"),
+                                                 ("adam", "weighted_avg_momentum_sq")])
+    def test_overflowing_statistic_is_named(self, algorithm, stat):
+        # every path is finite, but the squares in the standard error overflow
+        cfg = SdeConfig(schedule=constant_schedule(0.5, 1.0), eta0=0.01, n_paths=3, seed=0,
+                        algorithm=algorithm)
+        with pytest.raises(ValueError, match=f"^{stat} std_err is inf: .* overflow a double"):
+            simulate(isotropic_quadratic(2), NoiseModel.isotropic(2, 1e250), cfg)
 
     def test_trap_eps_validation(self):
         sched = constant_schedule(0.1, 1.0)
@@ -493,18 +505,14 @@ class TestSimulateMany:
                            (double_well(3), calm)], noise, block_size=9)
         assert err.value.path_index == alone.value.path_index == path
 
-    def test_peak_allocation_is_one_noise_block(self):
-        dim, block = 16, 64
-        base = SdeConfig(schedule=constant_schedule(0.5, 4.0), eta0=0.01, n_paths=3 * block,
-                         seed=0, x0=np.full(dim, 1.2))
-        cases = [
-            (double_well(dim), base),
-            (double_well(dim), replace(base, algorithm="adam")),
-            (isotropic_quadratic(dim), replace(base, schedule=warmup_cosine_schedule(0.5, 1.0, 4.0),
-                                               algorithm="adam")),
-        ]
+    DIM, BLOCK = 16, 64
+    BASE = SdeConfig(schedule=constant_schedule(0.5, 4.0), eta0=0.01, n_paths=3 * BLOCK,
+                     seed=0, x0=np.full(DIM, 1.2))
+
+    def assert_peak_is_one_noise_block(self, cases):
+        dim, block = self.DIM, self.BLOCK
         noise = NoiseModel.isotropic(dim, 0.05)
-        block_bytes = block * base.n_steps * dim * 8
+        block_bytes = block * self.BASE.n_steps * dim * 8
         simulate_many(cases, noise, block_size=block)  # warm caches outside the trace
         tracemalloc.start()
         try:
@@ -515,11 +523,37 @@ class TestSimulateMany:
             tracemalloc.stop()
         assert peak < 1.25 * block_bytes
 
+    def test_peak_allocation_is_one_noise_block(self):
+        dim, base = self.DIM, self.BASE
+        self.assert_peak_is_one_noise_block([
+            (double_well(dim), base),
+            (double_well(dim), replace(base, algorithm="adam")),
+            (isotropic_quadratic(dim), replace(base, schedule=warmup_cosine_schedule(0.5, 1.0, 4.0),
+                                               algorithm="adam")),
+        ])
+
+    def test_peak_allocation_with_twelve_cases_is_one_noise_block(self):
+        # criterion 08's mix: each case keeps its own state between halves
+        dim, base = self.DIM, self.BASE
+        schedules = (base.schedule, warmup_cosine_schedule(0.5, 1.0, 4.0),
+                     build_general_schedule(0.6, 0.6, 0.5, 0.5, 2.5, 4.0))
+        self.assert_peak_is_one_noise_block([
+            (objective, replace(base, schedule=schedule, algorithm=algorithm))
+            for objective in (isotropic_quadratic(dim), double_well(dim))
+            for schedule in schedules for algorithm in ("sgd", "adam")
+        ])
+
 
 class TestFillThreads:
-    """Each block's fill is split across threads without moving a float."""
+    """Each block's fill is split across threads, and overlapped with the
+    stepping half by half, without moving a float."""
 
     SCHED = build_general_schedule(0.8, 0.5, 0.5, 1.0, 1.5, 2.0)
+
+    @pytest.fixture(autouse=True)
+    def short_halves(self, monkeypatch):
+        # halves of any length, so that small runs overlap too
+        monkeypatch.setattr(simulate_module, "_MIN_HALF_NORMALS", 0)
 
     @pytest.fixture(params=[1, 2, 3, 7])
     def threads(self, request, monkeypatch):
@@ -564,23 +598,128 @@ class TestFillThreads:
                 run(objective, noise, cfg)
             assert err.value.path_index == 35
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 7])  # halves of 0 + 1, 1 + 1 and 3 + 4 steps
+    @pytest.mark.parametrize("case", ["sgd", "adam_tracked_traced", "correlated"])
+    def test_step_counts_match_reference(self, threads, n_steps, case):
+        dim = 3
+        objective, noise = double_well(dim), NoiseModel(np.diag([0.3, 0.05, 1.2]))
+        cfg = SdeConfig(schedule=constant_schedule(0.6, 0.01 * n_steps), eta0=0.01, n_paths=23,
+                        seed=8, trap_eps=(0.5,), x0=np.full(dim, 1.3))
+        assert cfg.n_steps == n_steps
+        if case == "adam_tracked_traced":
+            cfg = replace(cfg, algorithm="adam", c1=2.0, c2=3.0, track_mean_momentum=True,
+                          record_traces=True)
+        elif case == "correlated":
+            objective, noise = correlated_system(dim)
+            cfg = replace(cfg, algorithm="adam", x0=None, track_mean_momentum=True)
+        for block_size in (9, None):  # blocks of 9, 9 and 5 paths; one block
+            assert_matches_reference(objective, noise, cfg, block_size=block_size)
+
+    def test_halves_longer_than_the_scale_rows_match_reference(self, threads):
+        # 1,030 steps: halves of 515, past the 512 rows the scale is tiled to
+        cfg = SdeConfig(schedule=constant_schedule(0.3, 10.3), eta0=0.01, n_paths=9, seed=3)
+        assert cfg.n_steps == 1030
+        assert_matches_reference(isotropic_quadratic(2), NoiseModel(np.diag([0.4, 1.5])), cfg,
+                                 block_size=4)
+
+    @pytest.mark.parametrize("block_size", [None, 8])
+    def test_path_diverging_in_the_second_half_is_named(self, threads, block_size):
+        # the rate is zero until t = 4.95, so every path is still at x0 when
+        # the second half of the 71 steps (from t = 4.9) starts; path 33 is
+        # the first to diverge after it, in the last of five blocks of 8
+        objective = double_well(3)
+        schedule = Schedule((Segment("constant", 0.0, 4.95, 0.0, 0.0),
+                             Segment("linear", 4.95, 5.0, 0.0, 1.0),
+                             Segment("constant", 5.0, 10.0, 1.0, 1.0)), 10.0, (5.0, 5.0, 5.0))
+        cfg = SdeConfig(schedule=schedule, eta0=0.14, n_paths=40, seed=11,
+                        x0=objective.x_star + np.ones(3) / 3**0.5)
+        assert cfg.n_steps == 71 and not schedule.value(np.arange(35) * cfg.eta0).any()
+        noise = NoiseModel.isotropic(3, 6.0)
+        for run in (reference_simulate, simulate):
+            with pytest.raises(SimulationDiverged) as err:
+                run(objective, noise, cfg, block_size=block_size)
+            assert err.value.path_index == 33
+
+    def test_halves_need_a_second_thread_and_long_rows(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "_MIN_HALF_NORMALS", MIN_HALF_NORMALS)
+        fill = simulate_module._PathFill.__call__
+        resumed = []
+
+        def recording(self, z, first, load, store):
+            resumed.append(load is not None)
+            fill(self, z, first, load, store)
+
+        monkeypatch.setattr(simulate_module._PathFill, "__call__", recording)
+        dim = 2
+        steps = 2 * MIN_HALF_NORMALS // dim  # halves of exactly the minimum
+        for cpus, n_steps, want in ((2, steps, True), (2, steps - 2, False), (1, steps, False)):
+            monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: cpus)
+            cfg = SdeConfig(schedule=constant_schedule(0.5, n_steps / 100), eta0=0.01, n_paths=4,
+                            seed=0)
+            assert cfg.n_steps == n_steps
+            resumed.clear()
+            simulate(isotropic_quadratic(dim), NoiseModel.isotropic(dim, 0.1), cfg)
+            assert any(resumed) == want, (cpus, n_steps)
+
+    def test_shares_survive_fast_thread_switching(self, monkeypatch):
+        # seven fill threads on fewer cores, switching every microsecond: a
+        # share drawn twice or lost, or a state saved in the wrong row,
+        # would move a float
+        monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 7)
+        cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=61, seed=12, algorithm="adam",
+                        track_mean_momentum=True, x0=np.full(3, 1.3))
+        objective, noise = double_well(3), NoiseModel.isotropic(3, 0.2)
+        want = reference_simulate(objective, noise, cfg, block_size=25)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate(objective, noise, cfg, block_size=25)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_report(got, want)
+
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 3)
         fill = simulate_module._PathFill.__call__
 
-        def failing(self, z, start, scale):
-            if threading.current_thread() is not threading.main_thread():
-                raise OSError(f"fill failed at path {start}")
-            fill(self, z, start, scale)
+        def failing(self, z, first, load, store):
+            # path 17 fails, whichever thread draws it
+            if first <= 17 < first + len(z):
+                raise OSError("fill failed at path 17")
+            fill(self, z, first, load, store)
 
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=30, seed=1)
         noise = NoiseModel.isotropic(2, 0.1)
         before = threading.active_count()
-        simulate(isotropic_quadratic(2), noise, cfg, block_size=12)
-        assert threading.active_count() == before
-        monkeypatch.setattr(simulate_module._PathFill, "__call__", failing)
-        with pytest.raises(OSError, match="fill failed at path"):
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(simulate_module._PathFill, "__call__", fill)
             simulate(isotropic_quadratic(2), noise, cfg, block_size=12)
+            assert threading.active_count() == before
+            monkeypatch.setattr(simulate_module._PathFill, "__call__", failing)
+            with pytest.raises(OSError, match="fill failed at path 17"):
+                simulate(isotropic_quadratic(2), noise, cfg, block_size=12)
+            assert threading.active_count() == before, cpus
+
+    def test_divergence_during_a_fill_joins_the_pool(self, monkeypatch):
+        # 23 paths in blocks of 9: block 0 diverges (path 0) while the pool
+        # fills the first half of block 1, slowed down so it is still filling
+        monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 3)
+        fill = simulate_module._PathFill.__call__
+        started = []
+
+        def slow(self, z, first, load, store):
+            if first >= 9:
+                started.append(first)
+                time.sleep(0.02)
+            fill(self, z, first, load, store)
+
+        cfg = SdeConfig(schedule=constant_schedule(1.0, 2.0), eta0=0.3, n_paths=23, seed=0,
+                        x0=np.full(3, 50.0))
+        before = threading.active_count()
+        monkeypatch.setattr(simulate_module._PathFill, "__call__", slow)
+        with pytest.raises(SimulationDiverged) as err:
+            simulate(double_well(3), NoiseModel.isotropic(3, 0.1), cfg, block_size=9)
+        assert err.value.path_index == 0 and started
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus, n_paths, want", [(64, 100, 8), (64, 5, 5), (2, 100, 2)])
