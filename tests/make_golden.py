@@ -91,6 +91,23 @@ def _continual_candidates() -> list[dict]:
     return cfgs
 
 
+def _many_candidates() -> list[dict]:
+    """200 generated candidates at the size the report writer is tuned for:
+    every verdict, and a pre block on every seventh config."""
+    pre = _config(0.58, 20.0, 0.3, 0.3, 1.0, 1.0, 1.0)
+    cfgs = []
+    for i in range(200):
+        S = (3.0, 10.0, 30.0)[i % 3]
+        h1 = 0.05 + 0.9 * (i % 41) / 40
+        a1 = S * (0.002 + 0.03 * (i % 11))
+        a2 = a1 + S * 0.02 * (i % 3)
+        a3 = a2 + (S - a2) * 0.1 * (i % 9)
+        h2 = h1 * (1.0 - 0.1 * (i % 4)) if a2 > a1 else h1
+        cfg = _config((0.58, 4.05)[i % 2], S, h1, h2, a1, a2, a3)
+        cfgs.append({**cfg, "pre": pre} if i % 7 == 0 else cfg)
+    return cfgs
+
+
 def _runs_as_steps() -> str:
     """The fixture run log with its sizes given as steps of TOKEN_LENGTH x BATCH
     tokens, as ``fit --token-length --batch`` reads them."""
@@ -119,6 +136,7 @@ def write_inputs(directory: str) -> None:
         "law_continual.json": law.as_continual().to_json(),
         "candidates.json": json.dumps(_candidates()),
         "continual_candidates.json": json.dumps(_continual_candidates()),
+        "many_candidates.json": json.dumps(_many_candidates()),
         "candidates_no_pre.json": json.dumps([c for c in _candidates() if "pre" not in c]),
         "config.json": json.dumps(_candidates()[5]),
         "config_int.json": json.dumps(_candidates()[25]),
@@ -167,6 +185,16 @@ COMMANDS = {
     **{f"rank_{mode}_no_pre": ["rank", "--law", f"{{dir}}/law_{mode}.json",
                                "--configs", "{dir}/candidates_no_pre.json", "--out", "{out}"]
        for mode in ("pretrain", "continual")},
+    # the sizes the writers are tuned for: a 200-row rank report, a 64 x 64
+    # grid, and a trace of 3 paths x 401 steps
+    "rank_200_candidates": ["rank", "--law", "{dir}/law_pretrain.json",
+                            "--configs", "{dir}/many_candidates.json", "--out", "{out}"],
+    "sweep_64x64": ["sweep", "--law", "{dir}/law_pretrain.json", "--eta-max-range",
+                    "0.02:1.2:64", "--warmup-range", "0.05:6:64", "--model", "4.05",
+                    "--tokens", "10", "--out", "{out}"],
+    "simulate_trace_3_paths_401_steps": [
+        "simulate", "--paths", "3", "--horizon", "4.01", "--seed", "5",
+        "--trace-csv", "{dir}/trace.csv", "--out", "{out}"],
     "predict_pretrain": ["predict", "--law", "{dir}/law_pretrain.json",
                          "--config", "{dir}/config.json", "--out", "{out}"],
     "predict_integer_fields": ["predict", "--law", "{dir}/law_pretrain.json",
