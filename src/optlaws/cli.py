@@ -1,8 +1,16 @@
 """Command-line entry point: fit, predict, rank, check, sweep, simulate, validate.
 
-All reports are JSON with sorted keys (UTF-8); grids are CSV with a header
-row.  Identical inputs and seed produce byte-identical outputs.  Exit codes:
-0 success, 1 usage or data errors, 2 validation-suite failure.
+Identical inputs and seed produce byte-identical outputs, in these formats:
+
+- Reports are JSON, the bytes of ``json.dumps(payload, sort_keys=True,
+  indent=2, allow_nan=False)`` and a newline: sorted keys, a two-space
+  indent, non-ASCII characters as ``\\u`` escapes, and floats as their
+  ``repr``.  A NaN or infinity is refused with one ``error:`` line, and no
+  ``--out`` file is written.
+- Grids and traces are CSV with a header row, the bytes ``csv.writer``
+  gives: floats as their ``repr`` and ``\\r\\n`` line endings.
+
+Exit codes: 0 success, 1 usage or data errors, 2 validation-suite failure.
 """
 
 from __future__ import annotations
@@ -10,10 +18,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -71,9 +81,49 @@ def _seed(args) -> int:
     return seed
 
 
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):  # NaN and infinities are not JSON
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+# how a leaf of each exact type is written; bool is tested before int
+_JSON_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+                bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2,
+    allow_nan=False)`` writes it at ``indent``, with each container built by
+    one join.  Keys must be str: encoding any other key raises TypeError.
+    (The stdlib drops its C encoder when given an indent, and its pure-Python
+    one yields every token through a chain of generators.)"""
+    leaf = _JSON_LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    for kind in (str, int, float):  # subclasses, np.float64 among them
+        if isinstance(value, kind):
+            return _JSON_LEAVES[kind](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _dump_json(payload, path=None) -> str:
-    # NaN and infinities are not JSON; refuse them rather than print them
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """:func:`_json_text` of ``payload`` and a newline, also written to
+    ``path`` if given.  The text is built first, so a refused payload (a
+    NaN, say) leaves no file."""
+    text = _json_text(payload, "") + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -231,12 +281,19 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _write_grid_csv(rows, path: str):
-    # the bytes csv.writer gives: float reprs never need quoting, and "\r\n"
-    # is its line ending
+def _write_grid_csv(rows, eta_values, warmup_values, path: str):
+    """Write :func:`sweep_grid`'s rows over these ranges as CSV.
+
+    The bytes are the ones csv.writer gives: float reprs never need quoting,
+    and ``\\r\\n`` is its line ending.  The rows are warmup-major, so each
+    range value is formatted once and paired with the rows by position.
+    """
+    etas = [f"{h!r}," for h in np.asarray(eta_values, dtype=float).tolist()]
+    warmups = [f"{a!r}," for a in np.asarray(warmup_values, dtype=float).tolist()]
+    cells = zip(itertools.product(warmups, etas), rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("eta_max,warmup_B,R,predicted_loss\r\n")
-        fh.write("".join(f"{h!r},{a!r},{r!r},{loss!r}\r\n" for h, a, r, loss in rows))
+        fh.write("".join(f"{h}{a}{r!r},{loss!r}\r\n" for (a, h), (_, _, r, loss) in cells))
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +375,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     law = _read_json(args.law, FittedLaw.from_json)
-    rows = sweep_grid(
-        law,
-        _gate_from_args(args),
-        _parse_range(args.eta_max_range),
-        _parse_range(args.warmup_range),
-        N=args.model,
-        S=args.tokens,
-        sentinel=args.sentinel,
-    )
-    _write_grid_csv(rows, args.out)
+    gate = _gate_from_args(args)
+    etas, warmups = _parse_range(args.eta_max_range), _parse_range(args.warmup_range)
+    rows = sweep_grid(law, gate, etas, warmups, N=args.model, S=args.tokens,
+                      sentinel=args.sentinel)
+    _write_grid_csv(rows, etas, warmups, args.out)
     sys.stdout.write(_dump_json({"grid": args.out, "rows": len(rows)}))
     return 0
 
@@ -374,13 +426,15 @@ def _cmd_simulate(args) -> int:
     }
     sys.stdout.write(_dump_json(payload, args.out))
     if args.trace_csv:
-        # the bytes csv.writer gives, as in _write_grid_csv
-        t_grid = report.trace_t.tolist()
+        # the bytes csv.writer gives, as in _write_grid_csv; each time and
+        # each path index is formatted once
+        times = [f",{t!r}," for t in report.trace_t.tolist()]
         with open(args.trace_csv, "w", newline="", encoding="utf-8") as fh:
             fh.write("path,t,x_norm,grad_norm\r\n")
             for i, trace in enumerate(report.traces):
-                fh.write("".join(f"{i},{t!r},{xn!r},{gn!r}\r\n"
-                                 for t, (xn, gn) in zip(t_grid, trace.tolist())))
+                path = str(i)
+                fh.write("".join(f"{path}{t}{xn!r},{gn!r}\r\n"
+                                 for t, (xn, gn) in zip(times, trace.tolist())))
     return 0
 
 

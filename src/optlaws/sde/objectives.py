@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,7 +49,12 @@ def quadratic(H: np.ndarray) -> Objective:
         return 0.5 * np.einsum("...i,ij,...j->...", x, H, x)
 
     def gradient(x):
-        return x @ H
+        if np.size(x) != dim:
+            return x @ H
+        # one row: numpy multiplies it by gemv, which can round differently
+        # from the gemm of a larger block, so the product gets a second row
+        row = np.reshape(x, (1, dim))
+        return (np.concatenate((row, row)) @ H)[0].reshape(np.shape(x))
 
     return Objective(
         name="quadratic",
@@ -64,8 +69,10 @@ def quadratic(H: np.ndarray) -> Objective:
 
 
 def isotropic_quadratic(dim: int, lam: float = 1.0) -> Objective:
-    """f(x) = lam * ||x||^2 / 2."""
-    return quadratic(lam * np.eye(dim))
+    """f(x) = lam * ||x||^2 / 2, with the gradient ``lam * x``: the same bits
+    as the product with ``lam * I``, without the matrix product."""
+    lam = float(lam)
+    return replace(quadratic(lam * np.eye(dim)), gradient=lambda x: lam * x)
 
 
 def double_well(dim: int, box: float = 2.0) -> Objective:

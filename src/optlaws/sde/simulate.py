@@ -15,7 +15,10 @@ Gaussian increments.
 
 Each path owns a counter-based Philox stream derived from
 (seed, path index), so ensembles are reproducible and independent of how
-paths are grouped into blocks.  :func:`path_rng` defines the streams: the
+paths are grouped into blocks.  One result is not: ``mean_momentum`` (set
+by ``track_mean_momentum``, which only tests use and no report carries)
+sums ``m`` across each block's paths, so its last bits depend on the block
+size.  :func:`path_rng` defines the streams: the
 seed's one Philox key, with path i's counter starting 2**128 * i draws in,
 as ``Philox.jumped(i)`` places it.  Streams under one key that start that
 far apart do not overlap (Salmon et al., "Parallel Random Numbers: As Easy

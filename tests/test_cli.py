@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import optlaws
 from optlaws import cli, validate
@@ -248,16 +251,25 @@ class TestSweep:
 
     @pytest.mark.parametrize("sentinel", [7.0, math.inf])
     def test_grid_csv_bytes_match_csv_writer(self, tmp_path, sentinel):
-        rows = sweep_grid(reference_law(), DEFAULT_PARAMS, np.linspace(0.02, 1.0, 23),
-                          np.linspace(0.05, 6.0, 17), N=4.05, S=10.0, sentinel=sentinel)
-        assert {r[3] == sentinel for r in rows} == {True, False}  # diverged and priced cells
+        # a constant term near log(max float): about half the priced cells'
+        # losses overflow to inf
+        law = reference_law()
+        law = replace(law, c=(*law.c[:15], law.c[15] + 708.9))
+        etas, warmups = np.linspace(0.02, 1.0, 23), np.linspace(0.05, 6.0, 17)
+        rows = sweep_grid(law, DEFAULT_PARAMS, etas, warmups, N=4.05, S=10.0,
+                          sentinel=sentinel)
+        R = np.array([r[2] for r in rows])
+        loss = np.array([r[3] for r in rows])
+        assert (R > 1).any() and (loss[R > 1] == sentinel).all()  # diverged cells
+        priced = loss[~(R > 1)]
+        assert np.isinf(priced).any() and np.isfinite(priced).any()
         reference = tmp_path / "reference.csv"
         with open(reference, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["eta_max", "warmup_B", "R", "predicted_loss"])
             for row in rows:
                 writer.writerow([repr(float(v)) for v in row])
-        cli._write_grid_csv(rows, tmp_path / "grid.csv")
+        cli._write_grid_csv(rows, etas, warmups, tmp_path / "grid.csv")
         assert (tmp_path / "grid.csv").read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("etas, warms, N, match", [
@@ -836,6 +848,54 @@ class TestRankRoute:
         capsys.readouterr()
         assert run_cli(["rank", "--law", unit_law, "--configs", path]) == 1
         assert f"error: {message}" in TestBadInput.one_line_error(capsys).err
+
+
+def stdlib_json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 1e-310, -0.0, 0.0, 1e16, 1e-5, 1e-4, 0.1, 1e22, -2.5e-300]),
+).flatmap(lambda x: st.sampled_from([x, np.float64(x)]))
+JSON_STRINGS = st.one_of(st.text(), st.sampled_from(["", "é", "日本", "\x00\x1f\x7f", "\u2028",
+                                                    '"\\/', "\U0001f600", "tab\there"]))
+JSON_PAYLOADS = st.recursive(
+    st.one_of(JSON_FLOATS, st.integers(), st.booleans(), st.none(), JSON_STRINGS),
+    lambda items: st.one_of(st.lists(items, max_size=5), st.tuples(items, items),
+                            st.just(()), st.dictionaries(JSON_STRINGS, items, max_size=5)),
+    max_leaves=30)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(JSON_PAYLOADS)
+    def test_bytes_match_the_stdlib(self, payload):
+        assert cli._dump_json(payload) == stdlib_json(payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_non_finite_float_is_refused_as_the_stdlib_refuses_it(self, tmp_path, bad):
+        payload = {"a": 1.0, "b": [2.0, {"c": bad}]}
+        with pytest.raises(ValueError) as want:
+            stdlib_json(payload)
+        out = tmp_path / "out.json"
+        with pytest.raises(ValueError) as got:
+            cli._dump_json(payload, out)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [np.int64(3), np.bool_(True), np.zeros(2), {1.5}],
+                             ids=["int64", "bool_", "array", "set"])
+    def test_other_types_are_refused_as_the_stdlib_refuses_them(self, tmp_path, bad):
+        payload = {"a": [1, bad]}
+        with pytest.raises(TypeError) as want:
+            stdlib_json(payload)
+        out = tmp_path / "out.json"
+        with pytest.raises(TypeError) as got:
+            cli._dump_json(payload, out)
+        assert str(got.value) == str(want.value)
+        assert not out.exists()
 
 
 class TestStartup:

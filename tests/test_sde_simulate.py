@@ -67,6 +67,22 @@ class TestObjectives:
         with pytest.raises(ValueError):
             quadratic(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("lam", [0.7, 1.0, 3.0])
+    def test_isotropic_gradient_equals_the_matrix_product(self, lam):
+        x = np.random.default_rng(2).standard_normal((300, 8))
+        got = isotropic_quadratic(8, lam).gradient(x)
+        assert got.tobytes() == (x @ (lam * np.eye(8))).tobytes()
+
+    def test_one_row_gradient_equals_its_row_in_a_block(self):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((8, 8))
+        obj = quadratic(A @ A.T / 8)
+        x = rng.standard_normal((50, 8))
+        block = obj.gradient(x)
+        for i in range(len(x)):
+            assert obj.gradient(x[i:i + 1]).tobytes() == block[i:i + 1].tobytes()
+            assert obj.gradient(x[i]).tobytes() == block[i].tobytes()
+
     def test_batched_gradient(self):
         obj = double_well(3)
         x = np.random.default_rng(5).standard_normal((7, 3))
@@ -275,6 +291,21 @@ class TestDeterminism:
         b = simulate(obj, noise, cfg, block_size=33)
         for key in a.stats:
             assert a.stats[key] == b.stats[key]
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "adam"])
+    @pytest.mark.parametrize("block_size", [13, 1, 40])
+    def test_dense_h_results_do_not_depend_on_blocks(self, algorithm, block_size):
+        # blocks of one path, and the last block of one path at 13, multiply
+        # the gradient by H one row at a time, which numpy does by gemv
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((8, 8))
+        obj = quadratic(A @ A.T / 8 + 0.5 * np.eye(8))
+        noise = NoiseModel.isotropic(8, 0.3)
+        cfg = SdeConfig(schedule=build_general_schedule(0.5, 0.5, 0.5, 0.5, 0.5, 2.0),
+                        eta0=0.02, n_paths=40, seed=9, algorithm=algorithm,
+                        x0=np.full(8, 0.7), trap_eps=(0.05,), record_traces=True)
+        assert_same_report(simulate(obj, noise, cfg, block_size=block_size),
+                           reference_simulate(obj, noise, cfg))
 
     def test_path_streams_independent_of_order(self):
         draws_a = path_rng(7, 3).standard_normal(4)
