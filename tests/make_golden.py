@@ -274,6 +274,9 @@ COMMANDS = {
         "simulate", "--objective", "double_well", "--dim", "3", "--peak", "1", "--warmup", "0",
         "--horizon", "10", "--eta0", "0.14", "--paths", "40", "--sigma2", "9", "--seed", "9"],
     "validate_quick": ["validate", "--quick", "--seed", "0", "--out", "{out}"],
+    # every suite at full size, so a change to the stepper or the fill that
+    # moves any ensemble's bits moves this entry
+    "validate_full_seed_41": ["validate", "--seed", "41", "--out", "{out}"],
     # flag errors that name the flag (or the n_paths field)
     "simulate_seed_negative": ["simulate", "--seed", "-1"],
     "validate_seed_negative": ["validate", "--quick", "--seed", "-1"],
