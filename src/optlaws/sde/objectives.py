@@ -33,6 +33,16 @@ class Objective:
     box: Optional[float] = None
 
 
+def row_product(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``x @ M`` for rows ``x`` of shape (..., n), each row rounded as in a
+    product of many rows: numpy multiplies a single row by gemv, which can
+    round differently from gemm, so that product gets a second row."""
+    if np.size(x) != M.shape[0]:
+        return x @ M
+    row = np.reshape(x, (1, -1))
+    return (np.concatenate((row, row)) @ M)[0].reshape(np.shape(x))
+
+
 def quadratic(H: np.ndarray) -> Objective:
     """f(x) = x' H x / 2 for symmetric positive semidefinite H."""
     H = np.asarray(H, dtype=float)
@@ -48,19 +58,11 @@ def quadratic(H: np.ndarray) -> Objective:
     def value(x):
         return 0.5 * np.einsum("...i,ij,...j->...", x, H, x)
 
-    def gradient(x):
-        if np.size(x) != dim:
-            return x @ H
-        # one row: numpy multiplies it by gemv, which can round differently
-        # from the gemm of a larger block, so the product gets a second row
-        row = np.reshape(x, (1, dim))
-        return (np.concatenate((row, row)) @ H)[0].reshape(np.shape(x))
-
     return Objective(
         name="quadratic",
         dim=dim,
         value=value,
-        gradient=gradient,
+        gradient=lambda x: row_product(x, H),
         hessian_at=lambda x: H.copy(),
         L=float(eigs[-1]),
         f_min=0.0,

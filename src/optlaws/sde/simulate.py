@@ -14,65 +14,59 @@ momentum noise coefficient c1' = sqrt(c1*c1hat) of the SDE scales the same
 Gaussian increments.
 
 Each path owns a counter-based Philox stream derived from
-(seed, path index), so ensembles are reproducible and independent of how
-paths are grouped into blocks.  One result is not: ``mean_momentum`` (set
-by ``track_mean_momentum``, which only tests use and no report carries)
-sums ``m`` across each block's paths, so its last bits depend on the block
-size.  :func:`path_rng` defines the streams: the
-seed's one Philox key, with path i's counter starting 2**128 * i draws in,
-as ``Philox.jumped(i)`` places it.  Streams under one key that start that
-far apart do not overlap (Salmon et al., "Parallel Random Numbers: As Easy
-as 1, 2, 3", SC'11), and a Philox stream is fully set by its key, its
-counter and its output buffer, so a generator can draw any path's stream
-once its counter is reset, and can stop a stream after any step and resume
-it later from the saved ``bitgen.state`` with the same numbers.
+(seed, path index), and every statistic is taken over per-path results, so
+ensembles are reproducible and independent of how paths are grouped into
+blocks.  :func:`path_rng` defines the streams: the seed's one Philox key,
+with path i's counter starting 2**128 * i draws in, as
+``Philox.jumped(i)`` places it.  Streams under one key that start that far
+apart do not overlap (Salmon et al., "Parallel Random Numbers: As Easy as
+1, 2, 3", SC'11), and a Philox stream is fully set by its key, its counter
+and its output buffer, so a generator can draw any path's stream once its
+counter is reset.
 
 The noise does not depend on the state, so Adam's second moment v follows
 the same deterministic recursion on every path (the deterministic v of the
 Adam SDE in Malladi et al., arXiv 2205.10287).  It is one ``dim``-vector
 recursion, run once per call for its minimum, reported exactly as
-``v_min``, and again alongside each block's steps, where its
+``v_min``, and again alongside each group's steps, where its
 ``sqrt(v_k + eps)`` feeds every path.
 
-Paths are stepped in blocks.  One noise buffer of block size is allocated
-per call and refilled in place for every block, path by path from its own
-stream.  Each block's steps are cut into two halves, ``[0, n_steps // 2)``
-and the rest, and the halves are filled in turn (block by block) while the
-calling thread steps the half before: half 1 of a block fills while half 0
-is stepped, and half 0 of the next block while half 1 is stepped, so the
-fill never writes the steps being read.  A path's Philox state is saved per
-row after its first half and its second half resumes from it.  The fill is
-cut into about ``_SHARES_PER_THREAD`` shares per fill thread, taken from one
-shared iterator: by one pool thread per usable CPU but one (at most
+Paths are stepped in groups.  A block's noise budget (``block_size``
+paths, by default as many as ``DEFAULT_BLOCK_BYTES`` holds) is allocated
+once per call as two buffers of ``ceil(block_size / 2)`` paths, or as one
+buffer of ``block_size`` paths when there is a single fill thread.  A
+buffer holds its paths' whole rows, all ``n_steps`` steps.  The pool fills
+the next group of paths into one buffer while the calling thread steps
+every case over the other, from step 0 to the last; with one buffer, each
+group is filled, then stepped.  A group's fill is cut into about
+``_SHARES_PER_THREAD`` shares per fill thread, taken from one shared
+iterator: by one pool thread per usable CPU but one (at most
 ``_MAX_FILL_THREADS`` threads in all, and never more than the block has
-paths), and by the calling thread once it has stepped the half before.  The
-calling thread then waits for the pool before stepping what it filled.
-Each fill thread owns a generator built once per call, draws with the GIL
-released, and scales its own share by the root's diagonal (isotropic noise,
-which is all the CLI uses).  Which thread draws a path never changes its
-numbers, so results do not depend on the thread count.  A correlated root
-is multiplied in once the whole block is filled, as one product over the
-block in the calling thread: BLAS's rounding of a row can depend on how
-many rows the product has, so it is not split, and such a block is filled
-before it is stepped.  So is a block with a single fill thread, which has
-nothing to overlap, or with half rows of fewer than ``_MIN_HALF_NORMALS``
-normals (a one-step run has an empty first half), whose draws are too
-short to outweigh saving and restoring their states.  The per-step updates
-run in place on preallocated ``(block, dim)`` arrays, in the same
-operation order as the expressions above, so results are bit-identical to
-stepping with fresh arrays and a per-path v.  Peak memory is about one
-noise block (``DEFAULT_BLOCK_BYTES``) plus, per case, its block's ``x``
-(and Adam's ``m``) and per-path sums and results; a non-diagonal root adds
-a second block, the copy numpy makes for the product it writes back, and
-``record_traces`` adds the ``(n_paths, n_steps + 1, 2)`` trace array the
-stepper writes each block's rows of in place.
+paths), and by the calling thread once it has stepped the group before.
+The calling thread then waits for the pool before stepping what it
+filled.  Each fill thread owns a generator built once per call, draws with
+the GIL released, and scales its own share by the root's diagonal
+(isotropic noise, which is all the CLI uses).  Which thread draws a path
+never changes its numbers, so results do not depend on the thread count.
+A correlated root is multiplied in once a buffer is filled, as one product
+over the buffer in the calling thread, while the pool fills the other.
+BLAS rounds a row of a product of two or more rows the same whatever their
+number, but numpy computes a one-row product with gemv, which can round
+differently, so that product is padded to two rows (``row_product``).
+The per-step updates run in place on ``(group, dim)`` arrays that every
+case shares, in the same operation order as the expressions above, so
+results are bit-identical to stepping with fresh arrays and a per-path v.
+Peak memory is about one noise block (``DEFAULT_BLOCK_BYTES``) plus those
+arrays and each case's per-path results; a non-diagonal root adds one
+buffer's product before it is copied back, and ``record_traces`` adds the
+``(n_paths, n_steps + 1, 2)`` trace array the stepper writes each group's
+rows of in place.
 
 :func:`simulate_many` steps several cases, each an ``(objective, config)``
-pair, over the same noise (common random numbers): each half of a block
-is filled and scaled once and every case is stepped over it in turn.  A
-case keeps its paths' state from one half to the next in arrays of its own,
-small next to the noise block, so peak memory stays near one block however
-many cases there are.  A case's report is bit-identical to its own
+pair, over the same noise (common random numbers): each buffer is filled
+and scaled once and every case is stepped over it in turn, from its paths'
+start to their results, so peak memory stays near one block however many
+cases there are.  A case's report is bit-identical to its own
 :func:`simulate` run, which is the one-case call of :func:`simulate_many`.
 Cases that differ in seed, ``n_paths``, ``n_steps`` or objective dim draw
 different noise, so they are refused with ValueError before anything is
@@ -91,7 +85,7 @@ import numpy as np
 
 from ..schedule import Schedule
 from .noise import NoiseModel
-from .objectives import Objective
+from .objectives import Objective, row_product
 
 __all__ = [
     "SdeConfig",
@@ -106,10 +100,6 @@ __all__ = [
 DEFAULT_BLOCK_BYTES = 64 * 2**20
 _MAX_FILL_THREADS = 8
 _SHARES_PER_THREAD = 8
-# A half row of fewer normals draws in under about 40 us, too little next to
-# the GIL-held work of saving and restoring its Philox state: the fill
-# threads then slow the stepping more than they hide (measured on 2 CPUs).
-_MIN_HALF_NORMALS = 2048
 
 
 class SimulationDiverged(RuntimeError):
@@ -145,7 +135,6 @@ class SdeConfig:
     eps: float = 1e-8
     trap_eps: tuple[float, ...] = ()
     x0: Optional[np.ndarray] = None
-    track_mean_momentum: bool = False
     record_traces: bool = False
 
     def __post_init__(self):
@@ -213,7 +202,6 @@ class SimulationReport:
     trapping: dict
     v_min: Optional[float] = None
     max_abs_coordinate: float = 0.0
-    mean_momentum: Optional[dict] = None
     traces: Optional[np.ndarray] = None  # (n_paths, n_steps + 1, 2): |x|, |grad f| per time
     trace_t: Optional[np.ndarray] = None  # the n_steps + 1 times of the traces
 
@@ -323,7 +311,7 @@ def simulate_many(
 ) -> list[SimulationReport]:
     """Run several ensembles on the same noise: one report per case, in order.
 
-    Each case is an ``(objective, config)`` pair.  Every block of per-path
+    Each case is an ``(objective, config)`` pair.  Every group of per-path
     noise is filled and scaled once and each case is stepped over it, so
     the cases see common random numbers and each report equals the one
     :func:`simulate` gives for its case alone, bit for bit.  The cases must
@@ -365,31 +353,24 @@ def simulate_many(
         raise ValueError(f"block_size must be at least 1, got {block_size}")
     block_size = min(block_size, n_paths)
 
-    runs = [_Run(obj, noise, cfg, block_size) for obj, cfg in cases]
+    runs = [_Run(obj, noise, cfg) for obj, cfg in cases]
     root = noise.root
     scale = _diagonal(root)
     n_fill = min(_usable_cpus(), _MAX_FILL_THREADS, block_size)
-    # (start, paths, first step, end step) of each half block, in fill
-    # order.  Halves need a second fill thread to overlap anything, long
-    # enough rows, and a diagonal root: a correlated one is one product over
-    # the whole block.
-    half = n_steps // 2
-    if scale is None or n_fill < 2 or half * dim < _MIN_HALF_NORMALS:
-        half = 0
-    spans = ((0, half), (half, n_steps)) if half else ((0, n_steps),)
-    chunks = [(start, min(block_size, n_paths - start), k0, k1)
-              for start in range(0, n_paths, block_size) for k0, k1 in spans]
-
-    # One noise block, allocated once and refilled half by half; a shorter
-    # last block uses leading rows.  saved[r] is row r's Philox state
-    # between its two halves.
-    noise_buf = np.empty((block_size, n_steps, dim))
-    saved = np.empty(block_size, dtype=object)
-    # the stepping's scratch, shared by every case: tmp, peak and rowsum
-    scratch = (np.empty((block_size, dim)), np.empty((block_size, dim)), np.empty(block_size))
+    # The block's noise as two buffers of half as many paths, one filled
+    # while the other is stepped, or as one when nothing fills alongside;
+    # a shorter last group uses a buffer's leading rows.
+    n_buf = 2 if n_fill > 1 else 1
+    group = -(-block_size // n_buf)
+    buffers = np.empty((n_buf, group, n_steps, dim))
+    starts = range(0, n_paths, group)
+    # the stepping's arrays, shared by every case: x, m, tmp and peak, then
+    # wg, wm and rowsum
+    rows, sums = np.empty((4, group, dim)), np.empty((3, group))
+    arrays = (*rows, *sums)
     # the diagonal scale as up to 512 rows of steps, so that a share scales
     # without numpy buffering the broadcast operand
-    scale_rows = None if scale is None else np.tile(scale, (min(n_steps - half, 512), 1))
+    scale_rows = None if scale is None else np.tile(scale, (min(n_steps, 512), 1))
 
     # One generator per fill thread, all keyed by the seed; the calling
     # thread is one of them.  Imported here: concurrent.futures would add to
@@ -400,38 +381,37 @@ def simulate_many(
     fills = [_PathFill(seed_seq) for _ in range(n_fill)]
     with ThreadPoolExecutor(max(n_fill - 1, 1)) as pool:
 
-        def begin(chunk):
-            """Start the pool filling ``chunk``: its shares and the pool's futures."""
-            start, B, k0, k1 = chunk
+        def begin(j):
+            """Start the pool filling group j into its buffer: the buffer's
+            rows, the shares and the pool's futures."""
+            z = buffers[j % n_buf, :min(group, n_paths - starts[j])]
+            B = len(z)
             n = min(B, _SHARES_PER_THREAD * n_fill)
-            cuts = [B * j // n for j in range(n + 1)]
+            cuts = [B * i // n for i in range(n + 1)]
             # one list iterator, whose next() hands each share to one thread
-            shares = iter([(noise_buf[lo:hi, k0:k1], start + lo,
-                            saved[lo:hi] if k0 else None,
-                            saved[lo:hi] if k1 < n_steps else None)
-                           for lo, hi in zip(cuts, cuts[1:])])
-            return shares, [pool.submit(f.drain, shares, scale_rows) for f in fills[1:]]
+            shares = iter([(z[lo:hi], starts[j] + lo) for lo, hi in zip(cuts, cuts[1:])])
+            return z, shares, [pool.submit(f.drain, shares, scale_rows) for f in fills[1:]]
 
         with np.errstate(over="ignore", invalid="ignore"):
             filling = None
-            for j, (start, B, k0, k1) in enumerate(chunks):
-                shares, futures = filling or begin(chunks[j])
+            for j, start in enumerate(starts):
+                z, shares, futures = filling or begin(j)
                 fills[0].drain(shares, scale_rows)
                 for future in futures:
                     future.result()
-                z = noise_buf[:B]
+                # the other buffer's group was stepped before this one was
+                # filled, so the pool refills it while this one is stepped
+                filling = begin(j + 1) if n_buf == 2 and j + 1 < len(starts) else None
                 if scale is None:
                     flat = z.reshape(-1, dim)
-                    np.matmul(flat, root, out=flat)
-                # two halves never overlap, so the next fills as this one steps
-                filling = begin(chunks[j + 1]) if half and j + 1 < len(chunks) else None
+                    flat[:] = row_product(flat, root)
                 for run in runs:
-                    run.step(start, z, k0, k1, tuple(a[:B] for a in scratch))
+                    run.step(start, z, tuple(a[:len(z)] for a in arrays))
     return [run.report() for run in runs]
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; each fills shares of a block."""
+    """The CPUs this process may run on; each fills shares of a group."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -440,52 +420,33 @@ def _usable_cpus() -> int:
 class _PathFill:
     """A generator keyed by the seed that draws any path's stream: counter
     [0, 0, i, 0] and an empty output buffer give the stream path_rng
-    builds for path i, and a saved state resumes a stream where it stopped.
-    Each fill thread owns one."""
+    builds for path i.  Each fill thread owns one."""
 
     def __init__(self, seed_seq: np.random.SeedSequence):
         self.bitgen = np.random.Philox(seed_seq)
         self.rng = np.random.Generator(self.bitgen)
         # lists, not arrays: the state setter reads them item by item
         state = self.bitgen.state
-        key = state["state"]["key"].tolist()
         self.counter = [0] * 4
         self.fresh = {**state, "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
-                      "state": {"counter": self.counter, "key": key}}
-        self.resumed = {**state, "state": {"counter": None, "key": key}}
+                      "state": {"counter": self.counter, "key": state["state"]["key"].tolist()}}
 
-    def __call__(self, z: np.ndarray, first: int, load, store):
-        """Fill the rows of ``z``, each one span of steps, with the next draws
-        of paths first, first + 1, ...: from the states in ``load``, or from
-        the start of each stream when it is None.  Each row's state after
-        its draws goes into ``store`` unless that is None, as a tuple of
-        arrays and ints rather than the state dict: the garbage collector
-        stops tracking such a tuple, so a block's worth of saved states
-        does not slow its collections."""
-        resumed = self.resumed
+    def __call__(self, z: np.ndarray, first: int):
+        """Fill the rows of ``z`` with the streams of paths first, first + 1, ..."""
         for r, row in enumerate(z):
-            if load is None:
-                self.counter[2] = first + r
-                self.bitgen.state = self.fresh
-            else:
-                (resumed["state"]["counter"], resumed["buffer"], resumed["buffer_pos"],
-                 resumed["has_uint32"], resumed["uinteger"]) = load[r]
-                self.bitgen.state = resumed
+            self.counter[2] = first + r
+            self.bitgen.state = self.fresh
             self.rng.standard_normal(out=row)
-            if store is not None:
-                state = self.bitgen.state
-                store[r] = (state["state"]["counter"], state["buffer"], state["buffer_pos"],
-                            state["has_uint32"], state["uinteger"])
 
     def drain(self, shares, scale_rows: Optional[np.ndarray]):
-        """Fill ``(z, first, load, store)`` shares from the shared iterator
-        ``shares`` until it runs dry, scaling each by the root's diagonal,
-        given as ``scale_rows`` (a row per step), unless that is None."""
+        """Fill ``(z, first)`` shares from the shared iterator ``shares``
+        until it runs dry, scaling each by the root's diagonal, given as
+        ``scale_rows`` (a row per step), unless that is None."""
         # numpy's error state is per context: a pool thread does not
         # inherit the caller's
         with np.errstate(over="ignore", invalid="ignore"):
-            for z, first, load, store in shares:
-                self(z, first, load, store)
+            for z, first in shares:
+                self(z, first)
                 if scale_rows is None:
                     continue
                 for k in range(0, z.shape[1], len(scale_rows)):
@@ -494,13 +455,11 @@ class _PathFill:
 
 
 class _Run:
-    """One case of :func:`simulate_many`: its step rates, the state of a
-    block's paths from one span of steps to the next, and the per-path
-    results and running sums that its blocks fill in."""
+    """One case of :func:`simulate_many`: its step rates and the per-path
+    results that its groups fill in."""
 
-    def __init__(self, objective: Objective, noise: NoiseModel, config: SdeConfig,
-                 block_size: int):
-        n_steps, n_paths, dim = config.n_steps, config.n_paths, objective.dim
+    def __init__(self, objective: Objective, noise: NoiseModel, config: SdeConfig):
+        n_steps, n_paths = config.n_steps, config.n_paths
         self.objective, self.config = objective, config
         self.ts = np.minimum(np.arange(n_steps) * config.eta0, config.schedule.S)
         # a finite schedule can still overflow once its rates are multiplied out
@@ -521,7 +480,7 @@ class _Run:
         self.adam = config.algorithm == "adam"
         self.v_min = None
         if self.adam:
-            # v is run once here for v_min, and again through each block's steps
+            # v is run once here for v_min, and again through each group's steps
             self.diag_sigma = np.diag(noise.Sigma_g).copy()
             self.v_min = math.inf
             with np.errstate(over="ignore", invalid="ignore"):
@@ -537,49 +496,31 @@ class _Run:
         self.final_sq = np.empty(n_paths)
         self.final_val = np.empty(n_paths)
         self.max_abs = 0.0
-        track = self.adam and config.track_mean_momentum
-        self.msum = np.zeros((n_steps, dim)) if track else None
-        self.msumsq = np.zeros((n_steps, dim)) if track else None
-        self.col = np.empty(dim) if track else None
         self.traces = np.empty((n_paths, n_steps + 1, 2)) if config.record_traces else None
-        # a block's paths from one span of steps to the next: x and the
-        # running sum wg, m and wm for Adam, and the largest |x_i| so far
-        self.x = np.empty((block_size, dim))
-        self.wg = np.empty(block_size)
-        self.m = np.empty((block_size, dim)) if self.adam else None
-        self.wm = np.empty(block_size) if self.adam else None
-        self.peak = 0.0
 
-    def step(self, start: int, z: np.ndarray, k0: int, k1: int, scratch: tuple):
-        """Step the paths ``start, start + 1, ...`` through steps k0..k1-1
-        over the noise block ``z``, with the ``(B, dim)``, ``(B, dim)`` and
-        ``(B,)`` arrays of ``scratch``, which hold nothing between calls.
-        Step 0 starts the paths at x0; the span that reaches the last step
-        checks them for divergence and records their results."""
-        objective, config, etas = self.objective, self.config, self.etas
-        adam, msum, msumsq, col = self.adam, self.msum, self.msumsq, self.col
+    def step(self, start: int, z: np.ndarray, arrays: tuple):
+        """Step the paths ``start, start + 1, ...`` from x0 through every step
+        over the noise ``z``, check them for divergence and record their
+        results.  ``arrays`` holds four ``(B, dim)`` arrays (x, m, tmp and
+        peak) and three ``(B,)`` ones (wg, wm and rowsum); none of them
+        carries anything from one call to the next."""
+        objective, config, etas, adam = self.objective, self.config, self.etas, self.adam
         B, n_steps, _ = z.shape
         trace = None if self.traces is None else self.traces[start:start + B]
-        x, wg = self.x[:B], self.wg[:B]
-        tmp, peak, rowsum = scratch
+        x, m, tmp, peak, wg, wm, rowsum = arrays
+        x[:] = self.x0
+        wg.fill(0.0)
         peak.fill(0.0)
-        if k0 == 0:
-            x[:] = self.x0
-            wg.fill(0.0)
-            self.peak = 0.0
         if adam:
-            m, wm = self.m[:B], self.wm[:B]
-            if k0 == 0:
-                m.fill(0.0)
-                wm.fill(0.0)
-                self.v_steps = _adam_v(config, etas, self.diag_sigma)
-            v_steps = self.v_steps
+            m.fill(0.0)
+            wm.fill(0.0)
+            v_steps = _adam_v(config, etas, self.diag_sigma)
             c1_prime = config.c1_prime
             sqrt_eta0 = math.sqrt(config.eta0)
 
         # Each update keeps the operation order of the textbook
         # expression in its comment, so every float matches it.
-        for k in range(k0, k1):
+        for k in range(n_steps):
             eta_k = etas[k]
             g = objective.gradient(x)
             # wg += eta_k * sum(g * g)
@@ -593,9 +534,6 @@ class _Run:
             if adam:
                 # wm += eta_k * sum(m * m)
                 np.multiply(m, m, out=tmp)
-                if msum is not None:
-                    msum[k] += np.sum(m, axis=0, out=col)
-                    msumsq[k] += np.sum(tmp, axis=0, out=col)
                 np.sum(tmp, axis=1, out=rowsum)
                 rowsum *= eta_k
                 wm += rowsum
@@ -616,10 +554,7 @@ class _Run:
                 tmp *= config.eta0 * eta_k
                 x -= tmp
             np.fmax(peak, np.abs(x, out=tmp), out=peak)
-        self.peak = max(self.peak, float(peak.max()))
 
-        if k1 < n_steps:
-            return
         if trace is not None:
             trace[:, n_steps, 0] = np.linalg.norm(x, axis=1)
             trace[:, n_steps, 1] = np.linalg.norm(objective.gradient(x), axis=1)
@@ -630,7 +565,7 @@ class _Run:
         if bad.any():
             raise SimulationDiverged(start + int(np.argmax(bad)))
         # every iterate was finite, so the running max ignored no NaN
-        self.max_abs = max(self.max_abs, self.peak)
+        self.max_abs = max(self.max_abs, float(peak.max()))
 
         stop = start + B
         diff = x - self.x_star
@@ -656,17 +591,6 @@ class _Run:
             se = math.sqrt(freq * (1.0 - freq) / n_paths) if n_paths > 1 else 0.0
             trapping[eps] = StatSummary(freq, se, n_paths)
 
-        mean_m = None
-        if self.msum is not None:
-            mm = self.msum / n_paths
-            var = self.msumsq / n_paths - mm * mm
-            se_norm = np.sqrt(np.sum(np.clip(var, 0.0, None), axis=1) / n_paths)
-            mean_m = {
-                "t": ts,
-                "norm": np.linalg.norm(mm, axis=1),
-                "std_err": se_norm,
-            }
-
         trace_t = None
         if self.traces is not None:
             trace_t = np.append(ts, min(ts.size * config.eta0, config.schedule.S))
@@ -682,7 +606,6 @@ class _Run:
             trapping=trapping,
             v_min=self.v_min,
             max_abs_coordinate=self.max_abs,
-            mean_momentum=mean_m,
             traces=self.traces,
             trace_t=trace_t,
         )

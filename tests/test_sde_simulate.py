@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from util import reference_simulate
 
 # the module, which the package's simulate function shadows as an attribute
 simulate_module = importlib.import_module("optlaws.sde.simulate")
-MIN_HALF_NORMALS = simulate_module._MIN_HALF_NORMALS
 
 
 def constant_schedule(eta, T):
@@ -248,18 +248,6 @@ class TestAdamSimulation:
                         algorithm="adam", c1=2.0)
         assert cfg.c1_prime**2 == pytest.approx(cfg.c1 * cfg.c1_hat, rel=1e-15)
 
-    def test_mean_momentum_within_gradient_bound(self):
-        obj = double_well(4, box=2.0)
-        sched = build_general_schedule(0.8, 0.8, 0.5, 0.5, 0.5, 3.0)
-        cfg = SdeConfig(schedule=sched, eta0=0.01, n_paths=400, seed=5,
-                        algorithm="adam", x0=np.full(4, 1.4),
-                        track_mean_momentum=True)
-        rep = simulate(obj, NoiseModel.isotropic(4, 0.1), cfg)
-        assert rep.max_abs_coordinate <= obj.box  # ell valid on the visited region
-        norms = rep.mean_momentum["norm"]
-        ses = rep.mean_momentum["std_err"]
-        assert np.all(norms <= obj.ell + 3.0 * ses)
-
     def test_zero_rate_freezes_adam(self):
         sched = constant_schedule(0.0, 1.0)
         obj = isotropic_quadratic(3)
@@ -307,6 +295,16 @@ class TestDeterminism:
         assert_same_report(simulate(obj, noise, cfg, block_size=block_size),
                            reference_simulate(obj, noise, cfg))
 
+    @pytest.mark.parametrize("dim", [8, 16, 32])
+    def test_correlated_noise_does_not_depend_on_blocks(self, dim):
+        # one step in blocks of one path: each block's noise product over a
+        # non-diagonal root has one row, which numpy multiplies by gemv
+        objective, noise = correlated_system(dim)
+        cfg = SdeConfig(schedule=constant_schedule(0.6, 0.01), eta0=0.01, n_paths=40, seed=5,
+                        trap_eps=(0.05,), record_traces=True)
+        assert cfg.n_steps == 1
+        assert_matches_reference(objective, noise, cfg, block_size=1)
+
     def test_path_streams_independent_of_order(self):
         draws_a = path_rng(7, 3).standard_normal(4)
         path_rng(7, 0).standard_normal(100)  # unrelated consumption
@@ -315,22 +313,17 @@ class TestDeterminism:
 
 
 def assert_matches_reference(objective, noise, config, block_size=None):
-    """simulate() and the reference stepper agree bit for bit."""
-    want = reference_simulate(objective, noise, config, block_size=block_size)
+    """simulate() in blocks of ``block_size`` and the reference stepper, which
+    steps every path as one block, agree bit for bit."""
+    want = reference_simulate(objective, noise, config)
     got = simulate(objective, noise, config, block_size=block_size)
     assert_same_report(got, want)
     return got
 
 
 def assert_same_report(got, want):
-    """Two reports agree bit for bit: JSON, mean momentum and traces."""
+    """Two reports agree bit for bit: JSON and traces."""
     assert json.dumps(got.as_dict(), sort_keys=True) == json.dumps(want.as_dict(), sort_keys=True)
-    if want.mean_momentum is None:
-        assert got.mean_momentum is None
-    else:
-        assert got.mean_momentum.keys() == want.mean_momentum.keys()
-        for key, arr in want.mean_momentum.items():
-            assert got.mean_momentum[key].tobytes() == arr.tobytes(), key
     if want.traces is None:
         assert got.traces is None and got.trace_t is None
     else:
@@ -353,17 +346,16 @@ class TestReferenceStepper:
         obj, noise = correlated_system(5)
         assert np.any(noise.root - np.diag(np.diag(noise.root)))
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=37, seed=4,
-                        algorithm=algorithm, trap_eps=(0.01, 0.1),
-                        track_mean_momentum=algorithm == "adam")
+                        algorithm=algorithm, trap_eps=(0.01, 0.1))
         assert_matches_reference(obj, noise, cfg, block_size=7)
 
     def test_adam_with_tracking(self):
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=40, seed=3,
                         algorithm="adam", c1=2.0, c2=3.0, x0=np.full(4, 1.3),
-                        track_mean_momentum=True, record_traces=True)
+                        record_traces=True)
         noise = NoiseModel(np.diag([0.3, 0.05, 1.2, 0.7]))
         rep = assert_matches_reference(double_well(4), noise, cfg, block_size=11)
-        assert rep.mean_momentum is not None and len(rep.traces) == 40
+        assert len(rep.traces) == 40
 
     @pytest.mark.parametrize("block_size", [1, 6, 13, 53, None])
     def test_odd_block_sizes(self, block_size):
@@ -389,9 +381,9 @@ class TestReferenceStepper:
         cfg = SdeConfig(schedule=constant_schedule(1.0, 10.0), eta0=eta0, n_paths=40,
                         seed=0, algorithm=algorithm, c2=c2, x0=np.ones(3))
         noise = NoiseModel.isotropic(3, variance)
-        for run in (reference_simulate, simulate):
+        for run in (reference_simulate, partial(simulate, block_size=9)):
             with pytest.raises(SimulationDiverged) as err:
-                run(double_well(3), noise, cfg, block_size=9)
+                run(double_well(3), noise, cfg)
             assert err.value.path_index == path
 
     def test_adam_v_min_matches_closed_form(self):
@@ -466,18 +458,17 @@ class TestSimulateMany:
                  warmup_cosine_schedule(0.7, 0.3, 1.0))
 
     def mixed_cases(self, dim):
-        """sgd and adam, quadratic and double well, two schedules, two x0,
-        momentum tracking and traces, all on one seed, path count and step count."""
+        """sgd and adam, quadratic and double well, two schedules, two x0 and
+        traces, all on one seed, path count and step count."""
         a, b = self.SCHEDULES
         base = SdeConfig(schedule=a, eta0=0.01, n_paths=29, seed=6, trap_eps=(0.01, 0.1))
         return [
             (isotropic_quadratic(dim), replace(base, record_traces=True)),
             (double_well(dim), replace(base, schedule=b, algorithm="adam",
-                                       x0=np.full(dim, 1.3), track_mean_momentum=True)),
+                                       x0=np.full(dim, 1.3))),
             (double_well(dim), replace(base, schedule=b, x0=np.full(dim, 1.3))),
             (isotropic_quadratic(dim), replace(base, algorithm="adam", c1=2.0, c2=3.0,
-                                               x0=np.full(dim, 0.5), track_mean_momentum=True,
-                                               record_traces=True)),
+                                               x0=np.full(dim, 0.5), record_traces=True)),
         ]
 
     @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "correlated"])
@@ -490,8 +481,7 @@ class TestSimulateMany:
         assert len(reports) == len(cases)
         for (objective, config), got in zip(cases, reports):
             assert_same_report(got, simulate(objective, noise, config, block_size=block_size))
-            assert_same_report(got, reference_simulate(objective, noise, config,
-                                                       block_size=block_size))
+            assert_same_report(got, reference_simulate(objective, noise, config))
 
     @pytest.mark.parametrize("change", ["seed", "n_paths", "n_steps", "dim", "empty"])
     def test_mismatched_cases_refused_before_allocating(self, change):
@@ -564,7 +554,7 @@ class TestSimulateMany:
         ])
 
     def test_peak_allocation_with_twelve_cases_is_one_noise_block(self):
-        # criterion 08's mix: each case keeps its own state between halves
+        # criterion 08's mix of twelve cases over one fill
         dim, base = self.DIM, self.BASE
         schedules = (base.schedule, warmup_cosine_schedule(0.5, 1.0, 4.0),
                      build_general_schedule(0.6, 0.6, 0.5, 0.5, 2.5, 4.0))
@@ -576,15 +566,10 @@ class TestSimulateMany:
 
 
 class TestFillThreads:
-    """Each block's fill is split across threads, and overlapped with the
-    stepping half by half, without moving a float."""
+    """The noise is filled across threads, one group of paths while the
+    group before is stepped, without moving a float."""
 
     SCHED = build_general_schedule(0.8, 0.5, 0.5, 1.0, 1.5, 2.0)
-
-    @pytest.fixture(autouse=True)
-    def short_halves(self, monkeypatch):
-        # halves of any length, so that small runs overlap too
-        monkeypatch.setattr(simulate_module, "_MIN_HALF_NORMALS", 0)
 
     @pytest.fixture(params=[1, 2, 3, 7])
     def threads(self, request, monkeypatch):
@@ -603,12 +588,10 @@ class TestFillThreads:
                         x0=np.full(dim, 1.3))
         block_size = 9  # blocks of 9, 9 and 5 paths
         if case == "adam_tracked_traced":
-            cfg = replace(cfg, algorithm="adam", c1=2.0, c2=3.0, track_mean_momentum=True,
-                          record_traces=True)
+            cfg = replace(cfg, algorithm="adam", c1=2.0, c2=3.0, record_traces=True)
         elif case.endswith("correlated"):
             objective, noise = correlated_system(dim)
-            cfg = replace(cfg, algorithm=case.split("_")[0], x0=None,
-                          track_mean_momentum=case.startswith("adam"))
+            cfg = replace(cfg, algorithm=case.split("_")[0], x0=None)
         elif case == "partial_last_block":
             cfg = replace(cfg, n_paths=12)  # the last block has 2 paths
             block_size = 5
@@ -629,7 +612,7 @@ class TestFillThreads:
                 run(objective, noise, cfg)
             assert err.value.path_index == 35
 
-    @pytest.mark.parametrize("n_steps", [1, 2, 7])  # halves of 0 + 1, 1 + 1 and 3 + 4 steps
+    @pytest.mark.parametrize("n_steps", [1, 2, 7])
     @pytest.mark.parametrize("case", ["sgd", "adam_tracked_traced", "correlated"])
     def test_step_counts_match_reference(self, threads, n_steps, case):
         dim = 3
@@ -638,16 +621,15 @@ class TestFillThreads:
                         seed=8, trap_eps=(0.5,), x0=np.full(dim, 1.3))
         assert cfg.n_steps == n_steps
         if case == "adam_tracked_traced":
-            cfg = replace(cfg, algorithm="adam", c1=2.0, c2=3.0, track_mean_momentum=True,
-                          record_traces=True)
+            cfg = replace(cfg, algorithm="adam", c1=2.0, c2=3.0, record_traces=True)
         elif case == "correlated":
             objective, noise = correlated_system(dim)
-            cfg = replace(cfg, algorithm="adam", x0=None, track_mean_momentum=True)
+            cfg = replace(cfg, algorithm="adam", x0=None)
         for block_size in (9, None):  # blocks of 9, 9 and 5 paths; one block
             assert_matches_reference(objective, noise, cfg, block_size=block_size)
 
     def test_halves_longer_than_the_scale_rows_match_reference(self, threads):
-        # 1,030 steps: halves of 515, past the 512 rows the scale is tiled to
+        # 1,030 steps: rows past the 512 steps the scale is tiled to
         cfg = SdeConfig(schedule=constant_schedule(0.3, 10.3), eta0=0.01, n_paths=9, seed=3)
         assert cfg.n_steps == 1030
         assert_matches_reference(isotropic_quadratic(2), NoiseModel(np.diag([0.4, 1.5])), cfg,
@@ -655,9 +637,9 @@ class TestFillThreads:
 
     @pytest.mark.parametrize("block_size", [None, 8])
     def test_path_diverging_in_the_second_half_is_named(self, threads, block_size):
-        # the rate is zero until t = 4.95, so every path is still at x0 when
-        # the second half of the 71 steps (from t = 4.9) starts; path 33 is
-        # the first to diverge after it, in the last of five blocks of 8
+        # the rate is zero until t = 4.95, so every path is still at x0 half
+        # way through the 71 steps; path 33 is the first to diverge after
+        # that, in the last of five blocks of 8
         objective = double_well(3)
         schedule = Schedule((Segment("constant", 0.0, 4.95, 0.0, 0.0),
                              Segment("linear", 4.95, 5.0, 0.0, 1.0),
@@ -666,41 +648,40 @@ class TestFillThreads:
                         x0=objective.x_star + np.ones(3) / 3**0.5)
         assert cfg.n_steps == 71 and not schedule.value(np.arange(35) * cfg.eta0).any()
         noise = NoiseModel.isotropic(3, 6.0)
-        for run in (reference_simulate, simulate):
+        for run in (reference_simulate, partial(simulate, block_size=block_size)):
             with pytest.raises(SimulationDiverged) as err:
-                run(objective, noise, cfg, block_size=block_size)
+                run(objective, noise, cfg)
             assert err.value.path_index == 33
 
-    def test_halves_need_a_second_thread_and_long_rows(self, monkeypatch):
-        monkeypatch.setattr(simulate_module, "_MIN_HALF_NORMALS", MIN_HALF_NORMALS)
+    def test_a_second_fill_thread_halves_the_buffers(self, monkeypatch):
+        # one buffer of the block's paths with one fill thread, else two of
+        # half as many (rounded up): every share is a view of those buffers
         fill = simulate_module._PathFill.__call__
-        resumed = []
+        shapes = set()
 
-        def recording(self, z, first, load, store):
-            resumed.append(load is not None)
-            fill(self, z, first, load, store)
+        def recording(self, z, first):
+            shapes.add(z.base.shape)
+            fill(self, z, first)
 
         monkeypatch.setattr(simulate_module._PathFill, "__call__", recording)
-        dim = 2
-        steps = 2 * MIN_HALF_NORMALS // dim  # halves of exactly the minimum
-        for cpus, n_steps, want in ((2, steps, True), (2, steps - 2, False), (1, steps, False)):
+        cfg = SdeConfig(schedule=constant_schedule(0.5, 0.05), eta0=0.01, n_paths=23, seed=0)
+        for cpus, block_size, buffers in ((1, 9, (1, 9)), (2, 9, (2, 5)), (2, 8, (2, 4)),
+                                          (3, 1, (1, 1)), (7, 2, (2, 1))):
             monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: cpus)
-            cfg = SdeConfig(schedule=constant_schedule(0.5, n_steps / 100), eta0=0.01, n_paths=4,
-                            seed=0)
-            assert cfg.n_steps == n_steps
-            resumed.clear()
-            simulate(isotropic_quadratic(dim), NoiseModel.isotropic(dim, 0.1), cfg)
-            assert any(resumed) == want, (cpus, n_steps)
+            shapes.clear()
+            simulate(isotropic_quadratic(2), NoiseModel.isotropic(2, 0.1), cfg,
+                     block_size=block_size)
+            assert shapes == {(*buffers, cfg.n_steps, 2)}, (cpus, block_size)
 
     def test_shares_survive_fast_thread_switching(self, monkeypatch):
         # seven fill threads on fewer cores, switching every microsecond: a
-        # share drawn twice or lost, or a state saved in the wrong row,
-        # would move a float
+        # share drawn twice or lost, or drawn into the wrong buffer, would
+        # move a float
         monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 7)
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=61, seed=12, algorithm="adam",
-                        track_mean_momentum=True, x0=np.full(3, 1.3))
+                        x0=np.full(3, 1.3))
         objective, noise = double_well(3), NoiseModel.isotropic(3, 0.2)
-        want = reference_simulate(objective, noise, cfg, block_size=25)
+        want = reference_simulate(objective, noise, cfg)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -712,11 +693,11 @@ class TestFillThreads:
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         fill = simulate_module._PathFill.__call__
 
-        def failing(self, z, first, load, store):
+        def failing(self, z, first):
             # path 17 fails, whichever thread draws it
             if first <= 17 < first + len(z):
                 raise OSError("fill failed at path 17")
-            fill(self, z, first, load, store)
+            fill(self, z, first)
 
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=30, seed=1)
         noise = NoiseModel.isotropic(2, 0.1)
@@ -732,17 +713,17 @@ class TestFillThreads:
             assert threading.active_count() == before, cpus
 
     def test_divergence_during_a_fill_joins_the_pool(self, monkeypatch):
-        # 23 paths in blocks of 9: block 0 diverges (path 0) while the pool
-        # fills the first half of block 1, slowed down so it is still filling
+        # 23 paths in blocks of 9, so in groups of 5: group 0 diverges (path
+        # 0) while the pool fills group 1, slowed down so it is still filling
         monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 3)
         fill = simulate_module._PathFill.__call__
         started = []
 
-        def slow(self, z, first, load, store):
-            if first >= 9:
+        def slow(self, z, first):
+            if first >= 5:
                 started.append(first)
                 time.sleep(0.02)
-            fill(self, z, first, load, store)
+            fill(self, z, first)
 
         cfg = SdeConfig(schedule=constant_schedule(1.0, 2.0), eta0=0.3, n_paths=23, seed=0,
                         x0=np.full(3, 50.0))

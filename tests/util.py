@@ -187,15 +187,14 @@ def _reference_summary(samples: np.ndarray) -> StatSummary:
     return StatSummary(float(np.mean(samples)), se, n)
 
 
-def reference_simulate(objective, noise, config, block_size=None):
+def reference_simulate(objective, noise, config):
     """Textbook Euler-Maruyama stepper, the oracle for ``optlaws.sde.simulate``.
 
-    Every path carries its own Adam second moment ``v``; each block draws
-    its noise as ``xi @ root`` and each step builds fresh arrays.  The
-    arithmetic of every update is written out in the same order as in the
-    optimized loop, so the two must agree bit for bit.  ``block_size``
-    defaults to all paths at once; the across-path momentum sums depend on
-    the blocking, so compare against a run with the same block size.
+    Every path carries its own Adam second moment ``v``; all paths are
+    stepped as one block, whose noise is drawn as ``xi @ root``, and each
+    step builds fresh arrays.  The arithmetic of every update is written out
+    in the same order as in the optimized loop, so the two must agree bit
+    for bit however ``simulate`` groups the paths.
     """
     dim = objective.dim
     n_steps, n_paths = config.n_steps, config.n_paths
@@ -205,61 +204,51 @@ def reference_simulate(objective, noise, config, block_size=None):
     x_star = objective.x_star if objective.x_star is not None else np.zeros(dim)
     x_star = np.asarray(x_star, dtype=float)
     x0 = x_star if config.x0 is None else np.asarray(config.x0, dtype=float)
-    block_size = n_paths if block_size is None else block_size
     adam = config.algorithm == "adam"
-    track = adam and config.track_mean_momentum
     diag_sigma = np.diag(noise.Sigma_g)
 
-    wgrad, wmom = np.empty(n_paths), np.empty(n_paths)
-    final_sq, final_val = np.empty(n_paths), np.empty(n_paths)
-    msum, msumsq = np.zeros((n_steps, dim)), np.zeros((n_steps, dim))
-    traces = []
     max_abs, v_min = 0.0, math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_paths, block_size):
-            stop = min(start + block_size, n_paths)
-            B = stop - start
-            xi = np.stack([path_rng(config.seed, i).standard_normal((n_steps, dim))
-                           for i in range(start, stop)])
-            z = (xi.reshape(-1, dim) @ noise.root).reshape(B, n_steps, dim)
-            x = np.tile(x0, (B, 1))
-            m, v = np.zeros((B, dim)), np.zeros((B, dim))
-            wg, wm = np.zeros(B), np.zeros(B)
-            trace = np.empty((B, n_steps + 1, 2))
-            for k in range(n_steps):
-                eta_k = etas[k]
-                step = config.eta0 * eta_k
-                g = objective.gradient(x)
-                trace[:, k, 0] = np.linalg.norm(x, axis=1)
-                trace[:, k, 1] = np.linalg.norm(g, axis=1)
-                wg = wg + eta_k * np.sum(g * g, axis=1)
-                if adam:
-                    wm = wm + eta_k * np.sum(m * m, axis=1)
-                    if track:
-                        msum[k] = msum[k] + m.sum(axis=0)
-                        msumsq[k] = msumsq[k] + (m * m).sum(axis=0)
-                    x = x - step * m / np.sqrt(v + config.eps)
-                    noise_coef = config.c1_prime * eta_k * math.sqrt(config.eta0)
-                    m = m - config.c1 * step * (m - g) + noise_coef * z[:, k, :]
-                    v = v - config.c2 * step * (v - diag_sigma)
-                    v_min = min(v_min, float(v.min()))
-                else:
-                    x = x - config.eta0 * eta_k * (g + z[:, k, :])
-                max_abs = max(max_abs, float(np.max(np.abs(x))))
-            trace[:, n_steps, 0] = np.linalg.norm(x, axis=1)
-            trace[:, n_steps, 1] = np.linalg.norm(objective.gradient(x), axis=1)
-            traces.append(trace)
-
-            finite = np.isfinite(x).all(axis=1) & np.isfinite(wg)
+        xi = np.stack([path_rng(config.seed, i).standard_normal((n_steps, dim))
+                       for i in range(n_paths)]).reshape(-1, dim)
+        # numpy multiplies one row by gemv, which can round differently from
+        # gemm, so a one-row product gets a second row
+        rows = xi if len(xi) > 1 else np.concatenate((xi, xi))
+        z = (rows @ noise.root)[:len(xi)].reshape(n_paths, n_steps, dim)
+        x = np.tile(x0, (n_paths, 1))
+        m, v = np.zeros((n_paths, dim)), np.zeros((n_paths, dim))
+        wg, wm = np.zeros(n_paths), np.zeros(n_paths)
+        traces = np.empty((n_paths, n_steps + 1, 2))
+        for k in range(n_steps):
+            eta_k = etas[k]
+            step = config.eta0 * eta_k
+            g = objective.gradient(x)
+            traces[:, k, 0] = np.linalg.norm(x, axis=1)
+            traces[:, k, 1] = np.linalg.norm(g, axis=1)
+            wg = wg + eta_k * np.sum(g * g, axis=1)
             if adam:
-                finite &= np.isfinite(m).all(axis=1) & np.isfinite(v).all(axis=1)
-            if not finite.all():
-                raise SimulationDiverged(start + int(np.argmin(finite)))
-            diff = x - x_star
-            final_sq[start:stop] = np.sum(diff * diff, axis=1)
-            final_val[start:stop] = objective.value(x)
-            wgrad[start:stop] = wg / weight if weight > 0 else 0.0
-            wmom[start:stop] = wm / weight if weight > 0 else 0.0
+                wm = wm + eta_k * np.sum(m * m, axis=1)
+                x = x - step * m / np.sqrt(v + config.eps)
+                noise_coef = config.c1_prime * eta_k * math.sqrt(config.eta0)
+                m = m - config.c1 * step * (m - g) + noise_coef * z[:, k, :]
+                v = v - config.c2 * step * (v - diag_sigma)
+                v_min = min(v_min, float(v.min()))
+            else:
+                x = x - config.eta0 * eta_k * (g + z[:, k, :])
+            max_abs = max(max_abs, float(np.max(np.abs(x))))
+        traces[:, n_steps, 0] = np.linalg.norm(x, axis=1)
+        traces[:, n_steps, 1] = np.linalg.norm(objective.gradient(x), axis=1)
+
+        finite = np.isfinite(x).all(axis=1) & np.isfinite(wg)
+        if adam:
+            finite &= np.isfinite(m).all(axis=1) & np.isfinite(v).all(axis=1)
+        if not finite.all():
+            raise SimulationDiverged(int(np.argmin(finite)))
+        diff = x - x_star
+        final_sq = np.sum(diff * diff, axis=1)
+        final_val = objective.value(x)
+        wgrad = wg / weight if weight > 0 else np.zeros(n_paths)
+        wmom = wm / weight if weight > 0 else np.zeros(n_paths)
 
     stats = {
         "weighted_avg_grad_sq": _reference_summary(wgrad),
@@ -273,23 +262,14 @@ def reference_simulate(objective, noise, config, block_size=None):
         freq = float(np.mean(final_sq <= eps))
         se = math.sqrt(freq * (1.0 - freq) / n_paths) if n_paths > 1 else 0.0
         trapping[eps] = StatSummary(freq, se, n_paths)
-    mean_m = None
-    if track:
-        mm = msum / n_paths
-        var = msumsq / n_paths - mm * mm
-        mean_m = {
-            "t": ts,
-            "norm": np.linalg.norm(mm, axis=1),
-            "std_err": np.sqrt(np.sum(np.clip(var, 0.0, None), axis=1) / n_paths),
-        }
     trace_t = None
     if config.record_traces:
         trace_t = np.append(ts, min(n_steps * config.eta0, config.schedule.S))
     return SimulationReport(
         algorithm=config.algorithm, n_paths=n_paths, n_steps=n_steps, eta0=config.eta0,
         seed=config.seed, eta_weight=weight * config.eta0, stats=stats, trapping=trapping,
-        v_min=v_min if adam else None, max_abs_coordinate=max_abs, mean_momentum=mean_m,
-        traces=np.concatenate(traces) if config.record_traces else None, trace_t=trace_t,
+        v_min=v_min if adam else None, max_abs_coordinate=max_abs,
+        traces=traces if config.record_traces else None, trace_t=trace_t,
     )
 
 
