@@ -37,6 +37,7 @@ import numpy as np
 import scipy
 
 from optlaws import cli
+from optlaws.cli import RUNS_COLUMNS
 from optlaws.divergence import critical_rate
 from optlaws.law import reference_law
 
@@ -124,6 +125,40 @@ def _runs_as_steps() -> str:
     return out.getvalue()
 
 
+def _malformed_runs(runs: str) -> dict:
+    """Copies of the fixture run log with a few cells or lines changed: logs
+    the reader refuses, each naming the first bad row's line, and one it reads.
+    Row i of the log is line i + 2."""
+    lines = runs.splitlines()
+
+    def row(i, **cells) -> str:
+        fields = lines[i + 1].split(",")
+        for name, text in cells.items():
+            fields[RUNS_COLUMNS.index(name)] = text
+        return ",".join(fields)
+
+    def log(changed: dict, blank_before=None) -> str:
+        out = [row(i - 1, **changed[i - 1]) if i - 1 in changed else line
+               for i, line in enumerate(lines)]
+        if blank_before is not None:
+            out[blank_before + 1:blank_before + 1] = ["", ""]
+        return "\n".join(out) + "\n"
+
+    short = lines[:5] + [",".join(lines[5].split(",")[:7])] + lines[6:]
+    extra = lines[:5] + [lines[5] + ",1.0"] + lines[6:]
+    return {
+        "runs_bad_float_last_row.csv": log({65: {"eta1": "x"}}),
+        "runs_short_row.csv": "\n".join(short) + "\n",
+        "runs_extra_field.csv": "\n".join(extra) + "\n",
+        # two blank lines ahead of row 6, which the reader does not count
+        "runs_blank_lines_before_bad_row.csv": log({6: {"a2_B": "1e"}}, blank_before=3),
+        "runs_diverged_1.0.csv": log({10: {"diverged": "1.0"}}),
+        # row 7 breaks the loss rule before row 9's bad float
+        "runs_zero_loss.csv": log({7: {"loss": "0"}, 9: {"model_B": "x"}}),
+        "runs_bad_float_and_zero_loss.csv": log({7: {"model_B": "x", "loss": "0"}}),
+    }
+
+
 def write_inputs(directory: str) -> None:
     """Write the laws, configs and run logs the golden commands read."""
     law = reference_law()
@@ -159,6 +194,7 @@ def write_inputs(directory: str) -> None:
         "config_refused.json": json.dumps({
             **_config(4.05, 10, 0.4, 0.0, 1.0, 3.0, 6.0),
             "pre": _config(0.58, 20.0, 0.3, 0.3, 1.0, 1.0, 1.0)}),
+        **_malformed_runs(runs),
     }
     # law files the reader refuses, each naming the file and the field
     payload = json.loads(law.to_json())
@@ -247,6 +283,12 @@ COMMANDS = {
                                        "0.1:3:5", "--model", "0.58", "--tokens", "10",
                                        "--out", "{out}", "--gate-overrides",
                                        '{"c3_hat": 1' + "0" * 400 + "}"],
+    # malformed run logs: each error names the first bad row's line, and a
+    # row with one field too many is read
+    **{f"fit_{name}": ["fit", "--runs", f"{{dir}}/runs_{name}.csv", "--out", "{out}"]
+       for name in ("bad_float_last_row", "short_row", "extra_field",
+                    "blank_lines_before_bad_row", "diverged_1.0", "zero_loss",
+                    "bad_float_and_zero_loss")},
     "fit_token_length_alone": ["fit", "--runs", "{dir}/runs.csv", "--out", "{out}",
                                "--token-length", str(TOKEN_LENGTH)],
     **{f"simulate_{algorithm}_{objective}": [
