@@ -40,9 +40,10 @@ from .law import (
     DIVERGED_LOSS,
     ConfigBatch,
     FittedLaw,
+    LossRuleError,
     PretrainContext,
     RunConfig,
-    RunRecord,
+    RunTable,
     fit,
     general_log_losses,
     predict,
@@ -130,34 +131,67 @@ def _dump_json(payload, path=None) -> str:
     return text
 
 
-def read_runs_csv(path: str, token_length=None, batch=None) -> list[RunRecord]:
-    """Parse a run-log CSV into records.
+def _run_table(cells, token_length, batch) -> RunTable:
+    """The :class:`RunTable` of a run log's cells, one sequence per column."""
+    n = len(cells[-1])
+    model_B, tokens_B, eta1, eta2, a1_B, a2_B, a3_B, loss = (
+        np.fromiter(map(float, col), float, n) for col in cells[:-1])
+    if token_length is not None:
+        tokens_B, a1_B, a2_B, a3_B = (
+            Normalizer.tokens_billions(col, float(token_length), float(batch))
+            for col in (tokens_B, a1_B, a2_B, a3_B))
+    diverged = np.array([int(cell) != 0 for cell in cells[-1]], dtype=bool)
+    return RunTable(model_B, tokens_B, eta1, eta2, a1_B, a2_B, a3_B, loss, diverged)
+
+
+def _first_bad_cell(cells, convert):
+    """(index, error) of the first cell ``convert`` refuses, or (len, None)."""
+    for i, cell in enumerate(cells):
+        try:
+            convert(cell)
+        except (TypeError, ValueError) as exc:
+            return i, exc
+    return len(cells), None
+
+
+def read_runs_csv(path: str, token_length=None, batch=None) -> RunTable:
+    """Parse a run-log CSV into a :class:`RunTable`, reading cells by position.
 
     Default columns carry sizes pre-converted to billions of tokens; when
     ``token_length`` and ``batch`` are given (one alone is an error), the size
     columns are raw step counts, converted to billions here and nowhere else.
+    Blank lines are skipped and not counted, a short row's missing cells are
+    None and a long row's extra cells are ignored.  An error names the line of
+    the first bad row and, within it, the first bad cell in column order, then
+    the loss rule.
     """
     if (token_length is None) != (batch is None):
         raise DataError("--token-length and --batch go together: give both or neither")
     if token_length is not None and max(abs(token_length), abs(batch)) > sys.float_info.max:
         raise DataError("--token-length or --batch is too large for a float")
-    records = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != RUNS_COLUMNS:
-            raise DataError(
-                f"{path}: header must be {','.join(RUNS_COLUMNS)}, got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                vals = {k: float(row[k]) for k in RUNS_COLUMNS[:-1]}
-                if token_length is not None:
-                    for key in ("tokens_B", "a1_B", "a2_B", "a3_B"):
-                        vals[key] = Normalizer.tokens_billions(vals[key], token_length, batch)
-                records.append(RunRecord(**vals, diverged=int(row["diverged"]) != 0))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path} line {lineno}: {exc}") from None
-    return records
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != RUNS_COLUMNS:
+            raise DataError(f"{path}: header must be {','.join(RUNS_COLUMNS)}, got {header}")
+        rows = [row for row in reader if row]
+    width = len(RUNS_COLUMNS)
+    cells = list(itertools.zip_longest(*rows))[:width]
+    cells += [(None,) * len(rows)] * (width - len(cells))
+    try:
+        return _run_table(cells, token_length, batch)
+    except LossRuleError as exc:
+        row, error = exc.row, exc
+    except (TypeError, ValueError):
+        # the first row with a bad cell, and its first bad cell; a row before
+        # it can still break the loss rule
+        converts = [float] * (width - 1) + [int]
+        row, error = min(map(_first_bad_cell, cells, converts), key=lambda fault: fault[0])
+        try:
+            _run_table([col[:row] for col in cells], token_length, batch)
+        except LossRuleError as exc:
+            row, error = exc.row, exc
+    raise DataError(f"{path} line {row + 2}: {error}")
 
 
 def _read_json(path: str, parse=json.loads):
@@ -301,20 +335,19 @@ def _write_grid_csv(rows, eta_values, warmup_values, path: str):
 
 
 def _cmd_fit(args) -> int:
-    records = read_runs_csv(args.runs, args.token_length, args.batch)
+    runs = read_runs_csv(args.runs, args.token_length, args.batch)
     law = fit(
-        records,
+        runs,
         policy_rule=args.policy,
         include_escape=not args.no_escape_terms,
         normalizer=Normalizer(lr_scale=args.lr_scale),
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(law.to_json())
-    n_div = sum(1 for r in records if r.diverged)
     report = {
         "law": args.out,
-        "n_records": len(records),
-        "n_divergent_excluded": n_div,
+        "n_records": len(runs),
+        "n_divergent_excluded": int(np.count_nonzero(runs.diverged)),
         "residual_rms": law.residual_rms,
         "condition_number": law.condition_number,
     }

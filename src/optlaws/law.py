@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -55,7 +56,9 @@ from .schedule import Schedule, ScheduleTable, build_general_schedule, json_inpu
 __all__ = [
     "DIVERGED_LOSS",
     "LawFitError",
+    "LossRuleError",
     "RunRecord",
+    "RunTable",
     "RunConfig",
     "PretrainContext",
     "ConfigBatch",
@@ -92,6 +95,25 @@ class LawFitError(ValueError):
     """Fitting is impossible for the supplied records."""
 
 
+class LossRuleError(ValueError):
+    """A non-divergent run whose loss is not > 0; ``row`` is its index."""
+
+    def __init__(self, row: int, loss: float):
+        super().__init__(f"non-divergent run needs loss > 0, got {loss}")
+        self.row = row
+
+
+def _loss_rule(loss, diverged) -> np.ndarray:
+    """The losses of a run log's column, or of one run: a divergent run's
+    loss reads :data:`DIVERGED_LOSS`, and a non-divergent run needs loss > 0,
+    else :class:`LossRuleError` names the first that breaks it."""
+    loss = np.where(diverged, DIVERGED_LOSS, loss)
+    bad = np.flatnonzero(~(loss > 0))
+    if bad.size:
+        raise LossRuleError(int(bad[0]), float(loss.flat[bad[0]]))
+    return loss
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One training run, as a row of the run-log CSV.
@@ -112,10 +134,7 @@ class RunRecord:
     diverged: bool = False
 
     def __post_init__(self):
-        if self.diverged:
-            object.__setattr__(self, "loss", DIVERGED_LOSS)
-        elif not self.loss > 0:
-            raise ValueError(f"non-divergent run needs loss > 0, got {self.loss}")
+        object.__setattr__(self, "loss", float(_loss_rule(self.loss, self.diverged)))
 
     def normalized_schedule(self, normalizer: Normalizer = Normalizer()) -> Schedule:
         return build_general_schedule(
@@ -126,6 +145,46 @@ class RunRecord:
             self.a3_B,
             self.tokens_B,
         )
+
+
+@dataclass(frozen=True)
+class RunTable:
+    """A run log as columns: a float array for each number field of
+    :class:`RunRecord` and a bool array ``diverged``, one element per run.
+
+    The loss rule of :func:`checked_losses` is applied once, over the
+    columns.
+    """
+
+    model_B: np.ndarray
+    tokens_B: np.ndarray
+    eta1: np.ndarray
+    eta2: np.ndarray
+    a1_B: np.ndarray
+    a2_B: np.ndarray
+    a3_B: np.ndarray
+    loss: np.ndarray
+    diverged: np.ndarray
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self)]
+        for name in names[:-1]:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "diverged", np.asarray(self.diverged, dtype=bool))
+        shapes = {getattr(self, name).shape for name in names}
+        if self.loss.ndim != 1 or shapes != {self.loss.shape}:
+            raise ValueError("run table columns must be 1-D arrays of one length")
+        object.__setattr__(self, "loss", _loss_rule(self.loss, self.diverged))
+
+    def __len__(self) -> int:
+        return len(self.loss)
+
+    @classmethod
+    def from_records(cls, records) -> "RunTable":
+        """The table of a sequence of :class:`RunRecord`."""
+        names = [f.name for f in fields(cls)]
+        rows = np.array(list(map(attrgetter(*names), records)), dtype=float).reshape(-1, len(names))
+        return cls(*rows.T[:-1], rows[:, -1] != 0.0)
 
 
 @dataclass(frozen=True)
@@ -325,11 +384,11 @@ def general_log_losses(law: FittedLaw, eta1, eta2, a1, a2, a3, S, N) -> np.ndarr
     return _log_losses(law.c, checked_feature_matrix(bases, S, N, law.powers))
 
 
-def _design_matrix(records, powers, policy_rule: str, normalizer: Normalizer):
-    rows = [r for r in records if not r.diverged]
-    if not rows:
+def _design_matrix(runs: RunTable, powers, policy_rule: str, normalizer: Normalizer):
+    keep = ~runs.diverged
+    if not keep.any():
         raise LawFitError("no fittable rows: every record is divergent")
-    col = lambda name: np.array([getattr(r, name) for r in rows], dtype=float)
+    col = lambda name: getattr(runs, name)[keep]
     S, lr = col("tokens_B"), normalizer.normalize_lr
     table = ScheduleTable.four_phase(lr(col("eta1")), lr(col("eta2")), col("a1_B"), col("a2_B"),
                                      col("a3_B"), S)
@@ -347,14 +406,16 @@ def fit(
 ) -> FittedLaw:
     """Ordinary least squares of natural-log loss on the feature vector.
 
-    Divergent records are excluded.  Columns are rescaled to unit RMS
-    before the solve (undone afterwards) and one refinement pass is applied,
-    so noiseless model-generated data refits to residuals near machine
-    precision.  Raises :class:`LawFitError` when fewer than n_terms + 1
+    ``records`` is a :class:`RunTable` or a sequence of :class:`RunRecord`,
+    converted to a table once.  Divergent records are excluded.  Columns are
+    rescaled to unit RMS before the solve (undone afterwards) and one
+    refinement pass is applied, so noiseless model-generated data refits to
+    residuals near machine precision.  Raises :class:`LawFitError` when fewer than n_terms + 1
     non-divergent rows remain or the design matrix is rank deficient.
     """
     powers = DEFAULT_POWERS if powers is None else tuple(float(p) for p in powers)
-    A_full, y = _design_matrix(records, powers, policy_rule, normalizer)
+    runs = records if isinstance(records, RunTable) else RunTable.from_records(records)
+    A_full, y = _design_matrix(runs, powers, policy_rule, normalizer)
     if include_escape:
         cols = list(range(16))
     else:

@@ -3,8 +3,9 @@ the checks of one ``simulate`` report (:func:`simulation_checks`).
 
 SGD's weighted-average squared gradient is held against the gradient bound,
 Adam's weighted-average squared momentum against the momentum bound, and a
-Monte-Carlo mean passes up to three standard errors above its bound.  Suite
-sizes depend only on ``quick`` and every draw on ``seed``.
+Monte-Carlo mean (a frequency too, with its binomial standard error) passes
+up to three standard errors above its bound.  Suite sizes depend only on
+``quick`` and every draw on ``seed``.
 """
 
 from __future__ import annotations
@@ -120,10 +121,13 @@ def run(seed: int, quick: bool) -> dict:
             ok &= emp <= bound
     suites["anti_concentration"] = {"cases": cases, "passed": bool(ok)}
 
-    # 5. trace concentration of the empirical covariance
+    # 5. trace concentration of the empirical covariance; each deviation
+    # frequency is a binomial mean over the trials
     n_trials = 500 if quick else 2000
     rm = sde.random_matrix_checks(np.eye(32), D=32, N=32, n_trials=n_trials, seed=seed)
-    passed = all(f <= b for f, b in zip(rm.deviation_freq, rm.bernstein))
+    freqs = [sde.StatSummary(f, math.sqrt(f * (1.0 - f) / n_trials), n_trials)
+             for f in rm.deviation_freq]
+    passed = all(_within_bound(f, b) for f, b in zip(freqs, rm.bernstein))
     suites["random_matrix"] = {**rm.as_dict(), "passed": bool(passed)}
 
     # 6. trapping probability against the covariance-trace bound

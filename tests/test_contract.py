@@ -7,9 +7,12 @@ input, a command exits 0 with strict JSON on stdout, or 1 with exactly one
 ``error:`` line on stderr; a traceback or a RuntimeWarning fails the test.
 The numeric flags of ``check``, ``sweep``, ``simulate`` and ``fit`` get
 the same odd values as text (and ``-Infinity``, which argparse reads as a
-flag).  Examples are derandomized and capped in number, so the suite stays
-deterministic; sizes stay small (at most 4 dimensions, 50 paths, ranges of
-at most 8 points).
+flag).  Run-log CSVs get cells replaced by odd text, rows shortened or
+lengthened and blank lines inserted; the reader must give the columns of the
+row-by-row reference reader bit for bit, or its exact error.  Examples are
+derandomized and capped in number, so the suite stays deterministic; sizes
+stay small (at most 4 dimensions, 50 paths, ranges of at most 8 points, run
+logs of 5 rows).
 """
 
 import contextlib
@@ -22,8 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optlaws import cli
-from optlaws.law import reference_law
+from optlaws.cli import RUNS_COLUMNS
+from optlaws.law import RunTable, reference_law
 from optlaws.schedule import build_general_schedule
+from util import reference_read_runs_csv
 
 DROP = object()  # a field left out
 ODD = [DROP, [], [1.0], {}, None, "1", "x", True, False, math.nan, math.inf, -math.inf,
@@ -220,6 +225,48 @@ def test_simulate_flags(changes, objective, algorithm):
 def test_fit_flags(workdir, runs_csv, changes):
     check_contract(["fit", "--runs", runs_csv, "--out", workdir / "fitted.json",
                     *flag_argv(FIT_FLAGS, changes)])
+
+
+# five rows of the fixture run log, the last one divergent
+RUN_ROWS = [
+    ["0.58", "3.0", "0.0015", "0.0015", "0.15", "0.15", "0.15", "2.949605755806549", "0"],
+    ["0.58", "3.0", "0.0045", "0.0045", "0.15", "0.15", "0.15", "2.920112785904777", "0"],
+    ["4.05", "10.0", "0.012", "0.012", "5.0", "5.0", "5.0", "2.432376437168733", "0"],
+    ["0.58", "10.0", "0.00825", "0.00825", "1.5", "1.5", "1.5", "2.6", "0"],
+    ["0.58", "10.0", "0.0135", "0.0135", "0.05", "0.05", "0.05", "7.0", "1"],
+]
+ODD_CELLS = ["", "x", "nan", "-inf", "1e400", "0", "-1", "1_0", " 2 "]
+row_index = st.integers(0, len(RUN_ROWS) - 1)
+
+
+@CONTRACT
+@given(cells=st.lists(st.tuples(row_index, st.integers(0, len(RUNS_COLUMNS) - 1),
+                                st.sampled_from(ODD_CELLS)), max_size=4),
+       widths=st.lists(st.tuples(row_index, st.integers(1, len(RUNS_COLUMNS) + 2)), max_size=2),
+       blanks=st.lists(st.integers(0, len(RUN_ROWS)), max_size=2),
+       steps=st.booleans())
+def test_run_logs(workdir, cells, widths, blanks, steps):
+    rows = [list(row) for row in RUN_ROWS]
+    for i, j, cell in cells:
+        rows[i][j] = cell
+    for i, width in widths:  # a long row gets odd extra cells, which are ignored
+        rows[i] = (rows[i] + ODD_CELLS)[:width]
+    lines = [",".join(row) for row in rows]
+    for i in sorted(blanks, reverse=True):
+        lines.insert(i, "")
+    path = workdir / "runs.csv"
+    path.write_text("\n".join([",".join(RUNS_COLUMNS), *lines]) + "\n", encoding="utf-8")
+    args = (str(path), *((2048, 512) if steps else ()))
+    try:
+        want = RunTable.from_records(reference_read_runs_csv(*args))
+    except cli.DataError as exc:
+        with pytest.raises(cli.DataError) as got:
+            cli.read_runs_csv(*args)
+        assert str(got.value) == str(exc)
+    else:
+        got = cli.read_runs_csv(*args)
+        for name in RUNS_COLUMNS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 @pytest.mark.parametrize("algorithm", ["sgd", "adam"])

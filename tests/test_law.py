@@ -26,7 +26,9 @@ from optlaws.law import (
     LawFitError,
     PretrainContext,
     RunConfig,
+    LossRuleError,
     RunRecord,
+    RunTable,
     SimpleLaw,
     continual_features,
     fit,
@@ -49,6 +51,7 @@ from util import (
     make_grid_records,
     random_four_phase,
     random_schedule,
+    table_row,
 )
 
 GRID = dict(
@@ -73,14 +76,46 @@ def _config(h_norm, a_B, S_B, N, h2_norm=None, a2_B=None, a3_B=None):
     )
 
 
-class TestRunRecord:
-    def test_sentinel_loss_for_divergent(self):
-        r = RunRecord(4.0, 10.0, 6e-3, 6e-3, 1.0, 1.0, 1.0, 2.5, diverged=True)
-        assert r.loss == DIVERGED_LOSS
+def one_row_table(*numbers, diverged=False) -> RunTable:
+    """A one-run RunTable, built from RunRecord's arguments."""
+    return RunTable(*([x] for x in numbers), diverged=[diverged])
 
-    def test_nonpositive_loss_rejected(self):
-        with pytest.raises(ValueError):
-            RunRecord(4.0, 10.0, 6e-3, 6e-3, 1.0, 1.0, 1.0, 0.0)
+
+# each run-log row type: a record, and a table of one run
+ROW_TYPES = pytest.mark.parametrize("make", [RunRecord, one_row_table],
+                                    ids=["record", "table"])
+
+
+class TestRunRecord:
+    @ROW_TYPES
+    def test_sentinel_loss_for_divergent(self, make):
+        r = make(4.0, 10.0, 6e-3, 6e-3, 1.0, 1.0, 1.0, 2.5, diverged=True)
+        assert np.all(r.loss == DIVERGED_LOSS)
+
+    @ROW_TYPES
+    @pytest.mark.parametrize("loss", [0.0, -1.0, math.nan])
+    def test_nonpositive_loss_rejected(self, make, loss):
+        with pytest.raises(ValueError, match=f"needs loss > 0, got {loss}$"):
+            make(4.0, 10.0, 6e-3, 6e-3, 1.0, 1.0, 1.0, loss)
+
+    def test_table_names_the_first_bad_row(self):
+        losses = [2.5, -1.0, 0.0, 3.0]
+        with pytest.raises(LossRuleError, match="got 0.0$") as err:
+            RunTable(*[[1.0] * 4] * 7, losses, diverged=[False, True, False, False])
+        assert err.value.row == 2
+
+    @pytest.mark.parametrize("loss", [[2.5], [[2.5, 2.5]], 2.5], ids=["short", "2-D", "scalar"])
+    def test_table_columns_must_be_rows_of_one_length(self, loss):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            RunTable(*[[1.0, 1.0]] * 7, loss, diverged=[False, False])
+
+    def test_table_of_records_matches_its_columns(self):
+        records = make_grid_records(**GRID)[:5] + [
+            RunRecord(4.05, 10.0, 1.5e-2, 1.5e-2, 0.05, 0.05, 0.05, 2.5, diverged=True)]
+        table = RunTable.from_records(records)
+        assert len(table) == 6 and table.diverged.tolist() == [False] * 5 + [True]
+        assert table.loss[-1] == DIVERGED_LOSS
+        assert [table_row(table, i) for i in range(6)] == records
 
     def test_raw_step_normalization(self, tmp_path):
         runs = tmp_path / "steps.csv"
@@ -88,8 +123,9 @@ class TestRunRecord:
             "model_B,tokens_B,eta1,eta2,a1_B,a2_B,a3_B,loss,diverged\n"
             "4.05,20000,6e-3,6e-3,2000,2000,2000,2.0,0\n"
         )
-        [r] = read_runs_csv(str(runs), token_length=2048, batch=2048)
-        s = r.normalized_schedule()
+        runs = read_runs_csv(str(runs), token_length=2048, batch=2048)
+        assert len(runs) == 1
+        s = table_row(runs, 0).normalized_schedule()
         assert s.S == pytest.approx(20000 * 2048 * 2048 / 1e9, rel=1e-15)
         assert s.markers[0] == pytest.approx(8.388608, rel=1e-15)
         assert s.eta_max == pytest.approx(0.4, rel=1e-15)
@@ -177,6 +213,10 @@ class TestFit:
         law = fit(records)
         assert law.residual_rms <= 1e-10
         assert not any(calls.values()), calls  # no per-config call of any kind
+
+    def test_table_fits_as_its_records(self):
+        records = make_grid_records(**GRID, noise_rel=1e-3, rng=np.random.default_rng(43))
+        assert fit(RunTable.from_records(records)) == fit(records)
 
     def test_refit_idempotence(self):
         rng = np.random.default_rng(41)

@@ -7,19 +7,23 @@ stepper shares only the per-path noise streams and the report container
 with ``optlaws.sde.simulate``.  The reference RK4 solver steps the
 covariance ODE stage by stage, the form the folded solver rewrites, and the
 reference closed form takes one matrix exponential per quadrature node, the
-loop the batched call replaces.
+loop the batched call replaces.  The reference run-log reader builds one
+``RunRecord`` per row, the loop ``read_runs_csv``'s columns replace.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 from scipy.integrate import quad
 
-from optlaws import RunRecord, compute_features, default_markers
+from optlaws import Normalizer, RunRecord, compute_features, default_markers
+from optlaws.cli import RUNS_COLUMNS, DataError
 from optlaws.law import REFERENCE_COEFFICIENTS, reference_law
 from optlaws.schedule import Schedule, Segment, build_general_schedule, warmup_cosine_schedule
 from optlaws.sde import SimulationDiverged, SimulationReport, StatSummary, path_rng
@@ -159,6 +163,44 @@ def records_to_csv(records: list[RunRecord]) -> str:
         ]
         buf.write(",".join(fields) + "\n")
     return buf.getvalue()
+
+
+def reference_read_runs_csv(path: str, token_length=None, batch=None) -> list[RunRecord]:
+    """Row-by-row run-log reader, the oracle for ``optlaws.cli.read_runs_csv``.
+
+    Each row goes through a ``DictReader`` dict, a dict of floats and a
+    ``RunRecord``, so rows are numbered as ``DictReader`` numbers them
+    (blank lines skipped and not counted), a short row's missing cells are
+    None and a long row's extra cells are ignored.  Once the stripped header
+    matches, cells are named by position.
+    """
+    if (token_length is None) != (batch is None):
+        raise DataError("--token-length and --batch go together: give both or neither")
+    if token_length is not None and max(abs(token_length), abs(batch)) > sys.float_info.max:
+        raise DataError("--token-length or --batch is too large for a float")
+    records = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != RUNS_COLUMNS:
+            raise DataError(
+                f"{path}: header must be {','.join(RUNS_COLUMNS)}, got {reader.fieldnames}"
+            )
+        reader.fieldnames = RUNS_COLUMNS
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                vals = {k: float(row[k]) for k in RUNS_COLUMNS[:-1]}
+                if token_length is not None:
+                    for key in ("tokens_B", "a1_B", "a2_B", "a3_B"):
+                        vals[key] = Normalizer.tokens_billions(vals[key], token_length, batch)
+                records.append(RunRecord(**vals, diverged=int(row["diverged"]) != 0))
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path} line {lineno}: {exc}") from None
+    return records
+
+
+def table_row(runs, i: int) -> RunRecord:
+    """Row ``i`` of a ``RunTable`` as a record."""
+    return RunRecord(*(getattr(runs, name)[i].item() for name in RUNS_COLUMNS))
 
 
 def fixture_corpus() -> list[RunRecord]:
