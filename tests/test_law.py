@@ -81,22 +81,18 @@ def one_row_table(*numbers, diverged=False) -> RunTable:
     return RunTable(*([x] for x in numbers), diverged=[diverged])
 
 
-# each run-log row type: a record, and a table of one run
-ROW_TYPES = pytest.mark.parametrize("make", [RunRecord, one_row_table],
-                                    ids=["record", "table"])
-
-
 class TestRunRecord:
-    @ROW_TYPES
-    def test_sentinel_loss_for_divergent(self, make):
-        r = make(4.0, 10.0, 6e-3, 6e-3, 1.0, 1.0, 1.0, 2.5, diverged=True)
-        assert np.all(r.loss == DIVERGED_LOSS)
+    # each case runs as a record and as a table of one run
+    def test_sentinel_loss_for_divergent(self):
+        for make in (RunRecord, one_row_table):
+            r = make(4.0, 10.0, 6e-3, 6e-3, 1.0, 1.0, 1.0, 2.5, diverged=True)
+            assert np.all(r.loss == DIVERGED_LOSS)
 
-    @ROW_TYPES
-    @pytest.mark.parametrize("loss", [0.0, -1.0, math.nan])
-    def test_nonpositive_loss_rejected(self, make, loss):
-        with pytest.raises(ValueError, match=f"needs loss > 0, got {loss}$"):
-            make(4.0, 10.0, 6e-3, 6e-3, 1.0, 1.0, 1.0, loss)
+    def test_nonpositive_loss_rejected(self):
+        for make in (RunRecord, one_row_table):
+            for loss in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match=f"needs loss > 0, got {loss}$"):
+                    make(4.0, 10.0, 6e-3, 6e-3, 1.0, 1.0, 1.0, loss)
 
     def test_table_names_the_first_bad_row(self):
         losses = [2.5, -1.0, 0.0, 3.0]
