@@ -31,12 +31,13 @@ recursion, run once per call for its minimum, reported exactly as
 ``v_min``, and again alongside each group's steps, where its
 ``sqrt(v_k + eps)`` feeds every path.
 
-Paths are stepped in groups.  A block's noise budget (``block_size``
-paths, by default as many as ``DEFAULT_BLOCK_BYTES`` holds) is allocated
-once per call as two buffers of ``ceil(block_size / 2)`` paths, or as one
-buffer of ``block_size`` paths when there is a single fill thread.  A
-buffer holds its paths' whole rows, all ``n_steps`` steps.  The pool fills
-the next group of paths into one buffer while the calling thread steps
+Paths are stepped in groups.  A block holds as many paths' noise as
+``DEFAULT_BLOCK_BYTES`` holds (at least one path, at most ``n_paths``);
+that budget is the only setting that sizes it.  The block is allocated
+once per call as two buffers of half its paths (rounded up), or as one
+buffer of all of them when there is a single fill thread.  A buffer
+holds its paths' whole rows, all ``n_steps`` steps.  The pool fills the
+next group of paths into one buffer while the calling thread steps
 every case over the other, from step 0 to the last; with one buffer, each
 group is filled, then stepped.  A group's fill is cut into about
 ``_SHARES_PER_THREAD`` shares per fill thread, taken from one shared
@@ -284,12 +285,7 @@ def _adam_v(config: SdeConfig, etas: np.ndarray, diag_sigma: np.ndarray):
         yield root_v, v
 
 
-def simulate(
-    objective: Objective,
-    noise: NoiseModel,
-    config: SdeConfig,
-    block_size: Optional[int] = None,
-) -> SimulationReport:
+def simulate(objective: Objective, noise: NoiseModel, config: SdeConfig) -> SimulationReport:
     """Run the ensemble and collect the eta-weighted time averages.
 
     Reports the weighted averages of ||grad f||^2 (and ||m||^2 for Adam)
@@ -301,13 +297,11 @@ def simulate(
     the step rates or their sum overflow.
     This is the one-case call of :func:`simulate_many`.
     """
-    return simulate_many([(objective, config)], noise, block_size)[0]
+    return simulate_many([(objective, config)], noise)[0]
 
 
 def simulate_many(
-    cases: Sequence[tuple[Objective, SdeConfig]],
-    noise: NoiseModel,
-    block_size: Optional[int] = None,
+    cases: Sequence[tuple[Objective, SdeConfig]], noise: NoiseModel
 ) -> list[SimulationReport]:
     """Run several ensembles on the same noise: one report per case, in order.
 
@@ -346,12 +340,7 @@ def simulate_many(
             f"{n_steps * dim * 8} bytes, over DEFAULT_BLOCK_BYTES = {DEFAULT_BLOCK_BYTES} "
             "(raise eta0 or shorten the horizon)"
         )
-    if block_size is None:
-        per_path = max(n_steps * dim * 8, 1)
-        block_size = max(1, min(n_paths, DEFAULT_BLOCK_BYTES // per_path))
-    if block_size < 1:
-        raise ValueError(f"block_size must be at least 1, got {block_size}")
-    block_size = min(block_size, n_paths)
+    block_size = max(1, min(n_paths, DEFAULT_BLOCK_BYTES // (n_steps * dim * 8)))
 
     runs = [_Run(obj, noise, cfg) for obj, cfg in cases]
     root = noise.root

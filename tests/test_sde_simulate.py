@@ -5,7 +5,6 @@ import threading
 import time
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -28,6 +27,18 @@ from util import reference_simulate
 
 # the module, which the package's simulate function shadows as an attribute
 simulate_module = importlib.import_module("optlaws.sde.simulate")
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """``blocks(paths, config, dim)`` makes the next runs step noise blocks
+    of ``paths`` paths of ``config``'s steps at ``dim``, by setting the
+    noise budget that sizes every block; None restores the default budget."""
+
+    def set_budget(paths, config, dim):
+        budget = DEFAULT_BLOCK_BYTES if paths is None else paths * config.n_steps * dim * 8
+        monkeypatch.setattr(simulate_module, "DEFAULT_BLOCK_BYTES", budget)
+    return set_budget
 
 
 def constant_schedule(eta, T):
@@ -112,11 +123,12 @@ class TestSgdSimulation:
             assert np.all(np.diff(grads) <= 1e-14)
 
     @pytest.mark.parametrize("eta0", [0.01, 0.06])  # 0.06: 17 steps end past S = 1
-    def test_trace_array_and_times(self, eta0):
+    def test_trace_array_and_times(self, eta0, blocks):
         sched = constant_schedule(0.5, 1.0)
         cfg = SdeConfig(schedule=sched, eta0=eta0, n_paths=7, seed=0, x0=np.ones(3),
                         record_traces=True)
-        rep = simulate(isotropic_quadratic(3), NoiseModel.isotropic(3, 0.1), cfg, block_size=3)
+        blocks(3, cfg, 3)
+        rep = simulate(isotropic_quadratic(3), NoiseModel.isotropic(3, 0.1), cfg)
         n_steps = cfg.n_steps
         assert rep.traces.shape == (7, n_steps + 1, 2)
         assert rep.trace_t.shape == (n_steps + 1,)
@@ -197,7 +209,7 @@ class TestSgdSimulation:
 class TestPathKeys:
     """Every path's stream comes from the seed's one Philox key."""
 
-    def test_one_philox_per_call(self, monkeypatch):
+    def test_one_philox_per_call(self, monkeypatch, blocks):
         monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 3)
         built = {"Philox": 0, "SeedSequence": 0, "Generator": 0}
 
@@ -212,12 +224,12 @@ class TestPathKeys:
         for name in built:
             monkeypatch.setattr(np.random, name, counting(name))
         # 16, 63 and 63 blocks: a generator per block or per path would show
-        for n_paths, block_size in ((1000, 64), (1000, 16), (500, 8)):
+        for n_paths, block in ((1000, 64), (1000, 16), (500, 8)):
             built.update(dict.fromkeys(built, 0))
             cfg = SdeConfig(schedule=constant_schedule(0.5, 0.2), eta0=0.01, n_paths=n_paths,
                             seed=2**32 + 5)
-            simulate(isotropic_quadratic(3), NoiseModel.isotropic(3, 0.1), cfg,
-                     block_size=block_size)
+            blocks(block, cfg, 3)
+            simulate(isotropic_quadratic(3), NoiseModel.isotropic(3, 0.1), cfg)
             assert built["Philox"] == 3 and built["Generator"] == 3, (n_paths, built)
             assert built["SeedSequence"] == 1, (n_paths, built)
 
@@ -270,19 +282,21 @@ class TestDeterminism:
             assert a.stats[key] == b.stats[key]
         assert a.trapping == b.trapping
 
-    def test_block_size_does_not_change_results(self):
+    def test_block_size_does_not_change_results(self, blocks):
         sched = build_general_schedule(0.5, 0.5, 0.5, 0.5, 0.5, 2.0)
         obj = isotropic_quadratic(4)
         noise = NoiseModel.isotropic(4, 0.3)
         cfg = SdeConfig(schedule=sched, eta0=0.02, n_paths=33, seed=9)
-        a = simulate(obj, noise, cfg, block_size=5)
-        b = simulate(obj, noise, cfg, block_size=33)
+        blocks(5, cfg, 4)
+        a = simulate(obj, noise, cfg)
+        blocks(33, cfg, 4)
+        b = simulate(obj, noise, cfg)
         for key in a.stats:
             assert a.stats[key] == b.stats[key]
 
     @pytest.mark.parametrize("algorithm", ["sgd", "adam"])
-    @pytest.mark.parametrize("block_size", [13, 1, 40])
-    def test_dense_h_results_do_not_depend_on_blocks(self, algorithm, block_size):
+    @pytest.mark.parametrize("block", [13, 1, 40])
+    def test_dense_h_results_do_not_depend_on_blocks(self, algorithm, block, blocks):
         # blocks of one path, and the last block of one path at 13, multiply
         # the gradient by H one row at a time, which numpy does by gemv
         rng = np.random.default_rng(11)
@@ -292,18 +306,19 @@ class TestDeterminism:
         cfg = SdeConfig(schedule=build_general_schedule(0.5, 0.5, 0.5, 0.5, 0.5, 2.0),
                         eta0=0.02, n_paths=40, seed=9, algorithm=algorithm,
                         x0=np.full(8, 0.7), trap_eps=(0.05,), record_traces=True)
-        assert_same_report(simulate(obj, noise, cfg, block_size=block_size),
-                           reference_simulate(obj, noise, cfg))
+        blocks(block, cfg, 8)
+        assert_same_report(simulate(obj, noise, cfg), reference_simulate(obj, noise, cfg))
 
     @pytest.mark.parametrize("dim", [8, 16, 32])
-    def test_correlated_noise_does_not_depend_on_blocks(self, dim):
+    def test_correlated_noise_does_not_depend_on_blocks(self, dim, blocks):
         # one step in blocks of one path: each block's noise product over a
         # non-diagonal root has one row, which numpy multiplies by gemv
         objective, noise = correlated_system(dim)
         cfg = SdeConfig(schedule=constant_schedule(0.6, 0.01), eta0=0.01, n_paths=40, seed=5,
                         trap_eps=(0.05,), record_traces=True)
         assert cfg.n_steps == 1
-        assert_matches_reference(objective, noise, cfg, block_size=1)
+        blocks(1, cfg, dim)
+        assert_matches_reference(objective, noise, cfg)
 
     def test_path_streams_independent_of_order(self):
         draws_a = path_rng(7, 3).standard_normal(4)
@@ -312,11 +327,11 @@ class TestDeterminism:
         np.testing.assert_array_equal(draws_a, draws_b)
 
 
-def assert_matches_reference(objective, noise, config, block_size=None):
-    """simulate() in blocks of ``block_size`` and the reference stepper, which
-    steps every path as one block, agree bit for bit."""
+def assert_matches_reference(objective, noise, config):
+    """simulate(), in the blocks its budget sizes, and the reference stepper,
+    which steps every path as one block, agree bit for bit."""
     want = reference_simulate(objective, noise, config)
-    got = simulate(objective, noise, config, block_size=block_size)
+    got = simulate(objective, noise, config)
     assert_same_report(got, want)
     return got
 
@@ -342,46 +357,50 @@ class TestReferenceStepper:
     SCHED = build_general_schedule(0.8, 0.5, 0.5, 1.0, 1.5, 2.0)
 
     @pytest.mark.parametrize("algorithm", ["sgd", "adam"])
-    def test_non_diagonal_noise(self, algorithm):
+    def test_non_diagonal_noise(self, algorithm, blocks):
         obj, noise = correlated_system(5)
         assert np.any(noise.root - np.diag(np.diag(noise.root)))
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=37, seed=4,
                         algorithm=algorithm, trap_eps=(0.01, 0.1))
-        assert_matches_reference(obj, noise, cfg, block_size=7)
+        blocks(7, cfg, 5)
+        assert_matches_reference(obj, noise, cfg)
 
-    def test_adam_with_tracking(self):
+    def test_adam_with_tracking(self, blocks):
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=40, seed=3,
                         algorithm="adam", c1=2.0, c2=3.0, x0=np.full(4, 1.3),
                         record_traces=True)
         noise = NoiseModel(np.diag([0.3, 0.05, 1.2, 0.7]))
-        rep = assert_matches_reference(double_well(4), noise, cfg, block_size=11)
+        blocks(11, cfg, 4)
+        rep = assert_matches_reference(double_well(4), noise, cfg)
         assert len(rep.traces) == 40
 
-    @pytest.mark.parametrize("block_size", [1, 6, 13, 53, None])
-    def test_odd_block_sizes(self, block_size):
+    @pytest.mark.parametrize("block", [1, 6, 13, 53, None])
+    def test_odd_block_sizes(self, block, blocks):
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=53, seed=8,
                         record_traces=True, trap_eps=(0.5,))
-        assert_matches_reference(double_well(4), NoiseModel.isotropic(4, 0.1), cfg,
-                                 block_size=block_size)
+        blocks(block, cfg, 4)
+        assert_matches_reference(double_well(4), NoiseModel.isotropic(4, 0.1), cfg)
 
-    @pytest.mark.parametrize("block_size", [1, 13])
-    def test_two_word_seed(self, block_size):
+    @pytest.mark.parametrize("block", [1, 13])
+    def test_two_word_seed(self, block, blocks):
         # the reference draws through path_rng, so this checks the per-path counters
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=29, seed=2**32 + 5,
                         trap_eps=(0.5,))
-        assert_matches_reference(double_well(4), NoiseModel.isotropic(4, 0.1), cfg,
-                                 block_size=block_size)
+        blocks(block, cfg, 4)
+        assert_matches_reference(double_well(4), NoiseModel.isotropic(4, 0.1), cfg)
 
     @pytest.mark.parametrize("algorithm, variance, eta0, c2, path", [
         ("sgd", 10.0, 0.14, 1.0, 11),
         ("adam", 0.5, 0.15, 1.0, 10),
         ("adam", 0.1, 0.01, 400.0, 0),  # v itself overflows
     ])
-    def test_diverging_run_names_the_same_path(self, algorithm, variance, eta0, c2, path):
+    def test_diverging_run_names_the_same_path(self, algorithm, variance, eta0, c2, path,
+                                                blocks):
         cfg = SdeConfig(schedule=constant_schedule(1.0, 10.0), eta0=eta0, n_paths=40,
                         seed=0, algorithm=algorithm, c2=c2, x0=np.ones(3))
         noise = NoiseModel.isotropic(3, variance)
-        for run in (reference_simulate, partial(simulate, block_size=9)):
+        blocks(9, cfg, 3)
+        for run in (reference_simulate, simulate):
             with pytest.raises(SimulationDiverged) as err:
                 run(double_well(3), noise, cfg)
             assert err.value.path_index == path
@@ -436,17 +455,18 @@ class TestStepRates:
 
 class TestMemory:
     @pytest.mark.parametrize("algorithm", ["sgd", "adam"])
-    def test_peak_allocation_is_one_noise_block(self, algorithm):
+    def test_peak_allocation_is_one_noise_block(self, algorithm, blocks):
         dim, block = 16, 64
         cfg = SdeConfig(schedule=constant_schedule(0.5, 4.0), eta0=0.01, n_paths=3 * block,
                         seed=0, algorithm=algorithm, x0=np.full(dim, 1.2))
         obj, noise = double_well(dim), NoiseModel.isotropic(dim, 0.05)
         block_bytes = block * cfg.n_steps * dim * 8
-        simulate(obj, noise, cfg, block_size=block)  # warm caches outside the trace
+        blocks(block, cfg, dim)
+        simulate(obj, noise, cfg)  # warm caches outside the trace
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            simulate(obj, noise, cfg, block_size=block)
+            simulate(obj, noise, cfg)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -472,15 +492,16 @@ class TestSimulateMany:
         ]
 
     @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "correlated"])
-    @pytest.mark.parametrize("block_size", [1, 13, None])  # None: all 29 paths in one block
-    def test_each_case_equals_its_own_simulate(self, diagonal, block_size):
+    @pytest.mark.parametrize("block", [1, 13, None])  # None: all 29 paths in one block
+    def test_each_case_equals_its_own_simulate(self, diagonal, block, blocks):
         dim = 4
         noise = NoiseModel(np.diag([0.3, 0.05, 1.2, 0.7])) if diagonal else correlated_system(dim)[1]
         cases = self.mixed_cases(dim)
-        reports = simulate_many(cases, noise, block_size=block_size)
+        blocks(block, cases[0][1], dim)
+        reports = simulate_many(cases, noise)
         assert len(reports) == len(cases)
         for (objective, config), got in zip(cases, reports):
-            assert_same_report(got, simulate(objective, noise, config, block_size=block_size))
+            assert_same_report(got, simulate(objective, noise, config))
             assert_same_report(got, reference_simulate(objective, noise, config))
 
     @pytest.mark.parametrize("change", ["seed", "n_paths", "n_steps", "dim", "empty"])
@@ -514,46 +535,49 @@ class TestSimulateMany:
         ("adam", 0.5, 0.15, 1.0, 10),
         ("adam", 0.1, 0.01, 400.0, 0),  # v itself overflows
     ])
-    def test_diverging_case_names_its_own_path(self, algorithm, variance, eta0, c2, path):
+    def test_diverging_case_names_its_own_path(self, algorithm, variance, eta0, c2, path,
+                                               blocks):
         noise = NoiseModel.isotropic(3, variance)
         bad = SdeConfig(schedule=constant_schedule(1.0, 10.0), eta0=eta0, n_paths=40, seed=0,
                         algorithm=algorithm, c2=c2, x0=np.ones(3))
         calm = replace(bad, schedule=constant_schedule(0.0, 10.0))  # frozen: never diverges
+        blocks(9, bad, 3)
         with pytest.raises(SimulationDiverged) as alone:
-            simulate(double_well(3), noise, bad, block_size=9)
+            simulate(double_well(3), noise, bad)
         with pytest.raises(SimulationDiverged) as err:
             simulate_many([(double_well(3), calm), (double_well(3), bad),
-                           (double_well(3), calm)], noise, block_size=9)
+                           (double_well(3), calm)], noise)
         assert err.value.path_index == alone.value.path_index == path
 
     DIM, BLOCK = 16, 64
     BASE = SdeConfig(schedule=constant_schedule(0.5, 4.0), eta0=0.01, n_paths=3 * BLOCK,
                      seed=0, x0=np.full(DIM, 1.2))
 
-    def assert_peak_is_one_noise_block(self, cases):
+    def assert_peak_is_one_noise_block(self, cases, blocks):
         dim, block = self.DIM, self.BLOCK
         noise = NoiseModel.isotropic(dim, 0.05)
         block_bytes = block * self.BASE.n_steps * dim * 8
-        simulate_many(cases, noise, block_size=block)  # warm caches outside the trace
+        blocks(block, self.BASE, dim)
+        simulate_many(cases, noise)  # warm caches outside the trace
         tracemalloc.start()
         try:
             base_mem = tracemalloc.get_traced_memory()[0]
-            simulate_many(cases, noise, block_size=block)
+            simulate_many(cases, noise)
             peak = tracemalloc.get_traced_memory()[1] - base_mem
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * block_bytes
 
-    def test_peak_allocation_is_one_noise_block(self):
+    def test_peak_allocation_is_one_noise_block(self, blocks):
         dim, base = self.DIM, self.BASE
         self.assert_peak_is_one_noise_block([
             (double_well(dim), base),
             (double_well(dim), replace(base, algorithm="adam")),
             (isotropic_quadratic(dim), replace(base, schedule=warmup_cosine_schedule(0.5, 1.0, 4.0),
                                                algorithm="adam")),
-        ])
+        ], blocks)
 
-    def test_peak_allocation_with_twelve_cases_is_one_noise_block(self):
+    def test_peak_allocation_with_twelve_cases_is_one_noise_block(self, blocks):
         # criterion 08's mix of twelve cases over one fill
         dim, base = self.DIM, self.BASE
         schedules = (base.schedule, warmup_cosine_schedule(0.5, 1.0, 4.0),
@@ -562,7 +586,7 @@ class TestSimulateMany:
             (objective, replace(base, schedule=schedule, algorithm=algorithm))
             for objective in (isotropic_quadratic(dim), double_well(dim))
             for schedule in schedules for algorithm in ("sgd", "adam")
-        ])
+        ], blocks)
 
 
 class TestFillThreads:
@@ -580,13 +604,13 @@ class TestFillThreads:
         "sgd", "adam_tracked_traced", "sgd_correlated", "adam_correlated", "partial_last_block",
         "one_path",
     ])
-    def test_reports_match_reference(self, threads, case):
+    def test_reports_match_reference(self, threads, case, blocks):
         dim = 4
         noise = NoiseModel(np.diag([0.3, 0.05, 1.2, 0.7]))
         objective = double_well(dim)
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=23, seed=5, trap_eps=(0.5,),
                         x0=np.full(dim, 1.3))
-        block_size = 9  # blocks of 9, 9 and 5 paths
+        block = 9  # blocks of 9, 9 and 5 paths
         if case == "adam_tracked_traced":
             cfg = replace(cfg, algorithm="adam", c1=2.0, c2=3.0, record_traces=True)
         elif case.endswith("correlated"):
@@ -594,11 +618,12 @@ class TestFillThreads:
             cfg = replace(cfg, algorithm=case.split("_")[0], x0=None)
         elif case == "partial_last_block":
             cfg = replace(cfg, n_paths=12)  # the last block has 2 paths
-            block_size = 5
+            block = 5
         elif case == "one_path":
             cfg = replace(cfg, n_paths=1)
-            block_size = None
-        assert_matches_reference(objective, noise, cfg, block_size=block_size)
+            block = None
+        blocks(block, cfg, dim)
+        assert_matches_reference(objective, noise, cfg)
 
     def test_diverging_run_names_the_same_path(self, threads):
         # path 35 of one 40-path block diverges first: a later share than
@@ -614,7 +639,7 @@ class TestFillThreads:
 
     @pytest.mark.parametrize("n_steps", [1, 2, 7])
     @pytest.mark.parametrize("case", ["sgd", "adam_tracked_traced", "correlated"])
-    def test_step_counts_match_reference(self, threads, n_steps, case):
+    def test_step_counts_match_reference(self, threads, n_steps, case, blocks):
         dim = 3
         objective, noise = double_well(dim), NoiseModel(np.diag([0.3, 0.05, 1.2]))
         cfg = SdeConfig(schedule=constant_schedule(0.6, 0.01 * n_steps), eta0=0.01, n_paths=23,
@@ -625,18 +650,19 @@ class TestFillThreads:
         elif case == "correlated":
             objective, noise = correlated_system(dim)
             cfg = replace(cfg, algorithm="adam", x0=None)
-        for block_size in (9, None):  # blocks of 9, 9 and 5 paths; one block
-            assert_matches_reference(objective, noise, cfg, block_size=block_size)
+        for block in (9, None):  # blocks of 9, 9 and 5 paths; one block
+            blocks(block, cfg, dim)
+            assert_matches_reference(objective, noise, cfg)
 
-    def test_halves_longer_than_the_scale_rows_match_reference(self, threads):
+    def test_halves_longer_than_the_scale_rows_match_reference(self, threads, blocks):
         # 1,030 steps: rows past the 512 steps the scale is tiled to
         cfg = SdeConfig(schedule=constant_schedule(0.3, 10.3), eta0=0.01, n_paths=9, seed=3)
         assert cfg.n_steps == 1030
-        assert_matches_reference(isotropic_quadratic(2), NoiseModel(np.diag([0.4, 1.5])), cfg,
-                                 block_size=4)
+        blocks(4, cfg, 2)
+        assert_matches_reference(isotropic_quadratic(2), NoiseModel(np.diag([0.4, 1.5])), cfg)
 
-    @pytest.mark.parametrize("block_size", [None, 8])
-    def test_path_diverging_in_the_second_half_is_named(self, threads, block_size):
+    @pytest.mark.parametrize("block", [None, 8])
+    def test_path_diverging_in_the_second_half_is_named(self, threads, block, blocks):
         # the rate is zero until t = 4.95, so every path is still at x0 half
         # way through the 71 steps; path 33 is the first to diverge after
         # that, in the last of five blocks of 8
@@ -648,12 +674,13 @@ class TestFillThreads:
                         x0=objective.x_star + np.ones(3) / 3**0.5)
         assert cfg.n_steps == 71 and not schedule.value(np.arange(35) * cfg.eta0).any()
         noise = NoiseModel.isotropic(3, 6.0)
-        for run in (reference_simulate, partial(simulate, block_size=block_size)):
+        blocks(block, cfg, 3)
+        for run in (reference_simulate, simulate):
             with pytest.raises(SimulationDiverged) as err:
                 run(objective, noise, cfg)
             assert err.value.path_index == 33
 
-    def test_a_second_fill_thread_halves_the_buffers(self, monkeypatch):
+    def test_a_second_fill_thread_halves_the_buffers(self, monkeypatch, blocks):
         # one buffer of the block's paths with one fill thread, else two of
         # half as many (rounded up): every share is a view of those buffers
         fill = simulate_module._PathFill.__call__
@@ -665,15 +692,15 @@ class TestFillThreads:
 
         monkeypatch.setattr(simulate_module._PathFill, "__call__", recording)
         cfg = SdeConfig(schedule=constant_schedule(0.5, 0.05), eta0=0.01, n_paths=23, seed=0)
-        for cpus, block_size, buffers in ((1, 9, (1, 9)), (2, 9, (2, 5)), (2, 8, (2, 4)),
-                                          (3, 1, (1, 1)), (7, 2, (2, 1))):
+        for cpus, block, buffers in ((1, 9, (1, 9)), (2, 9, (2, 5)), (2, 8, (2, 4)),
+                                     (3, 1, (1, 1)), (7, 2, (2, 1))):
             monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: cpus)
+            blocks(block, cfg, 2)
             shapes.clear()
-            simulate(isotropic_quadratic(2), NoiseModel.isotropic(2, 0.1), cfg,
-                     block_size=block_size)
-            assert shapes == {(*buffers, cfg.n_steps, 2)}, (cpus, block_size)
+            simulate(isotropic_quadratic(2), NoiseModel.isotropic(2, 0.1), cfg)
+            assert shapes == {(*buffers, cfg.n_steps, 2)}, (cpus, block)
 
-    def test_shares_survive_fast_thread_switching(self, monkeypatch):
+    def test_shares_survive_fast_thread_switching(self, monkeypatch, blocks):
         # seven fill threads on fewer cores, switching every microsecond: a
         # share drawn twice or lost, or drawn into the wrong buffer, would
         # move a float
@@ -682,15 +709,16 @@ class TestFillThreads:
                         x0=np.full(3, 1.3))
         objective, noise = double_well(3), NoiseModel.isotropic(3, 0.2)
         want = reference_simulate(objective, noise, cfg)
+        blocks(25, cfg, 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = simulate(objective, noise, cfg, block_size=25)
+            got = simulate(objective, noise, cfg)
         finally:
             sys.setswitchinterval(interval)
         assert_same_report(got, want)
 
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
+    def test_worker_error_reaches_the_caller(self, monkeypatch, blocks):
         fill = simulate_module._PathFill.__call__
 
         def failing(self, z, first):
@@ -701,18 +729,19 @@ class TestFillThreads:
 
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=30, seed=1)
         noise = NoiseModel.isotropic(2, 0.1)
+        blocks(12, cfg, 2)
         before = threading.active_count()
         for cpus in (1, 2, 3, 7):
             monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: cpus)
             monkeypatch.setattr(simulate_module._PathFill, "__call__", fill)
-            simulate(isotropic_quadratic(2), noise, cfg, block_size=12)
+            simulate(isotropic_quadratic(2), noise, cfg)
             assert threading.active_count() == before
             monkeypatch.setattr(simulate_module._PathFill, "__call__", failing)
             with pytest.raises(OSError, match="fill failed at path 17"):
-                simulate(isotropic_quadratic(2), noise, cfg, block_size=12)
+                simulate(isotropic_quadratic(2), noise, cfg)
             assert threading.active_count() == before, cpus
 
-    def test_divergence_during_a_fill_joins_the_pool(self, monkeypatch):
+    def test_divergence_during_a_fill_joins_the_pool(self, monkeypatch, blocks):
         # 23 paths in blocks of 9, so in groups of 5: group 0 diverges (path
         # 0) while the pool fills group 1, slowed down so it is still filling
         monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 3)
@@ -727,10 +756,11 @@ class TestFillThreads:
 
         cfg = SdeConfig(schedule=constant_schedule(1.0, 2.0), eta0=0.3, n_paths=23, seed=0,
                         x0=np.full(3, 50.0))
+        blocks(9, cfg, 3)
         before = threading.active_count()
         monkeypatch.setattr(simulate_module._PathFill, "__call__", slow)
         with pytest.raises(SimulationDiverged) as err:
-            simulate(double_well(3), NoiseModel.isotropic(3, 0.1), cfg, block_size=9)
+            simulate(double_well(3), NoiseModel.isotropic(3, 0.1), cfg)
         assert err.value.path_index == 0 and started
         assert threading.active_count() == before
 
