@@ -171,10 +171,13 @@ def read_runs_csv(path: str, token_length=None, batch=None) -> RunTable:
         raise DataError("--token-length or --batch is too large for a float")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != RUNS_COLUMNS:
-            raise DataError(f"{path}: header must be {','.join(RUNS_COLUMNS)}, got {header}")
-        rows = [row for row in reader if row]
+        try:
+            header = next(reader, None)
+            if header is None or [c.strip() for c in header] != RUNS_COLUMNS:
+                raise DataError(f"{path}: header must be {','.join(RUNS_COLUMNS)}, got {header}")
+            rows = [row for row in reader if row]
+        except csv.Error as exc:  # a cell over the csv module's field size limit
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
     width = len(RUNS_COLUMNS)
     cells = list(itertools.zip_longest(*rows))[:width]
     cells += [(None,) * len(rows)] * (width - len(cells))
@@ -196,13 +199,15 @@ def read_runs_csv(path: str, token_length=None, batch=None) -> RunTable:
 
 def _read_json(path: str, parse=json.loads):
     """``parse`` of a JSON file's text; an error raised while decoding or
-    parsing it (bytes that are not UTF-8, a syntax error, or a law or
-    schedule field at fault) names the file."""
+    parsing it (bytes that are not UTF-8, a syntax error, nesting too deep
+    for the decoder, or a law or schedule field at fault) names the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             return parse(fh.read())
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise DataError(f"{path}: JSON nested too deeply to read") from None
 
 
 SCHEDULE_FIELDS = ("eta1", "eta2", "a1_B", "a2_B", "a3_B", "tokens_B")
@@ -254,6 +259,8 @@ def _gate_from_args(args) -> DivergenceParams:
         overrides = json.loads(args.gate_overrides)
     except json.JSONDecodeError as exc:
         raise DataError(f"--gate-overrides is not JSON: {exc}") from None
+    except RecursionError:
+        raise DataError("--gate-overrides: JSON nested too deeply to read") from None
     if not isinstance(overrides, dict):
         raise DataError("--gate-overrides must be a JSON object")
     known = DEFAULT_PARAMS.__dict__

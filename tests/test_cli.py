@@ -66,6 +66,19 @@ class TestFit:
         assert run_cli(["fit", "--runs", bad, "--out", tmp_path / "law.json"]) == 1
         assert "line 4" in capsys.readouterr().err
 
+    def test_oversized_cell_names_file_and_line(self, tmp_path, runs_csv, capsys):
+        # a cell over the csv module's 131,072-character limit ended in a
+        # _csv.Error traceback
+        lines = runs_csv.read_text().splitlines()
+        lines[3] = lines[3].replace(",", "," + "1" * 131_073, 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run_cli(["fit", "--runs", bad, "--out", tmp_path / "law.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad} line 4: ")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert not (tmp_path / "law.json").exists()
+
     def test_header_with_spaces_reads_by_position(self, tmp_path, runs_csv, capsys):
         # the stripped header matched, then every row failed with "line 2: 'tokens_B'"
         lines = runs_csv.read_text().splitlines()
@@ -453,6 +466,37 @@ class TestBadInput:
         captured = self.one_line_error(capsys)
         assert captured.err == f"error: {bad}: Expecting value: line 1 column 13 (char 12)\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("predict", "--law"), ("predict", "--config"), ("rank", "--law"), ("rank", "--configs"),
+        ("sweep", "--law"), ("simulate", "--schedule-json"), ("check", "--gate-overrides")])
+    def test_deeply_nested_json_names_its_source(self, tmp_path, law_file, capsys, command,
+                                                 flag):
+        # 5,000 nested arrays ended in a RecursionError traceback
+        deep = "[" * 5000 + "]" * 5000
+        bad = tmp_path / "deep.json"
+        bad.write_text(deep)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_B": 0.58, "tokens_B": 10.0, "eta1": 6e-3,
+                                   "eta2": 6e-3, "a1_B": 1.0, "a2_B": 1.0, "a3_B": 1.0}))
+        cfgs = tmp_path / "cfgs.json"
+        cfgs.write_text(f"[{cfg.read_text()}]")
+        argv = {
+            "predict": {"--law": law_file, "--config": cfg},
+            "rank": {"--law": law_file, "--configs": cfgs},
+            "sweep": {"--law": law_file, "--eta-max-range": "0.1:0.5:3",
+                      "--warmup-range": "1:2:2", "--model": 1, "--tokens": 10,
+                      "--out": tmp_path / "g.csv"},
+            "simulate": {"--paths": 4, "--schedule-json": cfg},
+            "check": {"--eta-max": 0.4, "--warmup": 1, "--model": 1, "--tokens": 10},
+        }[command]
+        source = deep if flag == "--gate-overrides" else bad
+        capsys.readouterr()
+        assert run_cli([command, *(x for k, v in {**argv, flag: source}.items()
+                                   for x in (k, v))]) == 1
+        captured = self.one_line_error(capsys)
+        assert (flag if source is deep else str(bad)) in captured.err and captured.out == ""
+        assert not (tmp_path / "g.csv").exists()
 
     def test_file_not_utf8_names_the_file(self, tmp_path, law_file, capsys):
         bad = tmp_path / "latin1.json"
