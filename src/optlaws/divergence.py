@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,8 @@ def critical_rate(N: float, S: float, params: DivergenceParams = DEFAULT_PARAMS)
     s_sq = S * S
     if s_sq == math.inf:
         raise ValueError(f"horizon S={S} is too large: S^2 overflows")
+    if s_sq < sys.float_info.min:  # zero, or subnormal and short of digits
+        raise ValueError(f"horizon S={S} is too small: S^2 underflows")
     try:
         return params.c1_hat * s_sq ** params.alpha1_hat / (params.c2_hat * N ** params.alpha2_hat)
     except OverflowError:

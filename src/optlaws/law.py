@@ -152,7 +152,7 @@ class RunTable:
     """A run log as columns: a float array for each number field of
     :class:`RunRecord` and a bool array ``diverged``, one element per run.
 
-    The loss rule of :func:`checked_losses` is applied once, over the
+    The loss rule of :func:`_loss_rule` is applied once, over the
     columns.
     """
 

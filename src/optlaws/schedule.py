@@ -266,10 +266,7 @@ class Schedule:
         """Segment owning t, taking the right-hand piece at interior joints."""
         if not 0.0 <= t <= self.S:
             raise ScheduleError(f"t = {t} outside schedule domain [0, {self.S}]")
-        i = bisect_right(self._bounds, t) - 1
-        if i >= len(self.segments):
-            i = len(self.segments) - 1
-        return self.segments[i]
+        return self.segments[bisect_right(self._bounds, t) - 1]
 
     def value(self, t):
         """Rate at t; t may be a float or an array within [0, S].
@@ -282,7 +279,6 @@ class Schedule:
         if t.size and not (0.0 <= t.min() and t.max() <= self.S):
             raise ScheduleError(f"times outside schedule domain [0, {self.S}]")
         owner = np.searchsorted(self._bounds, t, side="right") - 1
-        np.minimum(owner, len(self.segments) - 1, out=owner)
         out = np.empty(t.shape)
         for i, seg in enumerate(self.segments):
             mine = owner == i

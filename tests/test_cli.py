@@ -106,6 +106,15 @@ class TestFit:
         assert run_cli(["fit", "--runs", bad, "--out", tmp_path / "law.json"]) == 1
         assert capsys.readouterr().err == f"error: {want.value}\n"
 
+    def test_one_model_size_is_rank_deficient(self, tmp_path, capsys):
+        one_size = tmp_path / "one_size.csv"
+        one_size.write_text(records_to_csv([r for r in fixture_corpus() if r.model_B == 0.58]))
+        assert run_cli(["fit", "--runs", one_size, "--out", tmp_path / "law.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: rank-deficient design matrix: rank ")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert not (tmp_path / "law.json").exists()
+
     def test_wrong_header_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -613,6 +622,13 @@ class TestBadInput:
         assert run_cli(["check", "--eta-max", 0.4, "--warmup", 1e-200, "--model", 4.05,
                         "--tokens", 100]) == 1
         assert "underflows" in self.one_line_error(capsys).err
+
+    def test_check_horizon_squared_underflows(self, capsys):
+        # S^2 = 0 made eta_L = 0: "degenerate parameters yield eta_L = 0.0"
+        assert run_cli(["check", "--eta-max", 0.4, "--warmup", 1, "--model", 4.05,
+                        "--tokens", 1e-200]) == 1
+        captured = self.one_line_error(capsys)
+        assert "S^2 underflows" in captured.err and captured.out == ""
 
     def test_sweep_warmup_squared_underflows(self, tmp_path, law_file, capsys):
         assert run_cli(["sweep", "--law", law_file, "--eta-max-range", "0.01:0.8:4",

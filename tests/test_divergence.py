@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -202,6 +203,31 @@ class TestGatedCriteria:
             gated_criteria(h, a, 0.58, 10.0)
         with pytest.raises(ValueError, match="got eta_max=0.0"):
             gated_criteria(h.T, a.T, 0.58, 10.0)
+
+
+class TestHorizonUnderflow:
+    """An S whose square is below the smallest normal double is refused: a
+    zero square gave eta_L = 0, a subnormal one lost digits."""
+
+    @pytest.mark.parametrize("S", [1e-160, 1e-170, 1e-200])
+    def test_scalar_routes_name_S(self, S):
+        match = f"horizon S={S} is too small: S\\^2 underflows"
+        for call in (lambda: critical_rate(1.0, S), lambda: criterion_R(0.5, 1.0, 1.0, S),
+                     lambda: gated_criterion(0.5, 1.0, 1.0, S),
+                     lambda: gated_criterion(0.5, 0.0, 1.0, S)):  # gated diverge at eta_L = 0
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    def test_smallest_normal_square_is_kept(self):
+        S = math.sqrt(sys.float_info.min)
+        S = S if S * S >= sys.float_info.min else math.nextafter(S, math.inf)
+        assert critical_rate(1.0, S) == pytest.approx(oracle_R(1.0, 1.0, 1.0, S)[1],
+                                                      rel=1e-14)
+
+    def test_array_gate_names_the_first_bad_cell(self):
+        with pytest.raises(ValueError, match="horizon S=1e-170 is too small"):
+            gated_criteria(np.full(3, 0.5), np.array([1.0, 0.0, 1.0]), 1.0,
+                           np.array([1.0, 1e-170, 1e-180]))
 
 
 class TestCriticalRateCalls:

@@ -174,6 +174,12 @@ class TestFit:
         with pytest.raises(LawFitError, match="at least 17"):
             fit(records)
 
+    def test_one_model_size_is_rank_deficient(self):
+        # with one N, each term's power of N only rescales a column
+        records = make_grid_records(**{**GRID, "model_sizes": (0.58,)})
+        with pytest.raises(LawFitError, match=r"^rank-deficient design matrix: rank \d+ < 16 "):
+            fit(records)
+
     def test_twelve_term_mode(self):
         records = make_grid_records(**GRID)
         law = fit(records, include_escape=False)
