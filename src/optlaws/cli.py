@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -41,7 +42,6 @@ from .law import (
     ConfigBatch,
     FittedLaw,
     LossRuleError,
-    PretrainContext,
     RunConfig,
     RunTable,
     fit,
@@ -54,7 +54,7 @@ from .sde.objectives import CATALOG
 
 __all__ = ["main", "sweep_grid", "read_runs_csv"]
 
-RUNS_COLUMNS = ["model_B", "tokens_B", "eta1", "eta2", "a1_B", "a2_B", "a3_B", "loss", "diverged"]
+RUNS_COLUMNS = [f.name for f in dataclasses.fields(RunTable)]
 
 
 class DataError(Exception):
@@ -132,16 +132,17 @@ def _dump_json(payload, path=None) -> str:
 
 
 def _run_table(cells, token_length, batch) -> RunTable:
-    """The :class:`RunTable` of a run log's cells, one sequence per column."""
+    """The :class:`RunTable` of a run log's cells, one sequence per column of
+    :data:`RUNS_COLUMNS`."""
     n = len(cells[-1])
-    model_B, tokens_B, eta1, eta2, a1_B, a2_B, a3_B, loss = (
-        np.fromiter(map(float, col), float, n) for col in cells[:-1])
+    columns = {name: np.fromiter(map(float, col), float, n)
+               for name, col in zip(RUNS_COLUMNS[:-1], cells)}
     if token_length is not None:
-        tokens_B, a1_B, a2_B, a3_B = (
-            Normalizer.tokens_billions(col, float(token_length), float(batch))
-            for col in (tokens_B, a1_B, a2_B, a3_B))
+        for name in ("tokens_B", "a1_B", "a2_B", "a3_B"):
+            columns[name] = Normalizer.tokens_billions(columns[name], float(token_length),
+                                                       float(batch))
     diverged = np.array([int(cell) != 0 for cell in cells[-1]], dtype=bool)
-    return RunTable(model_B, tokens_B, eta1, eta2, a1_B, a2_B, a3_B, loss, diverged)
+    return RunTable(**columns, diverged=diverged)
 
 
 def _first_bad_cell(cells, convert):
@@ -228,14 +229,17 @@ def _schedule_columns(cfgs: list, normalizer: Normalizer) -> list[list]:
 
 
 def _load_config(cfg, normalizer: Normalizer) -> RunConfig:
-    """One JSON config: its schedule, its pre block's schedule if it has one,
-    then its model size, read in that order."""
+    """One JSON config: its schedule, the LR area of its pre block's schedule
+    if it has one, then its model size, read in that order."""
     schedule = lambda block: build_general_schedule(
         *(col[0] for col in _schedule_columns([block], normalizer)))
     main = schedule(cfg)
-    pre = None if cfg.get("pre") is None else PretrainContext(schedule(cfg["pre"]))
+    pre_area = math.nan
+    if cfg.get("pre") is not None:
+        pre = schedule(cfg["pre"])
+        pre_area = pre.integral(0.0, pre.S, "eta")
     ((N,),) = _read_fields([cfg], ["model_B"])
-    return RunConfig(main, N, pre)
+    return RunConfig(main, N, pre_area)
 
 
 def _load_candidates(cfgs: list, normalizer: Normalizer) -> ConfigBatch:

@@ -18,8 +18,9 @@ or a :class:`~optlaws.schedule.ScheduleTable` of many (``rank`` through a
 :class:`ConfigBatch`, ``sweep`` through four-phase columns); the table's
 elements equal the schedule's values exactly.  It alone reads the law's
 mode: a continual-mode law reads pre-training only through its LR area
-(:attr:`PretrainContext.area`, one number per config) and refuses a config
-without one.
+(:attr:`RunConfig.pre_area`, one number per config) and refuses a config
+without one, or one whose area is negative or leaves the warmup area
+infinite.
 
 ``SimpleLaw`` is the fixed-model-size five-term law: :func:`simple_law_eval`
 prices it from the integrals :func:`~optlaws.features.rule_bases` gives under
@@ -60,7 +61,6 @@ __all__ = [
     "RunRecord",
     "RunTable",
     "RunConfig",
-    "PretrainContext",
     "ConfigBatch",
     "FittedLaw",
     "RankedConfig",
@@ -188,39 +188,21 @@ class RunTable:
 
 
 @dataclass(frozen=True)
-class PretrainContext:
-    """The schedule a continual-training run resumes from; with no schedule,
-    the horizon must be given and not positive (no pre-training area)."""
-
-    schedule: Schedule | None
-    S: float | None = None  # defaults to the full pre-training horizon
-
-    def __post_init__(self):
-        if self.schedule is None and (self.S is None or self.S > 0.0):
-            raise FeatureError("pre_S > 0 requires the pre-training schedule")
-
-    @property
-    def area(self) -> float:
-        """The pre-training LR area: the integral of eta over [0, S]."""
-        if self.schedule is None:
-            return 0.0
-        return self.schedule.integral(0.0, self.schedule.S if self.S is None else self.S, "eta")
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """A candidate configuration: normalized schedule plus model size."""
+    """A candidate configuration: normalized schedule plus model size, and
+    the LR area of the pre-training run it continues from, the integral of
+    eta over [0, horizon] (NaN: no pre-training context)."""
 
     schedule: Schedule
     N: float
-    pre: PretrainContext | None = None
+    pre_area: float = math.nan
 
 
 @dataclass(frozen=True)
 class ConfigBatch:
     """Candidate configurations as arrays: their schedules as one table, their
     model sizes, and the LR area of the pre-training run each continues from
-    (:attr:`PretrainContext.area`; NaN for a config with no context).
+    (:attr:`RunConfig.pre_area`; NaN for a config with no context).
     """
 
     schedules: ScheduleTable
@@ -236,7 +218,7 @@ class ConfigBatch:
         return cls(
             ScheduleTable.from_schedules([cfg.schedule for cfg in configs]),
             np.array([cfg.N for cfg in configs], dtype=float),
-            np.array([math.nan if cfg.pre is None else cfg.pre.area for cfg in configs]),
+            np.array([cfg.pre_area for cfg in configs], dtype=float),
         )
 
 
@@ -314,53 +296,54 @@ def reference_law() -> FittedLaw:
 _NEEDS_PRE = "continual-mode law needs a pre-training context"
 
 
-def continual_features(
-    law: FittedLaw,
-    pre_schedule: Schedule | None,
-    pre_S: float,
-    config: RunConfig,
-) -> FeatureVector:
+def continual_features(law: FittedLaw, config: RunConfig) -> FeatureVector:
     """Feature map for continual training: the one-config case of the
     continual-mode route (see :func:`_config_bases`), applied whatever the
-    law's mode, after a pre-training run on ``pre_schedule`` up to ``pre_S``
-    (the pair a :class:`PretrainContext` holds, and checks).
+    law's mode, after a pre-training run of LR area ``config.pre_area``.
     """
     bases, S, N, refused = _config_bases(law.as_continual(), config.schedule, config.N,
-                                         PretrainContext(pre_schedule, pre_S).area)
+                                         config.pre_area)
     F = checked_feature_matrix(bases, S, N, law.powers, refused)
     return FeatureVector(F[0].tolist(), law.powers)
 
 
-def _config_bases(law: FittedLaw, schedules, N, pre_area=None):
+def _config_bases(law: FittedLaw, schedules, N, pre_area=math.nan):
     """Bases, S and N arrays of configs under the law's mode, and the message
-    of each config (by index) the continual rescaling refuses.
+    of each config (by index) the continual mode refuses.
 
     ``schedules`` is one :class:`Schedule` or a :class:`ScheduleTable`, and
     ``N`` its model size(s); ``pre_area`` is the LR area of the pre-training
-    run(s) each continues from (NaN or None: no pre-training context, which
-    the continual mode refuses).  The pretrain mode ignores it.
+    run(s) each continues from (NaN: no pre-training context, which the
+    continual mode refuses).  The pretrain mode ignores it.
 
     The continual mode divides the tail slope energy by the fourth power of
     the peak rate on [a_e2, S] of the continual schedule and adds the
-    pre-training area to the warmup area.  A refused config, one without a
-    positive peak there, gets a NaN tail energy: outside the domain.
+    pre-training area to the warmup area.  A refused config gets a NaN base,
+    outside the domain: one without a positive peak there (its tail energy),
+    or one whose pre-training area is negative or makes the warmup area
+    infinite (its warmup area).
     """
     row = lambda x: np.array(x, dtype=float, ndmin=1)
     bases = {k: row(v) for k, v in rule_bases(schedules, law.policy_rule).items()}
     S = schedules.S
     refused = {}
     if law.mode == "continual":
-        if pre_area is None or np.isnan(pre_area).any():
+        if np.isnan(pre_area).any():
             raise FeatureError(_NEEDS_PRE)
         a_e2 = MARKER_RULES[law.policy_rule](*schedules.markers)[3]
         h_tail = row(schedules.max_rate(a_e2, S))
-        at = lambda x, i: x[i].item() if isinstance(x, np.ndarray) else x
-        refused = {i: f"continual rescaling needs a positive peak rate on [{at(a_e2, i)}, {at(S, i)}]"
-                   for i in np.flatnonzero(~(h_tail > 0.0)).tolist()}
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             tail = bases["tail_energy"] / h_tail ** 4
+            warmup = bases["warmup_area"] + pre_area
+        bad_area = ~((pre_area >= 0.0) & np.isfinite(warmup))
+        at = lambda x, i: x[i].item() if isinstance(x, np.ndarray) else x
+        refused = {i: f"pre-training area must be nonnegative and keep the warmup area "
+                      f"finite, got {at(pre_area, i)}" for i in np.flatnonzero(bad_area).tolist()}
+        refused.update({i: f"continual rescaling needs a positive peak rate on "
+                           f"[{at(a_e2, i)}, {at(S, i)}]"
+                        for i in np.flatnonzero(~(h_tail > 0.0)).tolist()})
         bases["tail_energy"] = np.where(h_tail > 0.0, tail, np.nan)
-        bases["warmup_area"] = bases["warmup_area"] + pre_area
+        bases["warmup_area"] = np.where(bad_area, np.nan, warmup)
     return bases, row(S), row(N), refused
 
 
@@ -458,8 +441,7 @@ def fit(
 
 def predict(law: FittedLaw, config: RunConfig) -> dict:
     """Predicted {log_loss, loss} of a configuration under a fitted law."""
-    bases, S, N, refused = _config_bases(law, config.schedule, config.N,
-                                         None if config.pre is None else config.pre.area)
+    bases, S, N, refused = _config_bases(law, config.schedule, config.N, config.pre_area)
     F = checked_feature_matrix(bases, S, N, law.powers, refused)
     log_loss = float(_log_losses(law.c, F)[0])
     try:

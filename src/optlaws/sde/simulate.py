@@ -185,6 +185,11 @@ class StatSummary:
     std_err: float
     n: int
 
+    @classmethod
+    def binomial(cls, freq: float, n: int) -> "StatSummary":
+        """A frequency over n trials, with its binomial standard error."""
+        return cls(freq, math.sqrt(freq * (1.0 - freq) / n), n)
+
     def as_dict(self) -> dict:
         return {"mean": self.mean, "std_err": self.std_err, "n": self.n}
 
@@ -573,12 +578,8 @@ class _Run:
             samples["weighted_avg_momentum_sq"] = self.wmom
         stats = {name: _summary(name, values) for name, values in samples.items()}
 
-        trapping = {}
-        for eps in config.trap_eps:
-            hits = self.final_sq <= eps
-            freq = float(np.mean(hits))
-            se = math.sqrt(freq * (1.0 - freq) / n_paths) if n_paths > 1 else 0.0
-            trapping[eps] = StatSummary(freq, se, n_paths)
+        trapping = {eps: StatSummary.binomial(float(np.mean(self.final_sq <= eps)), n_paths)
+                    for eps in config.trap_eps}
 
         trace_t = None
         if self.traces is not None:

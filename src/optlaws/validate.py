@@ -125,8 +125,7 @@ def run(seed: int, quick: bool) -> dict:
     # frequency is a binomial mean over the trials
     n_trials = 500 if quick else 2000
     rm = sde.random_matrix_checks(np.eye(32), D=32, N=32, n_trials=n_trials, seed=seed)
-    freqs = [sde.StatSummary(f, math.sqrt(f * (1.0 - f) / n_trials), n_trials)
-             for f in rm.deviation_freq]
+    freqs = [sde.StatSummary.binomial(f, n_trials) for f in rm.deviation_freq]
     passed = all(_within_bound(f, b) for f, b in zip(freqs, rm.bernstein))
     suites["random_matrix"] = {**rm.as_dict(), "passed": bool(passed)}
 

@@ -196,6 +196,11 @@ def write_inputs(directory: str) -> None:
         "config_refused.json": json.dumps({
             **_config(4.05, 10, 0.4, 0.0, 1.0, 3.0, 6.0),
             "pre": _config(0.58, 20.0, 0.3, 0.3, 1.0, 1.0, 1.0)}),
+        # a pre block whose LR area overflows to inf
+        "config_pre_area_overflows.json": json.dumps({
+            **_config(0.58, 10, 0.4, 0.4, 1, 1, 1),
+            "pre": {"eta1": 1e306, "eta2": 1e306, "a1_B": 5, "a2_B": 5, "a3_B": 8,
+                    "tokens_B": 10}}),
         **_malformed_runs(runs),
     }
     # law files the reader refuses, each naming the file and the field
@@ -247,6 +252,8 @@ COMMANDS = {
                                  "--configs", "{dir}/bad_gate_int.json"],
     "predict_refused": ["predict", "--law", "{dir}/law_continual.json",
                         "--config", "{dir}/config_refused.json"],
+    "predict_pre_area_overflows": ["predict", "--law", "{dir}/law_continual.json",
+                                   "--config", "{dir}/config_pre_area_overflows.json"],
     "check": ["check", "--eta-max", "0.4", "--warmup", "8.39", "--model", "4.05",
               "--tokens", "100", "--out", "{out}"],
     "check_raw_lr": ["check", "--eta-max", "0.006", "--raw-lr", "--warmup", "0.5",

@@ -618,6 +618,28 @@ class TestBadInput:
         assert "lr_scale" in self.one_line_error(capsys).err
 
 
+    def test_overflowing_pre_area_is_refused(self, tmp_path, law_file, capsys):
+        # the pre block's area overflows to inf, which would make every
+        # warmup term vanish and the config look priceable
+        law = json.loads(law_file.read_text())
+        continual = tmp_path / "law_continual.json"
+        continual.write_text(json.dumps({**law, "mode": "continual"}))
+        cfg = {"eta1": 0.006, "eta2": 0.006, "a1_B": 1, "a2_B": 1, "a3_B": 1, "tokens_B": 10,
+               "model_B": 0.58, "pre": {"eta1": 1e306, "eta2": 1e306, "a1_B": 5, "a2_B": 5,
+                                        "a3_B": 8, "tokens_B": 10}}
+        one, many = tmp_path / "cfg.json", tmp_path / "cfgs.json"
+        one.write_text(json.dumps(cfg))
+        many.write_text(json.dumps([cfg]))
+        capsys.readouterr()
+        assert run_cli(["predict", "--law", continual, "--config", one]) == 1
+        captured = self.one_line_error(capsys)
+        assert captured.out == ""
+        assert captured.err == ("error: pre-training area must be nonnegative and keep the "
+                                "warmup area finite, got inf\n")
+        assert run_cli(["rank", "--law", continual, "--configs", many]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert (row["verdict"], row["log_loss"], row["loss"]) == ("unpriced", None, None)
+
     def test_check_warmup_squared_underflows(self, capsys):
         assert run_cli(["check", "--eta-max", 0.4, "--warmup", 1e-200, "--model", 4.05,
                         "--tokens", 100]) == 1

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import re
 import warnings
 from pathlib import Path
 
@@ -35,3 +36,15 @@ def test_package_version_is_read_from_the_package():
         project = read_configuration(pyproject, expand=True)["project"]
     assert "version" in project["dynamic"]
     assert project["version"] == optlaws.__version__
+
+
+def test_readme_library_sketch_runs(monkeypatch, capsys):
+    # the README's "Library sketch" block, run from the repository root
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"^## Library sketch\n.*?^```python\n(.*?)^```$", readme, re.M | re.S)
+    monkeypatch.chdir(root)
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3 and out[0].startswith("{'log_loss': ")
+    assert all(line.count("verdict='ok'") == 3 for line in out[1:])

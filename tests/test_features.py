@@ -423,7 +423,7 @@ class TestCheckedFeatureMatrix:
         law = reference_law().as_continual()
         zero_tail = build_general_schedule(0.0, 0.0, 2.0, 2.0, 2.0, 10.0)  # no peak past a_e2
         with pytest.raises(FeatureError) as want:
-            continual_features(law, None, 0.0, RunConfig(zero_tail, 4.0))
+            continual_features(law, RunConfig(zero_tail, 4.0, 0.0))
         assert str(want.value) == "continual rescaling needs a positive peak rate on [2.0, 10.0]"
         # bad rows after it: a zero warmup (no pre-training area lifts it)
         # and a refused row with other markers

@@ -1,5 +1,7 @@
 import inspect
 import math
+import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +26,6 @@ from optlaws.law import (
     FittedLaw,
     ConfigBatch,
     LawFitError,
-    PretrainContext,
     RunConfig,
     LossRuleError,
     RunRecord,
@@ -40,6 +41,7 @@ from optlaws.law import (
     simple_law_eval,
 )
 from optlaws.schedule import (
+    ScheduleTable,
     build_general_schedule,
     warmup_cosine_schedule,
     warmup_const_cooldown_schedule,
@@ -65,6 +67,11 @@ GRID = dict(
 def rank_configs(law, configs):
     """rank over the batch of a list of RunConfig."""
     return rank(law, ConfigBatch.from_configs(configs))
+
+
+def _area(schedule, S=None):
+    """The LR area of a pre-training run on ``schedule`` up to S (its horizon)."""
+    return schedule.integral(0.0, schedule.S if S is None else S, "eta")
 
 
 def _config(h_norm, a_B, S_B, N, h2_norm=None, a2_B=None, a3_B=None):
@@ -298,11 +305,11 @@ class TestRank:
         # with no warmup only a peak at or below the critical rate is stable;
         # a continual-mode law prices such a config from the pre-training area
         law = reference_law().as_continual()
-        pre = PretrainContext(build_general_schedule(0.3, 0.3, 1.0, 1.0, 1.0, 20.0))
+        pre_area = _area(build_general_schedule(0.3, 0.3, 1.0, 1.0, 1.0, 20.0))
         eta_crit = critical_rate(0.58, 10.0)
         cool, hot = (
             RunConfig(schedule=build_general_schedule(h, h, 0.0, 2.0, 5.0, 10.0),
-                      N=0.58, pre=pre)
+                      N=0.58, pre_area=pre_area)
             for h in (eta_crit, math.nextafter(eta_crit, 1.0))
         )
         ok, gated = rank_configs(law, [hot, cool])
@@ -376,27 +383,27 @@ class TestContinual:
         # cooldown peak equal to 1 on [a_e2, S]: dividing by 1^4 is a no-op
         law = reference_law().as_continual()
         cfg = _config(1.0, 2.0, 10.0, 4.0)
-        cont = continual_features(law, None, 0.0, cfg)
+        cont = continual_features(law, replace(cfg, pre_area=0.0))
         pre = compute_features(cfg.schedule, default_markers(cfg.schedule), cfg.N)
         np.testing.assert_array_equal(cont.values, pre.values)
 
     def test_pre_zero_keeps_escape_rescaling(self):
         law = reference_law().as_continual()
         cfg = _config(0.5, 2.0, 10.0, 4.0)
-        cont = continual_features(law, None, 0.0, cfg)
+        cont = continual_features(law, replace(cfg, pre_area=0.0))
         pre = compute_features(cfg.schedule, default_markers(cfg.schedule), cfg.N)
         scale = 0.5 ** -4  # peak on the escape interval is 0.5
         assert cont.escape[0] == pytest.approx(pre.escape[0] * scale, rel=1e-12)
         assert cont.escape[2] == pytest.approx(pre.escape[2] * scale**0.25, rel=1e-12)
         assert cont.escape[1] == pre.escape[1]
-        # warmup area untouched when pre_S = 0
+        # warmup area untouched by a zero pre-training area
         assert cont.convergence[0] == pre.convergence[0]
 
     def test_enlarged_warmup_only_when_unit_peak(self):
         law = reference_law().as_continual()
         cfg = _config(1.0, 2.0, 10.0, 4.0)
         pre_sched = build_general_schedule(1.0, 1.0, 5.0, 5.0, 5.0, 50.0)
-        cont = continual_features(law, pre_sched, 50.0, cfg)
+        cont = continual_features(law, replace(cfg, pre_area=_area(pre_sched)))
         base = compute_features(cfg.schedule, default_markers(cfg.schedule), cfg.N)
         # only entries touching the warmup area move
         for i in (1, 2, 4, 5, 6, 7, 9, 11, 12, 13, 14, 15):
@@ -420,7 +427,7 @@ class TestContinual:
         ap, Sp = 500 * to_b, 300.0
         pre_sched = build_general_schedule(hp, hp, ap, ap, ap, Sp)
         law = reference_law().as_continual()
-        got = continual_features(law, pre_sched, Sp, cfg)
+        got = continual_features(law, replace(cfg, pre_area=_area(pre_sched)))
 
         # independent arithmetic: every integral written out by hand
         pre_area = hp * Sp / 2.0
@@ -453,15 +460,16 @@ class TestContinual:
         law = reference_law().as_continual()
         # constant-zero everywhere after the escape split is impossible to
         # build with positive rates before it, so use an all-zero schedule
-        cfg = RunConfig(schedule=build_general_schedule(0.0, 0.0, 2.0, 2.0, 2.0, 10.0), N=4.0)
+        cfg = RunConfig(schedule=build_general_schedule(0.0, 0.0, 2.0, 2.0, 2.0, 10.0), N=4.0,
+                        pre_area=0.0)
         with pytest.raises(FeatureError, match="positive peak rate"):
-            continual_features(law, None, 0.0, cfg)
+            continual_features(law, cfg)
 
     def test_tail_peak_whose_fourth_power_underflows_is_feature_error(self):
         # h_tail ** 4 underflows to 0: a domain error, not a ZeroDivisionError
         law = reference_law().as_continual()
-        pre = PretrainContext(build_general_schedule(0.3, 0.3, 1.0, 1.0, 1.0, 20.0))
-        cfg = RunConfig(build_general_schedule(1e-90, 1e-90, 2.0, 2.0, 2.0, 10.0), 4.0, pre)
+        pre_area = _area(build_general_schedule(0.3, 0.3, 1.0, 1.0, 1.0, 20.0))
+        cfg = RunConfig(build_general_schedule(1e-90, 1e-90, 2.0, 2.0, 2.0, 10.0), 4.0, pre_area)
         with pytest.raises(FeatureError, match="tail_slope_energy"):
             predict(law, cfg)
 
@@ -471,61 +479,87 @@ class TestContinual:
             predict(law, _config(0.4, 2.0, 10.0, 4.0))
 
     @pytest.mark.parametrize("route", ["predict", "rank", "continual_features"])
-    def test_pre_horizon_without_pre_schedule_is_refused(self, route):
-        # predict priced PretrainContext(None, 5.0) as if pre-training had
-        # zero area, while rank and continual_features refused it
+    def test_nan_pre_area_is_no_context(self, route):
         law = reference_law().as_continual()
-        cfg = _config(0.4, 2.0, 10.0, 4.0)
+        cfg = replace(_config(0.1, 2.0, 10.0, 0.58), pre_area=math.nan)
         call = {
-            "predict": lambda: predict(law, replace(cfg, pre=PretrainContext(None, 5.0))),
-            "rank": lambda: rank_configs(law, [replace(cfg, pre=PretrainContext(None, 5.0))]),
-            "continual_features": lambda: continual_features(law, None, 5.0, cfg),
+            "predict": lambda: predict(law, cfg),
+            "rank": lambda: rank_configs(law, [cfg]),
+            "continual_features": lambda: continual_features(law, cfg),
         }[route]
-        with pytest.raises(FeatureError, match=r"pre_S > 0 requires the pre-training schedule"):
+        with pytest.raises(FeatureError, match="^continual-mode law needs a pre-training context$"):
             call()
 
     def test_zero_pre_horizon_needs_no_pre_schedule(self):
+        # a run resumed from no pre-training has area 0.0, not NaN
         law = reference_law().as_continual()
-        cfg = replace(_config(0.1, 2.0, 10.0, 0.58), pre=PretrainContext(None, 0.0))
+        cfg = replace(_config(0.1, 2.0, 10.0, 0.58), pre_area=0.0)
         want = predict(law, cfg)["log_loss"]
         assert rank_configs(law, [cfg])[0].log_loss == want
-        assert want == sum(c * f for c, f in zip(
-            law.c, continual_features(law, None, 0.0, cfg).values))
+        assert want == sum(c * f for c, f in zip(law.c, continual_features(law, cfg).values))
 
     def test_pre_context_area(self):
-        # no schedule: no area; a horizon short of S: the area of [0, horizon]
-        assert PretrainContext(None, 0.0).area == 0.0
+        # a pre-training run stopped short of its horizon: the area of
+        # [0, 4], the warmup to 0.5 on [0, 2] then the decay to 0.4 at t = 4,
+        # adds to the warmup area as given
         s = build_general_schedule(0.5, 0.3, 2.0, 6.0, 12.0, 20.0)
-        assert PretrainContext(s).area == s.integral(0.0, 20.0, "eta")
-        partial = PretrainContext(s, 4.0).area
-        assert partial == s.integral(0.0, 4.0, "eta")
-        # the warmup to 0.5 on [0, 2], then the decay to 0.4 at t = 4
+        partial = _area(s, 4.0)
         assert partial == pytest.approx(0.5 * 2.0 / 2 + (0.5 + 0.4) / 2 * 2.0, rel=1e-15)
+        law = replace(reference_law().as_continual(), powers=(1.0,) + (0.0,) * 15)
+        cfg = replace(_config(1.0, 2.0, 10.0, 4.0), pre_area=partial)
+        assert continual_features(law, cfg).values[0] == 1.0 * 2.0 / 2 + partial
+
+    @pytest.mark.parametrize("pre_area", [-1.0, math.inf, -math.inf])
+    def test_negative_or_infinite_pre_area_is_refused(self, pre_area):
+        # -1.0 leaves this config's warmup area (1.2) positive and inf makes
+        # its warmup terms vanish, so only the area check refuses them; rank
+        # lists the config unpriced, among priced configs
+        law = reference_law().as_continual()
+        cfg = replace(_config(0.3, 8.0, 10.0, 0.58), pre_area=pre_area)
+        message = ("^pre-training area must be nonnegative and keep the warmup area finite, "
+                   f"got {re.escape(str(pre_area))}$")
+        for call in (lambda: predict(law, cfg), lambda: continual_features(law, cfg)):
+            with pytest.raises(FeatureError, match=message):
+                call()
+        batch = ConfigBatch(ScheduleTable.from_schedules([cfg.schedule] * 3), np.full(3, cfg.N),
+                            np.array([1.0, pre_area, 1.0]))
+        ranked = rank(law, batch)
+        assert [(r.index, r.verdict) for r in ranked] == [(0, "ok"), (2, "ok"), (1, "unpriced")]
+        assert ranked[0].log_loss == predict(law, replace(cfg, pre_area=1.0))["log_loss"]
+
+    def test_pre_area_that_overflows_the_warmup_area_is_refused(self):
+        # each term finite, their sum not: the warmup area 5e299 plus the
+        # largest double
+        law = reference_law().as_continual()
+        cfg = RunConfig(build_general_schedule(1e300, 1e300, 1.0, 1.0, 1.0, 10.0), 4.0,
+                        sys.float_info.max)
+        with pytest.raises(FeatureError, match="keep the warmup area finite, got 1.797"):
+            continual_features(law, cfg)
 
     def test_pre_block_with_overflowing_warmup_slope_is_priced(self):
         # the pre block's warmup slope 1e200 / 1e-300 overflows; its area is
         # still finite, so it is a pre-training context like any other
         law = reference_law().as_continual()
-        pre = PretrainContext(build_general_schedule(1e200, 1e200, 1e-300, 1e-300, 1e-300, 10.0))
-        assert pre.area == pytest.approx(5e200, rel=1e-15)
-        cfg = RunConfig(build_general_schedule(0.1, 0.1, 2.0, 2.0, 8.0, 10.0), 4.05, pre)
+        pre_area = _area(build_general_schedule(1e200, 1e200, 1e-300, 1e-300, 1e-300, 10.0))
+        assert pre_area == pytest.approx(5e200, rel=1e-15)
+        cfg = RunConfig(build_general_schedule(0.1, 0.1, 2.0, 2.0, 8.0, 10.0), 4.05, pre_area)
         want = predict(law, cfg)["log_loss"]
         assert math.isfinite(want)
         assert rank_configs(law, [cfg])[0].log_loss == want
 
     def test_predict_uses_pre_context(self):
         law = reference_law().as_continual()
-        pre = PretrainContext(build_general_schedule(0.5, 0.5, 1.0, 1.0, 1.0, 20.0))
+        pre = build_general_schedule(0.5, 0.5, 1.0, 1.0, 1.0, 20.0)
         cfg = RunConfig(
             schedule=build_general_schedule(1.0, 1.0, 2.0, 2.0, 2.0, 10.0),
             N=4.0,
-            pre=pre,
+            pre_area=_area(pre),
         )
         want = 0.0
-        for c, f in zip(law.c, continual_features(law, pre.schedule, 20.0, cfg).values):
+        for c, f in zip(law.c, continual_features(law, cfg).values):
             want += c * f  # term order
         assert predict(law, cfg)["log_loss"] == want
-        shorter = replace(cfg, pre=PretrainContext(pre.schedule, 10.0))
+        shorter = replace(cfg, pre_area=_area(pre, 10.0))
         assert predict(law, shorter)["log_loss"] != want
 
 
@@ -558,8 +592,8 @@ class TestOneRoute:
 
     def test_continual_predict_and_rank_agree(self):
         law = reference_law().as_continual()
-        pre = PretrainContext(build_general_schedule(0.3, 0.3, 1.0, 1.0, 1.0, 20.0))
-        configs = [RunConfig(build_general_schedule(*r[:6]), r[6], pre)
+        pre_area = _area(build_general_schedule(0.3, 0.3, 1.0, 1.0, 1.0, 20.0))
+        configs = [RunConfig(build_general_schedule(*r[:6]), r[6], pre_area)
                    for r in _random_runs(67)]
         ok = [r for r in rank_configs(law, configs) if r.verdict == "ok"]
         assert len(ok) >= len(configs) // 2
@@ -571,12 +605,12 @@ class TestOneRoute:
         # cosine and four-phase rows in one table, and a pre-training run
         # stopped before its own horizon
         law = replace(reference_law(), mode=mode)
-        pre = PretrainContext(warmup_cosine_schedule(0.3, 2.0, 20.0), 15.0)
+        pre_area = _area(warmup_cosine_schedule(0.3, 2.0, 20.0), 15.0)
         configs = []
         for i, (h1, _, a1, a2, a3, S, N) in enumerate(_random_runs(71)):
             s = (warmup_cosine_schedule(h1, a1, S) if i % 2
                  else build_general_schedule(h1, h1, a1, a2, a3, S))
-            configs.append(RunConfig(s, N, pre))
+            configs.append(RunConfig(s, N, pre_area))
         ok = [r for r in rank_configs(law, configs) if r.verdict == "ok"]
         assert len(ok) >= len(configs) // 2
         for r in ok:
