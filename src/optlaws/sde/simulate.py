@@ -27,9 +27,10 @@ counter is reset.
 The noise does not depend on the state, so Adam's second moment v follows
 the same deterministic recursion on every path (the deterministic v of the
 Adam SDE in Malladi et al., arXiv 2205.10287).  It is one ``dim``-vector
-recursion, run once per call for its minimum, reported exactly as
-``v_min``, and again alongside each group's steps, where its
-``sqrt(v_k + eps)`` feeds every path.
+recursion, run once per case before any step: its minimum is reported
+exactly as ``v_min``, and its ``sqrt(v_k + eps)`` is kept as one
+``(n_steps, dim)`` table, whose row k every path of every group reads at
+step k.
 
 Paths are stepped in groups.  A block holds as many paths' noise as
 ``DEFAULT_BLOCK_BYTES`` holds (at least one path, at most ``n_paths``);
@@ -57,9 +58,13 @@ differently, so that product is padded to two rows (``row_product``).
 The per-step updates run in place on ``(group, dim)`` arrays that every
 case shares, in the same operation order as the expressions above, so
 results are bit-identical to stepping with fresh arrays and a per-path v.
+The eta-weighted sums of ||grad f||^2 and ||m||^2 are accumulated per
+coordinate, ``acc += eta_k * (g*g)``, and each path's row is summed once,
+after its last step.
 Peak memory is about one noise block (``DEFAULT_BLOCK_BYTES``) plus those
-arrays and each case's per-path results; a non-diagonal root adds one
-buffer's product before it is copied back, and ``record_traces`` adds the
+arrays, each case's per-path results and one ``(n_steps, dim)`` table of
+``sqrt(v_k + eps)`` per Adam case; a non-diagonal root adds one buffer's
+product before it is copied back, and ``record_traces`` adds the
 ``(n_paths, n_steps + 1, 2)`` trace array the stepper writes each group's
 rows of in place.
 
@@ -275,19 +280,25 @@ def _diagonal(root: np.ndarray) -> Optional[np.ndarray]:
 def _adam_v(config: SdeConfig, etas: np.ndarray, diag_sigma: np.ndarray):
     """Run Adam's second-moment recursion, the same for every path.
 
-    Yields ``(sqrt(v_k + eps), v_{k+1})`` for the steps k = 0..n-1: two
-    arrays rewritten in place at each step.
+    Returns ``(root_v, v_min, v)``: the ``(n_steps, dim)`` table whose row k
+    is ``sqrt(v_k + eps)``, the smallest entry of ``v_1 .. v_n``, and the
+    last ``v_n``.
     """
     v = np.zeros(diag_sigma.size)
-    root_v, dv = np.empty_like(v), np.empty_like(v)
-    for eta_k in etas:
-        np.add(v, config.eps, out=root_v)
-        np.sqrt(root_v, out=root_v)
+    root_v, dv = np.empty((etas.size, v.size)), np.empty_like(v)
+    v_min = math.inf
+    for k, eta_k in enumerate(etas):
+        root_v[k] = v
         # v <- v - c2 * step * (v - diag(Sigma)), step = eta0 * eta_k
         np.subtract(v, diag_sigma, out=dv)
         dv *= config.c2 * (config.eta0 * eta_k)
         v -= dv
-        yield root_v, v
+        vm = float(v.min()) if v.size else 0.0
+        if vm < v_min:
+            v_min = vm
+    root_v += config.eps
+    np.sqrt(root_v, out=root_v)
+    return root_v, v_min, v
 
 
 def simulate(objective: Objective, noise: NoiseModel, config: SdeConfig) -> SimulationReport:
@@ -358,10 +369,9 @@ def simulate_many(
     group = -(-block_size // n_buf)
     buffers = np.empty((n_buf, group, n_steps, dim))
     starts = range(0, n_paths, group)
-    # the stepping's arrays, shared by every case: x, m, tmp and peak, then
-    # wg, wm and rowsum
-    rows, sums = np.empty((4, group, dim)), np.empty((3, group))
-    arrays = (*rows, *sums)
+    # the stepping's arrays, shared by every case: x, m, tmp, peak and the
+    # per-coordinate weighted sums wg and wm
+    arrays = np.empty((6, group, dim))
     # the diagonal scale as up to 512 rows of steps, so that a share scales
     # without numpy buffering the broadcast operand
     scale_rows = None if scale is None else np.tile(scale, (min(n_steps, 512), 1))
@@ -400,7 +410,7 @@ def simulate_many(
                     flat = z.reshape(-1, dim)
                     flat[:] = row_product(flat, root)
                 for run in runs:
-                    run.step(start, z, tuple(a[:len(z)] for a in arrays))
+                    run.step(start, z, arrays[:, :len(z)])
     return [run.report() for run in runs]
 
 
@@ -474,14 +484,9 @@ class _Run:
         self.adam = config.algorithm == "adam"
         self.v_min = None
         if self.adam:
-            # v is run once here for v_min, and again through each group's steps
-            self.diag_sigma = np.diag(noise.Sigma_g).copy()
-            self.v_min = math.inf
+            # v is run once here, for v_min and the table every group's steps read
             with np.errstate(over="ignore", invalid="ignore"):
-                for _, v in _adam_v(config, self.etas, self.diag_sigma):
-                    vm = float(v.min()) if v.size else 0.0
-                    if vm < self.v_min:
-                        self.v_min = vm
+                self.root_v, self.v_min, v = _adam_v(config, self.etas, np.diag(noise.Sigma_g))
             if not np.isfinite(v).all():  # shared by every path: the first one fails
                 raise SimulationDiverged(0)
 
@@ -495,20 +500,21 @@ class _Run:
     def step(self, start: int, z: np.ndarray, arrays: tuple):
         """Step the paths ``start, start + 1, ...`` from x0 through every step
         over the noise ``z``, check them for divergence and record their
-        results.  ``arrays`` holds four ``(B, dim)`` arrays (x, m, tmp and
-        peak) and three ``(B,)`` ones (wg, wm and rowsum); none of them
-        carries anything from one call to the next."""
+        results.  ``arrays`` holds six ``(B, dim)`` arrays: x, m, tmp,
+        peak, and wg and wm, the eta-weighted sums of g*g and m*m per
+        coordinate, whose rows are summed once after the last step.  None of
+        them carries anything from one call to the next."""
         objective, config, etas, adam = self.objective, self.config, self.etas, self.adam
         B, n_steps, _ = z.shape
         trace = None if self.traces is None else self.traces[start:start + B]
-        x, m, tmp, peak, wg, wm, rowsum = arrays
+        x, m, tmp, peak, wg, wm = arrays
         x[:] = self.x0
         wg.fill(0.0)
         peak.fill(0.0)
         if adam:
             m.fill(0.0)
             wm.fill(0.0)
-            v_steps = _adam_v(config, etas, self.diag_sigma)
+            root_v = self.root_v
             c1_prime = config.c1_prime
             sqrt_eta0 = math.sqrt(config.eta0)
 
@@ -517,24 +523,22 @@ class _Run:
         for k in range(n_steps):
             eta_k = etas[k]
             g = objective.gradient(x)
-            # wg += eta_k * sum(g * g)
+            # wg += eta_k * (g * g)
             np.multiply(g, g, out=tmp)
-            np.sum(tmp, axis=1, out=rowsum)
-            rowsum *= eta_k
-            wg += rowsum
+            tmp *= eta_k
+            wg += tmp
             if trace is not None:
                 trace[:, k, 0] = np.linalg.norm(x, axis=1)
                 trace[:, k, 1] = np.linalg.norm(g, axis=1)
             if adam:
-                # wm += eta_k * sum(m * m)
+                # wm += eta_k * (m * m)
                 np.multiply(m, m, out=tmp)
-                np.sum(tmp, axis=1, out=rowsum)
-                rowsum *= eta_k
-                wm += rowsum
+                tmp *= eta_k
+                wm += tmp
                 step = config.eta0 * eta_k
                 # x -= step * m / sqrt(v + eps)
                 np.multiply(m, step, out=tmp)
-                tmp /= next(v_steps)[0]
+                tmp /= root_v[k]
                 x -= tmp
                 # m = m - c1 * step * (m - g) + c1' * eta_k * sqrt(eta0) * z_k
                 np.subtract(m, g, out=tmp)
@@ -553,7 +557,8 @@ class _Run:
             trace[:, n_steps, 0] = np.linalg.norm(x, axis=1)
             trace[:, n_steps, 1] = np.linalg.norm(objective.gradient(x), axis=1)
 
-        bad = ~np.isfinite(x).all(axis=1) | ~np.isfinite(wg)
+        wg_sum = np.sum(wg, axis=1)
+        bad = ~np.isfinite(x).all(axis=1) | ~np.isfinite(wg_sum)
         if adam:
             bad |= ~np.isfinite(m).all(axis=1)
         if bad.any():
@@ -566,9 +571,9 @@ class _Run:
         self.final_sq[start:stop] = np.sum(diff * diff, axis=1)
         self.final_val[start:stop] = objective.value(x)
         weight = self.weight
-        self.wgrad[start:stop] = wg / weight if weight > 0 else 0.0
+        self.wgrad[start:stop] = wg_sum / weight if weight > 0 else 0.0
         if adam:
-            self.wmom[start:stop] = wm / weight if weight > 0 else 0.0
+            self.wmom[start:stop] = np.sum(wm, axis=1) / weight if weight > 0 else 0.0
 
     def report(self) -> SimulationReport:
         config, n_paths, ts = self.config, self.config.n_paths, self.ts

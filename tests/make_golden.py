@@ -16,8 +16,11 @@ versions, since numpy's elementwise powers can round differently from one
 release to the next.
 
 A change that alters an output on purpose reruns this script and says which
-entries moved and why.  ``--check`` prints the entries whose bytes differ
-from the manifest, one name a line, and exits 1 if there are any; it writes
+entries moved and why.  ``--check`` prints the entries that differ from the
+manifest, one a line, each with the recorded parts that moved (``argv``,
+``exit``, ``stdout``, ``stderr``, ``out`` or ``files/<name>``), as in
+``simulate_one_path: out``, or with ``new`` or ``gone`` for an entry only
+this run or only the manifest has; it exits 1 if there are any, and writes
 nothing.
 """
 
@@ -376,6 +379,20 @@ def run(argv: list[str], directory: str) -> dict:
     return record
 
 
+def moved_parts(old, new) -> str:
+    """The parts of a command's record that differ, space-separated:
+    ``argv``, ``exit``, ``stdout``, ``stderr``, ``out`` and ``files/<name>``;
+    ``new`` or ``gone`` when only one side records the command."""
+    if old is None or new is None:
+        return "new" if old is None else "gone"
+    parts = [key for key in ("argv", "exit", "stdout", "stderr", "out")
+             if old.get(key) != new.get(key)]
+    old_files, new_files = old.get("files", {}), new.get("files", {})
+    parts += [f"files/{name}" for name in sorted(old_files.keys() | new_files.keys())
+              if old_files.get(name) != new_files.get(name)]
+    return " ".join(parts)
+
+
 def environment() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
@@ -397,7 +414,8 @@ def main(args=None) -> int:
                   file=sys.stderr)
         old = recorded["commands"]
         moved = sorted(n for n in old.keys() | commands.keys() if old.get(n) != commands.get(n))
-        print("".join(f"{n}\n" for n in moved), end="")
+        print("".join(f"{n}: {moved_parts(old.get(n), commands.get(n))}\n" for n in moved),
+              end="")
         return 1 if moved else 0
     os.makedirs(os.path.dirname(MANIFEST), exist_ok=True)
     with open(MANIFEST, "w", encoding="utf-8") as fh:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from optlaws.schedule import Schedule, Segment, build_general_schedule
+from optlaws.schedule import build_general_schedule
 from optlaws.sde import (
     NoiseModel,
     SdeConfig,
@@ -15,10 +15,7 @@ from optlaws.sde import (
     sigma0,
     simulate,
 )
-
-
-def constant_schedule(eta, T):
-    return Schedule((Segment("constant", 0.0, T, eta, eta),), T, (0.0, 0.0, 0.0))
+from util import constant_schedule
 
 
 def run_config(schedule, eta0=0.01, **kwargs):

@@ -4,12 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from optlaws.schedule import (
-    Schedule,
-    Segment,
-    build_general_schedule,
-    warmup_cosine_schedule,
-)
+from optlaws.schedule import build_general_schedule, warmup_cosine_schedule
 from optlaws.sde import (
     NoiseModel,
     SdeConfig,
@@ -21,11 +16,7 @@ from optlaws.sde import (
     quadratic,
 )
 from optlaws.sde import gaussian
-from util import count_per_config_calls, reference_closed_form, reference_rk4
-
-
-def constant_schedule(eta, T):
-    return Schedule((Segment("constant", 0.0, T, eta, eta),), T, (0.0, 0.0, 0.0))
+from util import constant_schedule, count_per_config_calls, reference_closed_form, reference_rk4
 
 
 def random_spd(rng, n, shift=0.3):

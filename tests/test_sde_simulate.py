@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import sys
 import threading
 import time
@@ -23,7 +24,7 @@ from optlaws.sde import (
     simulate_many,
 )
 from optlaws.sde.simulate import DEFAULT_BLOCK_BYTES
-from util import reference_simulate
+from util import constant_schedule, reference_simulate
 
 # the module, which the package's simulate function shadows as an attribute
 simulate_module = importlib.import_module("optlaws.sde.simulate")
@@ -39,10 +40,6 @@ def blocks(monkeypatch):
         budget = DEFAULT_BLOCK_BYTES if paths is None else paths * config.n_steps * dim * 8
         monkeypatch.setattr(simulate_module, "DEFAULT_BLOCK_BYTES", budget)
     return set_budget
-
-
-def constant_schedule(eta, T):
-    return Schedule((Segment("constant", 0.0, T, eta, eta),), T, (0.0, 0.0, 0.0))
 
 
 class TestObjectives:
@@ -165,6 +162,18 @@ class TestSgdSimulation:
         with pytest.raises(ValueError, match=f"^{stat} std_err is inf: .* overflow a double"):
             simulate(isotropic_quadratic(2), NoiseModel.isotropic(2, 1e250), cfg)
 
+    @pytest.mark.parametrize("algorithm", ["sgd", "adam"])
+    def test_overflowing_weighted_sum_alone_diverges(self, algorithm):
+        # one noiseless step from 1e-40 at curvature 1e200: g = 1e160 and the
+        # next x are finite, but g*g overflows, so only the weighted sum of
+        # ||grad f||^2, reduced after the last step, can flag the path
+        cfg = SdeConfig(schedule=constant_schedule(1.0, 0.01), eta0=0.01, n_paths=3, seed=0,
+                        algorithm=algorithm, x0=np.full(2, 1e-40))
+        assert cfg.n_steps == 1
+        for run in (reference_simulate, simulate):
+            with pytest.raises(SimulationDiverged, match="path 0 "):
+                run(isotropic_quadratic(2, 1e200), NoiseModel.zero(2), cfg)
+
     def test_trap_eps_validation(self):
         sched = constant_schedule(0.1, 1.0)
         with pytest.raises(ValueError):
@@ -260,6 +269,25 @@ class TestAdamSimulation:
                         algorithm="adam", c1=2.0)
         assert cfg.c1_prime**2 == pytest.approx(cfg.c1 * cfg.c1_hat, rel=1e-15)
 
+    def test_v_recursion_runs_once_per_case(self, monkeypatch, blocks):
+        # 40 paths in blocks of 6 make at least seven groups; each Adam case
+        # runs v once, however many groups its paths are stepped in
+        adam_v = simulate_module._adam_v
+        calls = []
+
+        def counting(config, *args):
+            calls.append(config)
+            return adam_v(config, *args)
+
+        monkeypatch.setattr(simulate_module, "_adam_v", counting)
+        base = SdeConfig(schedule=constant_schedule(0.5, 0.3), eta0=0.01, n_paths=40, seed=2,
+                         x0=np.full(3, 1.3))
+        cases = [(double_well(3), replace(base, algorithm="adam")), (double_well(3), base),
+                 (isotropic_quadratic(3), replace(base, algorithm="adam", c2=3.0))]
+        blocks(6, base, 3)
+        simulate_many(cases, NoiseModel.isotropic(3, 0.1))
+        assert calls == [cases[0][1], cases[2][1]]
+
     def test_zero_rate_freezes_adam(self):
         sched = constant_schedule(0.0, 1.0)
         obj = isotropic_quadratic(3)
@@ -268,6 +296,62 @@ class TestAdamSimulation:
         rep = simulate(obj, NoiseModel.isotropic(3, 1.0), cfg)
         assert rep.stats["weighted_avg_momentum_sq"].mean == 0.0
         assert rep.stats["final_sq_dist"].mean == pytest.approx(3.0, rel=1e-14)
+
+
+def exact_moments(lam, variance, config):
+    """Exact means of one coordinate's share of ``weighted_avg_grad_sq``,
+    ``weighted_avg_momentum_sq`` and ``final_sq_dist``, on lam*||x||^2/2
+    under isotropic noise of ``variance``, from ``config.x0``'s first entry.
+
+    Every coordinate follows one linear-Gaussian recursion of (x, m), with
+    s = eta0*eta_k.  For SGD it is mu <- (1 - s*lam) mu and
+    p <- (1 - s*lam)^2 p + s^2 variance.  For Adam it is the 2x2 one in
+    simulate's update order: x moves with the old m over sqrt(v_k + eps),
+    then m takes the gradient at the old x and the step's noise.
+    """
+    ts = np.minimum(np.arange(config.n_steps) * config.eta0, config.schedule.S)
+    etas = config.schedule.value(ts)
+    mean, cov, v = np.array([float(config.x0[0]), 0.0]), np.zeros((2, 2)), 0.0
+    grad_sq = mom_sq = 0.0
+    for eta_k in etas:
+        s = config.eta0 * eta_k
+        second = cov + np.outer(mean, mean)
+        grad_sq += eta_k * lam**2 * second[0, 0]
+        mom_sq += eta_k * second[1, 1]
+        if config.algorithm == "adam":
+            A = np.array([[1.0, -s / math.sqrt(v + config.eps)],
+                          [config.c1 * s * lam, 1.0 - config.c1 * s]])
+            b = np.array([0.0, config.c1_prime * eta_k * math.sqrt(config.eta0)])
+            v -= config.c2 * s * (v - variance)
+        else:
+            A, b = np.array([[1.0 - s * lam, 0.0], [0.0, 0.0]]), np.array([-s, 0.0])
+        mean = A @ mean
+        cov = A @ cov @ A.T + variance * np.outer(b, b)
+    weight = float(np.sum(etas))
+    return {"weighted_avg_grad_sq": grad_sq / weight, "weighted_avg_momentum_sq": mom_sq / weight,
+            "final_sq_dist": cov[0, 0] + mean[0] ** 2}
+
+
+class TestExactMoments:
+    """Two-sided: the Monte-Carlo means of the isotropic quadratic lie within
+    4 standard errors of their exact values."""
+
+    def test_criterion_08_quadratic_cases(self):
+        # criterion 08's quadratic, noise and x0 on two of its schedules, at
+        # 4,000 paths
+        dim, lam, variance = 16, 1.0, 0.05
+        base = SdeConfig(schedule=build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 4.0), eta0=0.01,
+                         n_paths=4000, seed=41, x0=np.full(dim, 0.5))
+        cases = [(isotropic_quadratic(dim, lam), replace(base, schedule=schedule, algorithm=algo))
+                 for schedule in (base.schedule, warmup_cosine_schedule(0.7, 0.8, 4.0))
+                 for algo in ("sgd", "adam")]
+        reports = simulate_many(cases, NoiseModel.isotropic(dim, variance, D=64))
+        for (_, config), rep in zip(cases, reports):
+            for name, exact in exact_moments(lam, variance, config).items():
+                if name in rep.stats:
+                    stat = rep.stats[name]
+                    z = (stat.mean - dim * exact) / stat.std_err
+                    assert abs(z) <= 4.0, (config.algorithm, config.schedule.markers, name, z)
 
 
 class TestDeterminism:

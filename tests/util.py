@@ -59,6 +59,11 @@ def quad_oracle(schedule: Schedule, u: float, v: float, functional: str) -> floa
     return total
 
 
+def constant_schedule(eta: float, T: float) -> Schedule:
+    """The rate ``eta`` on [0, T], as one constant segment."""
+    return Schedule((Segment("constant", 0.0, T, eta, eta),), T, (0.0, 0.0, 0.0))
+
+
 def random_four_phase(rng: np.random.Generator) -> Schedule:
     """Random warmup/decay/plateau/cooldown schedule (degenerate phases allowed)."""
     S = float(rng.uniform(1.0, 60.0))
@@ -236,7 +241,8 @@ def reference_simulate(objective, noise, config):
     stepped as one block, whose noise is drawn as ``xi @ root``, and each
     step builds fresh arrays.  The arithmetic of every update is written out
     in the same order as in the optimized loop, so the two must agree bit
-    for bit however ``simulate`` groups the paths.
+    for bit however ``simulate`` groups the paths: the eta-weighted squares
+    are summed per coordinate and each path's row once, after the last step.
     """
     dim = objective.dim
     n_steps, n_paths = config.n_steps, config.n_paths
@@ -259,7 +265,7 @@ def reference_simulate(objective, noise, config):
         z = (rows @ noise.root)[:len(xi)].reshape(n_paths, n_steps, dim)
         x = np.tile(x0, (n_paths, 1))
         m, v = np.zeros((n_paths, dim)), np.zeros((n_paths, dim))
-        wg, wm = np.zeros(n_paths), np.zeros(n_paths)
+        acc_g, acc_m = np.zeros((n_paths, dim)), np.zeros((n_paths, dim))
         traces = np.empty((n_paths, n_steps + 1, 2))
         for k in range(n_steps):
             eta_k = etas[k]
@@ -267,9 +273,9 @@ def reference_simulate(objective, noise, config):
             g = objective.gradient(x)
             traces[:, k, 0] = np.linalg.norm(x, axis=1)
             traces[:, k, 1] = np.linalg.norm(g, axis=1)
-            wg = wg + eta_k * np.sum(g * g, axis=1)
+            acc_g = acc_g + eta_k * (g * g)
             if adam:
-                wm = wm + eta_k * np.sum(m * m, axis=1)
+                acc_m = acc_m + eta_k * (m * m)
                 x = x - step * m / np.sqrt(v + config.eps)
                 noise_coef = config.c1_prime * eta_k * math.sqrt(config.eta0)
                 m = m - config.c1 * step * (m - g) + noise_coef * z[:, k, :]
@@ -281,6 +287,7 @@ def reference_simulate(objective, noise, config):
         traces[:, n_steps, 0] = np.linalg.norm(x, axis=1)
         traces[:, n_steps, 1] = np.linalg.norm(objective.gradient(x), axis=1)
 
+        wg, wm = np.sum(acc_g, axis=1), np.sum(acc_m, axis=1)
         finite = np.isfinite(x).all(axis=1) & np.isfinite(wg)
         if adam:
             finite &= np.isfinite(m).all(axis=1) & np.isfinite(v).all(axis=1)
