@@ -13,16 +13,25 @@ beta2 = 1 - c2hat*eta_k with c1hat = c1*eta0, c2hat = c2*eta0, and the
 momentum noise coefficient c1' = sqrt(c1*c1hat) of the SDE scales the same
 Gaussian increments.
 
-Each path owns a counter-based Philox stream derived from
-(seed, path index), and every statistic is taken over per-path results, so
-ensembles are reproducible and independent of how paths are grouped into
-blocks.  :func:`path_rng` defines the streams: the seed's one Philox key,
-with path i's counter starting 2**128 * i draws in, as
-``Philox.jumped(i)`` places it.  Streams under one key that start that far
-apart do not overlap (Salmon et al., "Parallel Random Numbers: As Easy as
-1, 2, 3", SC'11), and a Philox stream is fully set by its key, its counter
-and its output buffer, so a generator can draw any path's stream once its
-counter is reset.
+Each path owns a noise stream derived from (seed, path index), and every
+statistic is taken over per-path results, so ensembles are reproducible
+and independent of how paths are grouped into blocks.  :func:`path_rng`
+defines the streams: the seed's PCG64DXSM stream (O'Neill, "PCG: A Family
+of Simple Fast Space-Efficient Statistically Good Algorithms for Random
+Number Generation", HMC-CS-2014-0905, 2014) jumped i times for path i, so
+path i starts i*J draws (mod 2**128) past the seed's state, with
+J = (phi - 1) * 2**128 the step ``PCG64DXSM.jumped`` takes.  By the
+three-gap theorem, the starts of n paths cut the generator's period of
+2**128 draws into gaps of at most three lengths.  The shortest is the
+distance of q*J from a multiple of 2**128, for q the largest
+continued-fraction denominator of J / 2**128 below n; below 2**32 those
+denominators are the Fibonacci numbers.  For the 2**32 paths ``n_paths``
+allows, the shortest gap is 0.65 * 2**96 draws.  A path draws one 64-bit
+word per normal, bar the ziggurat's rare rejections, and at most 2**23
+normals (its row fits ``DEFAULT_BLOCK_BYTES``), so no two paths' streams
+overlap.  A PCG64DXSM stream is fully set by its 128-bit LCG state and
+increment, so one generator per fill thread draws any path's stream once
+its state is set.
 
 The noise does not depend on the state, so Adam's second moment v follows
 the same deterministic recursion on every path (the deterministic v of the
@@ -106,6 +115,9 @@ __all__ = [
 DEFAULT_BLOCK_BYTES = 64 * 2**20
 _MAX_FILL_THREADS = 8
 _SHARES_PER_THREAD = 8
+# numpy's PCG64DXSM.jumped advances the state this many draws per jump:
+# (phi - 1) * 2**128, phi the golden ratio
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
 class SimulationDiverged(RuntimeError):
@@ -240,10 +252,10 @@ def _is_int(value) -> bool:
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based stream for one path: the seed's Philox stream jumped
-    ``path_index`` times, i.e. its key with the counter at words
-    ``[0, 0, path_index, 0]``."""
-    bitgen = np.random.Philox(np.random.SeedSequence(seed)).jumped(path_index)
+    """The noise stream of one path: the seed's PCG64DXSM stream jumped
+    ``path_index`` times, i.e. started ``path_index * (phi - 1) * 2**128``
+    draws (mod 2**128) past the seed's state."""
+    bitgen = np.random.PCG64DXSM(np.random.SeedSequence(seed)).jumped(path_index)
     return np.random.Generator(bitgen)
 
 
@@ -376,7 +388,7 @@ def simulate_many(
     # without numpy buffering the broadcast operand
     scale_rows = None if scale is None else np.tile(scale, (min(n_steps, 512), 1))
 
-    # One generator per fill thread, all keyed by the seed; the calling
+    # One generator per fill thread, all built from the seed; the calling
     # thread is one of them.  Imported here: concurrent.futures would add to
     # `import optlaws.cli`.
     from concurrent.futures import ThreadPoolExecutor
@@ -422,25 +434,38 @@ def _usable_cpus() -> int:
 
 
 class _PathFill:
-    """A generator keyed by the seed that draws any path's stream: counter
-    [0, 0, i, 0] and an empty output buffer give the stream path_rng
-    builds for path i.  Each fill thread owns one."""
+    """A PCG64DXSM generator built from the seed that draws any path's
+    stream, the one path_rng builds.  Jumping once is the affine map
+    s -> A*s + C (mod 2**128) of the generator's 128-bit LCG state, which
+    ``advance`` gives at s = 0 and s = 1, so a share seeks its first path
+    once and each next path is one step of that map.  Each fill thread owns
+    one."""
 
     def __init__(self, seed_seq: np.random.SeedSequence):
-        self.bitgen = np.random.Philox(seed_seq)
+        self.bitgen = np.random.PCG64DXSM(seed_seq)
         self.rng = np.random.Generator(self.bitgen)
-        # lists, not arrays: the state setter reads them item by item
-        state = self.bitgen.state
-        self.counter = [0] * 4
-        self.fresh = {**state, "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
-                      "state": {"counter": self.counter, "key": state["state"]["key"].tolist()}}
+        # the dict the state setter reads; only its LCG state changes
+        self.fresh = self.bitgen.state
+        self.lcg = self.fresh["state"]
+        self.origin = self.lcg["state"]
+        self.shift = self._advanced(0, _JUMP)
+        self.factor = (self._advanced(1, _JUMP) - self.shift) % 2**128
+
+    def _advanced(self, state: int, draws: int) -> int:
+        """The LCG state ``draws`` draws (mod 2**128) after ``state``."""
+        self.lcg["state"] = state
+        self.bitgen.state = self.fresh
+        self.bitgen.advance(draws)
+        return self.bitgen.state["state"]["state"]
 
     def __call__(self, z: np.ndarray, first: int):
         """Fill the rows of ``z`` with the streams of paths first, first + 1, ..."""
-        for r, row in enumerate(z):
-            self.counter[2] = first + r
+        state = self._advanced(self.origin, first * _JUMP)
+        for row in z:
+            self.lcg["state"] = state
             self.bitgen.state = self.fresh
             self.rng.standard_normal(out=row)
+            state = (self.factor * state + self.shift) % 2**128
 
     def drain(self, shares, scale_rows: Optional[np.ndarray]):
         """Fill ``(z, first)`` shares from the shared iterator ``shares``

@@ -215,12 +215,12 @@ class TestSgdSimulation:
             assert json.dumps(got.as_dict()) == want
 
 
-class TestPathKeys:
-    """Every path's stream comes from the seed's one Philox key."""
+class TestPathStreams:
+    """Path i's stream is the seed's PCG64DXSM stream jumped i times."""
 
-    def test_one_philox_per_call(self, monkeypatch, blocks):
+    def test_one_pcg64dxsm_per_call(self, monkeypatch, blocks):
         monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 3)
-        built = {"Philox": 0, "SeedSequence": 0, "Generator": 0}
+        built = {"PCG64DXSM": 0, "Philox": 0, "SeedSequence": 0, "Generator": 0}
 
         def counting(name):
             make = getattr(np.random, name)
@@ -239,8 +239,57 @@ class TestPathKeys:
                             seed=2**32 + 5)
             blocks(block, cfg, 3)
             simulate(isotropic_quadratic(3), NoiseModel.isotropic(3, 0.1), cfg)
-            assert built["Philox"] == 3 and built["Generator"] == 3, (n_paths, built)
-            assert built["SeedSequence"] == 1, (n_paths, built)
+            assert built["PCG64DXSM"] == 3 and built["Generator"] == 3, (n_paths, built)
+            assert built["SeedSequence"] == 1 and built["Philox"] == 0, (n_paths, built)
+
+    @pytest.mark.parametrize("seed", [7, 2**32 + 5])
+    @pytest.mark.parametrize("first", [0, 1, 2**31, 2**32 - 2])
+    def test_share_rows_are_the_path_streams(self, seed, first):
+        # a share seeks its first path and steps the jump's affine map per
+        # row; the last share n_paths allows ends at path 2**32 - 1
+        z = np.empty((min(3, 2**32 - first), 5, 2))
+        simulate_module._PathFill(np.random.SeedSequence(seed))(z, first)
+        for r, row in enumerate(z):
+            assert row.tobytes() == path_rng(seed, first + r).standard_normal((5, 2)).tobytes()
+
+    def test_path_starts_lie_far_apart(self):
+        # The shortest gap between the starts of n paths is the distance of
+        # d*J from a multiple of 2**128 minimised over 0 < d < n, which a
+        # continued-fraction denominator of J / 2**128 attains: checked by
+        # sorting the starts of 4,096 paths, then taken for 2**32.
+        jump, period = simulate_module._JUMP, 2**128
+
+        def distance(d):
+            return min(d * jump % period, -d * jump % period)
+
+        def shortest_gap(n):
+            # J / 2**128 = [0; a1, a2, ...]: q runs over 1, a1, a2*a1 + 1, ...
+            q, q_prev, num, den, best = 1, 0, period, jump, period
+            while q < n:
+                best = min(best, distance(q))
+                a, r = divmod(num, den)
+                q, q_prev, num, den = a * q + q_prev, q, den, r
+            return best
+
+        starts = sorted(i * jump % period for i in range(4096))
+        gaps = np.diff(starts + [starts[0] + period])
+        assert min(gaps) == shortest_gap(4096)
+        # a path draws at most DEFAULT_BLOCK_BYTES / 8 normals, about one
+        # 64-bit word each
+        assert shortest_gap(2**32) > 2**70 * DEFAULT_BLOCK_BYTES // 8
+
+    def test_streams_look_independent_normal(self):
+        # two-sided: over 4,000 paths x 64 draws, each step's mean and
+        # variance, and the correlation of adjacent paths at each step, lie
+        # within 4 standard errors of 0, 1 and 0
+        n, steps = 4000, 64
+        z = np.empty((n, steps))
+        simulate_module._PathFill(np.random.SeedSequence(0))(z, 0)
+        mean_z = z.mean(axis=0) * math.sqrt(n)
+        var_z = (z.var(axis=0, ddof=1) - 1.0) * math.sqrt((n - 1) / 2.0)
+        corr_z = (z[1:] * z[:-1]).mean(axis=0) * math.sqrt(n - 1)
+        for name, zs in (("mean", mean_z), ("variance", var_z), ("adjacent", corr_z)):
+            assert np.abs(zs).max() <= 4.0, (name, np.abs(zs).max())
 
 
 class TestNoiseModel:
@@ -473,15 +522,16 @@ class TestReferenceStepper:
         blocks(block, cfg, 4)
         assert_matches_reference(double_well(4), NoiseModel.isotropic(4, 0.1), cfg)
 
-    @pytest.mark.parametrize("algorithm, variance, eta0, c2, path", [
-        ("sgd", 10.0, 0.14, 1.0, 11),
-        ("adam", 0.5, 0.15, 1.0, 10),
-        ("adam", 0.1, 0.01, 400.0, 0),  # v itself overflows
+    # the first two diverge first in the second block of 9 paths
+    @pytest.mark.parametrize("algorithm, variance, eta0, c2, path, seed", [
+        ("sgd", 10.0, 0.14, 1.0, 12, 9),
+        ("adam", 0.5, 0.15, 1.0, 12, 10),
+        ("adam", 0.1, 0.01, 400.0, 0, 0),  # v itself overflows
     ])
-    def test_diverging_run_names_the_same_path(self, algorithm, variance, eta0, c2, path,
+    def test_diverging_run_names_the_same_path(self, algorithm, variance, eta0, c2, path, seed,
                                                 blocks):
         cfg = SdeConfig(schedule=constant_schedule(1.0, 10.0), eta0=eta0, n_paths=40,
-                        seed=0, algorithm=algorithm, c2=c2, x0=np.ones(3))
+                        seed=seed, algorithm=algorithm, c2=c2, x0=np.ones(3))
         noise = NoiseModel.isotropic(3, variance)
         blocks(9, cfg, 3)
         for run in (reference_simulate, simulate):
@@ -614,15 +664,16 @@ class TestSimulateMany:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("algorithm, variance, eta0, c2, path", [
-        ("sgd", 10.0, 0.14, 1.0, 11),
-        ("adam", 0.5, 0.15, 1.0, 10),
-        ("adam", 0.1, 0.01, 400.0, 0),  # v itself overflows
+    # the first two diverge first in the second block of 9 paths
+    @pytest.mark.parametrize("algorithm, variance, eta0, c2, path, seed", [
+        ("sgd", 10.0, 0.14, 1.0, 12, 9),
+        ("adam", 0.5, 0.15, 1.0, 12, 10),
+        ("adam", 0.1, 0.01, 400.0, 0, 0),  # v itself overflows
     ])
-    def test_diverging_case_names_its_own_path(self, algorithm, variance, eta0, c2, path,
+    def test_diverging_case_names_its_own_path(self, algorithm, variance, eta0, c2, path, seed,
                                                blocks):
         noise = NoiseModel.isotropic(3, variance)
-        bad = SdeConfig(schedule=constant_schedule(1.0, 10.0), eta0=eta0, n_paths=40, seed=0,
+        bad = SdeConfig(schedule=constant_schedule(1.0, 10.0), eta0=eta0, n_paths=40, seed=seed,
                         algorithm=algorithm, c2=c2, x0=np.ones(3))
         calm = replace(bad, schedule=constant_schedule(0.0, 10.0))  # frozen: never diverges
         blocks(9, bad, 3)
@@ -710,16 +761,16 @@ class TestFillThreads:
         assert_matches_reference(objective, noise, cfg)
 
     def test_diverging_run_names_the_same_path(self, threads):
-        # path 35 of one 40-path block diverges first: a later share than
+        # path 37 of one 40-path block diverges first: a later share than
         # the calling thread's at every thread count above 1
         objective = double_well(3)
         cfg = SdeConfig(schedule=build_general_schedule(1.0, 1.0, 0.0, 0.0, 0.0, 10.0),
-                        eta0=0.14, n_paths=40, seed=9, x0=objective.x_star + np.ones(3) / 3**0.5)
+                        eta0=0.14, n_paths=40, seed=13, x0=objective.x_star + np.ones(3) / 3**0.5)
         noise = NoiseModel.isotropic(3, 9.0)
         for run in (reference_simulate, simulate):
             with pytest.raises(SimulationDiverged) as err:
                 run(objective, noise, cfg)
-            assert err.value.path_index == 35
+            assert err.value.path_index == 37
 
     @pytest.mark.parametrize("n_steps", [1, 2, 7])
     @pytest.mark.parametrize("case", ["sgd", "adam_tracked_traced", "correlated"])
@@ -748,13 +799,13 @@ class TestFillThreads:
     @pytest.mark.parametrize("block", [None, 8])
     def test_path_diverging_in_the_second_half_is_named(self, threads, block, blocks):
         # the rate is zero until t = 4.95, so every path is still at x0 half
-        # way through the 71 steps; path 33 is the first to diverge after
+        # way through the 71 steps; path 36 is the first to diverge after
         # that, in the last of five blocks of 8
         objective = double_well(3)
         schedule = Schedule((Segment("constant", 0.0, 4.95, 0.0, 0.0),
                              Segment("linear", 4.95, 5.0, 0.0, 1.0),
                              Segment("constant", 5.0, 10.0, 1.0, 1.0)), 10.0, (5.0, 5.0, 5.0))
-        cfg = SdeConfig(schedule=schedule, eta0=0.14, n_paths=40, seed=11,
+        cfg = SdeConfig(schedule=schedule, eta0=0.14, n_paths=40, seed=5,
                         x0=objective.x_star + np.ones(3) / 3**0.5)
         assert cfg.n_steps == 71 and not schedule.value(np.arange(35) * cfg.eta0).any()
         noise = NoiseModel.isotropic(3, 6.0)
@@ -762,7 +813,7 @@ class TestFillThreads:
         for run in (reference_simulate, simulate):
             with pytest.raises(SimulationDiverged) as err:
                 run(objective, noise, cfg)
-            assert err.value.path_index == 33
+            assert err.value.path_index == 36
 
     def test_a_second_fill_thread_halves_the_buffers(self, monkeypatch, blocks):
         # one buffer of the block's paths with one fill thread, else two of
