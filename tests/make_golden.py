@@ -327,6 +327,9 @@ COMMANDS = {
     "simulate_diverged_late_path": [
         "simulate", "--objective", "double_well", "--dim", "3", "--peak", "1", "--warmup", "0",
         "--horizon", "10", "--eta0", "0.14", "--paths", "40", "--sigma2", "9", "--seed", "13"],
+    # an objective argparse does not list, and one whose default run diverges
+    "simulate_objective_bogus": ["simulate", "--objective", "bogus"],
+    "simulate_objective_rosenbrock_diverges": ["simulate", "--objective", "rosenbrock"],
     "validate_quick": ["validate", "--quick", "--seed", "0", "--out", "{out}"],
     # every suite at full size, so a change to the stepper or the fill that
     # moves any ensemble's bits moves this entry
