@@ -28,7 +28,6 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import sde, validate
 from .divergence import (
     DEFAULT_PARAMS,
     DivergenceParams,
@@ -50,11 +49,15 @@ from .law import (
     rank,
 )
 from .schedule import Schedule, ScheduleTable, build_general_schedule, json_input
-from .sde.objectives import CATALOG
 
 __all__ = ["main", "sweep_grid", "read_runs_csv"]
 
 RUNS_COLUMNS = [f.name for f in dataclasses.fields(RunTable)]
+
+# simulate's --objective choices, in the order argparse lists them, each the
+# name of the optlaws.sde constructor that takes the dimension
+OBJECTIVES = {"quadratic": "isotropic_quadratic", "double_well": "double_well",
+              "rosenbrock": "rosenbrock"}
 
 
 class DataError(Exception):
@@ -429,11 +432,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # simulate and validate import the SDE laboratory when they run, so the
+    # law-side commands start without it
+    from . import sde, validate
+
     if args.dim < 1:
         raise DataError(f"--dim must be at least 1, got {args.dim}")
     if args.noise_samples < 1:
         raise DataError(f"--noise-samples must be at least 1, got {args.noise_samples}")
-    objective = CATALOG[args.objective](args.dim)
+    objective = getattr(sde, OBJECTIVES[args.objective])(args.dim)
     noise = sde.NoiseModel.isotropic(args.dim, args.sigma2, D=args.noise_samples)
     if args.schedule_json:
         schedule = _read_json(args.schedule_json, Schedule.from_json)
@@ -452,7 +459,10 @@ def _cmd_simulate(args) -> int:
         x0=x0,
         record_traces=bool(args.trace_csv),
     )
-    report = sde.simulate(objective, noise, config)
+    try:
+        report = sde.simulate(objective, noise, config)
+    except sde.SimulationDiverged as exc:
+        raise DataError(str(exc)) from None
     bounds, checks = validate.simulation_checks(objective, noise, config, report)
     payload = {
         "config": {
@@ -483,7 +493,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    suites = validate.run(_seed(args), args.quick)
+    from . import sde, validate
+
+    try:
+        suites = validate.run(_seed(args), args.quick)
+    except sde.SimulationDiverged as exc:
+        raise DataError(str(exc)) from None
     sys.stdout.write(_dump_json(suites, args.out))
     return 0 if suites["passed"] else 2
 
@@ -543,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Euler-Maruyama ensemble of SGD/Adam")
     p.add_argument("--objective", default="quadratic",
-                   choices=list(CATALOG))
+                   choices=list(OBJECTIVES))
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--algorithm", default="sgd", choices=["sgd", "adam"])
     p.add_argument("--peak", type=float, default=0.5, help="normalized peak rate")
@@ -585,7 +600,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (DataError, ValueError, OSError, MemoryError, sde.SimulationDiverged) as exc:
+    except (DataError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

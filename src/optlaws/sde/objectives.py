@@ -149,10 +149,3 @@ def rosenbrock(dim: int, box: float = 2.0) -> Objective:
         x_star=np.ones(dim),
         box=box,
     )
-
-
-CATALOG = {
-    "quadratic": isotropic_quadratic,
-    "double_well": double_well,
-    "rosenbrock": rosenbrock,
-}

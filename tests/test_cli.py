@@ -20,6 +20,7 @@ from optlaws.features import FeatureError, Normalizer, compute_features, default
 from optlaws.law import (REFERENCE_COEFFICIENTS, ConfigBatch, FittedLaw, RunConfig, RunTable,
                          predict, reference_law)
 from optlaws.schedule import build_general_schedule
+from optlaws.sde import SimulationDiverged
 import make_golden
 from util import count_per_config_calls, fixture_corpus, law_text, records_to_csv, table_row
 
@@ -560,6 +561,18 @@ class TestBadInput:
         assert run_cli(["simulate", "--objective", "rosenbrock"]) == 1
         assert "diverged path" in self.one_line_error(capsys).err
 
+    def test_validate_diverged_path(self, capsys, monkeypatch):
+        # the suites' ensembles do not diverge, so a stand-in run raises
+        def diverge(seed, quick):
+            raise SimulationDiverged(3)
+
+        monkeypatch.setattr(validate, "run", diverge)
+        assert run_cli(["validate", "--quick"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: diverged path: path 3 produced non-finite values "
+                                "(reduce eta0 or the peak rate)\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag, value, match", [
         ("--trap-eps", "nan", "trapping radius must be positive and finite, got nan"),
         ("--trap-eps", "inf", "trapping radius must be positive and finite, got inf"),
@@ -1041,6 +1054,14 @@ class TestStartup:
     def test_import_leaves_concurrent_futures_unloaded(self):
         # only simulate's threaded noise fill needs it, and it imports it there
         assert self.after_import("'concurrent.futures' in sys.modules") == "False"
+
+    def test_import_leaves_the_sde_laboratory_unloaded(self):
+        # only simulate and validate use it, and each imports it when it runs;
+        # their reports go to stdout ahead of the printed line
+        loaded = "[m for m in ('optlaws.sde', 'optlaws.validate') if m in sys.modules]"
+        runs = ("[optlaws.cli.main(argv) for argv in (['simulate', '--paths', '5', '--dim', '2'],"
+                " ['validate', '--quick'])]")
+        assert self.after_import(f"{loaded}, {runs}").splitlines()[-1] == "[] [0, 0]"
 
 
 class TestParserReuse:

@@ -193,6 +193,18 @@ class TestSgdSimulation:
         with pytest.raises(ValueError, match="x0 must be finite"):
             SdeConfig(schedule=sched, eta0=0.01, n_paths=2, x0=np.array([0.0, bad]))
 
+    @pytest.mark.parametrize("field, value", [
+        ("c1", -1.0), ("c1", math.nan), ("c1", math.inf), ("c2", -1.0), ("c2", math.nan),
+        ("c2", math.inf), ("eps", math.nan), ("eps", math.inf),
+    ])
+    def test_bad_adam_constants_refused_by_name(self, field, value):
+        # c1 = -1 and eps = inf gave a report, eps = inf one that never
+        # moved; the others ended in SimulationDiverged, which blames eta0
+        rule = "finite" if field == "eps" else "non-negative and finite"
+        sched = constant_schedule(0.1, 1.0)
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {value}$"):
+            SdeConfig(schedule=sched, eta0=0.01, n_paths=2, algorithm="adam", **{field: value})
+
 
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("seed", True), ("seed", 1.0), ("seed", -2**70),
@@ -605,6 +617,22 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * block_bytes
+
+    def test_stepping_arrays_start_on_a_cache_line(self, monkeypatch):
+        # the heap aligns to 16 bytes only; a misaligned start slowed the
+        # double-well Adam case by 7%
+        real, made = simulate_module._cache_aligned_empty, []
+
+        def spy(shape):
+            made.append(real(shape))
+            return made[-1]
+
+        monkeypatch.setattr(simulate_module, "_cache_aligned_empty", spy)
+        cfg = SdeConfig(schedule=constant_schedule(0.5, 1.0), eta0=0.01, n_paths=5, seed=0)
+        simulate(double_well(3), NoiseModel.isotropic(3, 0.05), cfg)
+        (arrays,) = made
+        assert arrays.shape[::2] == (6, 3) and arrays.flags.c_contiguous  # (6, group, dim)
+        assert arrays.ctypes.data % 64 == 0
 
 
 class TestSimulateMany:
