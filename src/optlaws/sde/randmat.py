@@ -78,7 +78,7 @@ def random_matrix_checks(
         t_grid = [spread * k for k in range(1, 11)]
     t_grid = [float(t) for t in t_grid]
 
-    rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     traces = np.empty(n_trials)
     lmax = np.empty(n_trials)
     for start in range(0, n_trials, _CHUNK):

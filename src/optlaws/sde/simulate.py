@@ -16,22 +16,24 @@ Gaussian increments.
 Each path owns a noise stream derived from (seed, path index), and every
 statistic is taken over per-path results, so ensembles are reproducible
 and independent of how paths are grouped into blocks.  :func:`path_rng`
-defines the streams: the seed's PCG64DXSM stream (O'Neill, "PCG: A Family
-of Simple Fast Space-Efficient Statistically Good Algorithms for Random
-Number Generation", HMC-CS-2014-0905, 2014) jumped i times for path i, so
-path i starts i*J draws (mod 2**128) past the seed's state, with
-J = (phi - 1) * 2**128 the step ``PCG64DXSM.jumped`` takes.  By the
-three-gap theorem, the starts of n paths cut the generator's period of
-2**128 draws into gaps of at most three lengths.  The shortest is the
-distance of q*J from a multiple of 2**128, for q the largest
-continued-fraction denominator of J / 2**128 below n; below 2**32 those
-denominators are the Fibonacci numbers.  For the 2**32 paths ``n_paths``
-allows, the shortest gap is 0.65 * 2**96 draws.  A path draws one 64-bit
-word per normal, bar the ziggurat's rare rejections, and at most 2**23
-normals (its row fits ``DEFAULT_BLOCK_BYTES``), so no two paths' streams
-overlap.  A PCG64DXSM stream is fully set by its 128-bit LCG state and
-increment, so one generator per fill thread draws any path's stream once
-its state is set.
+defines the streams: SFC64 (Doty-Humphrey's Small Fast Chaotic generator,
+from PractRand) seeded by ``SeedSequence(seed, spawn_key=(i,))`` for path
+i, numpy's own recipe for independent streams.  Distinct spawn keys give
+distinct seeds: every step of the seed sequence's hashing and mixing is
+invertible in the word it mixes in, so for a fixed seed the first 32-bit
+word of a path's three seed words is a bijection of its index.  SFC64
+seeds its 256-bit state with those words and a 64-bit counter of 1, then
+discards 12 draws.  Each draw adds one to the counter, which gives every
+cycle a minimum period of 2**64.  Every path starts at the same counter,
+so a state that two paths' streams shared within 2**64 draws would be the
+same draw of each, and since the step is invertible, stepping back would
+give both the same seed.  No two paths' streams overlap, then, within
+2**64 draws, far beyond a path's: one 64-bit word per normal, bar the
+ziggurat's rare rejections, and at most 2**23 normals (its row fits
+``DEFAULT_BLOCK_BYTES``).  The fill derives the seed words of a group's
+paths in one numpy pass (:func:`_path_keys`, a port of numpy's seed
+sequence), so one generator per fill thread draws any path's stream once
+its state is set from them.
 
 The noise does not depend on the state, so Adam's second moment v follows
 the same deterministic recursion on every path (the deterministic v of the
@@ -115,9 +117,12 @@ __all__ = [
 DEFAULT_BLOCK_BYTES = 64 * 2**20
 _MAX_FILL_THREADS = 8
 _SHARES_PER_THREAD = 8
-# numpy's PCG64DXSM.jumped advances the state this many draws per jump:
-# (phi - 1) * 2**128, phi the golden ratio
-_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+# numpy's SeedSequence: pool size, hash and mix constants
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 class SimulationDiverged(RuntimeError):
@@ -259,11 +264,60 @@ def _is_int(value) -> bool:
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """The noise stream of one path: the seed's PCG64DXSM stream jumped
-    ``path_index`` times, i.e. started ``path_index * (phi - 1) * 2**128``
-    draws (mod 2**128) past the seed's state."""
-    bitgen = np.random.PCG64DXSM(np.random.SeedSequence(seed)).jumped(path_index)
-    return np.random.Generator(bitgen)
+    """The noise stream of one path: SFC64 seeded by
+    ``SeedSequence(seed, spawn_key=(path_index,))``."""
+    seed_seq = np.random.SeedSequence(seed, spawn_key=(path_index,))
+    return np.random.Generator(np.random.SFC64(seed_seq))
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's ``hashmix`` with its own running hash constant.  The
+    constants do not depend on the data, so every path shares them."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ out >> 16
+
+
+def _path_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """The ``(stop - start, 3)`` uint64 SFC64 seed words of paths
+    start..stop-1.
+
+    Row j is ``SeedSequence(seed, spawn_key=(start + j,))
+    .generate_state(3, np.uint64)``, the words :func:`path_rng` seeds its
+    SFC64 with, computed for every path at once on uint32 columns.  The
+    seed's words are 1-element columns, so the pool mixing of the seed
+    alone is done once and broadcast when the path index is mixed in.
+    Needs ``seed >= 0`` and ``stop <= 2**32`` (one word per path index).
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, seed.bit_length() or 1, 32)]
+    words += [0] * (_POOL - len(words))  # a spawn key pads the seed to the pool size
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # six 32-bit words, cycling through the pool, make three 64-bit ones
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    half = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(6)]
+    return np.stack([lo | hi << 32 for lo, hi in zip(half[::2], half[1::2])], axis=1)
 
 
 def start_points(objective: Objective, config: SdeConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -395,10 +449,11 @@ def simulate_many(
     # without numpy buffering the broadcast operand
     scale_rows = None if scale is None else np.tile(scale, (min(n_steps, 512), 1))
 
-    # One generator per fill thread, all built from the seed; the calling
-    # thread is one of them.  Imported here: concurrent.futures (logging
-    # with it) takes about 4 ms to import, which `import optlaws.sde` would
-    # otherwise pay for the Gaussian, bound and random-matrix routes too.
+    # One generator per fill thread, all built from one seed sequence; the
+    # calling thread is one of them.  Imported here: concurrent.futures
+    # (logging with it) takes about 4 ms to import, which `import
+    # optlaws.sde` would otherwise pay for the Gaussian, bound and
+    # random-matrix routes too.
     from concurrent.futures import ThreadPoolExecutor
 
     seed_seq = np.random.SeedSequence(seed)
@@ -407,13 +462,16 @@ def simulate_many(
 
         def begin(j):
             """Start the pool filling group j into its buffer: the buffer's
-            rows, the shares and the pool's futures."""
+            rows, the shares and the pool's futures.  The group's seed
+            words are derived here, in one pass, and each share gets its
+            rows of them."""
             z = buffers[j % n_buf, :min(group, n_paths - starts[j])]
             B = len(z)
+            keys = _path_keys(seed, starts[j], starts[j] + B)
             n = min(B, _SHARES_PER_THREAD * n_fill)
             cuts = [B * i // n for i in range(n + 1)]
             # one list iterator, whose next() hands each share to one thread
-            shares = iter([(z[lo:hi], starts[j] + lo) for lo, hi in zip(cuts, cuts[1:])])
+            shares = iter([(z[lo:hi], keys[lo:hi]) for lo, hi in zip(cuts, cuts[1:])])
             return z, shares, [pool.submit(f.drain, shares, scale_rows) for f in fills[1:]]
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -453,48 +511,39 @@ def _usable_cpus() -> int:
 
 
 class _PathFill:
-    """A PCG64DXSM generator built from the seed that draws any path's
-    stream, the one path_rng builds.  Jumping once is the affine map
-    s -> A*s + C (mod 2**128) of the generator's 128-bit LCG state, which
-    ``advance`` gives at s = 0 and s = 1, so a share seeks its first path
-    once and each next path is one step of that map.  Each fill thread owns
-    one."""
+    """An SFC64 generator that draws any path's stream, the one path_rng
+    builds, once its state is set from the path's seed words: the words
+    and a counter of 1, then numpy's 12 discarded seeding draws.  Each fill
+    thread owns one."""
 
     def __init__(self, seed_seq: np.random.SeedSequence):
-        self.bitgen = np.random.PCG64DXSM(seed_seq)
+        self.bitgen = np.random.SFC64(seed_seq)
         self.rng = np.random.Generator(self.bitgen)
-        # the dict the state setter reads; only its LCG state changes
+        # the dict the state setter reads; only its seed words change, and
+        # the counter stays at 1, where numpy's seeding starts it
         self.fresh = self.bitgen.state
-        self.lcg = self.fresh["state"]
-        self.origin = self.lcg["state"]
-        self.shift = self._advanced(0, _JUMP)
-        self.factor = (self._advanced(1, _JUMP) - self.shift) % 2**128
+        self.words = self.fresh["state"]["state"]
+        self.words[3] = 1
 
-    def _advanced(self, state: int, draws: int) -> int:
-        """The LCG state ``draws`` draws (mod 2**128) after ``state``."""
-        self.lcg["state"] = state
-        self.bitgen.state = self.fresh
-        self.bitgen.advance(draws)
-        return self.bitgen.state["state"]["state"]
-
-    def __call__(self, z: np.ndarray, first: int):
-        """Fill the rows of ``z`` with the streams of paths first, first + 1, ..."""
-        state = self._advanced(self.origin, first * _JUMP)
-        for row in z:
-            self.lcg["state"] = state
-            self.bitgen.state = self.fresh
+    def __call__(self, z: np.ndarray, keys: np.ndarray):
+        """Fill the rows of ``z`` with the streams of the paths whose seed
+        words are the rows of ``keys``."""
+        words, bitgen = self.words, self.bitgen
+        for key, row in zip(keys, z):
+            words[:3] = key
+            bitgen.state = self.fresh
+            bitgen.random_raw(12, output=False)
             self.rng.standard_normal(out=row)
-            state = (self.factor * state + self.shift) % 2**128
 
     def drain(self, shares, scale_rows: Optional[np.ndarray]):
-        """Fill ``(z, first)`` shares from the shared iterator ``shares``
+        """Fill ``(z, keys)`` shares from the shared iterator ``shares``
         until it runs dry, scaling each by the root's diagonal, given as
         ``scale_rows`` (a row per step), unless that is None."""
         # numpy's error state is per context: a pool thread does not
         # inherit the caller's
         with np.errstate(over="ignore", invalid="ignore"):
-            for z, first in shares:
-                self(z, first)
+            for z, keys in shares:
+                self(z, keys)
                 if scale_rows is None:
                     continue
                 for k in range(0, z.shape[1], len(scale_rows)):

@@ -23,7 +23,7 @@ from optlaws.sde import (
     simulate,
     simulate_many,
 )
-from optlaws.sde.simulate import DEFAULT_BLOCK_BYTES
+from optlaws.sde.simulate import DEFAULT_BLOCK_BYTES, _path_keys
 from util import constant_schedule, reference_simulate
 
 # the module, which the package's simulate function shadows as an attribute
@@ -40,6 +40,11 @@ def blocks(monkeypatch):
         budget = DEFAULT_BLOCK_BYTES if paths is None else paths * config.n_steps * dim * 8
         monkeypatch.setattr(simulate_module, "DEFAULT_BLOCK_BYTES", budget)
     return set_budget
+
+
+def first_path(keys, seed, n_paths):
+    """The index of the path, of ``n_paths``, whose seed words are ``keys[0]``."""
+    return int(np.flatnonzero((_path_keys(seed, 0, n_paths) == keys[0]).all(axis=1))[0])
 
 
 class TestObjectives:
@@ -228,67 +233,59 @@ class TestSgdSimulation:
 
 
 class TestPathStreams:
-    """Path i's stream is the seed's PCG64DXSM stream jumped i times."""
+    """Path i's stream is SFC64 seeded by SeedSequence(seed, spawn_key=(i,))."""
 
-    def test_one_pcg64dxsm_per_call(self, monkeypatch, blocks):
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1,
+                                      12345678901234567890123])
+    def test_keys_equal_seed_sequence_state(self, seed):
+        def seed_sequence_words(path):
+            return np.random.SeedSequence(seed, spawn_key=(path,)).generate_state(3, np.uint64)
+
+        keys = _path_keys(seed, 0, 2048)
+        assert keys.dtype == np.uint64 and keys.shape == (2048, 3)
+        np.testing.assert_array_equal(keys, [seed_sequence_words(i) for i in range(2048)])
+        # the first 32-bit word is a bijection of the path index
+        assert np.unique(keys[:, 0] & np.uint64(0xFFFFFFFF)).size == 2048
+        for path in (2**31, 2**32 - 1):
+            np.testing.assert_array_equal(_path_keys(seed, path, path + 1),
+                                          [seed_sequence_words(path)])
+
+    def test_one_sfc64_per_fill_thread(self, monkeypatch, blocks):
+        # the seed words are derived once per group on the calling thread:
+        # derived per share in the fill threads, they hold the GIL while
+        # the other thread steps
         monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 3)
-        built = {"PCG64DXSM": 0, "Philox": 0, "SeedSequence": 0, "Generator": 0}
+        built = {"SFC64": 0, "PCG64DXSM": 0, "Philox": 0, "SeedSequence": 0, "Generator": 0}
 
-        def counting(name):
-            make = getattr(np.random, name)
-
+        def counting(name, make):
             def build(*args, **kwargs):
                 built[name] += 1
                 return make(*args, **kwargs)
             return build
 
         for name in built:
-            monkeypatch.setattr(np.random, name, counting(name))
-        # 16, 63 and 63 blocks: a generator per block or per path would show
-        for n_paths, block in ((1000, 64), (1000, 16), (500, 8)):
-            built.update(dict.fromkeys(built, 0))
+            monkeypatch.setattr(np.random, name, counting(name, getattr(np.random, name)))
+        monkeypatch.setattr(simulate_module, "_path_keys",
+                            counting("_path_keys", simulate_module._path_keys))
+        # groups of 32, 8 and 4 paths: 32, 125 and 125 groups
+        for n_paths, block, groups in ((1000, 64, 32), (1000, 16, 125), (500, 8, 125)):
+            built.update(dict.fromkeys(built, 0), _path_keys=0)
             cfg = SdeConfig(schedule=constant_schedule(0.5, 0.2), eta0=0.01, n_paths=n_paths,
                             seed=2**32 + 5)
             blocks(block, cfg, 3)
             simulate(isotropic_quadratic(3), NoiseModel.isotropic(3, 0.1), cfg)
-            assert built["PCG64DXSM"] == 3 and built["Generator"] == 3, (n_paths, built)
-            assert built["SeedSequence"] == 1 and built["Philox"] == 0, (n_paths, built)
+            assert built == {"SFC64": 3, "PCG64DXSM": 0, "Philox": 0, "SeedSequence": 1,
+                             "Generator": 3, "_path_keys": groups}, (n_paths, built)
 
     @pytest.mark.parametrize("seed", [7, 2**32 + 5])
     @pytest.mark.parametrize("first", [0, 1, 2**31, 2**32 - 2])
     def test_share_rows_are_the_path_streams(self, seed, first):
-        # a share seeks its first path and steps the jump's affine map per
-        # row; the last share n_paths allows ends at path 2**32 - 1
+        # the last share n_paths allows ends at path 2**32 - 1
         z = np.empty((min(3, 2**32 - first), 5, 2))
-        simulate_module._PathFill(np.random.SeedSequence(seed))(z, first)
+        keys = _path_keys(seed, first, first + len(z))
+        simulate_module._PathFill(np.random.SeedSequence(seed))(z, keys)
         for r, row in enumerate(z):
             assert row.tobytes() == path_rng(seed, first + r).standard_normal((5, 2)).tobytes()
-
-    def test_path_starts_lie_far_apart(self):
-        # The shortest gap between the starts of n paths is the distance of
-        # d*J from a multiple of 2**128 minimised over 0 < d < n, which a
-        # continued-fraction denominator of J / 2**128 attains: checked by
-        # sorting the starts of 4,096 paths, then taken for 2**32.
-        jump, period = simulate_module._JUMP, 2**128
-
-        def distance(d):
-            return min(d * jump % period, -d * jump % period)
-
-        def shortest_gap(n):
-            # J / 2**128 = [0; a1, a2, ...]: q runs over 1, a1, a2*a1 + 1, ...
-            q, q_prev, num, den, best = 1, 0, period, jump, period
-            while q < n:
-                best = min(best, distance(q))
-                a, r = divmod(num, den)
-                q, q_prev, num, den = a * q + q_prev, q, den, r
-            return best
-
-        starts = sorted(i * jump % period for i in range(4096))
-        gaps = np.diff(starts + [starts[0] + period])
-        assert min(gaps) == shortest_gap(4096)
-        # a path draws at most DEFAULT_BLOCK_BYTES / 8 normals, about one
-        # 64-bit word each
-        assert shortest_gap(2**32) > 2**70 * DEFAULT_BLOCK_BYTES // 8
 
     def test_streams_look_independent_normal(self):
         # two-sided: over 4,000 paths x 64 draws, each step's mean and
@@ -296,7 +293,7 @@ class TestPathStreams:
         # within 4 standard errors of 0, 1 and 0
         n, steps = 4000, 64
         z = np.empty((n, steps))
-        simulate_module._PathFill(np.random.SeedSequence(0))(z, 0)
+        simulate_module._PathFill(np.random.SeedSequence(0))(z, _path_keys(0, 0, n))
         mean_z = z.mean(axis=0) * math.sqrt(n)
         var_z = (z.var(axis=0, ddof=1) - 1.0) * math.sqrt((n - 1) / 2.0)
         corr_z = (z[1:] * z[:-1]).mean(axis=0) * math.sqrt(n - 1)
@@ -536,8 +533,8 @@ class TestReferenceStepper:
 
     # the first two diverge first in the second block of 9 paths
     @pytest.mark.parametrize("algorithm, variance, eta0, c2, path, seed", [
-        ("sgd", 10.0, 0.14, 1.0, 12, 9),
-        ("adam", 0.5, 0.15, 1.0, 12, 10),
+        ("sgd", 10.0, 0.14, 1.0, 13, 28),
+        ("adam", 0.5, 0.15, 1.0, 12, 28),
         ("adam", 0.1, 0.01, 400.0, 0, 0),  # v itself overflows
     ])
     def test_diverging_run_names_the_same_path(self, algorithm, variance, eta0, c2, path, seed,
@@ -694,8 +691,8 @@ class TestSimulateMany:
 
     # the first two diverge first in the second block of 9 paths
     @pytest.mark.parametrize("algorithm, variance, eta0, c2, path, seed", [
-        ("sgd", 10.0, 0.14, 1.0, 12, 9),
-        ("adam", 0.5, 0.15, 1.0, 12, 10),
+        ("sgd", 10.0, 0.14, 1.0, 13, 28),
+        ("adam", 0.5, 0.15, 1.0, 12, 28),
         ("adam", 0.1, 0.01, 400.0, 0, 0),  # v itself overflows
     ])
     def test_diverging_case_names_its_own_path(self, algorithm, variance, eta0, c2, path, seed,
@@ -789,16 +786,16 @@ class TestFillThreads:
         assert_matches_reference(objective, noise, cfg)
 
     def test_diverging_run_names_the_same_path(self, threads):
-        # path 37 of one 40-path block diverges first: a later share than
+        # path 36 of one 40-path block diverges first: a later share than
         # the calling thread's at every thread count above 1
         objective = double_well(3)
         cfg = SdeConfig(schedule=build_general_schedule(1.0, 1.0, 0.0, 0.0, 0.0, 10.0),
-                        eta0=0.14, n_paths=40, seed=13, x0=objective.x_star + np.ones(3) / 3**0.5)
+                        eta0=0.14, n_paths=40, seed=27, x0=objective.x_star + np.ones(3) / 3**0.5)
         noise = NoiseModel.isotropic(3, 9.0)
         for run in (reference_simulate, simulate):
             with pytest.raises(SimulationDiverged) as err:
                 run(objective, noise, cfg)
-            assert err.value.path_index == 37
+            assert err.value.path_index == 36
 
     @pytest.mark.parametrize("n_steps", [1, 2, 7])
     @pytest.mark.parametrize("case", ["sgd", "adam_tracked_traced", "correlated"])
@@ -833,7 +830,7 @@ class TestFillThreads:
         schedule = Schedule((Segment("constant", 0.0, 4.95, 0.0, 0.0),
                              Segment("linear", 4.95, 5.0, 0.0, 1.0),
                              Segment("constant", 5.0, 10.0, 1.0, 1.0)), 10.0, (5.0, 5.0, 5.0))
-        cfg = SdeConfig(schedule=schedule, eta0=0.14, n_paths=40, seed=5,
+        cfg = SdeConfig(schedule=schedule, eta0=0.14, n_paths=40, seed=12,
                         x0=objective.x_star + np.ones(3) / 3**0.5)
         assert cfg.n_steps == 71 and not schedule.value(np.arange(35) * cfg.eta0).any()
         noise = NoiseModel.isotropic(3, 6.0)
@@ -849,9 +846,9 @@ class TestFillThreads:
         fill = simulate_module._PathFill.__call__
         shapes = set()
 
-        def recording(self, z, first):
+        def recording(self, z, keys):
             shapes.add(z.base.shape)
-            fill(self, z, first)
+            fill(self, z, keys)
 
         monkeypatch.setattr(simulate_module._PathFill, "__call__", recording)
         cfg = SdeConfig(schedule=constant_schedule(0.5, 0.05), eta0=0.01, n_paths=23, seed=0)
@@ -884,11 +881,12 @@ class TestFillThreads:
     def test_worker_error_reaches_the_caller(self, monkeypatch, blocks):
         fill = simulate_module._PathFill.__call__
 
-        def failing(self, z, first):
+        def failing(self, z, keys):
             # path 17 fails, whichever thread draws it
+            first = first_path(keys, seed=1, n_paths=30)
             if first <= 17 < first + len(z):
                 raise OSError("fill failed at path 17")
-            fill(self, z, first)
+            fill(self, z, keys)
 
         cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=30, seed=1)
         noise = NoiseModel.isotropic(2, 0.1)
@@ -911,11 +909,12 @@ class TestFillThreads:
         fill = simulate_module._PathFill.__call__
         started = []
 
-        def slow(self, z, first):
+        def slow(self, z, keys):
+            first = first_path(keys, seed=0, n_paths=23)
             if first >= 5:
                 started.append(first)
                 time.sleep(0.02)
-            fill(self, z, first)
+            fill(self, z, keys)
 
         cfg = SdeConfig(schedule=constant_schedule(1.0, 2.0), eta0=0.3, n_paths=23, seed=0,
                         x0=np.full(3, 50.0))
