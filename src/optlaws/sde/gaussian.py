@@ -57,10 +57,13 @@ __all__ = [
 ]
 
 # RK4: the base step is S/ODE_BASE_STEPS, halved up to ODE_MAX_HALVINGS times
-# until two successive solutions agree to ODE_TOL in max-abs norm.
-ODE_BASE_STEPS = 2000
+# (finest step S/512,000) until two successive solutions agree to
+# ODE_TOL * (1 + max|P|) for every system of the batch.  RK4 is unstable
+# once h*eta*lambda exceeds about 2.78, so a stiff generator can overflow
+# at the coarse steps: such a solve counts as disagreement and is halved.
+ODE_BASE_STEPS = 250
 ODE_TOL = 1e-8
-ODE_MAX_HALVINGS = 8
+ODE_MAX_HALVINGS = 11
 # The folded step matrices M_k' and U of ODE_CHUNK_BYTES worth of steps are
 # built at a time.  _ODE_STEP_WORDS bounds the per-step words of the rates
 # and of the RK4 coefficient recursion on top of the matrices (about 80 by
@@ -180,17 +183,28 @@ def integrate_covariance_ode(
             t_cur = t_next
         return out
 
+    def agree(prev, cur):
+        """Whether two solves agree for every system (a NaN or inf does not)."""
+        axes = (0, -2, -1)  # grid times and matrix entries, per system
+        prev = np.reshape(prev, (len(t_grid), n_sys, n, n))
+        cur = np.reshape(cur, prev.shape)
+        err = np.max(np.abs(cur - prev), axis=axes, initial=0.0)
+        size = np.max(np.abs(cur), axis=axes, initial=0.0)
+        return bool(np.all(err <= ODE_TOL * (1.0 + size)) and np.isfinite(size).all())
+
     step = schedule.S / ODE_BASE_STEPS
-    prev = solve(step)
-    for _ in range(ODE_MAX_HALVINGS):
-        step *= 0.5
-        cur = solve(step)
-        err = max(
-            float(np.max(np.abs(a - b))) if a.size else 0.0 for a, b in zip(prev, cur)
-        )
-        prev = cur
-        if err <= ODE_TOL:
-            return cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        prev = solve(step)
+        for _ in range(ODE_MAX_HALVINGS):
+            step *= 0.5
+            cur = solve(step)
+            done = agree(prev, cur)
+            prev = cur
+            if done:
+                break
+    if not all(np.isfinite(p).all() for p in prev):
+        finest = ODE_BASE_STEPS << ODE_MAX_HALVINGS
+        raise ValueError(f"covariance ODE is not finite at the finest step S/{finest}")
     return prev
 
 

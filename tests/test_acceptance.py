@@ -46,7 +46,7 @@ from optlaws.sde import (
     simulate_many,
 )
 from test_features import const_family_expected, linear_family_expected
-from util import make_grid_records, random_four_phase
+from util import criterion_07_systems, make_grid_records, random_four_phase
 
 
 def report(criterion: str, detail: str = ""):
@@ -207,7 +207,6 @@ def test_criterion_06_divergence_criterion():
 
 def test_criterion_07_gaussian_approximation():
     start = time.monotonic()
-    rng = np.random.default_rng(107)
     schedules = [
         build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 6.0),
         warmup_cosine_schedule(0.7, 0.8, 6.0),
@@ -215,14 +214,7 @@ def test_criterion_07_gaussian_approximation():
     ]
     grid = np.linspace(0.25, 6.0, 50)
     worst_sgd = 0.0
-    H = np.stack([
-        (lambda a: a @ a.T / 8 + 0.3 * np.eye(8))(rng.standard_normal((8, 8)))
-        for _ in range(8)
-    ])
-    Sg = np.stack([
-        (lambda a: a @ a.T / 8 + 0.1 * np.eye(8))(rng.standard_normal((8, 8)))
-        for _ in range(8)
-    ])
+    H, Sg, H4, Sg4 = criterion_07_systems()
     for sched in schedules:
         po = integrate_covariance_ode(H, Sg, sched, 0.01, grid)
         pc = closed_form_covariance(H, Sg, sched, 0.01, grid)
@@ -246,10 +238,7 @@ def test_criterion_07_gaussian_approximation():
     assert worst_ou <= 1e-10
 
     # lifted 12x12 system for the momentum dynamics
-    a4 = rng.standard_normal((4, 4))
-    obj4 = quadratic(a4 @ a4.T / 4 + 0.4 * np.eye(4))
-    s4 = rng.standard_normal((4, 4))
-    noise4 = NoiseModel(s4 @ s4.T / 4 + 0.2 * np.eye(4))
+    obj4, noise4 = quadratic(H4), NoiseModel(Sg4)
     worst_adam = 0.0
     for sched in schedules:
         ga = gaussian_approx(obj4, noise4, sched, np.zeros(4), "adam",

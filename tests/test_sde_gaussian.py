@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from optlaws.sde import (
     quadratic,
 )
 from optlaws.sde import gaussian
-from util import constant_schedule, count_per_config_calls, reference_closed_form, reference_rk4
+from util import (
+    constant_schedule,
+    count_per_config_calls,
+    criterion_07_systems,
+    reference_closed_form,
+    reference_rk4,
+)
 
 
 def random_spd(rng, n, shift=0.3):
@@ -158,11 +165,11 @@ class TestFoldedRK4:
 
     def test_peak_memory_is_one_chunk(self):
         # one grid point: each solve steps every segment in one piece of
-        # thousands of steps, far more than one chunk holds
+        # hundreds of steps, more than two chunks hold
         sched = constant_schedule(0.5, 6.0)
         rng = np.random.default_rng(29)
-        H = np.stack([random_spd(rng, 8) for _ in range(8)])
-        Sg = np.stack([random_spd(rng, 8, shift=0.1) for _ in range(8)])
+        H = np.stack([random_spd(rng, 8) for _ in range(16)])
+        Sg = np.stack([random_spd(rng, 8, shift=0.1) for _ in range(16)])
         per_step = 8 * 6 * H.size  # the step matrices alone, without a budget
         assert gaussian.ODE_BASE_STEPS * per_step > 2 * gaussian.ODE_CHUNK_BYTES
         integrate_covariance_ode(H, Sg, sched, 0.01, [6.0])  # warm up imports and caches
@@ -174,6 +181,78 @@ class TestFoldedRK4:
         finally:
             tracemalloc.stop()
         assert peak <= gaussian.ODE_CHUNK_BYTES + 16 * P.nbytes
+
+
+def count_rk4_steps(monkeypatch) -> list[int]:
+    """Count the RK4 steps integrate_covariance_ode takes from here on, one
+    per row of step coefficients; returns the live counter."""
+    steps = [0]
+    rows = gaussian._rk4_coefficients
+
+    def counted(h, eta_lo, *rates):
+        steps[0] += eta_lo.size
+        return rows(h, eta_lo, *rates)
+
+    monkeypatch.setattr(gaussian, "_rk4_coefficients", counted)
+    return steps
+
+
+def two_solves(steps: int) -> bool:
+    """Whether ``steps`` is a solve at S/B and one at S/2B (3B steps, plus
+    each piece's rounding up), without a third at S/4B."""
+    return 3 * gaussian.ODE_BASE_STEPS <= steps < 4 * gaussian.ODE_BASE_STEPS
+
+
+class TestHalving:
+    """Where the step halving starts, when it stops, and what it discards."""
+
+    @pytest.mark.parametrize("system", ["sgd_batch", "adam"])
+    @SCHEDULES
+    def test_criterion_07_systems_converge_after_one_halving(self, system, make_sched,
+                                                              monkeypatch):
+        sched = make_sched()
+        H, Sg, H4, Sg4 = criterion_07_systems()
+        G, Sg = (H, Sg) if system == "sgd_batch" else adam_generator(H4, Sg4, 1.0, 1.0, 1e-8)
+        grid = np.linspace(0.25, 6.0, 50)
+        steps = count_rk4_steps(monkeypatch)
+        got = integrate_covariance_ode(G, Sg, sched, 0.01, grid)
+        assert two_solves(steps[0])
+        # one fixed-step solve at S/16,000, far finer than the loop stops at
+        monkeypatch.setattr(gaussian, "ODE_BASE_STEPS", 16_000)
+        monkeypatch.setattr(gaussian, "ODE_MAX_HALVINGS", 0)
+        fine = integrate_covariance_ode(G, Sg, sched, 0.01, grid)
+        for a, b in zip(got, fine):
+            assert np.max(np.abs(a - b)) <= gaussian.ODE_TOL * (1.0 + np.max(np.abs(b)))
+
+    def test_tolerance_scales_with_the_covariance(self, monkeypatch):
+        # |P| ~ 3e7: an absolute 1e-8 would halve down to roundoff
+        sched = build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 6.0)
+        G, Sg = np.diag([1.0, 2.0]), 1e10 * np.eye(2)
+        steps = count_rk4_steps(monkeypatch)
+        got = integrate_covariance_ode(G, Sg, sched, 0.01, [3.0, 6.0])
+        assert two_solves(steps[0])
+        for a, b in zip(got, closed_form_covariance(G, Sg, sched, 0.01, [3.0, 6.0])):
+            assert 1e7 < np.max(np.abs(b))
+            assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("lam", [300.0, 800.0, 1000.0])
+    def test_stiff_generator_discards_unstable_solves(self, lam):
+        # h * eta * lam > 2.78 at the coarse steps: those solves overflow
+        sched = build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 6.0)
+        G = np.diag([lam, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate_covariance_ode(G, np.eye(2), sched, 0.01, [3.0, 6.0])
+        for a, b in zip(got, closed_form_covariance(G, np.eye(2), sched, 0.01, [3.0, 6.0])):
+            assert np.max(np.abs(a - b)) <= 1e-6 * (1.0 + np.max(np.abs(b)))
+
+    def test_unstable_at_every_step_is_refused(self, monkeypatch):
+        sched = build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 6.0)
+        monkeypatch.setattr(gaussian, "ODE_MAX_HALVINGS", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                integrate_covariance_ode(np.diag([1e6, 1.0]), np.eye(2), sched, 0.01, [3.0, 6.0])
 
 
 class TestClosedFormNodes:
