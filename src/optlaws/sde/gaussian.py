@@ -5,8 +5,8 @@ Lyapunov-type ODE
 
     dP/dt = -eta(t) (G P + P G') + w(t) Sigma,      P(0) = 0,
 
-with G the generator (the Hessian for SGD, the lifted 3N x 3N block matrix
-for Adam) and w(t) the diffusion multiplier (eta0*eta(t)^2 for SGD,
+with G the generator (the Hessian for SGD, the 2N x 2N block matrix of
+(x, m) for Adam) and w(t) the diffusion multiplier (eta0*eta(t)^2 for SGD,
 (c1')^2 eta(t)^2 for Adam).  Its solution has the closed form
 
     P(t) = integral_0^t  e^{-G (Phi(t)-Phi(s))} Sigma e^{-G' (Phi(t)-Phi(s))} w(s) ds,
@@ -58,12 +58,15 @@ __all__ = [
 
 # RK4: the base step is S/ODE_BASE_STEPS, halved up to ODE_MAX_HALVINGS times
 # (finest step S/512,000) until two successive solutions agree to
-# ODE_TOL * (1 + max|P|) for every system of the batch.  RK4 is unstable
-# once h*eta*lambda exceeds about 2.78, so a stiff generator can overflow
-# at the coarse steps: such a solve counts as disagreement and is halved.
+# ODE_TOL * (1 + max|P|) for every system of the batch.  The first solve
+# takes the first of these steps with h * eta_max * rho <= ODE_STABLE_H_RATE,
+# rho = 2 max|eig(G)| bounding the eigenvalues of L: RK4's stability region
+# holds the left half-disc of radius 2.5 (on the real axis it reaches 2.78).
+# A solve that still overflows counts as disagreement and is halved.
 ODE_BASE_STEPS = 250
 ODE_TOL = 1e-8
 ODE_MAX_HALVINGS = 11
+ODE_STABLE_H_RATE = 2.5
 # The folded step matrices M_k' and U of ODE_CHUNK_BYTES worth of steps are
 # built at a time.  _ODE_STEP_WORDS bounds the per-step words of the rates
 # and of the RK4 coefficient recursion on top of the matrices (about 80 by
@@ -192,10 +195,17 @@ def integrate_covariance_ode(
         size = np.max(np.abs(cur), axis=axes, initial=0.0)
         return bool(np.all(err <= ODE_TOL * (1.0 + size)) and np.isfinite(size).all())
 
-    step = schedule.S / ODE_BASE_STEPS
+    finest = ODE_BASE_STEPS << ODE_MAX_HALVINGS
+    rate = schedule.eta_max * 2.0 * np.max(np.abs(np.linalg.eigvals(G)), initial=0.0)
+    step, halvings = schedule.S / ODE_BASE_STEPS, ODE_MAX_HALVINGS
+    while not step * rate <= ODE_STABLE_H_RATE:
+        if halvings == 0:
+            raise ValueError(f"covariance ODE not finite: at the finest step S/{finest}, "
+                             f"h*eta*rho = {step * rate:.3g} > {ODE_STABLE_H_RATE}")
+        step, halvings = 0.5 * step, halvings - 1
     with np.errstate(over="ignore", invalid="ignore"):
         prev = solve(step)
-        for _ in range(ODE_MAX_HALVINGS):
+        for _ in range(halvings):
             step *= 0.5
             cur = solve(step)
             done = agree(prev, cur)
@@ -203,7 +213,6 @@ def integrate_covariance_ode(
             if done:
                 break
     if not all(np.isfinite(p).all() for p in prev):
-        finest = ODE_BASE_STEPS << ODE_MAX_HALVINGS
         raise ValueError(f"covariance ODE is not finite at the finest step S/{finest}")
     return prev
 
@@ -285,21 +294,21 @@ def closed_form_covariance(
     return out
 
 
-def adam_generator(H: np.ndarray, Sigma: np.ndarray, c1: float, c2: float, eps: float):
-    """Lifted generator and diffusion matrix of the Adam dynamics at a minimum.
+def adam_generator(H: np.ndarray, Sigma: np.ndarray, c1: float, eps: float):
+    """Generator and diffusion matrix of the Adam dynamics at a minimum, in (x, m).
 
-    State order is (x, m, v).  Noise is state-independent, so the block
-    coupling v to x is zero.
+    The paper lifts to (x, m, v).  Noise is state-independent, so v is deterministic, frozen at
+    diag(Sigma_g) and decoupled from (x, m) both ways (x reads it through m / sqrt(v + eps),
+    whose v-derivative is 0 at m = 0): its rows and columns of P stay 0, so it is left out.
     """
     n = H.shape[0]
     d = np.diag(Sigma)
-    Hhat = np.zeros((3 * n, 3 * n))
-    Hhat[0:n, n : 2 * n] = np.diag(1.0 / np.sqrt(d + eps))
-    Hhat[n : 2 * n, 0:n] = -c1 * H
-    Hhat[n : 2 * n, n : 2 * n] = c1 * np.eye(n)
-    Hhat[2 * n :, 2 * n :] = c2 * np.eye(n)
-    Shat = np.zeros((3 * n, 3 * n))
-    Shat[n : 2 * n, n : 2 * n] = Sigma
+    Hhat = np.zeros((2 * n, 2 * n))
+    Hhat[0:n, n:] = np.diag(1.0 / np.sqrt(d + eps))
+    Hhat[n:, 0:n] = -c1 * H
+    Hhat[n:, n:] = c1 * np.eye(n)
+    Shat = np.zeros((2 * n, 2 * n))
+    Shat[n:, n:] = Sigma
     return Hhat, Shat
 
 
@@ -330,7 +339,6 @@ def gaussian_approx(
     t_grid,
     eta0: float,
     c1: float = 1.0,
-    c2: float = 1.0,
     eps: float = 1e-8,
 ) -> GaussianApprox:
     """Gaussian-approximation covariance of SGD or Adam started at a minimum.
@@ -351,10 +359,10 @@ def gaussian_approx(
         scale = eta0
         mean = x_star
     elif algorithm == "adam":
-        G, S_mat = adam_generator(H, noise.Sigma_g, c1, c2, eps)
+        G, S_mat = adam_generator(H, noise.Sigma_g, c1, eps)
         c1_prime = adam_c1_prime(c1, eta0)
         scale = c1_prime * c1_prime
-        mean = np.concatenate([x_star, np.zeros_like(x_star), np.diag(noise.Sigma_g)])
+        mean = np.concatenate([x_star, np.zeros_like(x_star)])
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     P_ode = integrate_covariance_ode(G, S_mat, schedule, scale, t_grid)

@@ -237,7 +237,7 @@ def test_criterion_07_gaussian_approximation():
         worst_ou = max(worst_ou, abs(po_t[0, 0] - analytic), abs(pc_t[0, 0] - analytic))
     assert worst_ou <= 1e-10
 
-    # lifted 12x12 system for the momentum dynamics
+    # 8x8 (x, m) system for the momentum dynamics
     obj4, noise4 = quadratic(H4), NoiseModel(Sg4)
     worst_adam = 0.0
     for sched in schedules:

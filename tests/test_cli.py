@@ -1064,6 +1064,39 @@ class TestStartup:
         assert self.after_import(f"{loaded}, {runs}").splitlines()[-1] == "[] [0, 0]"
 
 
+class TestBlasThreads:
+    """The CLI writes the same bytes under one and two OpenBLAS threads."""
+
+    @staticmethod
+    def outputs(directory: Path, threads: str, runs_csv: Path) -> dict:
+        """stdout and ``--out`` bytes of fit, rank and ``validate --quick``, each
+        run by a fresh interpreter in ``directory`` under ``threads`` threads."""
+        src = str(Path(optlaws.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        commands = {
+            "fit": ["fit", "--runs", str(runs_csv), "--out", "law.json"],
+            "rank": ["rank", "--law", "law.json", "--configs", "configs.json",
+                     "--out", "rank.json"],
+            "validate": ["validate", "--quick", "--seed", "7", "--out", "validation.json"],
+        }
+        out = {}
+        for name, argv in commands.items():
+            done = subprocess.run([sys.executable, "-m", "optlaws.cli", *argv], cwd=directory,
+                                  env=env, capture_output=True, check=True, timeout=120)
+            out[name] = (done.stdout, (directory / argv[-1]).read_bytes())
+        return out
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, runs_csv):
+        got = {}
+        for threads in ("1", "2"):
+            directory = tmp_path / threads
+            directory.mkdir()
+            (directory / "configs.json").write_text(json.dumps(make_golden._candidates()))
+            got[threads] = self.outputs(directory, threads, runs_csv)
+        for name in got["1"]:
+            assert got["1"][name] == got["2"][name], name
+
+
 class TestParserReuse:
     """main reuses one parser, and a call leaves nothing on it for the next."""
 

@@ -1,10 +1,12 @@
 import math
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from optlaws import validate
 from optlaws.schedule import build_general_schedule, warmup_cosine_schedule
 from optlaws.sde import (
     NoiseModel,
@@ -122,14 +124,14 @@ class TestRouteAgreement:
         noise = NoiseModel(random_spd(rng, 4, shift=0.2))
         ga = gaussian_approx(obj, noise, sched, np.zeros(4), "adam",
                              np.linspace(0.5, 5.0, 8), eta0=0.01)
-        assert ga.generator.shape == (12, 12)
+        assert ga.generator.shape == (8, 8)
         assert ga.max_route_gap() <= 1e-6
 
 
 def adam_system():
-    """Lifted 12x12 Adam generator (not symmetric) and its diffusion matrix."""
+    """8x8 (x, m) Adam generator (not symmetric) and its diffusion matrix."""
     rng = np.random.default_rng(23)
-    return adam_generator(random_spd(rng, 4), random_spd(rng, 4, shift=0.2), 1.0, 1.0, 1e-8)
+    return adam_generator(random_spd(rng, 4), random_spd(rng, 4, shift=0.2), 1.0, 1e-8)
 
 
 SCHEDULES = pytest.mark.parametrize("make_sched", [
@@ -212,7 +214,7 @@ class TestHalving:
                                                               monkeypatch):
         sched = make_sched()
         H, Sg, H4, Sg4 = criterion_07_systems()
-        G, Sg = (H, Sg) if system == "sgd_batch" else adam_generator(H4, Sg4, 1.0, 1.0, 1e-8)
+        G, Sg = (H, Sg) if system == "sgd_batch" else adam_generator(H4, Sg4, 1.0, 1e-8)
         grid = np.linspace(0.25, 6.0, 50)
         steps = count_rk4_steps(monkeypatch)
         got = integrate_covariance_ode(G, Sg, sched, 0.01, grid)
@@ -235,14 +237,20 @@ class TestHalving:
             assert 1e7 < np.max(np.abs(b))
             assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
 
-    @pytest.mark.parametrize("lam", [300.0, 800.0, 1000.0])
-    def test_stiff_generator_discards_unstable_solves(self, lam):
-        # h * eta * lam > 2.78 at the coarse steps: those solves overflow
+    @pytest.mark.parametrize("lam, start", [(300.0, 2000), (800.0, 4000), (1000.0, 4000)],
+                             ids=["300.0", "800.0", "1000.0"])
+    def test_stiff_generator_discards_unstable_solves(self, lam, start, monkeypatch):
+        # RK4 is unstable at the coarse steps, so the first solve takes the
+        # first S/(250 * 2^j) with h * eta_max * 2 * lam <= 2.5 (eta_max = 0.8)
+        # and the second agrees with it: 3 * start steps, plus at most one
+        # per piece ([0, 1], [1, 3], [3, 6]) and solve for rounding up
         sched = build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 6.0)
         G = np.diag([lam, 1.0])
+        steps = count_rk4_steps(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = integrate_covariance_ode(G, np.eye(2), sched, 0.01, [3.0, 6.0])
+        assert 3 * start <= steps[0] <= 3 * start + 6
         for a, b in zip(got, closed_form_covariance(G, np.eye(2), sched, 0.01, [3.0, 6.0])):
             assert np.max(np.abs(a - b)) <= 1e-6 * (1.0 + np.max(np.abs(b)))
 
@@ -253,6 +261,32 @@ class TestHalving:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not finite"):
                 integrate_covariance_ode(np.diag([1e6, 1.0]), np.eye(2), sched, 0.01, [3.0, 6.0])
+
+    def test_unstable_at_the_finest_step_is_refused_before_solving(self, monkeypatch):
+        # RK4 would need about S/3,840,000 here; no step is taken
+        sched = build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 6.0)
+        steps = count_rk4_steps(monkeypatch)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not finite: at the finest step S/512000"):
+            integrate_covariance_ode(np.diag([1e6, 1.0]), np.eye(2), sched, 0.01, [3.0, 6.0])
+        assert time.perf_counter() - start < 0.05
+        assert steps[0] == 0
+
+    def test_validate_suite_2_converges_after_one_halving(self, monkeypatch):
+        # the system validate's route-agreement suite builds at seed 7
+        steps, per_call = count_rk4_steps(monkeypatch), []
+        route = gaussian.integrate_covariance_ode
+
+        def counted(*args):
+            before = steps[0]
+            out = route(*args)
+            per_call.append(steps[0] - before)
+            return out
+
+        monkeypatch.setattr(gaussian, "integrate_covariance_ode", counted)
+        suites = validate.run(7, quick=False)
+        assert suites["gaussian_approx_routes"]["passed"]
+        assert len(per_call) == 2 and all(two_solves(n) for n in per_call)
 
 
 class TestClosedFormNodes:
@@ -284,26 +318,57 @@ class TestClosedFormNodes:
                 assert a.shape == shape and np.array_equal(a, b)
 
 
+def lifted_adam_system(H, Sigma, c1, c2, eps):
+    """The paper's 3n lift of Adam in (x, m, v), with c2*I on v: the
+    reference adam_generator's (x, m) system is held to."""
+    n = H.shape[0]
+    G = np.zeros((3 * n, 3 * n))
+    G[:n, n:2 * n] = np.diag(1.0 / np.sqrt(np.diag(Sigma) + eps))
+    G[n:2 * n, :n] = -c1 * H
+    G[n:2 * n, n:2 * n] = c1 * np.eye(n)
+    G[2 * n:, 2 * n:] = c2 * np.eye(n)
+    S = np.zeros((3 * n, 3 * n))
+    S[n:2 * n, n:2 * n] = Sigma
+    return G, S
+
+
 class TestAdamGenerator:
     def test_block_structure(self):
         H = np.array([[2.0, 0.5], [0.5, 1.0]])
         Sigma = np.diag([0.4, 0.9])
-        Hhat, Shat = adam_generator(H, Sigma, c1=1.5, c2=0.5, eps=1e-8)
+        Hhat, Shat = adam_generator(H, Sigma, c1=1.5, eps=1e-8)
         n = 2
+        assert Hhat.shape == Shat.shape == (2 * n, 2 * n)
         np.testing.assert_allclose(
             Hhat[0:n, n:2*n], np.diag(1.0 / np.sqrt(np.diag(Sigma) + 1e-8))
         )
         np.testing.assert_allclose(Hhat[n:2*n, 0:n], -1.5 * H)
         np.testing.assert_allclose(Hhat[n:2*n, n:2*n], 1.5 * np.eye(n))
-        np.testing.assert_allclose(Hhat[2*n:, 2*n:], 0.5 * np.eye(n))
         assert np.all(Hhat[0:n, 0:n] == 0.0)
         np.testing.assert_allclose(Shat[n:2*n, n:2*n], Sigma)
-        assert np.all(Shat[0:n] == 0.0) and np.all(Shat[2*n:] == 0.0)
+        assert np.all(Shat[0:n] == 0.0) and np.all(Shat[:, 0:n] == 0.0)
+
+    @pytest.mark.parametrize("c2", [0.5, 2.0])
+    @SCHEDULES
+    def test_v_block_of_the_lift_is_inert(self, c2, make_sched):
+        sched = make_sched()
+        _, _, H4, Sg4 = criterion_07_systems()
+        lifted = lifted_adam_system(H4, Sg4, 1.0, c2, 1e-8)
+        G, Sg = adam_generator(H4, Sg4, 1.0, 1e-8)
+        grid = np.linspace(0.5, 6.0, 12)
+        for big, small in zip(integrate_covariance_ode(*lifted, sched, 0.01, grid),
+                              integrate_covariance_ode(G, Sg, sched, 0.01, grid)):
+            assert not big[8:].any() and not big[:, 8:].any()
+            assert np.array_equal(big[:8, :8], small)
+        for big, small in zip(closed_form_covariance(*lifted, sched, 0.01, grid),
+                              closed_form_covariance(G, Sg, sched, 0.01, grid)):
+            assert not big[8:].any() and not big[:, 8:].any()
+            assert np.max(np.abs(big[:8, :8] - small)) <= 1e-15 * (1.0 + np.max(np.abs(small)))
 
     def test_generator_is_stable(self):
         rng = np.random.default_rng(19)
         H = random_spd(rng, 3)
-        Hhat, _ = adam_generator(H, random_spd(rng, 3, shift=0.2), 1.0, 1.0, 1e-8)
+        Hhat, _ = adam_generator(H, random_spd(rng, 3, shift=0.2), 1.0, 1e-8)
         eigs = np.linalg.eigvals(Hhat)
         assert np.all(eigs.real > 0.0)
 
@@ -316,7 +381,7 @@ class TestAdamGenerator:
         ga = gaussian_approx(quadratic(H), NoiseModel(Sigma), sched, np.zeros(3), "adam", t,
                              eta0=0.01, c1=3.0)
         scale = SdeConfig(sched, 0.01, 1, algorithm="adam", c1=3.0).c1_prime ** 2
-        want = closed_form_covariance(*adam_generator(H, Sigma, 3.0, 1.0, 1e-8), sched, scale, t)
+        want = closed_form_covariance(*adam_generator(H, Sigma, 3.0, 1e-8), sched, scale, t)
         assert np.asarray(ga.P_closed).tobytes() == np.asarray(want).tobytes()
 
 

@@ -342,7 +342,9 @@ def reference_rk4(G, Sigma, schedule, scale, t_grid):
     Each step evaluates the four stages of dP/dt = -eta(GP + PG') +
     scale*eta^2*Sigma with fresh matrix products, on the same segment
     pieces, step sizes and halving rule as the folded route: halve until
-    two solves agree to ODE_TOL * (1 + max|P|) for every system.
+    two solves agree to ODE_TOL * (1 + max|P|) for every system.  It starts
+    at S/ODE_BASE_STEPS, as the folded route does on every system it is
+    compared with here.
     """
     G = np.asarray(G, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
