@@ -159,6 +159,8 @@ def _malformed_runs(runs: str) -> dict:
         # row 7 breaks the loss rule before row 9's bad float
         "runs_zero_loss.csv": log({7: {"loss": "0"}, 9: {"model_B": "x"}}),
         "runs_bad_float_and_zero_loss.csv": log({7: {"model_B": "x", "loss": "0"}}),
+        # row 8's schedule is refused when the fit prices it, not when it is read
+        "runs_negative_rate_row.csv": log({8: {"eta1": "-0.001"}}),
         # a cell over the csv module's field size limit of 131,072 characters
         "runs_oversized_cell.csv": log({12: {"eta2": "1" * 131_073}}),
     }
@@ -300,7 +302,7 @@ COMMANDS = {
     **{f"fit_{name}": ["fit", "--runs", f"{{dir}}/runs_{name}.csv", "--out", "{out}"]
        for name in ("bad_float_last_row", "short_row", "extra_field",
                     "blank_lines_before_bad_row", "diverged_1.0", "zero_loss",
-                    "bad_float_and_zero_loss", "oversized_cell")},
+                    "bad_float_and_zero_loss", "oversized_cell", "negative_rate_row")},
     "fit_token_length_alone": ["fit", "--runs", "{dir}/runs.csv", "--out", "{out}",
                                "--token-length", str(TOKEN_LENGTH)],
     **{f"simulate_{algorithm}_{objective}": [
