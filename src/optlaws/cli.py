@@ -40,7 +40,6 @@ from .law import (
     DIVERGED_LOSS,
     ConfigBatch,
     FittedLaw,
-    LossRuleError,
     RunConfig,
     RunTable,
     fit,
@@ -148,16 +147,6 @@ def _run_table(cells, token_length, batch) -> RunTable:
     return RunTable(**columns, diverged=diverged)
 
 
-def _first_bad_cell(cells, convert):
-    """(index, error) of the first cell ``convert`` refuses, or (len, None)."""
-    for i, cell in enumerate(cells):
-        try:
-            convert(cell)
-        except (TypeError, ValueError) as exc:
-            return i, exc
-    return len(cells), None
-
-
 def read_runs_csv(path: str, token_length=None, batch=None) -> RunTable:
     """Parse a run-log CSV into a :class:`RunTable`, reading cells by position.
 
@@ -165,9 +154,9 @@ def read_runs_csv(path: str, token_length=None, batch=None) -> RunTable:
     ``token_length`` and ``batch`` are given (one alone is an error), the size
     columns are raw step counts, converted to billions here and nowhere else.
     Blank lines are skipped and not counted, a short row's missing cells are
-    None and a long row's extra cells are ignored.  An error names the line of
-    the first bad row and, within it, the first bad cell in column order, then
-    the loss rule.
+    None and a long row's extra cells are ignored.  When the columns cannot be
+    read, the rows are read again one at a time in order, and the error is the
+    one the first bad row gives alone, named by its line.
     """
     if (token_length is None) != (batch is None):
         raise DataError("--token-length and --batch go together: give both or neither")
@@ -187,18 +176,13 @@ def read_runs_csv(path: str, token_length=None, batch=None) -> RunTable:
     cells += [(None,) * len(rows)] * (width - len(cells))
     try:
         return _run_table(cells, token_length, batch)
-    except LossRuleError as exc:
-        row, error = exc.row, exc
-    except (TypeError, ValueError):
-        # the first row with a bad cell, and its first bad cell; a row before
-        # it can still break the loss rule
-        converts = [float] * (width - 1) + [int]
-        row, error = min(map(_first_bad_cell, cells, converts), key=lambda fault: fault[0])
-        try:
-            _run_table([col[:row] for col in cells], token_length, batch)
-        except LossRuleError as exc:
-            row, error = exc.row, exc
-    raise DataError(f"{path} line {row + 2}: {error}")
+    except (TypeError, ValueError):  # replay the rows one at a time, in order
+        for i in range(len(rows)):
+            try:
+                _run_table([col[i:i + 1] for col in cells], token_length, batch)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path} line {i + 2}: {exc}") from None
+        raise
 
 
 def _read_json(path: str, parse=json.loads):

@@ -57,7 +57,6 @@ from .schedule import Schedule, ScheduleTable, build_general_schedule, json_inpu
 __all__ = [
     "DIVERGED_LOSS",
     "LawFitError",
-    "LossRuleError",
     "RunRecord",
     "RunTable",
     "RunConfig",
@@ -95,22 +94,14 @@ class LawFitError(ValueError):
     """Fitting is impossible for the supplied records."""
 
 
-class LossRuleError(ValueError):
-    """A non-divergent run whose loss is not > 0; ``row`` is its index."""
-
-    def __init__(self, row: int, loss: float):
-        super().__init__(f"non-divergent run needs loss > 0, got {loss}")
-        self.row = row
-
-
 def _loss_rule(loss, diverged) -> np.ndarray:
     """The losses of a run log's column, or of one run: a divergent run's
     loss reads :data:`DIVERGED_LOSS`, and a non-divergent run needs loss > 0,
-    else :class:`LossRuleError` names the first that breaks it."""
+    else ValueError names the first that breaks it."""
     loss = np.where(diverged, DIVERGED_LOSS, loss)
     bad = np.flatnonzero(~(loss > 0))
     if bad.size:
-        raise LossRuleError(int(bad[0]), float(loss.flat[bad[0]]))
+        raise ValueError(f"non-divergent run needs loss > 0, got {float(loss.flat[bad[0]])}")
     return loss
 
 
