@@ -35,19 +35,28 @@ from .divergence import (
     gated_criteria,
     gated_criterion,
 )
-from .features import DEFAULT_MARKER_RULE, LR_SCALE, MARKER_RULES, Normalizer
+from .features import (
+    DEFAULT_MARKER_RULE,
+    LR_SCALE,
+    MARKER_RULES,
+    FeatureError,
+    Normalizer,
+    compute_features,
+    marker_policy,
+)
 from .law import (
     DIVERGED_LOSS,
     ConfigBatch,
     FittedLaw,
     RunConfig,
+    RunRecord,
     RunTable,
     fit,
     general_log_losses,
     predict,
     rank,
 )
-from .schedule import Schedule, ScheduleTable, build_general_schedule, json_input
+from .schedule import Schedule, ScheduleError, ScheduleTable, build_general_schedule, json_input
 
 __all__ = ["main", "sweep_grid", "read_runs_csv"]
 
@@ -334,12 +343,21 @@ def _write_grid_csv(rows, eta_values, warmup_values, path: str):
 
 def _cmd_fit(args) -> int:
     runs = read_runs_csv(args.runs, args.token_length, args.batch)
-    law = fit(
-        runs,
-        policy_rule=args.policy,
-        include_escape=not args.no_escape_terms,
-        normalizer=Normalizer(lr_scale=args.lr_scale),
-    )
+    normalizer = Normalizer(lr_scale=args.lr_scale)
+    try:
+        law = fit(runs, policy_rule=args.policy, include_escape=not args.no_escape_terms,
+                  normalizer=normalizer)
+    except (ScheduleError, FeatureError):
+        # replay the one-row route over the fitted rows in order: the first
+        # row that fails alone is named by its line, with its own error
+        for i in np.flatnonzero(~runs.diverged).tolist():
+            record = RunRecord(*(getattr(runs, name)[i].item() for name in RUNS_COLUMNS))
+            try:
+                schedule = record.normalized_schedule(normalizer)
+                compute_features(schedule, marker_policy(args.policy, schedule), record.model_B)
+            except (ScheduleError, FeatureError) as exc:
+                raise DataError(f"{args.runs} line {i + 2}: {exc}") from None
+        raise
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(law.to_json())
     report = {

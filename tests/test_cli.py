@@ -92,7 +92,8 @@ class TestFit:
         assert out.read_bytes() == want.read_bytes()
 
     def test_zero_warmup_in_third_row_names_its_term(self, tmp_path, runs_csv, capsys):
-        # the first bad row is not row 0; fit raises the error that row raises alone
+        # the first bad row is not row 0; fit names its line, with the error that
+        # row raises alone
         lines = runs_csv.read_text().splitlines()
         fields = lines[3].split(",")
         fields[RUNS_COLUMNS.index("a1_B")] = "0.0"
@@ -105,7 +106,26 @@ class TestFit:
             compute_features(s, default_markers(s), row.model_B)
         assert str(want.value) == "zero base with negative power for term 'warmup_lr_area'"
         assert run_cli(["fit", "--runs", bad, "--out", tmp_path / "law.json"]) == 1
-        assert capsys.readouterr().err == f"error: {want.value}\n"
+        assert capsys.readouterr().err == f"error: {bad} line 4: {want.value}\n"
+
+    @pytest.mark.parametrize("diverged", ["0", "1"])
+    def test_negative_rate_row_is_named_unless_divergent(self, tmp_path, runs_csv, capsys,
+                                                         diverged):
+        # the log reads; fit names the line of the row it cannot price, and
+        # never prices a divergent row
+        lines = runs_csv.read_text().splitlines()
+        fields = lines[9].split(",")
+        fields[RUNS_COLUMNS.index("eta1")] = "-0.001"
+        fields[RUNS_COLUMNS.index("diverged")] = diverged
+        lines[9] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run_cli(["fit", "--runs", bad, "--out", tmp_path / "law.json"])
+        err = capsys.readouterr().err
+        if diverged == "0":
+            assert (code, err) == (1, f"error: {bad} line 10: rates must be nonnegative\n")
+        else:
+            assert (code, err) == (0, "")
 
     def test_one_model_size_is_rank_deficient(self, tmp_path, capsys):
         one_size = tmp_path / "one_size.csv"
