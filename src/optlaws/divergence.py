@@ -70,11 +70,14 @@ def critical_rate(N: float, S: float, params: DivergenceParams = DEFAULT_PARAMS)
     if s_sq < sys.float_info.min:  # zero, or subnormal and short of digits
         raise ValueError(f"horizon S={S} is too small: S^2 underflows")
     try:
-        return params.c1_hat * s_sq ** params.alpha1_hat / (params.c2_hat * N ** params.alpha2_hat)
+        rate = params.c1_hat * s_sq ** params.alpha1_hat / (params.c2_hat * N ** params.alpha2_hat)
     except OverflowError:
         raise ValueError(f"critical rate: (S^2)^alpha1 or N^alpha2 overflows at S={S}, N={N}") from None
     except ZeroDivisionError:
         raise ValueError(f"critical rate: c2 * N^alpha2 underflows to 0 at N={N}") from None
+    if rate == 0.0:
+        raise ValueError(f"critical rate underflows to 0 at S={S}, N={N}")
+    return rate
 
 
 def criterion_R(
@@ -105,8 +108,6 @@ def criterion_R(
     if a_sq == 0.0:
         raise ValueError(f"warmup a1={a1} is too small: a1^2 underflows to 0")
     eta_l = min(eta_max, critical_rate(N, S, params))
-    if eta_l <= 0:
-        raise ValueError(f"degenerate parameters yield eta_L = {eta_l}")
     r = divergence_ratio(eta_max, a_sq, S * S, eta_l, params)
     return CriterionResult(R=r, eta_L=eta_l, verdict="diverge" if r > 1.0 else "stable")
 
@@ -179,8 +180,6 @@ def gated_criteria(eta_max, a1, N, S, params: DivergenceParams = DEFAULT_PARAMS)
         threshold = np.reshape([critical_rate(n, s, params) for n, s in zip(
             *(x.ravel().tolist() for x in NS))], NS[0].shape)
         eta_l = np.where(threshold < eta_max, threshold, eta_max)
-        if not (eta_l[warm] > 0).all():
-            raise ValueError
         # a zero warmup: R = 0 at or below the critical rate, inf above it
         R = np.where(eta_max <= threshold, 0.0, math.inf)
         with np.errstate(over="ignore"):  # R = inf, as the scalar ratio gives it

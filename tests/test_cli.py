@@ -729,6 +729,26 @@ class TestBadInput:
         assert "underflows to 0" in captured.err and captured.out == ""
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize("command", ["check", "rank", "sweep"])
+    def test_critical_rate_underflows(self, tmp_path, law_file, capsys, command):
+        # (S^2)^alpha1 underflows, so the critical rate is 0: check and sweep
+        # said "degenerate parameters yield eta_L = 0.0", and rank listed a
+        # zero warmup as diverging at eta_L = 0
+        cfg = {"model_B": 1.0, "tokens_B": 0.5, "eta1": 6e-3, "eta2": 6e-3,
+               "a1_B": 0.0, "a2_B": 0.1, "a3_B": 0.3}
+        (tmp_path / "cfgs.json").write_text(json.dumps([cfg]))
+        argv = {
+            "check": ["--eta-max", 0.4, "--warmup", 0.1, "--model", 1, "--tokens", 0.5],
+            "rank": ["--law", law_file, "--configs", tmp_path / "cfgs.json"],
+            "sweep": ["--law", law_file, "--eta-max-range", "0.1:0.5:3", "--warmup-range",
+                      "0.1:0.3:2", "--model", 1, "--tokens", 0.5, "--out", tmp_path / "g.csv"],
+        }[command]
+        capsys.readouterr()
+        assert run_cli([command, *argv, '--gate-overrides={"alpha1_hat": 2000}']) == 1
+        captured = self.one_line_error(capsys)
+        assert captured.err == "error: critical rate underflows to 0 at S=0.5, N=1.0\n"
+        assert captured.out == "" and not (tmp_path / "g.csv").exists()
+
     @pytest.mark.parametrize("eta0", [1e-6, 1e-320])  # a 512 MB noise row; S/eta0 = inf
     def test_simulate_too_many_steps(self, capsys, eta0):
         assert run_cli(["simulate", "--eta0", eta0, "--dim", 16]) == 1
