@@ -319,6 +319,8 @@ class Schedule:
         Partial segments are split; the result is additive over adjacent
         intervals up to float rounding.
         """
+        if functional not in FUNCTIONALS:
+            raise ScheduleError(f"unknown functional {functional!r}")
         total = 0.0
         for seg, lo, hi in self.pieces(u, v):
             total += seg.integral(lo, hi, functional)

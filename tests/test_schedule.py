@@ -205,6 +205,15 @@ class TestIntegrals:
         with pytest.raises(ScheduleError):
             s.integral(0.0, 1.0, "eta_cubed")
 
+    @pytest.mark.parametrize("u, v", [(2.0, 3.0), (2.0, 2.0)], ids=["interval", "empty"])
+    def test_unknown_functional_refused(self, u, v):
+        # on an empty interval no piece checked the name, and the call returned 0.0
+        s = build_general_schedule(0.8, 0.5, 1, 3, 6, 10)
+        with pytest.raises(ScheduleError, match="^unknown functional 'bogus'$"):
+            s.integral(u, v, "bogus")
+        with pytest.raises(ScheduleError, match="not 'bogus'$"):
+            ScheduleTable.from_schedules([s]).integral(u, v, "bogus")
+
     def test_additivity(self):
         rng = np.random.default_rng(11)
         checked = 0
