@@ -304,7 +304,6 @@ def feature_matrix(bases: dict, S, N, powers=None) -> tuple[np.ndarray, np.ndarr
         # positive areas; each base positive under a negative power, else nonnegative
         ok = (F[:, 0] > 0) & (F[:, 1] > 0) & np.where(np.array(p) < 0, F > 0, F >= 0).all(axis=1)
         np.power(F, p, out=F)
-        F[:, 15] = 1.0
         ok &= np.isfinite(F).all(axis=1)
     return F, ok
 

@@ -359,16 +359,14 @@ def _adam_v(config: SdeConfig, etas: np.ndarray, diag_sigma: np.ndarray):
     """
     v = np.zeros(diag_sigma.size)
     root_v, dv = np.empty((etas.size, v.size)), np.empty_like(v)
-    v_min = math.inf
     for k, eta_k in enumerate(etas):
         root_v[k] = v
         # v <- v - c2 * step * (v - diag(Sigma)), step = eta0 * eta_k
         np.subtract(v, diag_sigma, out=dv)
         dv *= config.c2 * (config.eta0 * eta_k)
         v -= dv
-        vm = float(v.min()) if v.size else 0.0
-        if vm < v_min:
-            v_min = vm
+    # v_1 .. v_n are the table's rows after the first, then the last v
+    v_min = float(min(root_v[1:].min(initial=math.inf), v.min()))
     root_v += config.eps
     np.sqrt(root_v, out=root_v)
     return root_v, v_min, v
