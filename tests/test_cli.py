@@ -749,6 +749,17 @@ class TestBadInput:
         assert captured.err == "error: critical rate underflows to 0 at S=0.5, N=1.0\n"
         assert captured.out == "" and not (tmp_path / "g.csv").exists()
 
+    def test_predict_model_size_zero(self, tmp_path, law_file, capsys):
+        # predict does not gate its config, so the feature map refuses N = 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_B": 0, "tokens_B": 10.0, "eta1": 6e-3, "eta2": 6e-3,
+                                   "a1_B": 1.0, "a2_B": 1.0, "a3_B": 1.0}))
+        capsys.readouterr()
+        assert run_cli(["predict", "--law", law_file, "--config", cfg]) == 1
+        captured = self.one_line_error(capsys)
+        assert captured.err == "error: S and N must be positive, got S=10.0, N=0.0\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("eta0", [1e-6, 1e-320])  # a 512 MB noise row; S/eta0 = inf
     def test_simulate_too_many_steps(self, capsys, eta0):
         assert run_cli(["simulate", "--eta0", eta0, "--dim", 16]) == 1
@@ -826,6 +837,8 @@ class TestBadInput:
                      id="lr-scale-400-digits"),
         pytest.param(law_text(c=[10**400] * 16), "law field 'c' is too large for a float",
                      id="c-400-digits"),
+        pytest.param(law_text(c=list(REFERENCE_COEFFICIENTS[:15])),
+                     "a law carries exactly 16 coefficients and powers", id="15-coefficients"),
     ])
     def test_malformed_law_file(self, tmp_path, law_file, capsys, command, text, match):
         bad_law = tmp_path / "bad_law.json"

@@ -164,6 +164,15 @@ class TestAntiConcentration:
     def test_bound_formula(self):
         assert anti_concentration_bound(1.0, math.e) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("eps, trace, match", [
+        (0.1, 0.0, "^trace must be positive$"),
+        (0.1, -1.0, "^trace must be positive$"),
+        (-0.1, 1.0, "^eps must be nonnegative$"),
+    ], ids=["zero-trace", "negative-trace", "negative-eps"])
+    def test_bad_input_rejected(self, eps, trace, match):
+        with pytest.raises(ValueError, match=match):
+            anti_concentration_bound(eps, trace)
+
     def test_empirical_mass_below_bound(self):
         rng = np.random.default_rng(23)
         for dim in (1, 4, 16):

@@ -393,6 +393,11 @@ class TestValidation:
             gaussian_approx(obj, NoiseModel.isotropic(2, 1.0), sched,
                             np.array([1.0, 0.0]), "sgd", [1.0], eta0=0.01)
 
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ValueError, match="^unknown algorithm 'bogus'$"):
+            gaussian_approx(isotropic_quadratic(2), NoiseModel.isotropic(2, 1.0),
+                            constant_schedule(0.1, 1.0), np.zeros(2), "bogus", [1.0], eta0=0.01)
+
     def test_unsorted_grid_rejected(self):
         sched = constant_schedule(0.1, 1.0)
         with pytest.raises(ValueError):
