@@ -1,6 +1,8 @@
 import importlib
+import json
 import pkgutil
 import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 import optlaws
 import optlaws.sde
+from optlaws.cli import main
 
 
 def _modules():
@@ -38,13 +41,24 @@ def test_package_version_is_read_from_the_package():
     assert project["version"] == optlaws.__version__
 
 
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
 def test_readme_library_sketch_runs(monkeypatch, capsys):
     # the README's "Library sketch" block, run from the repository root
-    root = Path(__file__).resolve().parents[1]
-    readme = (root / "README.md").read_text(encoding="utf-8")
-    (code,) = re.findall(r"^## Library sketch\n.*?^```python\n(.*?)^```$", readme, re.M | re.S)
-    monkeypatch.chdir(root)
+    (code,) = re.findall(r"^## Library sketch\n.*?^```python\n(.*?)^```$", README, re.M | re.S)
+    monkeypatch.chdir(ROOT)
     exec(compile(code, "README.md", "exec"), {})
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 3 and out[0].startswith("{'log_loss': ")
     assert all(line.count("verdict='ok'") == 3 for line in out[1:])
+
+
+def test_readme_check_example_prints_its_comment(capsys):
+    # the README's check command, and the report its comment shows to 3 places
+    ((command, comment),) = re.findall(r"^(optlaws check .*)\n# (\{.*\})$", README, re.M)
+    assert main(shlex.split(command)[1:]) == 0
+    got, shown = json.loads(capsys.readouterr().out), json.loads(comment)
+    assert shown == {"R": 0.526, "eta_L": 0.196, "verdict": "stable"}
+    assert {k: round(v, 3) if isinstance(v, float) else v for k, v in got.items()} == shown
