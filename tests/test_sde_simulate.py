@@ -104,17 +104,6 @@ class TestObjectives:
         np.testing.assert_allclose(g[2], obj.gradient(x[2]), rtol=1e-15)
 
 
-class TestNoiseModel:
-    @pytest.mark.parametrize("sigma, D, match", [
-        (np.ones((2, 3)), 64, "^Sigma_g must be square$"),
-        (np.array([[1.0, 0.5], [0.0, 1.0]]), 64, "^Sigma_g must be symmetric$"),
-        (np.eye(2), 0, "^D must be at least 1$"),
-    ], ids=["non-square", "asymmetric", "no-samples"])
-    def test_malformed_noise_rejected(self, sigma, D, match):
-        with pytest.raises(ValueError, match=match):
-            NoiseModel(sigma, D=D)
-
-
 class TestSgdSimulation:
     def test_frozen_dynamics_with_zero_rate(self):
         sched = constant_schedule(0.0, 1.0)
@@ -321,6 +310,15 @@ class TestNoiseModel:
             NoiseModel(sigma)
         with pytest.raises(ValueError, match="noise variance must be finite"):
             NoiseModel.isotropic(3, bad)
+
+    @pytest.mark.parametrize("sigma, D, match", [
+        (np.ones((2, 3)), 64, "^Sigma_g must be square$"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), 64, "^Sigma_g must be symmetric$"),
+        (np.eye(2), 0, "^D must be at least 1$"),
+    ], ids=["non-square", "asymmetric", "no-samples"])
+    def test_malformed_noise_rejected(self, sigma, D, match):
+        with pytest.raises(ValueError, match=match):
+            NoiseModel(sigma, D=D)
 
 
 class TestAdamSimulation:
