@@ -6,11 +6,8 @@ from .features import (
     TERM_NAMES,
     FeatureError,
     FeatureVector,
-    MarkerPolicy,
     Normalizer,
-    collapsed_markers,
     compute_features,
-    default_markers,
 )
 from .law import (
     DIVERGED_LOSS,
@@ -50,7 +47,6 @@ __all__ = [
     "FeatureVector",
     "FittedLaw",
     "LawFitError",
-    "MarkerPolicy",
     "Normalizer",
     "RunConfig",
     "RunRecord",
@@ -61,12 +57,10 @@ __all__ = [
     "SimpleLaw",
     "TERM_NAMES",
     "build_general_schedule",
-    "collapsed_markers",
     "compute_features",
     "continual_features",
     "criterion_R",
     "critical_rate",
-    "default_markers",
     "fit",
     "predict",
     "prop1_gap",

@@ -42,7 +42,6 @@ from .features import (
     FeatureError,
     Normalizer,
     compute_features,
-    marker_policy,
 )
 from .law import (
     DIVERGED_LOSS,
@@ -354,7 +353,7 @@ def _cmd_fit(args) -> int:
             record = RunRecord(*(getattr(runs, name)[i].item() for name in RUNS_COLUMNS))
             try:
                 schedule = record.normalized_schedule(normalizer)
-                compute_features(schedule, marker_policy(args.policy, schedule), record.model_B)
+                compute_features(schedule, record.model_B, rule=args.policy)
             except (ScheduleError, FeatureError) as exc:
                 raise DataError(f"{args.runs} line {i + 2}: {exc}") from None
         raise

@@ -9,8 +9,9 @@ The 16 entries split into four blocks of four:
 
 where Iw and It are the warmup and tail integrals of eta over the two
 convergence intervals [0, a_c1] and [a_c2, S], and Ew, Et are the warmup
-and tail integrals of (eta')^2 over [0, a_e1] and [a_e2, S].  Powers
-default to the values above but can be overridden per term.
+and tail integrals of (eta')^2 over [0, a_e1] and [a_e2, S].  The split
+points are read off the phase markers by a named rule (``MARKER_RULES``).
+Powers default to the values above but can be overridden per term.
 """
 
 from __future__ import annotations
@@ -26,17 +27,12 @@ from .schedule import Schedule
 __all__ = [
     "FeatureError",
     "Normalizer",
-    "MarkerPolicy",
     "FeatureVector",
     "LR_SCALE",
     "TERM_NAMES",
     "DEFAULT_POWERS",
     "MARKER_RULES",
     "DEFAULT_MARKER_RULE",
-    "marker_policy",
-    "default_markers",
-    "collapsed_markers",
-    "schedule_bases",
     "rule_bases",
     "feature_matrix",
     "checked_feature_matrix",
@@ -110,22 +106,6 @@ class Normalizer:
         return steps * token_length * batch / 1e9
 
 
-@dataclass(frozen=True)
-class MarkerPolicy:
-    """Split points for the convergence and escape integrals (token units)."""
-
-    a_c1: float
-    a_c2: float
-    a_e1: float
-    a_e2: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.a_c1 <= self.a_c2):
-            raise FeatureError(f"need 0 <= a_c1 <= a_c2, got {self.a_c1}, {self.a_c2}")
-        if not (0.0 <= self.a_e1 <= self.a_e2):
-            raise FeatureError(f"need 0 <= a_e1 <= a_e2, got {self.a_e1}, {self.a_e2}")
-
-
 def _standard_splits(a1, a2, a3):
     return a1, a3, a2, a2
 
@@ -139,36 +119,15 @@ DEFAULT_MARKER_RULE = "a1/a3/a2"
 
 # Marker rule name -> split points (a_c1, a_c2, a_e1, a_e2) from the phase
 # markers (a1, a2, a3).  The rules only pick markers, so they apply
-# elementwise to arrays of markers as well.
+# elementwise to arrays of markers as well.  "a1/a3/a2": the warmup end
+# bounds the first convergence integral, the cooldown start the tail one,
+# and both escape integrals split at the decay/plateau boundary.  "all-a1"
+# folds any constant phase into the cooldown integrals, the convention of
+# the two reference schedule families' printed closed forms.
 MARKER_RULES = {
     DEFAULT_MARKER_RULE: _standard_splits,
     "all-a1": _collapsed_splits,
 }
-
-
-def marker_policy(rule: str, schedule: Schedule) -> MarkerPolicy:
-    """The split points of ``schedule`` under the named marker rule."""
-    return MarkerPolicy(*MARKER_RULES[rule](*schedule.markers))
-
-
-def default_markers(schedule: Schedule) -> MarkerPolicy:
-    """Standard split rule: a_c1 = a1, a_c2 = a3, a_e1 = a_e2 = a2.
-
-    The warmup end bounds the first convergence integral, the cooldown
-    start bounds the tail one, and both escape integrals split at the
-    decay/plateau boundary.
-    """
-    return marker_policy(DEFAULT_MARKER_RULE, schedule)
-
-
-def collapsed_markers(schedule: Schedule) -> MarkerPolicy:
-    """All four split points at the warmup end a1.
-
-    This folds any constant phase into the cooldown integrals, which is the
-    convention under which the two reference schedule families have their
-    printed closed forms.
-    """
-    return marker_policy("all-a1", schedule)
 
 
 @dataclass(frozen=True)
@@ -213,32 +172,22 @@ class FeatureVector:
         ]
 
 
-def schedule_bases(schedule: Schedule, policy: MarkerPolicy) -> dict:
-    """The raw integrals and peak rate feeding the feature map.
+def rule_bases(schedules, rule: str) -> dict:
+    """The raw integrals and peak rate feeding the feature map, of a
+    :class:`Schedule` or, elementwise, of a
+    :class:`~optlaws.schedule.ScheduleTable`, split by the named marker rule.
 
     Keys: warmup_area, tail_area (integral of eta), warmup_energy,
     tail_energy (integral of (eta')^2), eta_max.
     """
-    S = schedule.S
-    if policy.a_c2 > S or policy.a_e2 > S:
-        raise FeatureError(f"marker policy {policy} exceeds horizon S = {S}")
-    return _bases(schedule, policy.a_c1, policy.a_c2, policy.a_e1, policy.a_e2)
-
-
-def rule_bases(schedules, rule: str) -> dict:
-    """:func:`schedule_bases` of a :class:`Schedule` or, elementwise, of a
-    :class:`~optlaws.schedule.ScheduleTable`, split by the named marker rule."""
-    return _bases(schedules, *MARKER_RULES[rule](*schedules.markers))
-
-
-def _bases(schedule, a_c1, a_c2, a_e1, a_e2) -> dict:
-    S = schedule.S
+    a_c1, a_c2, a_e1, a_e2 = MARKER_RULES[rule](*schedules.markers)
+    S = schedules.S
     return {
-        "warmup_area": schedule.integral(0.0, a_c1, "eta"),
-        "tail_area": schedule.integral(a_c2, S, "eta"),
-        "warmup_energy": schedule.integral(0.0, a_e1, "deta_sq"),
-        "tail_energy": schedule.integral(a_e2, S, "deta_sq"),
-        "eta_max": schedule.eta_max,
+        "warmup_area": schedules.integral(0.0, a_c1, "eta"),
+        "tail_area": schedules.integral(a_c2, S, "eta"),
+        "warmup_energy": schedules.integral(0.0, a_e1, "deta_sq"),
+        "tail_energy": schedules.integral(a_e2, S, "deta_sq"),
+        "eta_max": schedules.eta_max,
     }
 
 
@@ -281,7 +230,7 @@ def _fill_bases(out, iw, it, ew, et, h, S, N):
 def feature_matrix(bases: dict, S, N, powers=None) -> tuple[np.ndarray, np.ndarray]:
     """The 16-term map over n configurations at once.
 
-    ``bases`` holds the keys of :func:`schedule_bases`; its values, ``S``
+    ``bases`` holds the keys of :func:`rule_bases`; its values, ``S``
     and ``N`` broadcast to one length n.  Returns the ``(n, 16)`` feature
     matrix and a length-n mask of the rows inside the map's domain: both
     areas positive, no negative base, no zero base under a negative power
@@ -338,17 +287,17 @@ def checked_feature_matrix(bases: dict, S, N, powers=None, refused=None) -> np.n
 
 def compute_features(
     schedule: Schedule,
-    policy: MarkerPolicy,
     N: float,
     powers=None,
+    rule: str = DEFAULT_MARKER_RULE,
 ) -> FeatureVector:
     """Feature vector of a schedule at model size N (billions), over its
-    horizon S.
+    horizon S, with the integrals split by the named marker rule.
 
     Raises :class:`FeatureError` when an integral that appears in a
     denominator (or under a negative power) vanishes, e.g. for a
     zero-length or zero-rate warmup.
     """
-    bases = schedule_bases(schedule, policy)
     p = _powers(powers)
-    return FeatureVector(checked_feature_matrix(bases, schedule.S, N, p)[0].tolist(), p)
+    F = checked_feature_matrix(rule_bases(schedule, rule), schedule.S, N, p)
+    return FeatureVector(F[0].tolist(), p)

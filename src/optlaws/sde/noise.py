@@ -34,6 +34,8 @@ class NoiseModel:
         sigma = np.asarray(self.Sigma_g, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("Sigma_g must be square")
+        if sigma.size == 0:
+            raise ValueError("Sigma_g must be nonempty")
         if not np.isfinite(sigma).all():
             raise ValueError("Sigma_g must be finite")
         if not np.allclose(sigma, sigma.T, atol=1e-12):

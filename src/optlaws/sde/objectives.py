@@ -83,6 +83,8 @@ def double_well(dim: int, box: float = 2.0) -> Objective:
     Minima at every sign vector (+-1, ..., +-1) with f = 0.  The gradient
     is only locally Lipschitz; L and ell are valid on |x_i| <= box.
     """
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     if box < 1.0:
         raise ValueError("box must contain the minima (box >= 1)")
 

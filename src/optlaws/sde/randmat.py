@@ -66,6 +66,8 @@ def random_matrix_checks(
     two dominates is left to the reader; the residual against the first is
     reported rather than asserted.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     Sigma_g = np.asarray(Sigma_g, dtype=float)
     if Sigma_g.shape != (N, N):
         raise ValueError(f"Sigma_g must be ({N}, {N})")

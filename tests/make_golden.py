@@ -130,8 +130,9 @@ def _runs_as_steps() -> str:
 
 def _malformed_runs(runs: str) -> dict:
     """Copies of the fixture run log with a few cells or lines changed: logs
-    the reader refuses, each naming the first bad row's line, and one it reads.
-    Row i of the log is line i + 2."""
+    the reader refuses, each naming the first bad row's line, one it reads,
+    and one only the default marker rule refuses.  Row i of the log is line
+    i + 2."""
     lines = runs.splitlines()
 
     def row(i, **cells) -> str:
@@ -163,6 +164,10 @@ def _malformed_runs(runs: str) -> dict:
         "runs_negative_rate_row.csv": log({8: {"eta1": "-0.001"}}),
         # a cell over the csv module's field size limit of 131,072 characters
         "runs_oversized_cell.csv": log({12: {"eta2": "1" * 131_073}}),
+        # row 2 has no cooldown (a3_B = tokens_B): a zero tail area under the
+        # default marker rule, which splits it at a3, but not under all-a1
+        "runs_no_cooldown_row.csv": log(
+            {2: {"a3_B": lines[3].split(",")[RUNS_COLUMNS.index("tokens_B")]}}),
     }
 
 
@@ -303,6 +308,11 @@ COMMANDS = {
        for name in ("bad_float_last_row", "short_row", "extra_field",
                     "blank_lines_before_bad_row", "diverged_1.0", "zero_loss",
                     "bad_float_and_zero_loss", "oversized_cell", "negative_rate_row")},
+    # the one row without a cooldown is named under the default marker rule
+    # and fitted under the rule that splits at a1 only
+    **{f"fit_no_cooldown_row_policy_{rule.replace('/', '_').replace('-', '_')}": [
+        "fit", "--runs", "{dir}/runs_no_cooldown_row.csv", "--out", "{out}", "--policy", rule]
+       for rule in ("a1/a3/a2", "all-a1")},
     "fit_token_length_alone": ["fit", "--runs", "{dir}/runs.csv", "--out", "{out}",
                                "--token-length", str(TOKEN_LENGTH)],
     **{f"simulate_{algorithm}_{objective}": [

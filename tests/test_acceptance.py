@@ -14,7 +14,7 @@ import pytest
 
 from optlaws.cli import main as cli_main
 from optlaws.divergence import DEFAULT_PARAMS, criterion_R, critical_rate
-from optlaws.features import collapsed_markers, compute_features, default_markers
+from optlaws.features import compute_features
 from optlaws.law import (
     REFERENCE_COEFFICIENTS,
     RunConfig,
@@ -97,7 +97,7 @@ def test_criterion_02_reference_family_closed_forms():
         h = float(rng.uniform(0.05, 1.0))
         N = float(rng.uniform(0.05, 8.0))
         sched = build_general_schedule(h, h, a, a, a, S)
-        got = np.array(compute_features(sched, default_markers(sched), N).values)
+        got = np.array(compute_features(sched, N).values)
         want = np.array(linear_family_expected(a, h, S, N))
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
     for _ in range(20):
@@ -107,7 +107,7 @@ def test_criterion_02_reference_family_closed_forms():
         h = float(rng.uniform(0.05, 1.0))
         N = float(rng.uniform(0.05, 8.0))
         sched = warmup_const_cooldown_schedule(h, a1, a2, S)
-        got = np.array(compute_features(sched, collapsed_markers(sched), N).values)
+        got = np.array(compute_features(sched, N, rule="all-a1").values)
         want = np.array(const_family_expected(a1, a2, h, S, N))
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
     assert worst <= 1e-12

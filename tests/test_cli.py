@@ -16,7 +16,7 @@ import optlaws
 from optlaws import cli, validate
 from optlaws.cli import RUNS_COLUMNS, main, read_runs_csv, sweep_grid
 from optlaws.divergence import DEFAULT_PARAMS, critical_rate, gated_criterion
-from optlaws.features import FeatureError, Normalizer, compute_features, default_markers
+from optlaws.features import FeatureError, Normalizer, compute_features
 from optlaws.law import (REFERENCE_COEFFICIENTS, ConfigBatch, FittedLaw, RunConfig, RunTable,
                          predict, reference_law)
 from optlaws.schedule import build_general_schedule
@@ -103,7 +103,7 @@ class TestFit:
         row = table_row(read_runs_csv(str(bad)), 2)
         s = row.normalized_schedule()
         with pytest.raises(FeatureError) as want:
-            compute_features(s, default_markers(s), row.model_B)
+            compute_features(s, row.model_B)
         assert str(want.value) == "zero base with negative power for term 'warmup_lr_area'"
         assert run_cli(["fit", "--runs", bad, "--out", tmp_path / "law.json"]) == 1
         assert capsys.readouterr().err == f"error: {bad} line 4: {want.value}\n"
@@ -126,6 +126,24 @@ class TestFit:
             assert (code, err) == (1, f"error: {bad} line 10: rates must be nonnegative\n")
         else:
             assert (code, err) == (0, "")
+
+    def test_no_cooldown_row_is_priced_under_the_all_a1_rule(self, tmp_path, runs_csv, capsys):
+        # a3 = S leaves no tail area past a3, which the default rule splits
+        # at; all-a1 splits the tail at a1
+        lines = runs_csv.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[RUNS_COLUMNS.index("a3_B")] = fields[RUNS_COLUMNS.index("tokens_B")]
+        lines[3] = ",".join(fields)
+        runs = tmp_path / "no_cooldown.csv"
+        runs.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "law.json"
+        assert run_cli(["fit", "--runs", runs, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {runs} line 4: zero base with negative power for term 'tail_lr_area'\n")
+        assert not out.exists()
+        assert run_cli(["fit", "--runs", runs, "--out", out, "--policy", "all-a1"]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["policy"] == "all-a1"
 
     def test_one_model_size_is_rank_deficient(self, tmp_path, capsys):
         one_size = tmp_path / "one_size.csv"

@@ -13,16 +13,11 @@ from optlaws.features import (
     TERM_NAMES,
     FeatureError,
     FeatureVector,
-    MarkerPolicy,
     Normalizer,
     checked_feature_matrix,
-    collapsed_markers,
     compute_features,
-    default_markers,
     feature_matrix,
-    marker_policy,
     rule_bases,
-    schedule_bases,
 )
 from optlaws.law import RunConfig, _config_bases, continual_features, reference_law
 from optlaws.schedule import (
@@ -80,37 +75,34 @@ def const_family_expected(a1, a2, h, S, N, p=DEFAULT_POWERS):
     ]
 
 
+def splits(rule, s):
+    """(a_c1, a_c2, a_e1, a_e2) of a schedule under the named marker rule."""
+    return MARKER_RULES[rule](*s.markers)
+
+
 class TestMarkerPolicies:
     def test_general_rule(self):
         s = build_general_schedule(0.5, 0.3, 2.0, 5.0, 8.0, 10.0)
-        pol = default_markers(s)
-        assert (pol.a_c1, pol.a_c2, pol.a_e1, pol.a_e2) == (2.0, 8.0, 5.0, 5.0)
+        assert splits("a1/a3/a2", s) == (2.0, 8.0, 5.0, 5.0)
 
     def test_all_markers_coincide(self):
         s = build_general_schedule(0.4, 0.4, 2.0, 2.0, 2.0, 10.0)
-        pol = default_markers(s)
-        assert (pol.a_c1, pol.a_c2, pol.a_e1, pol.a_e2) == (2.0, 2.0, 2.0, 2.0)
+        assert splits("a1/a3/a2", s) == (2.0, 2.0, 2.0, 2.0)
 
     def test_const_with_cooldown_rule(self):
         s = build_general_schedule(0.4, 0.4, 2.0, 2.0, 8.0, 10.0)
-        pol = default_markers(s)
-        assert (pol.a_c1, pol.a_c2, pol.a_e1, pol.a_e2) == (2.0, 8.0, 2.0, 2.0)
+        assert splits("a1/a3/a2", s) == (2.0, 8.0, 2.0, 2.0)
 
     def test_collapsed_rule(self):
         s = build_general_schedule(0.4, 0.4, 2.0, 2.0, 8.0, 10.0)
-        pol = collapsed_markers(s)
-        assert (pol.a_c1, pol.a_c2, pol.a_e1, pol.a_e2) == (2.0, 2.0, 2.0, 2.0)
-
-    def test_ordering_enforced(self):
-        with pytest.raises(FeatureError):
-            MarkerPolicy(3.0, 2.0, 1.0, 1.0)
+        assert splits("all-a1", s) == (2.0, 2.0, 2.0, 2.0)
 
 
 class TestComputeFeatures:
     def test_linear_family_spot_values(self):
         a, h, S, N = 2.0, 0.4, 10.0, 4.0
         s = build_general_schedule(h, h, a, a, a, S)
-        f = compute_features(s, default_markers(s), N)
+        f = compute_features(s, N)
         assert f.convergence[0] == pytest.approx(2.5, rel=1e-15)
         assert f.convergence[1] == pytest.approx(0.625, rel=1e-15)
         assert f.escape[0] == pytest.approx(0.02, rel=1e-15)
@@ -118,12 +110,12 @@ class TestComputeFeatures:
     def test_const_family_tail_area(self):
         a1, a2, h, S = 2.0, 8.0, 0.4, 10.0
         s = warmup_const_cooldown_schedule(h, a1, a2, S)
-        f = compute_features(s, collapsed_markers(s), 4.0)
+        f = compute_features(s, 4.0, rule="all-a1")
         assert f.convergence[1] == pytest.approx(1.0 / (0.4 * 14.0 / 2.0), rel=1e-15)
 
     def test_zero_powers_give_ones(self):
         s = build_general_schedule(0.4, 0.4, 2.0, 2.0, 2.0, 10.0)
-        f = compute_features(s, default_markers(s), 4.0, powers=[0.0] * 16)
+        f = compute_features(s, 4.0, powers=[0.0] * 16)
         assert all(v == 1.0 for v in f.values)
 
     def test_linear_family_matches_printed_forms(self):
@@ -134,7 +126,7 @@ class TestComputeFeatures:
             h = float(rng.uniform(0.05, 1.0))
             N = float(rng.uniform(0.05, 8.0))
             s = build_general_schedule(h, h, a, a, a, S)
-            f = compute_features(s, default_markers(s), N)
+            f = compute_features(s, N)
             expected = linear_family_expected(a, h, S, N)
             np.testing.assert_allclose(f.values, expected, rtol=1e-12)
 
@@ -147,7 +139,7 @@ class TestComputeFeatures:
             h = float(rng.uniform(0.05, 1.0))
             N = float(rng.uniform(0.05, 8.0))
             s = warmup_const_cooldown_schedule(h, a1, a2, S)
-            f = compute_features(s, collapsed_markers(s), N)
+            f = compute_features(s, N, rule="all-a1")
             expected = const_family_expected(a1, a2, h, S, N)
             np.testing.assert_allclose(f.values, expected, rtol=1e-12)
 
@@ -166,16 +158,16 @@ class TestComputeFeatures:
             S,
             (2.0, 2.0, 2.0),
         )
-        fa = compute_features(one, default_markers(one), N)
-        fb = compute_features(two, default_markers(two), N)
+        fa = compute_features(one, N)
+        fb = compute_features(two, N)
         np.testing.assert_allclose(fa.values, fb.values, rtol=1e-12)
 
     def test_peak_rate_monotonicity(self):
         a, S, N = 2.0, 10.0, 4.0
         lo = build_general_schedule(0.3, 0.3, a, a, a, S)
         hi = build_general_schedule(0.6, 0.6, a, a, a, S)
-        f_lo = compute_features(lo, default_markers(lo), N)
-        f_hi = compute_features(hi, default_markers(hi), N)
+        f_lo = compute_features(lo, N)
+        f_hi = compute_features(hi, N)
         assert f_hi.convergence[0] < f_lo.convergence[0]
         assert f_hi.convergence[1] < f_lo.convergence[1]
         assert f_hi.escape[0] > f_lo.escape[0]
@@ -184,9 +176,8 @@ class TestComputeFeatures:
         # doubling N touches exactly the N-bearing entries, each by 2^power
         a, h, S = 2.0, 0.4, 10.0
         s = build_general_schedule(h, h, a, a, a, S)
-        pol = default_markers(s)
-        f1 = np.array(compute_features(s, pol, 2.0).values)
-        f2 = np.array(compute_features(s, pol, 4.0).values)
+        f1 = np.array(compute_features(s, 2.0).values)
+        f2 = np.array(compute_features(s, 4.0).values)
         n_bearing = {2: 0.25, 7: -0.25, 10: 0.15, 11: 0.15, 12: -0.25}
         for i in range(16):
             if i in n_bearing:
@@ -197,12 +188,7 @@ class TestComputeFeatures:
     def test_zero_warmup_is_domain_error(self):
         s = build_general_schedule(0.4, 0.4, 0.0, 0.0, 0.0, 10.0)
         with pytest.raises(FeatureError, match="warmup_lr_area"):
-            compute_features(s, default_markers(s), 4.0)
-
-    def test_policy_beyond_horizon_rejected(self):
-        s = build_general_schedule(0.4, 0.4, 2.0, 2.0, 2.0, 10.0)
-        with pytest.raises(FeatureError):
-            compute_features(s, MarkerPolicy(2.0, 12.0, 2.0, 2.0), 4.0)
+            compute_features(s, 4.0)
 
 
 def four_phase_bases(eta1, eta2, a1, a2, a3, S, rule):
@@ -233,7 +219,7 @@ class TestScheduleTable:
         got = four_phase_bases(*cols, rule)
         for i, args in enumerate(zip(*(c.tolist() for c in cols))):
             s = build_general_schedule(*args)
-            want = schedule_bases(s, marker_policy(rule, s))
+            want = rule_bases(s, rule)
             assert {k: got[k][i] for k in want} == want, (i, args)
 
     def test_invalid_config_raises_the_scalar_error(self):
@@ -313,7 +299,7 @@ class TestFeatureMatrix:
         assert ok.all()
         for row, args, n in zip(F, zip(*(c.tolist() for c in ok_cols)), N):
             s = build_general_schedule(*args)
-            assert tuple(row) == compute_features(s, default_markers(s), n).values
+            assert tuple(row) == compute_features(s, n).values
 
     def test_mask_marks_rows_outside_the_domain(self):
         h = np.array([0.4, 0.4, 0.4])
@@ -349,8 +335,8 @@ class TestFeatureMatrix:
 def _alone(s, N=4.0, powers=None):
     """Bases, S and N of one config under the standard split, and the call
     that prices it alone."""
-    row = {**schedule_bases(s, default_markers(s)), "S": s.S, "N": N}
-    return row, lambda: compute_features(s, default_markers(s), N, powers)
+    row = {**rule_bases(s, "a1/a3/a2"), "S": s.S, "N": N}
+    return row, lambda: compute_features(s, N, powers)
 
 
 def _raw_alone(row, powers=None):
@@ -440,7 +426,7 @@ class TestCheckedFeatureMatrix:
 class TestFeatureVector:
     def test_blocks_and_serialization(self):
         s = build_general_schedule(0.4, 0.4, 2.0, 2.0, 2.0, 10.0)
-        f = compute_features(s, default_markers(s), 4.0)
+        f = compute_features(s, 4.0)
         assert len(f.convergence) == len(f.escape) == len(f.mixed) == len(f.bias) == 4
         assert f.bias[3] == 1.0
         recs = f.as_records()
@@ -451,7 +437,7 @@ class TestFeatureVector:
     def test_term_names_are_unique(self):
         assert len(TERM_NAMES) == len(set(TERM_NAMES)) == 16
         s = build_general_schedule(0.4, 0.4, 2.0, 2.0, 2.0, 10.0)
-        names = [r["name"] for r in compute_features(s, default_markers(s), 4.0).as_records()]
+        names = [r["name"] for r in compute_features(s, 4.0).as_records()]
         assert len(set(names)) == 16
 
     def test_rejects_nonfinite(self):

@@ -29,6 +29,13 @@ def test_environment_matches_the_manifest():
                     "a manifest made with tests/make_golden.py under these versions")
 
 
+def test_manifest_records_the_current_commands():
+    # the commands below rerun the manifest's argv, so an edited or added
+    # COMMANDS entry would pass them until the manifest is regenerated
+    recorded = {name: entry["argv"] for name, entry in MANIFEST["commands"].items()}
+    assert recorded == make_golden.COMMANDS
+
+
 @pytest.mark.parametrize("name", sorted(MANIFEST["commands"]))
 def test_command_bytes_match_the_manifest(name, input_dir):
     test_environment_matches_the_manifest()

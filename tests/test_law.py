@@ -9,16 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optlaws import features
 from optlaws.cli import build_parser, read_runs_csv
 from optlaws.divergence import critical_rate
 from optlaws.features import (
     DEFAULT_MARKER_RULE,
     FeatureError,
     Normalizer,
-    collapsed_markers,
     compute_features,
-    default_markers,
 )
 from optlaws.law import (
     DIVERGED_LOSS,
@@ -201,7 +198,7 @@ class TestFit:
         feats, ys = [], []
         for r in records:
             s = r.normalized_schedule()
-            feats.append(compute_features(s, default_markers(s), r.model_B).values)
+            feats.append(compute_features(s, r.model_B).values)
             ys.append(math.log(r.loss))
         A = np.array(feats)
         y = np.array(ys)
@@ -283,7 +280,7 @@ class TestRank:
         ]
         oracle = []
         for i, cfg in enumerate(configs):
-            f = compute_features(cfg.schedule, default_markers(cfg.schedule), cfg.N)
+            f = compute_features(cfg.schedule, cfg.N)
             oracle.append((float(np.dot(REFERENCE_COEFFICIENTS, f.values)), i))
         expected = [i for _, i in sorted(oracle)]
         ranked = rank_configs(law, configs)
@@ -382,14 +379,14 @@ class TestContinual:
         law = reference_law().as_continual()
         cfg = _config(1.0, 2.0, 10.0, 4.0)
         cont = continual_features(law, replace(cfg, pre_area=0.0))
-        pre = compute_features(cfg.schedule, default_markers(cfg.schedule), cfg.N)
+        pre = compute_features(cfg.schedule, cfg.N)
         np.testing.assert_array_equal(cont.values, pre.values)
 
     def test_pre_zero_keeps_escape_rescaling(self):
         law = reference_law().as_continual()
         cfg = _config(0.5, 2.0, 10.0, 4.0)
         cont = continual_features(law, replace(cfg, pre_area=0.0))
-        pre = compute_features(cfg.schedule, default_markers(cfg.schedule), cfg.N)
+        pre = compute_features(cfg.schedule, cfg.N)
         scale = 0.5 ** -4  # peak on the escape interval is 0.5
         assert cont.escape[0] == pytest.approx(pre.escape[0] * scale, rel=1e-12)
         assert cont.escape[2] == pytest.approx(pre.escape[2] * scale**0.25, rel=1e-12)
@@ -402,7 +399,7 @@ class TestContinual:
         cfg = _config(1.0, 2.0, 10.0, 4.0)
         pre_sched = build_general_schedule(1.0, 1.0, 5.0, 5.0, 5.0, 50.0)
         cont = continual_features(law, replace(cfg, pre_area=_area(pre_sched)))
-        base = compute_features(cfg.schedule, default_markers(cfg.schedule), cfg.N)
+        base = compute_features(cfg.schedule, cfg.N)
         # only entries touching the warmup area move
         for i in (1, 2, 4, 5, 6, 7, 9, 11, 12, 13, 14, 15):
             assert cont.values[i] == base.values[i]
@@ -768,14 +765,9 @@ class TestDefaultMarkerRule:
         # the rule name is not interned, so `is` tells one object from a copy
         assert FittedLaw(c=REFERENCE_COEFFICIENTS).policy_rule is DEFAULT_MARKER_RULE
         assert inspect.signature(fit).parameters["policy_rule"].default is DEFAULT_MARKER_RULE
+        assert inspect.signature(compute_features).parameters["rule"].default is DEFAULT_MARKER_RULE
         argv = ["fit", "--runs", "runs.csv", "--out", "law.json"]
         assert build_parser().parse_args(argv).policy is DEFAULT_MARKER_RULE
-
-    def test_default_markers_read_the_constant(self, monkeypatch):
-        s = build_general_schedule(0.8, 0.4, 1.0, 3.0, 6.0, 10.0)
-        assert default_markers(s) != collapsed_markers(s)
-        monkeypatch.setattr(features, "DEFAULT_MARKER_RULE", "all-a1")
-        assert default_markers(s) == collapsed_markers(s)
 
 
 class TestLawJson:

@@ -56,3 +56,9 @@ class TestEigenvalueReport:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             random_matrix_checks(np.eye(4), D=8, N=5, n_trials=10)
+
+    @pytest.mark.parametrize("n_trials", [0, -1])
+    def test_no_trials_rejected(self, n_trials):
+        # 0 gave NaN frequencies, -1 numpy's negative-dimensions error
+        with pytest.raises(ValueError, match=f"^n_trials must be at least 1, got {n_trials}$"):
+            random_matrix_checks(np.eye(4), D=8, N=4, n_trials=n_trials)

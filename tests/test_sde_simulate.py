@@ -80,6 +80,12 @@ class TestObjectives:
         with pytest.raises(ValueError):
             quadratic(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_double_well_without_dimensions_rejected(self, dim):
+        # dim 0 built a 0-dim objective; dim -1 warned from sqrt
+        with pytest.raises(ValueError, match=f"^dim must be at least 1, got {dim}$"):
+            double_well(dim)
+
     @pytest.mark.parametrize("lam", [0.7, 1.0, 3.0])
     def test_isotropic_gradient_equals_the_matrix_product(self, lam):
         x = np.random.default_rng(2).standard_normal((300, 8))
@@ -319,6 +325,15 @@ class TestNoiseModel:
     def test_malformed_noise_rejected(self, sigma, D, match):
         with pytest.raises(ValueError, match=match):
             NoiseModel(sigma, D=D)
+
+    @pytest.mark.parametrize("make", [
+        lambda: NoiseModel(np.zeros((0, 0))),
+        lambda: NoiseModel.isotropic(0),
+    ], ids=["matrix", "isotropic"])
+    def test_empty_covariance_rejected(self, make):
+        # both raised an IndexError from the PSD root
+        with pytest.raises(ValueError, match="^Sigma_g must be nonempty$"):
+            make()
 
 
 class TestAdamSimulation:

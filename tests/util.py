@@ -22,7 +22,7 @@ import sys
 import numpy as np
 from scipy.integrate import quad
 
-from optlaws import Normalizer, RunRecord, compute_features, default_markers
+from optlaws import Normalizer, RunRecord, compute_features
 from optlaws.cli import RUNS_COLUMNS, DataError
 from optlaws.law import REFERENCE_COEFFICIENTS, reference_law
 from optlaws.schedule import Schedule, Segment, build_general_schedule, warmup_cosine_schedule
@@ -125,7 +125,7 @@ def count_per_config_calls(monkeypatch) -> dict:
 def planted_log_loss(record: RunRecord, c=REFERENCE_COEFFICIENTS) -> float:
     """Log loss a record would have under the planted coefficient vector."""
     schedule = record.normalized_schedule()
-    f = compute_features(schedule, default_markers(schedule), record.model_B)
+    f = compute_features(schedule, record.model_B)
     return float(np.dot(c, f.values))
 
 
