@@ -17,6 +17,14 @@ closed form by per-segment Gauss-Legendre quadrature with a matrix
 exponential at each node (eigendecomposition when G is symmetric,
 Pade scaling-and-squaring otherwise).
 
+The closed form doubles its nodes level by level, and each level is one
+array pass over every grid time still refining.  A pass lays the nodes of
+all its times on a (times, nodes) array, segment by segment, with zero
+weight on the segments a time has not reached; it prices QUAD_CHUNK_BYTES
+worth of times at a time, which bounds the route's memory.  A time drops
+out once two levels agree for it, so its covariance does not depend on the
+rest of the grid.
+
 The ODE is linear in P, so one RK4 step is a polynomial in the operator
 L(P) = G P + P G':
 
@@ -86,6 +94,13 @@ _FOLD_BINOM = np.array(
 QUAD_BASE_NODES = 16
 QUAD_TOL = 1e-10
 QUAD_MAX_DOUBLINGS = 6
+# Each pass prices QUAD_CHUNK_BYTES worth of grid times at a time.  Per
+# quadrature node a pass holds about 2n words per system in the eigenbasis
+# (4n^2 with matrix exponentials) and a few words of nodes, weights and
+# areas (by tracemalloc); twice the per-system words and _QUAD_NODE_WORDS
+# keep the peak under the budget.
+QUAD_CHUNK_BYTES = 4 * 2**20
+_QUAD_NODE_WORDS = 16
 
 
 def _rk4_coefficients(h, eta_lo, eta_mid, eta_hi, scale):
@@ -227,71 +242,85 @@ def closed_form_covariance(
     """Exact-form covariance on t_grid via quadrature in the area variable.
 
     ``G`` and ``Sigma`` may carry leading batch dimensions (..., n, n).
-    Symmetric G uses its eigendecomposition (scalar exponentials per
-    eigenvalue pair); general G uses a matrix exponential per quadrature
-    node, all nodes in one call.  Each segment piece of [0, t] gets its own
-    nodes, and node counts double until two passes agree for the whole batch.
+    Each segment piece of [0, t] gets its own Gauss-Legendre nodes.  A
+    refinement level prices every grid time still refining in one array
+    pass, QUAD_CHUNK_BYTES worth of times at a time, and a time keeps the
+    level at which two passes first agree for the whole batch.  Symmetric
+    G uses its eigendecomposition (scalar exponentials per eigenvalue
+    pair); general G uses a matrix exponential per quadrature node, all
+    of a chunk's nodes in one call.  A time's result does not depend on
+    the other times of the grid or on their order.
     """
     G = np.asarray(G, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
-    t_grid = _grid_times(t_grid, schedule)
+    times = np.array(_grid_times(t_grid, schedule))
+    shape = np.broadcast_shapes(G.shape, Sigma.shape)
+    n, n_sys = shape[-1], math.prod(shape[:-2])
     symmetric = np.allclose(G, np.swapaxes(G, -1, -2), atol=1e-12)
     if symmetric:
         lam, U = np.linalg.eigh(G)
         UT = np.swapaxes(U, -1, -2)
         M = UT @ Sigma @ U
+        node_words = _QUAD_NODE_WORDS + 4 * n_sys * n
     else:
         from scipy.linalg import expm  # imported on demand: slow, and only needed here
-    zero = np.zeros(np.broadcast_shapes(G.shape, Sigma.shape))
+        node_words = _QUAD_NODE_WORDS + 8 * n_sys * n * n
+    segs = schedule.segments
+    # the piece [t0, hi] of each segment at each time (hi = t0 where the
+    # time has not reached it) and Phi at the piece's start, summed
+    # segment by segment as Schedule.integral adds them
+    hi = np.array([np.clip(times, seg.t0, seg.t1) for seg in segs])
+    phi_lo = np.empty_like(hi)
+    phi = np.zeros(times.size)
+    for k, seg in enumerate(segs):
+        phi_lo[k] = phi
+        phi = phi + seg.integral(seg.t0, hi[k], "eta")
 
-    out = []
-    for t in t_grid:
-        if t == 0.0:
-            out.append(zero.copy())
-            continue
-        # Phi at each piece's start, summed segment by segment as
-        # Schedule.integral adds them
-        pieces, phi_t = [], 0.0
-        for seg, lo, hi in schedule.pieces(0.0, t):
-            pieces.append((seg, lo, hi, phi_t))
-            phi_t += seg.integral(lo, hi, "eta")
+    def price(idx, n_nodes):
+        """P at times[idx] from n_nodes nodes per segment piece."""
+        x, w = gauss_legendre_nodes(n_nodes)
+        w_s = np.empty((idx.size, len(segs), n_nodes))
+        dphi = np.empty_like(w_s)
+        for k, seg in enumerate(segs):
+            lo, half = seg.t0, 0.5 * (hi[k, idx, None] - seg.t0)
+            nodes = half * (x + 1.0) + lo  # all lo, of weight 0, before t reaches seg
+            w_s[:, k] = scale * seg.value(nodes) ** 2 * (half * w)
+            dphi[:, k] = phi[idx, None] - (phi_lo[k, idx, None] + seg.integral(lo, nodes, "eta"))
+        w_s, dphi = w_s.reshape(idx.size, -1), dphi.reshape(idx.size, -1)
+        if symmetric:
+            # sum_q w_q * exp(-(lam_i + lam_j) dphi_q), assembled in the eigenbasis
+            node = (idx.size,) + (1,) * (len(shape) - 2) + (-1, 1)
+            E = np.exp(-dphi.reshape(node) * lam[..., None, :])  # (time, ..., q, n)
+            I = np.swapaxes(E * w_s.reshape(node), -1, -2) @ E
+            return U @ (M * I) @ UT
+        # one expm call on the stack of nonzero-weight nodes; summing the
+        # zero-padded node axis adds the terms in node order, so each P is
+        # the per-node sum bit for bit (np.add.reduceat's sum is not)
+        q = np.flatnonzero(w_s)
+        node = (-1,) + (1,) * len(shape)  # a node axis ahead of the batch axes
+        K = expm(-G * dphi.flat[q].reshape(node))
+        terms = np.zeros((w_s.size,) + shape)
+        terms[q] = w_s.flat[q].reshape(node) * (K @ Sigma @ np.swapaxes(K, -1, -2))
+        return terms.reshape((idx.size, -1) + shape).sum(axis=1)
 
-        def value(n_nodes):
-            x, w = gauss_legendre_nodes(n_nodes)
-            w_s, dphi = [], []
-            for seg, lo, hi, phi0 in pieces:
-                half = 0.5 * (hi - lo)
-                nodes = half * (x + 1.0) + lo
-                w_s.append(scale * seg.value(nodes) ** 2 * (half * w))
-                dphi.append(phi_t - (phi0 + seg.integral(lo, nodes, "eta")))
-            w_s, dphi = np.concatenate(w_s), np.concatenate(dphi)
-            if symmetric:
-                # sum_q w_q * exp(-(lam_i + lam_j) dphi_q), assembled in the eigenbasis
-                E = np.exp(-np.multiply.outer(dphi, lam))  # (q, ..., n)
-                I = np.einsum("q,q...i,q...j->...ij", w_s, E, E)
-                return U @ (M * I) @ UT
-            # one expm call on the stack of nodes; the terms are added to P in
-            # node order, so P is the per-node sum bit for bit
-            q = np.flatnonzero(w_s)
-            node = (-1,) + (1,) * zero.ndim  # a node axis ahead of the batch axes
-            K = expm(-G * dphi[q].reshape(node))
-            terms = w_s[q].reshape(node) * (K @ Sigma @ np.swapaxes(K, -1, -2))
-            P = zero.copy()
-            for term in terms:
-                P += term
-            return P
-
-        n = QUAD_BASE_NODES
-        prev = value(n)
-        for _ in range(QUAD_MAX_DOUBLINGS):
-            n *= 2
-            cur = value(n)
-            err = np.max(np.abs(cur - prev), axis=(-2, -1))
-            prev = cur
-            if np.all(err <= QUAD_TOL * (1.0 + np.max(np.abs(cur), axis=(-2, -1)))):
-                break
-        out.append(prev)
-    return out
+    out = np.zeros((times.size,) + shape)  # t = 0 keeps P = 0
+    todo = np.flatnonzero(times)
+    n_nodes = QUAD_BASE_NODES
+    for level in range(QUAD_MAX_DOUBLINGS + 1):
+        per_time = len(segs) * n_nodes * node_words + 8 * n_sys * n * n
+        chunk = max(1, QUAD_CHUNK_BYTES // (8 * per_time))
+        refining = np.ones(todo.size, dtype=bool)
+        for start in range(0, todo.size, chunk):
+            idx = todo[start : start + chunk]
+            cur = price(idx, n_nodes)
+            if level:  # out[idx] holds the previous level's pass
+                err = np.max(np.abs(cur - out[idx]), axis=(-2, -1)).reshape(idx.size, -1)
+                size = np.max(np.abs(cur), axis=(-2, -1)).reshape(idx.size, -1)
+                refining[start : start + chunk] = ~np.all(err <= QUAD_TOL * (1.0 + size), axis=1)
+            out[idx] = cur
+        todo = todo[refining]
+        n_nodes *= 2
+    return list(out)
 
 
 def adam_generator(H: np.ndarray, Sigma: np.ndarray, c1: float, eps: float):

@@ -318,6 +318,58 @@ class TestClosedFormNodes:
                 assert a.shape == shape and np.array_equal(a, b)
 
 
+class TestClosedFormPasses:
+    """One array pass per refinement level over the grid times still refining."""
+
+    @pytest.mark.parametrize("system", ["sgd_batch", "adam"])
+    def test_a_time_does_not_depend_on_its_neighbours(self, system, monkeypatch):
+        sched = build_general_schedule(0.9, 0.4, 0.5, 2.0, 4.0, 6.0)
+        H, Sg, _, _ = criterion_07_systems()
+        G, Sg = (H, Sg) if system == "sgd_batch" else adam_system()
+        grid = [2.9, 0.0, 0.3, 6.0, 2.0, 0.77, 4.45]  # unsorted, zero, a joint, the horizon
+        whole = closed_form_covariance(G, Sg, sched, 0.01, grid)
+        reversed_ = closed_form_covariance(G, Sg, sched, 0.01, grid[::-1])[::-1]
+        alone = [closed_form_covariance(G, Sg, sched, 0.01, [t])[0] for t in grid]
+        monkeypatch.setattr(gaussian, "QUAD_CHUNK_BYTES", 1)  # one time per chunk
+        chunked = closed_form_covariance(G, Sg, sched, 0.01, grid)
+        assert len(whole) == len(grid)
+        for p, *others in zip(whole, reversed_, alone, chunked):
+            assert p.shape == G.shape
+            assert all(np.array_equal(p, other) for other in others)
+
+    def test_peak_memory_is_one_chunk(self):
+        sched = warmup_cosine_schedule(0.7, 0.8, 6.0)
+        H, Sg, _, _ = criterion_07_systems()
+        grid = np.linspace(0.003, 6.0, 2000)
+        # the first pass's exponentials alone, 2n words per node and system
+        # in the eigenbasis, without a budget
+        nodes = grid.size * len(sched.segments) * gaussian.QUAD_BASE_NODES
+        assert 8 * nodes * 2 * H.shape[0] * H.shape[-1] > 4 * gaussian.QUAD_CHUNK_BYTES
+        closed_form_covariance(H, Sg, sched, 0.01, grid[:3])  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            P = closed_form_covariance(H, Sg, sched, 0.01, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(p.nbytes for p in P)
+        assert peak <= gaussian.QUAD_CHUNK_BYTES + 2 * out_bytes
+
+    @SCHEDULES
+    def test_eigenbasis_matches_node_loop(self, make_sched):
+        # the symmetric route against one expm per node, which takes no eigh
+        sched = make_sched()
+        H, Sg, _, _ = criterion_07_systems()
+        grid = [0.0, 0.3, sched.segments[1].t0, 2.9, sched.S]  # zero, a joint, the horizon
+        got = closed_form_covariance(H, Sg, sched, 0.01, grid)
+        want = reference_closed_form(H, Sg, sched, 0.01, grid)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-13 * (1.0 + np.max(np.abs(b)))
+
+
 def lifted_adam_system(H, Sigma, c1, c2, eps):
     """The paper's 3n lift of Adam in (x, m, v), with c2*I on v: the
     reference adam_generator's (x, m) system is held to."""
