@@ -14,8 +14,9 @@ with G the generator (the Hessian for SGD, the 2N x 2N block matrix of
 Phi being the running area integral of eta.  Both routes are computed: the
 ODE by fixed-step RK4 with step halving until two refinements agree, the
 closed form by per-segment Gauss-Legendre quadrature with a matrix
-exponential at each node (eigendecomposition when G is symmetric,
-Pade scaling-and-squaring otherwise).
+exponential at each node (eigendecomposition when G equals its transpose,
+otherwise a degree-18 Taylor polynomial in G / |G|_1, scaled and squared
+node by node).
 
 The closed form doubles its nodes level by level, and each level is one
 array pass over every grid time still refining.  A pass lays the nodes of
@@ -96,11 +97,23 @@ QUAD_TOL = 1e-10
 QUAD_MAX_DOUBLINGS = 6
 # Each pass prices QUAD_CHUNK_BYTES worth of grid times at a time.  Per
 # quadrature node a pass holds about 2n words per system in the eigenbasis
-# (4n^2 with matrix exponentials) and a few words of nodes, weights and
-# areas (by tracemalloc); twice the per-system words and _QUAD_NODE_WORDS
-# keep the peak under the budget.
+# (with matrix exponentials, 4n^2 for the exponentials and their products
+# with Sigma, plus the 19 Taylor coefficients) and a few words of nodes,
+# weights and areas (by tracemalloc); twice the per-system words and
+# _QUAD_NODE_WORDS keep the peak under the budget.
 QUAD_CHUNK_BYTES = 4 * 2**20
 _QUAD_NODE_WORDS = 16
+# General G: exp(-tau G) = (e^{x B})^(2^s) with B = G / |G|_1, the least
+# s >= 0 with tau |G|_1 < 2^s, so x = -tau |G|_1 / 2^s lies in (-1, 0], and
+# e^{x B} summed to degree _TAYLOR_DEGREE, which leaves at most
+# e^2/19! ~ 6e-17 relative out.
+_TAYLOR_DEGREE = 18
+_TAYLOR_DIVISORS = np.arange(1.0, _TAYLOR_DEGREE + 1)
+# The polynomials are summed by products of _TAYLOR_BLOCK nodes, the last
+# padded: gemm rounds a row by where it falls in the product (its row tails,
+# and numpy's gemv for one row, round apart), and one shape for every
+# product keeps a node's exponential independent of the other nodes.
+_TAYLOR_BLOCK = 32
 
 
 def _rk4_coefficients(h, eta_lo, eta_mid, eta_hi, scale):
@@ -133,6 +146,40 @@ def _grid_times(t_grid, schedule: Schedule) -> list[float]:
     if any(not 0.0 <= t <= schedule.S for t in t_grid):
         raise ValueError("t_grid must lie within [0, S]")
     return t_grid
+
+
+def _node_exponentials(G: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """exp(-tau_q G) for every node tau_q >= 0 of ``tau``, shape (nodes,) + G.shape.
+
+    One scaling-and-squaring pass for all nodes: the powers B^0..B^18 of
+    B = G / |G|_1 are built once, the Taylor polynomials of every node are
+    one (nodes x 19) @ (19 x n^2) product per system, and a node is squared
+    s_q times.  A node's exponential does not depend on the other nodes.
+    """
+    n = G.shape[-1]
+    Gs = G.reshape(-1, n, n)
+    n_sys = Gs.shape[0]
+    norm = np.max(np.sum(np.abs(Gs), axis=-2), axis=-1)
+    norm[norm == 0.0] = 1.0  # G = 0: exp = I at any scale
+    B = Gs / norm[:, None, None]
+    pows = [np.broadcast_to(np.eye(n), B.shape)]
+    for _ in range(_TAYLOR_DEGREE):
+        pows.append(pows[-1] @ B)
+    pows = np.stack(pows, axis=1).reshape(n_sys, _TAYLOR_DEGREE + 1, n * n)
+    a = norm[:, None] * tau  # (system, node)
+    s = np.maximum(np.frexp(a)[1], 0)  # frexp's exponent is the least e with a < 2^e
+    blocks = -(-tau.size // _TAYLOR_BLOCK)
+    coef = np.ones((n_sys, blocks * _TAYLOR_BLOCK, _TAYLOR_DEGREE + 1))
+    np.divide(np.ldexp(-a, -s)[..., None], _TAYLOR_DIVISORS, out=coef[:, : tau.size, 1:])
+    np.cumprod(coef, axis=-1, out=coef)  # x^k / k!, and 1s on the padding rows
+    K = coef.reshape(n_sys, blocks, _TAYLOR_BLOCK, -1) @ pows[:, None]
+    K = K.reshape(n_sys, -1, n * n)[:, : tau.size].swapaxes(0, 1).reshape(-1, n, n)
+    s = s.T.ravel()
+    for level in range(s.max(initial=0)):
+        sq = np.flatnonzero(s > level)
+        Ks = K[sq]
+        K[sq] = Ks @ Ks
+    return K.reshape(tau.shape + G.shape)
 
 
 def integrate_covariance_ode(
@@ -245,10 +292,11 @@ def closed_form_covariance(
     Each segment piece of [0, t] gets its own Gauss-Legendre nodes.  A
     refinement level prices every grid time still refining in one array
     pass, QUAD_CHUNK_BYTES worth of times at a time, and a time keeps the
-    level at which two passes first agree for the whole batch.  Symmetric
-    G uses its eigendecomposition (scalar exponentials per eigenvalue
-    pair); general G uses a matrix exponential per quadrature node, all
-    of a chunk's nodes in one call.  A time's result does not depend on
+    level at which two passes first agree for the whole batch.  G equal
+    to its transpose uses its eigendecomposition (scalar exponentials per
+    eigenvalue pair); any other G uses a matrix exponential per
+    quadrature node, all of a chunk's nodes from one scaling-and-squaring
+    pass of Taylor polynomials in G.  A time's result does not depend on
     the other times of the grid or on their order.
     """
     G = np.asarray(G, dtype=float)
@@ -256,15 +304,14 @@ def closed_form_covariance(
     times = np.array(_grid_times(t_grid, schedule))
     shape = np.broadcast_shapes(G.shape, Sigma.shape)
     n, n_sys = shape[-1], math.prod(shape[:-2])
-    symmetric = np.allclose(G, np.swapaxes(G, -1, -2), atol=1e-12)
+    symmetric = np.array_equal(G, np.swapaxes(G, -1, -2))
     if symmetric:
         lam, U = np.linalg.eigh(G)
         UT = np.swapaxes(U, -1, -2)
         M = UT @ Sigma @ U
         node_words = _QUAD_NODE_WORDS + 4 * n_sys * n
     else:
-        from scipy.linalg import expm  # imported on demand: slow, and only needed here
-        node_words = _QUAD_NODE_WORDS + 8 * n_sys * n * n
+        node_words = _QUAD_NODE_WORDS + 2 * n_sys * (4 * n * n + _TAYLOR_DEGREE + 1)
     segs = schedule.segments
     # the piece [t0, hi] of each segment at each time (hi = t0 where the
     # time has not reached it) and Phi at the piece's start, summed
@@ -293,12 +340,13 @@ def closed_form_covariance(
             E = np.exp(-dphi.reshape(node) * lam[..., None, :])  # (time, ..., q, n)
             I = np.swapaxes(E * w_s.reshape(node), -1, -2) @ E
             return U @ (M * I) @ UT
-        # one expm call on the stack of nonzero-weight nodes; summing the
+        # one exponential pass over the nonzero-weight nodes; summing the
         # zero-padded node axis adds the terms in node order, so each P is
         # the per-node sum bit for bit (np.add.reduceat's sum is not)
         q = np.flatnonzero(w_s)
         node = (-1,) + (1,) * len(shape)  # a node axis ahead of the batch axes
-        K = expm(-G * dphi.flat[q].reshape(node))
+        K = _node_exponentials(G, dphi.flat[q])
+        K = K.reshape((q.size,) + (1,) * (len(shape) - G.ndim) + G.shape)
         terms = np.zeros((w_s.size,) + shape)
         terms[q] = w_s.flat[q].reshape(node) * (K @ Sigma @ np.swapaxes(K, -1, -2))
         return terms.reshape((idx.size, -1) + shape).sum(axis=1)

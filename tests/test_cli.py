@@ -1118,6 +1118,14 @@ class TestStartup:
         # of a non-symmetric generator needs it
         assert self.after_import("'scipy.linalg' in sys.modules") == "False"
 
+    def test_validate_and_the_general_closed_form_leave_scipy_unloaded(self):
+        # the package exponentiates a non-symmetric generator itself
+        schedule = "__import__('optlaws.schedule').schedule.warmup_cosine_schedule(0.7, 0.8, 6.0)"
+        closed_form = ("__import__('optlaws.sde').sde.closed_form_covariance("
+                       f"[[1.0, 0.5], [0.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]], {schedule}, 0.01, [6.0])")
+        runs = f"optlaws.cli.main(['validate', '--quick', '--seed', '7']), len({closed_form})"
+        assert self.after_import(f"{runs}, 'scipy' in sys.modules").splitlines()[-1] == "0 1 False"
+
     def test_import_builds_no_parser(self):
         # the parser is built by the first main call, not at import
         assert self.after_import("optlaws.cli.build_parser.cache_info().currsize") == "0"

@@ -25,6 +25,7 @@ from util import (
     criterion_07_systems,
     reference_closed_form,
     reference_rk4,
+    scipy_node_exponential,
 )
 
 
@@ -126,6 +127,16 @@ class TestRouteAgreement:
                              np.linspace(0.5, 5.0, 8), eta0=0.01)
         assert ga.generator.shape == (8, 8)
         assert ga.max_route_gap() <= 1e-6
+
+    def test_nearly_symmetric_generator_is_not_symmetrised(self):
+        # 5e-6 off symmetry: the eigenbasis of its lower triangle would be
+        # 2.1e-6 off the ODE route
+        sched = build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 5.0)
+        G = np.array([[2.0, 1.0 + 5e-6], [1.0, 3.0]])
+        grid = [1.0, 2.5, 5.0]
+        for a, b in zip(closed_form_covariance(G, np.eye(2), sched, 0.01, grid),
+                        integrate_covariance_ode(G, np.eye(2), sched, 0.01, grid)):
+            assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
 
 
 def adam_system():
@@ -289,8 +300,29 @@ class TestHalving:
         assert len(per_call) == 2 and all(two_solves(n) for n in per_call)
 
 
+def package_node_exponential(G, tau):
+    """The package's node exponential, exp(-tau G), one node per call."""
+    return gaussian._node_exponentials(G, np.array([tau]))[0]
+
+
+def batch_axes_systems():
+    """A non-symmetric generator under a batch of noise matrices, and a
+    batch of generators under one noise matrix, with the result shapes."""
+    rng = np.random.default_rng(31)
+    G = random_spd(rng, 3) + np.triu(rng.standard_normal((3, 3)), 1)
+    Gs = np.stack([G, G.T, 2.0 * G])
+    Sg = np.stack([random_spd(rng, 3, shift=0.2) for _ in range(2)])
+    return ((G, Sg, (2, 3, 3)), (Gs, Sg[0], (3, 3, 3)))
+
+
+def close_to(a, b, rel):
+    """Whether a is within rel * (1 + max|b|) of b, entry by entry."""
+    return a.shape == b.shape and np.max(np.abs(a - b)) <= rel * (1.0 + np.max(np.abs(b)))
+
+
 class TestClosedFormNodes:
-    """One expm call on the stack of nodes against one call per node."""
+    """The nodes' exponentials of a pass at once against one node at a time:
+    the package's own bit for bit, scipy's to rounding."""
 
     @SCHEDULES
     def test_adam_matches_node_loop(self, make_sched):
@@ -298,24 +330,117 @@ class TestClosedFormNodes:
         G, Sg = adam_system()
         grid = [0.0, 0.3, 1.0, 2.9, 6.0]  # zero, a joint, the horizon
         got = closed_form_covariance(G, Sg, sched, 0.01, grid)
-        want = reference_closed_form(G, Sg, sched, 0.01, grid)
+        want = reference_closed_form(G, Sg, sched, 0.01, grid, package_node_exponential)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.array_equal(a, b)
 
     def test_batch_axes_match_node_loop(self):
-        # a non-symmetric generator under a batch of noise matrices, and a
-        # batch of generators under one noise matrix
-        rng = np.random.default_rng(31)
         sched = build_general_schedule(0.9, 0.4, 0.5, 2.0, 4.0, 6.0)
-        G = random_spd(rng, 3) + np.triu(rng.standard_normal((3, 3)), 1)
-        Gs = np.stack([G, G.T, 2.0 * G])
-        Sg = np.stack([random_spd(rng, 3, shift=0.2) for _ in range(2)])
-        for g, sigma, shape in ((G, Sg, (2, 3, 3)), (Gs, Sg[0], (3, 3, 3))):
+        for g, sigma, shape in batch_axes_systems():
+            got = closed_form_covariance(g, sigma, sched, 0.01, [1.3, 6.0])
+            want = reference_closed_form(g, sigma, sched, 0.01, [1.3, 6.0],
+                                         package_node_exponential)
+            for a, b in zip(got, want):
+                assert a.shape == shape and np.array_equal(a, b)
+
+    @SCHEDULES
+    def test_adam_matches_scipy_node_loop(self, make_sched):
+        sched = make_sched()
+        G, Sg = adam_system()
+        grid = [0.0, 0.3, 1.0, 2.9, 6.0]
+        got = closed_form_covariance(G, Sg, sched, 0.01, grid)
+        want = reference_closed_form(G, Sg, sched, 0.01, grid, scipy_node_exponential)
+        assert len(got) == len(want)
+        assert all(close_to(a, b, 1e-13) for a, b in zip(got, want))
+
+    def test_batch_axes_match_scipy_node_loop(self):
+        sched = build_general_schedule(0.9, 0.4, 0.5, 2.0, 4.0, 6.0)
+        for g, sigma, shape in batch_axes_systems():
             got = closed_form_covariance(g, sigma, sched, 0.01, [1.3, 6.0])
             want = reference_closed_form(g, sigma, sched, 0.01, [1.3, 6.0])
             for a, b in zip(got, want):
-                assert a.shape == shape and np.array_equal(a, b)
+                assert a.shape == shape and close_to(a, b, 1e-13)
+
+
+def stable_non_normal(rng, n, norm):
+    """A random non-normal n x n generator with every eigenvalue's real part
+    at least 0.1 before scaling, scaled to |G|_1 = norm."""
+    A = rng.standard_normal((n, n))
+    A += (0.1 - min(0.0, np.linalg.eigvals(A).real.min())) * np.eye(n)
+    return A * (norm / np.max(np.sum(np.abs(A), axis=0)))
+
+
+class TestNodeExponentials:
+    """exp(-tau G) by one Taylor polynomial in G, scaled and squared per node."""
+
+    def test_zero_node_is_the_identity(self):
+        G = adam_system()[0]
+        (K,) = gaussian._node_exponentials(G, np.zeros(1))
+        assert np.array_equal(K, np.eye(8))
+        # a zero generator batched with a non-symmetric one (|G|_1 = 0)
+        K = gaussian._node_exponentials(np.stack([np.zeros((8, 8)), G]), np.array([0.5, 2.0]))
+        assert np.array_equal(K[:, 0], np.broadcast_to(np.eye(8), (2, 8, 8)))
+
+    def test_nilpotent_generator_is_exact(self):
+        N = np.array([[0.0, 1.0], [0.0, 0.0]])
+        tau = np.array([0.0, 1e-9, 0.3, 1.0, 2.4, 1e3])
+        for t, K in zip(tau, gaussian._node_exponentials(N, tau)):
+            assert np.array_equal(K, np.eye(2) - t * N)
+
+    def test_rotation_generator(self):
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        tau = np.array([1e-6, 0.5, 1.0, math.pi, 10.0])
+        for t, K in zip(tau, gaussian._node_exponentials(J, tau)):
+            c, s = math.cos(t), math.sin(t)
+            assert np.max(np.abs(K - np.array([[c, -s], [s, c]]))) <= 1e-14
+
+    def test_stiff_diagonal_gives_the_scalar_exponentials(self):
+        # 14 squarings at tau = 1, each doubling the relative error
+        tau = np.array([1e-8, 1e-4, 1e-3, 0.01, 0.1, 1.0])
+        lam = np.array([1e4, 1.0])
+        K = gaussian._node_exponentials(np.diag(lam), tau)
+        assert not K[:, 0, 1].any() and not K[:, 1, 0].any()
+        want = np.exp(-tau[:, None] * lam)
+        assert np.all(np.abs(K[:, [0, 1], [0, 1]] - want) <= 1e-11 * want)
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_matches_scipy(self, n):
+        # the squarings' rounding grows with |tau G|_1, so does the bound
+        rng = np.random.default_rng(n)
+        for norm in (1e-8, 1e-4, 1e-2, 1.0, 10.0, 100.0, 1e3):
+            G = stable_non_normal(rng, n, norm)
+            tau = np.array([1.0, 0.37, 0.05])
+            for t, K in zip(tau, gaussian._node_exponentials(G, tau)):
+                want = scipy_node_exponential(G, t)
+                err = np.max(np.abs(K - want)) / np.max(np.abs(want))
+                assert err <= 2e-15 * (1.0 + t * norm)
+
+    def test_batch_axes(self):
+        rng = np.random.default_rng(37)
+        G = np.stack([[stable_non_normal(rng, 4, norm) for norm in (0.5, 3.0, 40.0)]
+                      for _ in range(2)])  # (2, 3, 4, 4)
+        tau = np.array([0.0, 0.2, 1.0, 2.4])
+        K = gaussian._node_exponentials(G, tau)
+        assert K.shape == (4, 2, 3, 4, 4)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(K[:, i, j], gaussian._node_exponentials(G[i, j], tau))
+            for t, k in zip(tau, K[:, i, j]):
+                want = scipy_node_exponential(G[i, j], t)
+                assert np.max(np.abs(k - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("system", ["adam", "batch_3x3"])
+    def test_a_node_does_not_depend_on_the_others(self, system):
+        # 3x3 systems give gemm row tails (9 columns) that round by position
+        G = adam_system()[0] if system == "adam" else batch_axes_systems()[1][0]
+        tau = np.random.default_rng(41).uniform(0.0, 3.0, 300)
+        tau[::7] = 0.0
+        whole = gaussian._node_exponentials(G, tau)
+        assert np.array_equal(gaussian._node_exponentials(G, tau[::-1])[::-1], whole)
+        for lo, hi in ((0, 40), (5, 8), (3, 2**6 + 1)):
+            assert np.array_equal(gaussian._node_exponentials(G, tau[lo:hi]), whole[lo:hi])
+        for t, K in zip(tau, whole):
+            assert np.array_equal(gaussian._node_exponentials(G, np.array([t]))[0], K)
 
 
 class TestClosedFormPasses:
@@ -350,6 +475,24 @@ class TestClosedFormPasses:
         try:
             base = tracemalloc.get_traced_memory()[0]
             P = closed_form_covariance(H, Sg, sched, 0.01, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(p.nbytes for p in P)
+        assert peak <= gaussian.QUAD_CHUNK_BYTES + 2 * out_bytes
+
+    def test_peak_memory_of_the_general_route_is_one_chunk(self):
+        sched = warmup_cosine_schedule(0.7, 0.8, 6.0)
+        G, Sg = adam_system()
+        grid = np.linspace(0.003, 6.0, 2000)
+        # the first pass's Sigma products alone, n^2 words per node, without a budget
+        nodes = grid.size * len(sched.segments) * gaussian.QUAD_BASE_NODES
+        assert 8 * nodes * G.size > 4 * gaussian.QUAD_CHUNK_BYTES
+        closed_form_covariance(G, Sg, sched, 0.01, grid[:3])  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            P = closed_form_covariance(G, Sg, sched, 0.01, grid)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

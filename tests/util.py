@@ -392,15 +392,22 @@ def reference_rk4(G, Sigma, schedule, scale, t_grid):
     return prev
 
 
-def reference_closed_form(G, Sigma, schedule, scale, t_grid):
+def scipy_node_exponential(G, tau):
+    """exp(-tau G) by ``scipy.linalg.expm``, a route the package never takes."""
+    from scipy.linalg import expm
+
+    return expm(-G * tau)
+
+
+def reference_closed_form(G, Sigma, schedule, scale, t_grid,
+                          node_exponential=scipy_node_exponential):
     """Node-by-node closed form, the oracle for a non-symmetric generator in
     ``optlaws.sde.closed_form_covariance``.
 
-    The same nodes, weights and doubling rule, with one ``expm`` call and
-    one product per quadrature node, added to P in node order.
+    The same nodes, weights and doubling rule, with one
+    ``node_exponential(G, tau)`` call, exp(-tau G), and one product per
+    quadrature node, added to P in node order.
     """
-    from scipy.linalg import expm
-
     G = np.asarray(G, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
     zero = np.zeros(np.broadcast_shapes(G.shape, Sigma.shape))
@@ -425,7 +432,7 @@ def reference_closed_form(G, Sigma, schedule, scale, t_grid):
             w_s, dphi = np.concatenate(w_s), np.concatenate(dphi)
             P = zero.copy()
             for q in np.flatnonzero(w_s):
-                K = expm(-G * dphi[q])
+                K = node_exponential(G, dphi[q])
                 P += w_s[q] * (K @ Sigma @ np.swapaxes(K, -1, -2))
             return P
 
