@@ -152,9 +152,10 @@ def _node_exponentials(G: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """exp(-tau_q G) for every node tau_q >= 0 of ``tau``, shape (nodes,) + G.shape.
 
     One scaling-and-squaring pass for all nodes: the powers B^0..B^18 of
-    B = G / |G|_1 are built once, the Taylor polynomials of every node are
-    one (nodes x 19) @ (19 x n^2) product per system, and a node is squared
-    s_q times.  A node's exponential does not depend on the other nodes.
+    B = G / |G|_1 are built once, the nodes' Taylor polynomials are
+    (_TAYLOR_BLOCK x 19) @ (19 x n^2) products per system, and a node is
+    squared s_q times.  A node's exponential does not depend on the other
+    nodes.
     """
     n = G.shape[-1]
     Gs = G.reshape(-1, n, n)

@@ -1114,8 +1114,7 @@ class TestStartup:
         return done.stdout.strip()
 
     def test_import_leaves_scipy_linalg_unloaded(self):
-        # scipy.linalg is slow to import and only the closed-form covariance
-        # of a non-symmetric generator needs it
+        # scipy.linalg is slow to import, and the package does not use it
         assert self.after_import("'scipy.linalg' in sys.modules") == "False"
 
     def test_validate_and_the_general_closed_form_leave_scipy_unloaded(self):
