@@ -148,29 +148,6 @@ class FeatureVector:
         if self.values[15] != 1.0:
             raise FeatureError("bias term must be exactly 1.0")
 
-    @property
-    def convergence(self) -> tuple[float, ...]:
-        return self.values[0:4]
-
-    @property
-    def escape(self) -> tuple[float, ...]:
-        return self.values[4:8]
-
-    @property
-    def mixed(self) -> tuple[float, ...]:
-        return self.values[8:12]
-
-    @property
-    def bias(self) -> tuple[float, ...]:
-        return self.values[12:16]
-
-    def as_records(self) -> list[dict]:
-        """JSON-ready list of {name, power, value}, table order."""
-        return [
-            {"name": n, "power": p, "value": v}
-            for n, p, v in zip(TERM_NAMES, self.powers, self.values)
-        ]
-
 
 def rule_bases(schedules, rule: str) -> dict:
     """The raw integrals and peak rate feeding the feature map, of a

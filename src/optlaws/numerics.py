@@ -1,10 +1,27 @@
-"""Small numerical utilities shared across modules."""
+"""Small numerical utilities shared across modules, and two matrix rules.
+
+Symmetry (:func:`is_symmetric`): a matrix is symmetric when it equals its
+transpose or ``max|M - M'| <= SYMMETRY_RTOL * max|M|``, with no absolute floor.
+
+Fixed-block products (:func:`row_product`): BLAS rounds a row of a product
+by the product's shape, not by the row's values alone (numpy's gemv for one
+row rounds apart from gemm, and at some inner dims a gemm row rounds by the
+row count).  ``row_product`` multiplies ``ROW_BLOCK`` rows at a time, the
+last block zero-padded, so a row's result depends on neither the row count
+nor the row's offset.  Every result whose rows must not depend on their
+neighbours (a path's gradient or noise, a node's exponential) uses it.
+"""
 
 from __future__ import annotations
 
 import functools
 
-__all__ = ["adaptive_simpson", "gauss_legendre_nodes"]
+import numpy as np
+
+__all__ = ["adaptive_simpson", "gauss_legendre_nodes", "is_symmetric", "row_product"]
+
+SYMMETRY_RTOL = 1e-12
+ROW_BLOCK = 32
 
 
 def _simpson(f, a, fa, b, fb):
@@ -51,6 +68,35 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, max_intervals: i
 @functools.cache
 def gauss_legendre_nodes(n: int):
     """Gauss-Legendre nodes and weights of order n on [-1, 1], computed once per n."""
-    import numpy as np
-
     return np.polynomial.legendre.leggauss(n)
+
+
+def is_symmetric(M) -> bool:
+    """Whether every matrix of the stack ``M`` (..., n, n) equals its
+    transpose or is within ``SYMMETRY_RTOL * max|M|`` of it (NaN fails)."""
+    M = np.asarray(M, dtype=float)
+    MT = np.swapaxes(M, -1, -2)
+    with np.errstate(invalid="ignore"):
+        gap = np.max(np.abs(M - MT), axis=(-2, -1), initial=0.0)
+        size = np.max(np.abs(M), axis=(-2, -1), initial=0.0)
+        return bool(np.all(np.all(M == MT, axis=(-2, -1)) | (gap <= SYMMETRY_RTOL * size)))
+
+
+def row_product(x, M) -> np.ndarray:
+    """``x @ M`` for ``x`` of shape (..., r, k), or (k,) for one row, and ``M``
+    of shape (..., k, m), leading axes broadcast as in ``np.matmul``,
+    ``ROW_BLOCK`` rows at a time, the last block zero-padded."""
+    x, M = np.asarray(x, dtype=float), np.asarray(M, dtype=float)
+    if x.ndim == 1:
+        return row_product(x[None], M)[..., 0, :]
+    r, k = x.shape[-2:]
+    full, rest = divmod(r, ROW_BLOCK)
+    batch = np.broadcast_shapes(x.shape[:-2], M.shape[:-2])
+    out = np.empty(batch + (full + (rest > 0), ROW_BLOCK, M.shape[-1]))
+    rows = x[..., : r - rest, :].reshape(x.shape[:-2] + (full, ROW_BLOCK, k))
+    np.matmul(rows, M[..., None, :, :], out=out[..., :full, :, :])
+    if rest:
+        tail = np.zeros(x.shape[:-2] + (ROW_BLOCK, k))
+        tail[..., :rest, :] = x[..., r - rest :, :]
+        np.matmul(tail, M, out=out[..., full, :, :])
+    return out.reshape(batch + (-1, M.shape[-1]))[..., :r, :]

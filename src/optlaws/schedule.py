@@ -326,15 +326,6 @@ class Schedule:
             total += seg.integral(lo, hi, functional)
         return total
 
-    def scaled(self, k: float) -> "Schedule":
-        """Schedule with all rates multiplied by k > 0."""
-        if k <= 0:
-            raise ScheduleError("scale factor must be positive")
-        segs = tuple(
-            Segment(s.kind, s.t0, s.t1, k * s.eta0, k * s.eta1) for s in self.segments
-        )
-        return Schedule(segs, self.S, self.markers)
-
     def to_json(self) -> str:
         payload = {
             "S": self.S,

@@ -14,9 +14,9 @@ with G the generator (the Hessian for SGD, the 2N x 2N block matrix of
 Phi being the running area integral of eta.  Both routes are computed: the
 ODE by fixed-step RK4 with step halving until two refinements agree, the
 closed form by per-segment Gauss-Legendre quadrature with a matrix
-exponential at each node (eigendecomposition when G equals its transpose,
-otherwise a degree-18 Taylor polynomial in G / |G|_1, scaled and squared
-node by node).
+exponential at each node (eigendecomposition when G is symmetric by
+:func:`~optlaws.numerics.is_symmetric`, otherwise a degree-18 Taylor
+polynomial in G / |G|_1, scaled and squared node by node).
 
 The closed form doubles its nodes level by level, and each level is one
 array pass over every grid time still refining.  A pass lays the nodes of
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import gauss_legendre_nodes
+from ..numerics import gauss_legendre_nodes, is_symmetric, row_product
 from ..schedule import Schedule
 from .noise import NoiseModel
 from .objectives import Objective
@@ -109,11 +109,6 @@ _QUAD_NODE_WORDS = 16
 # e^2/19! ~ 6e-17 relative out.
 _TAYLOR_DEGREE = 18
 _TAYLOR_DIVISORS = np.arange(1.0, _TAYLOR_DEGREE + 1)
-# The polynomials are summed by products of _TAYLOR_BLOCK nodes, the last
-# padded: gemm rounds a row by where it falls in the product (its row tails,
-# and numpy's gemv for one row, round apart), and one shape for every
-# product keeps a node's exponential independent of the other nodes.
-_TAYLOR_BLOCK = 32
 
 
 def _rk4_coefficients(h, eta_lo, eta_mid, eta_hi, scale):
@@ -152,10 +147,10 @@ def _node_exponentials(G: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """exp(-tau_q G) for every node tau_q >= 0 of ``tau``, shape (nodes,) + G.shape.
 
     One scaling-and-squaring pass for all nodes: the powers B^0..B^18 of
-    B = G / |G|_1 are built once, the nodes' Taylor polynomials are
-    (_TAYLOR_BLOCK x 19) @ (19 x n^2) products per system, and a node is
-    squared s_q times.  A node's exponential does not depend on the other
-    nodes.
+    B = G / |G|_1 are built once, the nodes' Taylor polynomials are one
+    fixed-block (nodes x 19) @ (19 x n^2) product per system
+    (:func:`~optlaws.numerics.row_product`), and a node is squared s_q
+    times.  A node's exponential does not depend on the other nodes.
     """
     n = G.shape[-1]
     Gs = G.reshape(-1, n, n)
@@ -169,12 +164,10 @@ def _node_exponentials(G: np.ndarray, tau: np.ndarray) -> np.ndarray:
     pows = np.stack(pows, axis=1).reshape(n_sys, _TAYLOR_DEGREE + 1, n * n)
     a = norm[:, None] * tau  # (system, node)
     s = np.maximum(np.frexp(a)[1], 0)  # frexp's exponent is the least e with a < 2^e
-    blocks = -(-tau.size // _TAYLOR_BLOCK)
-    coef = np.ones((n_sys, blocks * _TAYLOR_BLOCK, _TAYLOR_DEGREE + 1))
-    np.divide(np.ldexp(-a, -s)[..., None], _TAYLOR_DIVISORS, out=coef[:, : tau.size, 1:])
-    np.cumprod(coef, axis=-1, out=coef)  # x^k / k!, and 1s on the padding rows
-    K = coef.reshape(n_sys, blocks, _TAYLOR_BLOCK, -1) @ pows[:, None]
-    K = K.reshape(n_sys, -1, n * n)[:, : tau.size].swapaxes(0, 1).reshape(-1, n, n)
+    coef = np.ones((n_sys, tau.size, _TAYLOR_DEGREE + 1))
+    np.divide(np.ldexp(-a, -s)[..., None], _TAYLOR_DIVISORS, out=coef[..., 1:])
+    np.cumprod(coef, axis=-1, out=coef)  # x^k / k!
+    K = row_product(coef, pows).swapaxes(0, 1).reshape(-1, n, n)
     s = s.T.ravel()
     for level in range(s.max(initial=0)):
         sq = np.flatnonzero(s > level)
@@ -293,11 +286,11 @@ def closed_form_covariance(
     Each segment piece of [0, t] gets its own Gauss-Legendre nodes.  A
     refinement level prices every grid time still refining in one array
     pass, QUAD_CHUNK_BYTES worth of times at a time, and a time keeps the
-    level at which two passes first agree for the whole batch.  G equal
-    to its transpose uses its eigendecomposition (scalar exponentials per
-    eigenvalue pair); any other G uses a matrix exponential per
-    quadrature node, all of a chunk's nodes from one scaling-and-squaring
-    pass of Taylor polynomials in G.  A time's result does not depend on
+    level at which two passes first agree for the whole batch.  A batch
+    whose every G is symmetric (``is_symmetric``) uses its
+    eigendecomposition (scalar exponentials per eigenvalue pair); any
+    other uses a matrix exponential per quadrature node, all of a chunk's
+    nodes from one scaling-and-squaring pass of Taylor polynomials in G.  A time's result does not depend on
     the other times of the grid or on their order.
     """
     G = np.asarray(G, dtype=float)
@@ -305,7 +298,7 @@ def closed_form_covariance(
     times = np.array(_grid_times(t_grid, schedule))
     shape = np.broadcast_shapes(G.shape, Sigma.shape)
     n, n_sys = shape[-1], math.prod(shape[:-2])
-    symmetric = np.array_equal(G, np.swapaxes(G, -1, -2))
+    symmetric = is_symmetric(G)
     if symmetric:
         lam, U = np.linalg.eigh(G)
         UT = np.swapaxes(U, -1, -2)
@@ -430,7 +423,7 @@ def gaussian_approx(
     if gnorm > 1e-8:
         raise ValueError(f"x_star is not stationary: |grad| = {gnorm:.3e}")
     H = objective.hessian_at(x_star)
-    if not np.allclose(H, H.T, atol=1e-10):
+    if not is_symmetric(H):
         raise ValueError("Hessian at x_star is not symmetric")
     if algorithm == "sgd":
         G, S_mat = H, noise.Sigma_g

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..numerics import is_symmetric
+
 __all__ = ["NoiseModel"]
 
 
@@ -38,7 +40,7 @@ class NoiseModel:
             raise ValueError("Sigma_g must be nonempty")
         if not np.isfinite(sigma).all():
             raise ValueError("Sigma_g must be finite")
-        if not np.allclose(sigma, sigma.T, atol=1e-12):
+        if not is_symmetric(sigma):
             raise ValueError("Sigma_g must be symmetric")
         if self.D < 1:
             raise ValueError("D must be at least 1")
@@ -50,10 +52,6 @@ class NoiseModel:
         if not math.isfinite(variance):
             raise ValueError(f"noise variance must be finite, got {variance}")
         return cls(variance * np.eye(dim), D=D)
-
-    @classmethod
-    def zero(cls, dim: int, D: int = 64) -> "NoiseModel":
-        return cls(np.zeros((dim, dim)), D=D)
 
     @property
     def dim(self) -> int:

@@ -7,6 +7,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..numerics import is_symmetric, row_product
+
 __all__ = ["Objective", "quadratic", "double_well", "rosenbrock"]
 
 
@@ -33,22 +35,12 @@ class Objective:
     box: Optional[float] = None
 
 
-def row_product(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``x @ M`` for rows ``x`` of shape (..., n), each row rounded as in a
-    product of many rows: numpy multiplies a single row by gemv, which can
-    round differently from gemm, so that product gets a second row."""
-    if np.size(x) != M.shape[0]:
-        return x @ M
-    row = np.reshape(x, (1, -1))
-    return (np.concatenate((row, row)) @ M)[0].reshape(np.shape(x))
-
-
 def quadratic(H: np.ndarray) -> Objective:
     """f(x) = x' H x / 2 for symmetric positive semidefinite H."""
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] == 0:
         raise ValueError("H must be a nonempty square matrix")
-    if not np.allclose(H, H.T, atol=1e-12):
+    if not is_symmetric(H):
         raise ValueError("H must be symmetric")
     dim = H.shape[0]
     eigs = np.linalg.eigvalsh(H)

@@ -63,9 +63,9 @@ the GIL released, and scales its own share by the root's diagonal
 never changes its numbers, so results do not depend on the thread count.
 A correlated root is multiplied in once a buffer is filled, as one product
 over the buffer in the calling thread, while the pool fills the other.
-BLAS rounds a row of a product of two or more rows the same whatever their
-number, but numpy computes a one-row product with gemv, which can round
-differently, so that product is padded to two rows (``row_product``).
+That product and a dense gradient are fixed-block products
+(:func:`optlaws.numerics.row_product`), so a path's rows do not depend
+on how many paths share its group or where it falls in it.
 The per-step updates run in place on ``(group, dim)`` arrays that every
 case shares, in the same operation order as the expressions above, so
 results are bit-identical to stepping with fresh arrays and a per-path v.
@@ -100,9 +100,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..numerics import row_product
 from ..schedule import Schedule
 from .noise import NoiseModel
-from .objectives import Objective, row_product
+from .objectives import Objective
 
 __all__ = [
     "SdeConfig",

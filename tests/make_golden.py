@@ -13,7 +13,8 @@ directory (a ``--trace-csv``, say) is recorded by name under ``files``, a
 key left out when there is none.  ``tests/test_golden.py`` reruns the
 commands and compares.  The manifest also records the numpy and scipy
 versions, since numpy's elementwise powers can round differently from one
-release to the next.
+release to the next, and numpy's BLAS name and version, since its kernels
+set the rounding of ``fit`` and of the SDE products.
 
 A change that alters an output on purpose reruns this script and says which
 entries moved and why.  ``--check`` prints the entries that differ from the
@@ -409,7 +410,9 @@ def moved_parts(old, new) -> str:
 
 
 def environment() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}"}
 
 
 def main(args=None) -> int:

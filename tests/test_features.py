@@ -103,15 +103,15 @@ class TestComputeFeatures:
         a, h, S, N = 2.0, 0.4, 10.0, 4.0
         s = build_general_schedule(h, h, a, a, a, S)
         f = compute_features(s, N)
-        assert f.convergence[0] == pytest.approx(2.5, rel=1e-15)
-        assert f.convergence[1] == pytest.approx(0.625, rel=1e-15)
-        assert f.escape[0] == pytest.approx(0.02, rel=1e-15)
+        assert f.values[0] == pytest.approx(2.5, rel=1e-15)
+        assert f.values[1] == pytest.approx(0.625, rel=1e-15)
+        assert f.values[4] == pytest.approx(0.02, rel=1e-15)
 
     def test_const_family_tail_area(self):
         a1, a2, h, S = 2.0, 8.0, 0.4, 10.0
         s = warmup_const_cooldown_schedule(h, a1, a2, S)
         f = compute_features(s, 4.0, rule="all-a1")
-        assert f.convergence[1] == pytest.approx(1.0 / (0.4 * 14.0 / 2.0), rel=1e-15)
+        assert f.values[1] == pytest.approx(1.0 / (0.4 * 14.0 / 2.0), rel=1e-15)
 
     def test_zero_powers_give_ones(self):
         s = build_general_schedule(0.4, 0.4, 2.0, 2.0, 2.0, 10.0)
@@ -168,9 +168,9 @@ class TestComputeFeatures:
         hi = build_general_schedule(0.6, 0.6, a, a, a, S)
         f_lo = compute_features(lo, N)
         f_hi = compute_features(hi, N)
-        assert f_hi.convergence[0] < f_lo.convergence[0]
-        assert f_hi.convergence[1] < f_lo.convergence[1]
-        assert f_hi.escape[0] > f_lo.escape[0]
+        assert f_hi.values[0] < f_lo.values[0]
+        assert f_hi.values[1] < f_lo.values[1]
+        assert f_hi.values[4] > f_lo.values[4]
 
     def test_model_size_scaling(self):
         # doubling N touches exactly the N-bearing entries, each by 2^power
@@ -427,18 +427,16 @@ class TestFeatureVector:
     def test_blocks_and_serialization(self):
         s = build_general_schedule(0.4, 0.4, 2.0, 2.0, 2.0, 10.0)
         f = compute_features(s, 4.0)
-        assert len(f.convergence) == len(f.escape) == len(f.mixed) == len(f.bias) == 4
-        assert f.bias[3] == 1.0
-        recs = f.as_records()
-        assert [r["name"] for r in recs] == list(TERM_NAMES)
-        assert [r["power"] for r in recs] == list(DEFAULT_POWERS)
-        json.dumps(recs)  # JSON-ready
+        # four blocks of four: convergence, escape, mixed and bias terms
+        blocks = [f.values[i:i + 4] for i in range(0, 16, 4)]
+        assert [len(b) for b in blocks] == [4, 4, 4, 4]
+        assert blocks[3][3] == 1.0
+        assert f.powers == DEFAULT_POWERS
+        json.dumps([{"name": n, "power": p, "value": v}  # JSON-ready
+                    for n, p, v in zip(TERM_NAMES, f.powers, f.values)])
 
     def test_term_names_are_unique(self):
         assert len(TERM_NAMES) == len(set(TERM_NAMES)) == 16
-        s = build_general_schedule(0.4, 0.4, 2.0, 2.0, 2.0, 10.0)
-        names = [r["name"] for r in compute_features(s, 4.0).as_records()]
-        assert len(set(names)) == 16
 
     def test_rejects_nonfinite(self):
         with pytest.raises(FeatureError):

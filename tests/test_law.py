@@ -388,11 +388,11 @@ class TestContinual:
         cont = continual_features(law, replace(cfg, pre_area=0.0))
         pre = compute_features(cfg.schedule, cfg.N)
         scale = 0.5 ** -4  # peak on the escape interval is 0.5
-        assert cont.escape[0] == pytest.approx(pre.escape[0] * scale, rel=1e-12)
-        assert cont.escape[2] == pytest.approx(pre.escape[2] * scale**0.25, rel=1e-12)
-        assert cont.escape[1] == pre.escape[1]
+        assert cont.values[4] == pytest.approx(pre.values[4] * scale, rel=1e-12)
+        assert cont.values[6] == pytest.approx(pre.values[6] * scale**0.25, rel=1e-12)
+        assert cont.values[5] == pre.values[5]
         # warmup area untouched by a zero pre-training area
-        assert cont.convergence[0] == pre.convergence[0]
+        assert cont.values[0] == pre.values[0]
 
     def test_enlarged_warmup_only_when_unit_peak(self):
         law = reference_law().as_continual()

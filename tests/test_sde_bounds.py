@@ -18,6 +18,9 @@ from optlaws.sde import (
 from util import constant_schedule
 
 
+NOISELESS = NoiseModel(np.zeros((4, 4)))
+
+
 def run_config(schedule, eta0=0.01, **kwargs):
     return SdeConfig(schedule=schedule, eta0=eta0, n_paths=1, **kwargs)
 
@@ -40,7 +43,7 @@ class TestConvergenceBound:
         eta, t = 0.2, 5.0
         obj = isotropic_quadratic(4)
         x0 = np.full(4, math.sqrt(1.5))  # f0 = 3
-        got = convergence_bound(obj, NoiseModel.zero(4),
+        got = convergence_bound(obj, NOISELESS,
                                 run_config(constant_schedule(eta, t), x0=x0))["gradient"]
         assert got == pytest.approx(3.0 / (eta * t), rel=1e-12)
 
@@ -48,7 +51,7 @@ class TestConvergenceBound:
         # no x0: paths start at x*, so f0 = f_min and only the noise term is left
         eta, t = 0.2, 5.0
         obj = isotropic_quadratic(4)
-        got = convergence_bound(obj, NoiseModel.zero(4),
+        got = convergence_bound(obj, NOISELESS,
                                 run_config(constant_schedule(eta, t)))["gradient"]
         assert got == 0.0
 
@@ -61,26 +64,26 @@ class TestConvergenceBound:
         obj = dataclasses.replace(isotropic_quadratic(4), f_min=None)
         config = run_config(constant_schedule(0.2, 5.0))
         with pytest.raises(ValueError, match="no f_min"):
-            convergence_bound(obj, NoiseModel.zero(4), config)
+            convergence_bound(obj, NOISELESS, config)
 
     def test_adam_gradient_bound_without_ell_rejected(self):
         obj = isotropic_quadratic(4)  # a quadratic names no gradient-norm bound
         config = run_config(constant_schedule(0.2, 5.0), algorithm="adam")
-        assert "gradient" not in convergence_bound(obj, NoiseModel.zero(4), config)
+        assert "gradient" not in convergence_bound(obj, NOISELESS, config)
         with pytest.raises(ValueError, match="needs ell"):
-            convergence_bound(obj, NoiseModel.zero(4), config, M=1.0)
+            convergence_bound(obj, NOISELESS, config, M=1.0)
 
     def test_adam_c2_at_four_c1_rejected(self):
         obj = isotropic_quadratic(4)
         config = run_config(constant_schedule(0.2, 5.0), algorithm="adam", c1=0.5, c2=2.0)
         with pytest.raises(ValueError, match="c2"):  # 1 - c2/(4 c1) = 0
-            convergence_bound(obj, NoiseModel.zero(4), config)
+            convergence_bound(obj, NOISELESS, config)
 
     def test_adam_stability_condition(self):
         obj = isotropic_quadratic(4)
         config = run_config(constant_schedule(0.2, 5.0), algorithm="adam", c1=1.0, c2=5.0)
         with pytest.raises(ValueError, match="c2"):
-            convergence_bound(obj, NoiseModel.zero(4), config)
+            convergence_bound(obj, NOISELESS, config)
 
     def test_adam_momentum_and_gradient_bounds(self):
         obj = isotropic_quadratic(4)

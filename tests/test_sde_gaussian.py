@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -52,7 +53,7 @@ class TestScalarCase:
     def test_zero_noise_gives_zero_covariance(self):
         sched = constant_schedule(0.1, 10.0)
         obj = isotropic_quadratic(2)
-        ga = gaussian_approx(obj, NoiseModel.zero(2), sched, np.zeros(2), "sgd",
+        ga = gaussian_approx(obj, NoiseModel(np.zeros((2, 2))), sched, np.zeros(2), "sgd",
                              [5.0, 10.0], eta0=0.01)
         for p in ga.P_ode + ga.P_closed:
             np.testing.assert_array_equal(p, np.zeros((2, 2)))
@@ -585,6 +586,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="not stationary"):
             gaussian_approx(obj, NoiseModel.isotropic(2, 1.0), sched,
                             np.array([1.0, 0.0]), "sgd", [1.0], eta0=0.01)
+
+    def test_nearly_symmetric_hessian_rejected(self):
+        # 5e-6 off symmetry, inside numpy's default allclose rtol
+        H = np.array([[2.0, 1.0 + 5e-6], [1.0, 3.0]])
+        obj = dataclasses.replace(isotropic_quadratic(2), hessian_at=lambda x: H)
+        with pytest.raises(ValueError, match="^Hessian at x_star is not symmetric$"):
+            gaussian_approx(obj, NoiseModel.isotropic(2, 1.0), constant_schedule(0.1, 1.0),
+                            np.zeros(2), "sgd", [1.0], eta0=0.01)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="^unknown algorithm 'bogus'$"):

@@ -80,6 +80,14 @@ class TestObjectives:
         with pytest.raises(ValueError):
             quadratic(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("H", [
+        [[1.0, 0.5], [0.0, 1.0]],
+        [[2.0, 1.0 + 5e-6], [1.0, 3.0]],  # inside numpy's default allclose rtol
+    ], ids=["asymmetric", "nearly-symmetric"])
+    def test_asymmetric_quadratic_rejected(self, H):
+        with pytest.raises(ValueError, match="^H must be symmetric$"):
+            quadratic(np.array(H))
+
     @pytest.mark.parametrize("dim", [0, -1])
     def test_double_well_without_dimensions_rejected(self, dim):
         # dim 0 built a 0-dim objective; dim -1 warned from sqrt
@@ -125,7 +133,7 @@ class TestSgdSimulation:
         obj = isotropic_quadratic(4)
         cfg = SdeConfig(schedule=sched, eta0=0.01, n_paths=2, seed=0,
                         x0=np.ones(4), record_traces=True)
-        rep = simulate(obj, NoiseModel.zero(4), cfg)
+        rep = simulate(obj, NoiseModel(np.zeros((4, 4))), cfg)
         for trace in rep.traces:
             grads = trace[:, 1]
             assert np.all(np.diff(grads) <= 1e-14)
@@ -161,7 +169,7 @@ class TestSgdSimulation:
         obj = isotropic_quadratic(2)
         cfg = SdeConfig(schedule=sched, eta0=3.0, n_paths=4, seed=0, x0=np.ones(2))
         with pytest.raises(SimulationDiverged) as err:
-            simulate(obj, NoiseModel.zero(2), cfg)
+            simulate(obj, NoiseModel(np.zeros((2, 2))), cfg)
         assert "path 0" in str(err.value)
 
     @pytest.mark.parametrize("algorithm, stat", [("sgd", "weighted_avg_grad_sq"),
@@ -183,7 +191,7 @@ class TestSgdSimulation:
         assert cfg.n_steps == 1
         for run in (reference_simulate, simulate):
             with pytest.raises(SimulationDiverged, match="path 0 "):
-                run(isotropic_quadratic(2, 1e200), NoiseModel.zero(2), cfg)
+                run(isotropic_quadratic(2, 1e200), NoiseModel(np.zeros((2, 2))), cfg)
 
     def test_trap_eps_validation(self):
         sched = constant_schedule(0.1, 1.0)
@@ -320,8 +328,9 @@ class TestNoiseModel:
     @pytest.mark.parametrize("sigma, D, match", [
         (np.ones((2, 3)), 64, "^Sigma_g must be square$"),
         (np.array([[1.0, 0.5], [0.0, 1.0]]), 64, "^Sigma_g must be symmetric$"),
+        (np.array([[2.0, 1.0 + 5e-6], [1.0, 3.0]]), 64, "^Sigma_g must be symmetric$"),
         (np.eye(2), 0, "^D must be at least 1$"),
-    ], ids=["non-square", "asymmetric", "no-samples"])
+    ], ids=["non-square", "asymmetric", "nearly-symmetric", "no-samples"])
     def test_malformed_noise_rejected(self, sigma, D, match):
         with pytest.raises(ValueError, match=match):
             NoiseModel(sigma, D=D)
@@ -461,24 +470,25 @@ class TestDeterminism:
             assert a.stats[key] == b.stats[key]
 
     @pytest.mark.parametrize("algorithm", ["sgd", "adam"])
-    @pytest.mark.parametrize("block", [13, 1, 40])
-    def test_dense_h_results_do_not_depend_on_blocks(self, algorithm, block, blocks):
+    @pytest.mark.parametrize("block, dim", [(13, 8), (1, 8), (40, 8), (13, 18)],
+                             ids=["13", "1", "40", "13-dim18"])
+    def test_dense_h_results_do_not_depend_on_blocks(self, algorithm, block, dim, blocks):
         # blocks of one path, and the last block of one path at 13, multiply
-        # the gradient by H one row at a time, which numpy does by gemv
-        rng = np.random.default_rng(11)
-        A = rng.standard_normal((8, 8))
-        obj = quadratic(A @ A.T / 8 + 0.5 * np.eye(8))
-        noise = NoiseModel.isotropic(8, 0.3)
+        # the gradient by H one row at a time, which numpy does by gemv; at
+        # dim 18 a gemm row also rounds by how many rows share the product
+        obj = dense_quadratic(dim)
+        noise = NoiseModel.isotropic(dim, 0.3)
         cfg = SdeConfig(schedule=build_general_schedule(0.5, 0.5, 0.5, 0.5, 0.5, 2.0),
                         eta0=0.02, n_paths=40, seed=9, algorithm=algorithm,
-                        x0=np.full(8, 0.7), trap_eps=(0.05,), record_traces=True)
-        blocks(block, cfg, 8)
+                        x0=np.full(dim, 0.7), trap_eps=(0.05,), record_traces=True)
+        blocks(block, cfg, dim)
         assert_same_report(simulate(obj, noise, cfg), reference_simulate(obj, noise, cfg))
 
-    @pytest.mark.parametrize("dim", [8, 16, 32])
+    @pytest.mark.parametrize("dim", [8, 16, 32, 17, 18, 19, 25, 33])
     def test_correlated_noise_does_not_depend_on_blocks(self, dim, blocks):
         # one step in blocks of one path: each block's noise product over a
-        # non-diagonal root has one row, which numpy multiplies by gemv
+        # non-diagonal root has one row, which numpy multiplies by gemv; at
+        # dims 17, 18, 19, 25 and 33 a gemm row also rounds by the row count
         objective, noise = correlated_system(dim)
         cfg = SdeConfig(schedule=constant_schedule(0.6, 0.01), eta0=0.01, n_paths=40, seed=5,
                         trap_eps=(0.05,), record_traces=True)
@@ -511,6 +521,12 @@ def assert_same_report(got, want):
         assert got.traces.shape == want.traces.shape
         assert got.trace_t.tobytes() == want.trace_t.tobytes()
         assert got.traces.tobytes() == want.traces.tobytes()
+
+
+def dense_quadratic(dim):
+    """A quadratic with a dense, well-conditioned Hessian."""
+    A = np.random.default_rng(11).standard_normal((dim, dim))
+    return quadratic(A @ A.T / dim + 0.5 * np.eye(dim))
 
 
 def correlated_system(dim, seed=0):
@@ -808,6 +824,16 @@ class TestFillThreads:
             block = None
         blocks(block, cfg, dim)
         assert_matches_reference(objective, noise, cfg)
+
+    @pytest.mark.parametrize("n_fill", [1, 2])
+    def test_dense_h_dim18_matches_reference(self, n_fill, monkeypatch, blocks):
+        # dim 18, where a gemm row rounds by the number of rows in the
+        # product: one fill thread steps groups of 9, two threads groups of 5
+        monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: n_fill)
+        cfg = SdeConfig(schedule=self.SCHED, eta0=0.01, n_paths=23, seed=5, trap_eps=(0.5,),
+                        x0=np.full(18, 0.7), record_traces=True)
+        blocks(9, cfg, 18)
+        assert_matches_reference(dense_quadratic(18), NoiseModel.isotropic(18, 0.3), cfg)
 
     def test_diverging_run_names_the_same_path(self, threads):
         # path 36 of one 40-path block diverges first: a later share than

@@ -253,7 +253,8 @@ def reference_simulate(objective, noise, config):
 
     Every path carries its own Adam second moment ``v``; all paths are
     stepped as one block, whose noise is drawn as ``xi @ root``, and each
-    step builds fresh arrays.  The arithmetic of every update is written out
+    step builds fresh arrays.  The noise product is written out as blocks
+    of 32 rows, the last zero-padded.  The arithmetic of every update is written out
     in the same order as in the optimized loop, so the two must agree bit
     for bit however ``simulate`` groups the paths: the eta-weighted squares
     are summed per coordinate and each path's row once, after the last step.
@@ -273,10 +274,12 @@ def reference_simulate(objective, noise, config):
     with np.errstate(over="ignore", invalid="ignore"):
         xi = np.stack([path_rng(config.seed, i).standard_normal((n_steps, dim))
                        for i in range(n_paths)]).reshape(-1, dim)
-        # numpy multiplies one row by gemv, which can round differently from
-        # gemm, so a one-row product gets a second row
-        rows = xi if len(xi) > 1 else np.concatenate((xi, xi))
-        z = (rows @ noise.root)[:len(xi)].reshape(n_paths, n_steps, dim)
+        # the noise product 32 rows at a time, the last block zero-padded:
+        # BLAS rounds a row by the shape of the product it falls in, so the
+        # product keeps one shape
+        rows = np.zeros((-(-len(xi) // 32), 32, dim))
+        rows.reshape(-1, dim)[:len(xi)] = xi
+        z = (rows @ noise.root).reshape(-1, dim)[:len(xi)].reshape(n_paths, n_steps, dim)
         x = np.tile(x0, (n_paths, 1))
         m, v = np.zeros((n_paths, dim)), np.zeros((n_paths, dim))
         acc_g, acc_m = np.zeros((n_paths, dim)), np.zeros((n_paths, dim))
