@@ -18,13 +18,20 @@ exponential at each node (eigendecomposition when G is symmetric by
 :func:`~optlaws.numerics.is_symmetric`, otherwise a degree-18 Taylor
 polynomial in G / |G|_1, scaled and squared node by node).
 
+Both routes share one front end and one refinement rule.  The front end
+checks the grid and broadcasts G and Sigma to one (systems, n, n) stack; a
+route reshapes to the caller's batch shape only when it returns.  A level
+is accepted once it agrees with the one before to TOL * (1 + max|P|) for
+every system, and a level that is not finite is refused at once.  Each
+route builds CHUNK_BYTES worth of its scratch at a time, which bounds its
+memory.
+
 The closed form doubles its nodes level by level, and each level is one
 array pass over every grid time still refining.  A pass lays the nodes of
 all its times on a (times, nodes) array, segment by segment, with zero
-weight on the segments a time has not reached; it prices QUAD_CHUNK_BYTES
-worth of times at a time, which bounds the route's memory.  A time drops
-out once two levels agree for it, so its covariance does not depend on the
-rest of the grid.
+weight on the segments a time has not reached, a chunk of times at a time.
+A time drops out once two levels agree for it, so its covariance does not
+depend on the rest of the grid.
 
 The ODE is linear in P, so one RK4 step is a polynomial in the operator
 L(P) = G P + P G':
@@ -38,10 +45,9 @@ commute, so L^j(P) = sum_k C(j, k) G^k P G'^(j-k) and the step folds into
 
     P_next = sum_{k=0..4} G^k P M_k' + U,    M_k = sum_l a_{k+l} C(k+l, k) G^l,
 
-two matrix products and an add per step.  M_k' and U are built for
-ODE_CHUNK_BYTES worth of steps at a time, which bounds the route's memory.
-No eigendecomposition or matrix exponential enters, so the ODE route stays
-independent of the closed form.
+two matrix products and an add per step, with M_k' and U built a chunk of
+steps at a time.  No eigendecomposition or matrix exponential enters, so
+the ODE route stays independent of the closed form.
 """
 
 from __future__ import annotations
@@ -71,16 +77,19 @@ __all__ = [
 # takes the first of these steps with h * eta_max * rho <= ODE_STABLE_H_RATE,
 # rho = 2 max|eig(G)| bounding the eigenvalues of L: RK4's stability region
 # holds the left half-disc of radius 2.5 (on the real axis it reaches 2.78).
-# A solve that still overflows counts as disagreement and is halved.
+# Every solve is then stable, so one that overflows has a covariance that
+# does overflow, and a finer step cannot rescue it.
 ODE_BASE_STEPS = 250
 ODE_TOL = 1e-8
 ODE_MAX_HALVINGS = 11
 ODE_STABLE_H_RATE = 2.5
-# The folded step matrices M_k' and U of ODE_CHUNK_BYTES worth of steps are
-# built at a time.  _ODE_STEP_WORDS bounds the per-step words of the rates
-# and of the RK4 coefficient recursion on top of the matrices (about 80 by
-# tracemalloc; twice that keeps the peak under the budget).
-ODE_CHUNK_BYTES = 4 * 2**20
+# Each route builds CHUNK_BYTES worth of its scratch at a time: the ODE the
+# folded step matrices M_k' and U of a chunk of steps, the closed form the
+# nodes of a chunk of grid times.
+CHUNK_BYTES = 4 * 2**20
+# _ODE_STEP_WORDS bounds the per-step words of the rates and of the RK4
+# coefficient recursion on top of the matrices (about 80 by tracemalloc;
+# twice that keeps the peak under the budget).
 _ODE_STEP_WORDS = 160
 # M_k = sum_l a_{k+l} C(k+l, k) G^l: the power of L read by entry (k, l)
 # and its binomial weight (zero past RK4's degree 4).
@@ -95,13 +104,11 @@ _FOLD_BINOM = np.array(
 QUAD_BASE_NODES = 16
 QUAD_TOL = 1e-10
 QUAD_MAX_DOUBLINGS = 6
-# Each pass prices QUAD_CHUNK_BYTES worth of grid times at a time.  Per
-# quadrature node a pass holds about 2n words per system in the eigenbasis
-# (with matrix exponentials, 4n^2 for the exponentials and their products
-# with Sigma, plus the 19 Taylor coefficients) and a few words of nodes,
-# weights and areas (by tracemalloc); twice the per-system words and
-# _QUAD_NODE_WORDS keep the peak under the budget.
-QUAD_CHUNK_BYTES = 4 * 2**20
+# Per quadrature node a pass holds about 2n words per system in the
+# eigenbasis (with matrix exponentials, 4n^2 for the exponentials and their
+# products with Sigma, plus the 19 Taylor coefficients) and a few words of
+# nodes, weights and areas (by tracemalloc); twice the per-system words and
+# _QUAD_NODE_WORDS keep the peak under CHUNK_BYTES.
 _QUAD_NODE_WORDS = 16
 # General G: exp(-tau G) = (e^{x B})^(2^s) with B = G / |G|_1, the least
 # s >= 0 with tau |G|_1 < 2^s, so x = -tau |G|_1 / 2^s lies in (-1, 0], and
@@ -135,12 +142,32 @@ def _rk4_coefficients(h, eta_lo, eta_mid, eta_hi, scale):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _grid_times(t_grid, schedule: Schedule) -> list[float]:
-    """The grid as floats, each checked to lie in [0, S] (a NaN does not)."""
-    t_grid = [float(t) for t in t_grid]
-    if any(not 0.0 <= t <= schedule.S for t in t_grid):
+def _systems(G, Sigma, schedule: Schedule, t_grid):
+    """The front end of both routes: (times, shape, G, Sigma).
+
+    ``times`` is the grid as a float array, each time checked to lie in
+    [0, S] (a NaN does not); ``shape`` is the broadcast shape (..., n, n) of
+    ``G`` and ``Sigma``, and both come back as one (systems, n, n) stack.
+    """
+    times = np.array([float(t) for t in t_grid])
+    if not np.all((0.0 <= times) & (times <= schedule.S)):
         raise ValueError("t_grid must lie within [0, S]")
-    return t_grid
+    G, Sigma = np.asarray(G, dtype=float), np.asarray(Sigma, dtype=float)
+    shape = np.broadcast_shapes(G.shape, Sigma.shape)
+    stack = (math.prod(shape[:-2]),) + shape[-2:]
+    return (times, shape) + tuple(np.broadcast_to(M, shape).reshape(stack) for M in (G, Sigma))
+
+
+def _agreed(prev, cur, tol, axes):
+    """Whether the level ``cur`` agrees with ``prev`` for every system.
+
+    Per system, over ``axes``, max|cur - prev| <= tol * (1 + max|cur|).  The
+    system axis is the last one ``axes`` leaves, and the answer is an array
+    over the axes before it.
+    """
+    err = np.max(np.abs(cur - prev), axis=axes, initial=0.0)
+    size = np.max(np.abs(cur), axis=axes, initial=0.0)
+    return np.all(err <= tol * (1.0 + size), axis=-1)
 
 
 def _node_exponentials(G: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -189,17 +216,13 @@ def integrate_covariance_ode(
     Steps never straddle a segment joint: each piece of [0, t] inside one
     segment takes its rates from that segment.  Each step is applied in
     its folded form P_next = sum_k G^k P M_k' + U (see the module
-    docstring).
+    docstring).  A solve that is not finite raises ``ValueError`` naming
+    its step.
     """
-    G = np.asarray(G, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
-    t_grid = _grid_times(t_grid, schedule)
-    if sorted(t_grid) != t_grid:
+    times, shape, G, Sigma = _systems(G, Sigma, schedule, t_grid)
+    if np.any(np.diff(times) < 0.0):
         raise ValueError("t_grid must be sorted ascending")
-    shape = np.broadcast_shapes(G.shape, Sigma.shape)
-    n, n_sys = shape[-1], math.prod(shape[:-2])
-    G = np.broadcast_to(G, shape).reshape(n_sys, n, n)
-    Sigma = np.broadcast_to(Sigma, shape).reshape(n_sys, n, n)
+    n_sys, n = G.shape[:2]
     # G^0..G^4 side by side, their transposes as rows, and L^0..L^3 of Sigma
     pows = [np.broadcast_to(np.eye(n), G.shape)]
     for _ in range(4):
@@ -210,7 +233,7 @@ def integrate_covariance_ode(
     for _ in range(3):
         LS.append(G @ LS[-1] + LS[-1] @ np.swapaxes(G, -1, -2))
     LS = np.stack(LS).reshape(4, n_sys * n * n)
-    chunk = max(1, ODE_CHUNK_BYTES // (8 * (6 * n_sys * n * n + _ODE_STEP_WORDS)))
+    chunk = max(1, CHUNK_BYTES // (8 * (6 * n_sys * n * n + _ODE_STEP_WORDS)))
     B = np.empty((n_sys, 5, n, n))
 
     def advance(P, seg, t, h, c):
@@ -228,49 +251,40 @@ def integrate_covariance_ode(
         return ts[-1]
 
     def solve(step):
+        """P at every grid time, from steps of at most ``step``."""
         P = np.zeros((n_sys, n, n))
-        out = []
+        out = np.empty((times.size, n_sys, n, n))
         t_cur = 0.0
-        for t_next in t_grid:
+        for i, t_next in enumerate(times.tolist()):
             for seg, lo, hi in schedule.pieces(t_cur, t_next):
                 n_steps = max(1, math.ceil((hi - lo) / step))
                 h = (hi - lo) / n_steps
                 t = lo
                 for start in range(0, n_steps, chunk):
                     t = advance(P, seg, t, h, min(chunk, n_steps - start))
-            out.append(P.reshape(shape).copy())
+            out[i] = P
             t_cur = t_next
         return out
 
-    def agree(prev, cur):
-        """Whether two solves agree for every system (a NaN or inf does not)."""
-        axes = (0, -2, -1)  # grid times and matrix entries, per system
-        prev = np.reshape(prev, (len(t_grid), n_sys, n, n))
-        cur = np.reshape(cur, prev.shape)
-        err = np.max(np.abs(cur - prev), axis=axes, initial=0.0)
-        size = np.max(np.abs(cur), axis=axes, initial=0.0)
-        return bool(np.all(err <= ODE_TOL * (1.0 + size)) and np.isfinite(size).all())
-
-    finest = ODE_BASE_STEPS << ODE_MAX_HALVINGS
     rate = schedule.eta_max * 2.0 * np.max(np.abs(np.linalg.eigvals(G)), initial=0.0)
-    step, halvings = schedule.S / ODE_BASE_STEPS, ODE_MAX_HALVINGS
+    step, first = schedule.S / ODE_BASE_STEPS, 0
     while not step * rate <= ODE_STABLE_H_RATE:
-        if halvings == 0:
-            raise ValueError(f"covariance ODE not finite: at the finest step S/{finest}, "
+        if first == ODE_MAX_HALVINGS:
+            raise ValueError("covariance ODE not finite: at the finest step "
+                             f"S/{ODE_BASE_STEPS << first}, "
                              f"h*eta*rho = {step * rate:.3g} > {ODE_STABLE_H_RATE}")
-        step, halvings = 0.5 * step, halvings - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        prev = solve(step)
-        for _ in range(halvings):
-            step *= 0.5
+        step, first = 0.5 * step, first + 1
+    prev = None
+    for halvings in range(first, ODE_MAX_HALVINGS + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
             cur = solve(step)
-            done = agree(prev, cur)
-            prev = cur
-            if done:
-                break
-    if not all(np.isfinite(p).all() for p in prev):
-        raise ValueError(f"covariance ODE is not finite at the finest step S/{finest}")
-    return prev
+        if not np.isfinite(cur).all():
+            raise ValueError("covariance ODE is not finite at the step "
+                             f"S/{ODE_BASE_STEPS << halvings}")
+        if prev is not None and _agreed(prev, cur, ODE_TOL, (0, 2, 3)):
+            break
+        prev, step = cur, 0.5 * step
+    return list(cur.reshape((times.size,) + shape))
 
 
 def closed_form_covariance(
@@ -285,19 +299,18 @@ def closed_form_covariance(
     ``G`` and ``Sigma`` may carry leading batch dimensions (..., n, n).
     Each segment piece of [0, t] gets its own Gauss-Legendre nodes.  A
     refinement level prices every grid time still refining in one array
-    pass, QUAD_CHUNK_BYTES worth of times at a time, and a time keeps the
+    pass, CHUNK_BYTES worth of times at a time, and a time keeps the
     level at which two passes first agree for the whole batch.  A batch
     whose every G is symmetric (``is_symmetric``) uses its
     eigendecomposition (scalar exponentials per eigenvalue pair); any
     other uses a matrix exponential per quadrature node, all of a chunk's
-    nodes from one scaling-and-squaring pass of Taylor polynomials in G.  A time's result does not depend on
-    the other times of the grid or on their order.
+    nodes from one scaling-and-squaring pass of Taylor polynomials in G.  A
+    time's result does not depend on the other times of the grid or on
+    their order.  A pass that is not finite raises ``ValueError`` naming the
+    first grid time where it is not.
     """
-    G = np.asarray(G, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
-    times = np.array(_grid_times(t_grid, schedule))
-    shape = np.broadcast_shapes(G.shape, Sigma.shape)
-    n, n_sys = shape[-1], math.prod(shape[:-2])
+    times, shape, G, Sigma = _systems(G, Sigma, schedule, t_grid)
+    n_sys, n = G.shape[:2]
     symmetric = is_symmetric(G)
     if symmetric:
         lam, U = np.linalg.eigh(G)
@@ -330,39 +343,38 @@ def closed_form_covariance(
         w_s, dphi = w_s.reshape(idx.size, -1), dphi.reshape(idx.size, -1)
         if symmetric:
             # sum_q w_q * exp(-(lam_i + lam_j) dphi_q), assembled in the eigenbasis
-            node = (idx.size,) + (1,) * (len(shape) - 2) + (-1, 1)
-            E = np.exp(-dphi.reshape(node) * lam[..., None, :])  # (time, ..., q, n)
-            I = np.swapaxes(E * w_s.reshape(node), -1, -2) @ E
+            E = np.exp(-dphi[:, None, :, None] * lam[:, None, :])  # (time, system, q, n)
+            I = np.swapaxes(E * w_s[:, None, :, None], -1, -2) @ E
             return U @ (M * I) @ UT
         # one exponential pass over the nonzero-weight nodes; summing the
         # zero-padded node axis adds the terms in node order, so each P is
         # the per-node sum bit for bit (np.add.reduceat's sum is not)
         q = np.flatnonzero(w_s)
-        node = (-1,) + (1,) * len(shape)  # a node axis ahead of the batch axes
-        K = _node_exponentials(G, dphi.flat[q])
-        K = K.reshape((q.size,) + (1,) * (len(shape) - G.ndim) + G.shape)
-        terms = np.zeros((w_s.size,) + shape)
-        terms[q] = w_s.flat[q].reshape(node) * (K @ Sigma @ np.swapaxes(K, -1, -2))
-        return terms.reshape((idx.size, -1) + shape).sum(axis=1)
+        K = _node_exponentials(G, dphi.flat[q])  # (q, system, n, n)
+        terms = np.zeros((w_s.size, n_sys, n, n))
+        terms[q] = w_s.flat[q][:, None, None, None] * (K @ Sigma @ np.swapaxes(K, -1, -2))
+        return terms.reshape(idx.size, -1, n_sys, n, n).sum(axis=1)
 
-    out = np.zeros((times.size,) + shape)  # t = 0 keeps P = 0
+    out = np.zeros((times.size, n_sys, n, n))  # t = 0 keeps P = 0
     todo = np.flatnonzero(times)
     n_nodes = QUAD_BASE_NODES
     for level in range(QUAD_MAX_DOUBLINGS + 1):
         per_time = len(segs) * n_nodes * node_words + 8 * n_sys * n * n
-        chunk = max(1, QUAD_CHUNK_BYTES // (8 * per_time))
+        chunk = max(1, CHUNK_BYTES // (8 * per_time))
         refining = np.ones(todo.size, dtype=bool)
         for start in range(0, todo.size, chunk):
             idx = todo[start : start + chunk]
-            cur = price(idx, n_nodes)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cur = price(idx, n_nodes)
+            if not np.isfinite(cur).all():
+                t = float(times[idx[~np.isfinite(cur).all(axis=(1, 2, 3))][0]])
+                raise ValueError(f"closed-form covariance is not finite at t = {t!r}")
             if level:  # out[idx] holds the previous level's pass
-                err = np.max(np.abs(cur - out[idx]), axis=(-2, -1)).reshape(idx.size, -1)
-                size = np.max(np.abs(cur), axis=(-2, -1)).reshape(idx.size, -1)
-                refining[start : start + chunk] = ~np.all(err <= QUAD_TOL * (1.0 + size), axis=1)
+                refining[start : start + chunk] = ~_agreed(out[idx], cur, QUAD_TOL, (2, 3))
             out[idx] = cur
         todo = todo[refining]
         n_nodes *= 2
-    return list(out)
+    return list(out.reshape((times.size,) + shape))
 
 
 def adam_generator(H: np.ndarray, Sigma: np.ndarray, c1: float, eps: float):
@@ -436,11 +448,12 @@ def gaussian_approx(
         mean = np.concatenate([x_star, np.zeros_like(x_star)])
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    t_grid = list(t_grid)  # read once: a one-shot iterable feeds both routes
     P_ode = integrate_covariance_ode(G, S_mat, schedule, scale, t_grid)
     P_closed = closed_form_covariance(G, S_mat, schedule, scale, t_grid)
     return GaussianApprox(
         algorithm=algorithm,
-        t_grid=np.asarray(list(t_grid), dtype=float),
+        t_grid=np.asarray(t_grid, dtype=float),
         P_ode=P_ode,
         P_closed=P_closed,
         mean=mean,

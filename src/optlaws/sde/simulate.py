@@ -323,10 +323,17 @@ def _path_keys(seed: int, start: int, stop: int) -> np.ndarray:
 
 def start_points(objective: Objective, config: SdeConfig) -> tuple[np.ndarray, np.ndarray]:
     """(x*, x0) of a run: the objective's minimum (the origin when it names
-    none) and the start of every path, ``config.x0`` or else that minimum."""
+    none) and the start of every path, ``config.x0`` or else that minimum.
+    An ``x0`` of any shape but (objective.dim,) raises ``ValueError``."""
     x_star = np.zeros(objective.dim) if objective.x_star is None else objective.x_star
     x_star = np.asarray(x_star, dtype=float)
-    return x_star, x_star if config.x0 is None else np.asarray(config.x0, dtype=float)
+    if config.x0 is None:
+        return x_star, x_star
+    x0 = np.asarray(config.x0, dtype=float)
+    if x0.shape != (objective.dim,):
+        raise ValueError(f"x0 has shape {x0.shape}, but objective {objective.name!r} "
+                         f"takes points of shape {(objective.dim,)}")
+    return x_star, x0
 
 
 def _summary(name: str, samples: np.ndarray) -> StatSummary:
@@ -557,6 +564,7 @@ class _Run:
     def __init__(self, objective: Objective, noise: NoiseModel, config: SdeConfig):
         n_steps, n_paths = config.n_steps, config.n_paths
         self.objective, self.config = objective, config
+        self.x_star, self.x0 = start_points(objective, config)
         self.ts = np.minimum(np.arange(n_steps) * config.eta0, config.schedule.S)
         # a finite schedule can still overflow once its rates are multiplied out
         with np.errstate(over="ignore", invalid="ignore"):
@@ -570,8 +578,6 @@ class _Run:
                 else f"step rates sum to {self.weight!r}"
             )
             raise ValueError(f"{what}: the schedule's rates overflow (lower the peak rate)")
-
-        self.x_star, self.x0 = start_points(objective, config)
 
         self.adam = config.algorithm == "adam"
         self.v_min = None

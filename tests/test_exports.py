@@ -62,3 +62,14 @@ def test_readme_check_example_prints_its_comment(capsys):
     got, shown = json.loads(capsys.readouterr().out), json.loads(comment)
     assert shown == {"R": 0.526, "eta_L": 0.196, "verdict": "stable"}
     assert {k: round(v, 3) if isinstance(v, float) else v for k, v in got.items()} == shown
+
+
+def test_readme_lists_the_covariance_constants():
+    # the README's sentence naming the routes' refinement constants
+    from optlaws.sde import gaussian
+
+    (sentence,) = re.findall(r"module\s+constants\s+of\s+`optlaws\.sde\.gaussian`, not arguments:"
+                             r"(.*?)\.\n", README, re.S)
+    listed = re.findall(r"`(\w+)`", sentence)
+    public = [name for name in vars(gaussian) if name.isupper() and not name.startswith("_")]
+    assert sorted(listed) == sorted(public)

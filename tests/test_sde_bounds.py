@@ -106,6 +106,14 @@ class TestConvergenceBound:
         stat = rep.stats["weighted_avg_grad_sq"]
         assert stat.mean <= bound + 3.0 * stat.std_err
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_x0_of_the_wrong_shape_refused(self, size):
+        # numpy would broadcast a length-1 x0 to every coordinate of f0's point
+        sched = build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 6.0)
+        config = run_config(sched, x0=np.ones(size))
+        with pytest.raises(ValueError, match=fr"^x0 has shape \({size},\), but objective"):
+            convergence_bound(isotropic_quadratic(4), NOISELESS, config)
+
 
 class TestEscapeBounds:
     def test_zero_radius(self):

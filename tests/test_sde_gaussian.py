@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from optlaws import validate
+from optlaws.numerics import is_symmetric
 from optlaws.schedule import build_general_schedule, warmup_cosine_schedule
 from optlaws.sde import (
     NoiseModel,
@@ -173,7 +174,7 @@ class TestFoldedRK4:
         H, Sg = sgd_batch()
         grid = [0.9, 6.0]
         whole = integrate_covariance_ode(H, Sg, sched, 0.01, grid)
-        monkeypatch.setattr(gaussian, "ODE_CHUNK_BYTES", 1)  # one step per chunk
+        monkeypatch.setattr(gaussian, "CHUNK_BYTES", 1)  # one step per chunk
         for a, b in zip(integrate_covariance_ode(H, Sg, sched, 0.01, grid), whole):
             assert np.max(np.abs(a - b)) <= 1e-15 * (1.0 + np.max(np.abs(b)))
 
@@ -185,7 +186,7 @@ class TestFoldedRK4:
         H = np.stack([random_spd(rng, 8) for _ in range(16)])
         Sg = np.stack([random_spd(rng, 8, shift=0.1) for _ in range(16)])
         per_step = 8 * 6 * H.size  # the step matrices alone, without a budget
-        assert gaussian.ODE_BASE_STEPS * per_step > 2 * gaussian.ODE_CHUNK_BYTES
+        assert gaussian.ODE_BASE_STEPS * per_step > 2 * gaussian.CHUNK_BYTES
         integrate_covariance_ode(H, Sg, sched, 0.01, [6.0])  # warm up imports and caches
         tracemalloc.start()
         try:
@@ -194,7 +195,7 @@ class TestFoldedRK4:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= gaussian.ODE_CHUNK_BYTES + 16 * P.nbytes
+        assert peak <= gaussian.CHUNK_BYTES + 16 * P.nbytes
 
 
 def count_rk4_steps(monkeypatch) -> list[int]:
@@ -284,6 +285,21 @@ class TestHalving:
         assert time.perf_counter() - start < 0.05
         assert steps[0] == 0
 
+    def test_a_solve_that_overflows_is_refused_at_once(self, monkeypatch):
+        # G has the eigenvalue -400, so P grows like exp(800 Phi(t)) and
+        # overflows by t = 3.  The first solve is stable (S/2000), so no
+        # finer one is tried: one solve of 2000 steps, plus at most one per
+        # piece for rounding up
+        sched = build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 6.0)
+        G = np.diag([-400.0, 1.0])
+        want = "^covariance ODE is not finite at the step S/2000$"
+        steps = count_rk4_steps(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=want):
+                integrate_covariance_ode(G, np.eye(2), sched, 0.01, [3.0, 6.0])
+        assert 2000 <= steps[0] <= 2003
+
     def test_validate_suite_2_converges_after_one_halving(self, monkeypatch):
         # the system validate's route-agreement suite builds at seed 7
         steps, per_call = count_rk4_steps(monkeypatch), []
@@ -307,13 +323,14 @@ def package_node_exponential(G, tau):
 
 
 def batch_axes_systems():
-    """A non-symmetric generator under a batch of noise matrices, and a
-    batch of generators under one noise matrix, with the result shapes."""
+    """A non-symmetric generator under a batch of noise matrices, a batch of
+    generators under one noise matrix, and a symmetric generator under the
+    batch of noise matrices, with the result shapes."""
     rng = np.random.default_rng(31)
     G = random_spd(rng, 3) + np.triu(rng.standard_normal((3, 3)), 1)
     Gs = np.stack([G, G.T, 2.0 * G])
     Sg = np.stack([random_spd(rng, 3, shift=0.2) for _ in range(2)])
-    return ((G, Sg, (2, 3, 3)), (Gs, Sg[0], (3, 3, 3)))
+    return ((G, Sg, (2, 3, 3)), (Gs, Sg[0], (3, 3, 3)), (random_spd(rng, 3), Sg, (2, 3, 3)))
 
 
 class TestClosedFormNodes:
@@ -332,11 +349,18 @@ class TestClosedFormNodes:
             assert a.shape == b.shape and np.array_equal(a, b)
 
     def test_batch_axes_match_node_loop(self):
+        # the eigenbasis route has no node loop: it is held to the symmetric
+        # generator under one noise matrix at a time, as each noise matrix
+        # stops at the same level at both times
         sched = build_general_schedule(0.9, 0.4, 0.5, 2.0, 4.0, 6.0)
         for g, sigma, shape in batch_axes_systems():
             got = closed_form_covariance(g, sigma, sched, 0.01, [1.3, 6.0])
-            want = reference_closed_form(g, sigma, sched, 0.01, [1.3, 6.0],
-                                         package_node_exponential)
+            if is_symmetric(g):
+                want = np.stack([closed_form_covariance(g, s, sched, 0.01, [1.3, 6.0])
+                                 for s in sigma], axis=1)
+            else:
+                want = reference_closed_form(g, sigma, sched, 0.01, [1.3, 6.0],
+                                             package_node_exponential)
             for a, b in zip(got, want):
                 assert a.shape == shape and np.array_equal(a, b)
 
@@ -454,7 +478,7 @@ class TestClosedFormPasses:
         whole = closed_form_covariance(G, Sg, sched, 0.01, grid)
         reversed_ = closed_form_covariance(G, Sg, sched, 0.01, grid[::-1])[::-1]
         alone = [closed_form_covariance(G, Sg, sched, 0.01, [t])[0] for t in grid]
-        monkeypatch.setattr(gaussian, "QUAD_CHUNK_BYTES", 1)  # one time per chunk
+        monkeypatch.setattr(gaussian, "CHUNK_BYTES", 1)  # one time per chunk
         chunked = closed_form_covariance(G, Sg, sched, 0.01, grid)
         assert len(whole) == len(grid)
         for p, *others in zip(whole, reversed_, alone, chunked):
@@ -468,7 +492,7 @@ class TestClosedFormPasses:
         # the first pass's exponentials alone, 2n words per node and system
         # in the eigenbasis, without a budget
         nodes = grid.size * len(sched.segments) * gaussian.QUAD_BASE_NODES
-        assert 8 * nodes * 2 * H.shape[0] * H.shape[-1] > 4 * gaussian.QUAD_CHUNK_BYTES
+        assert 8 * nodes * 2 * H.shape[0] * H.shape[-1] > 4 * gaussian.CHUNK_BYTES
         closed_form_covariance(H, Sg, sched, 0.01, grid[:3])  # warm up imports and caches
         tracemalloc.start()
         try:
@@ -478,7 +502,7 @@ class TestClosedFormPasses:
         finally:
             tracemalloc.stop()
         out_bytes = sum(p.nbytes for p in P)
-        assert peak <= gaussian.QUAD_CHUNK_BYTES + 2 * out_bytes
+        assert peak <= gaussian.CHUNK_BYTES + 2 * out_bytes
 
     def test_peak_memory_of_the_general_route_is_one_chunk(self):
         sched = warmup_cosine_schedule(0.7, 0.8, 6.0)
@@ -486,7 +510,7 @@ class TestClosedFormPasses:
         grid = np.linspace(0.003, 6.0, 2000)
         # the first pass's Sigma products alone, n^2 words per node, without a budget
         nodes = grid.size * len(sched.segments) * gaussian.QUAD_BASE_NODES
-        assert 8 * nodes * G.size > 4 * gaussian.QUAD_CHUNK_BYTES
+        assert 8 * nodes * G.size > 4 * gaussian.CHUNK_BYTES
         closed_form_covariance(G, Sg, sched, 0.01, grid[:3])  # warm up imports and caches
         tracemalloc.start()
         try:
@@ -496,7 +520,23 @@ class TestClosedFormPasses:
         finally:
             tracemalloc.stop()
         out_bytes = sum(p.nbytes for p in P)
-        assert peak <= gaussian.QUAD_CHUNK_BYTES + 2 * out_bytes
+        assert peak <= gaussian.CHUNK_BYTES + 2 * out_bytes
+
+    @pytest.mark.parametrize("G", [
+        np.diag([-400.0, 1.0]),
+        np.array([[-400.0, 1.0], [0.0, 1.0]]),
+    ], ids=["eigenbasis", "general"])
+    @pytest.mark.parametrize("grid, t", [([3.0, 6.0], 3.0), ([0.5, 6.0, 3.0], 6.0)])
+    def test_a_pass_that_is_not_finite_is_refused(self, G, grid, t):
+        # P grows like exp(800 Phi(t)): finite at t = 0.5, not at 3 or 6.
+        # The error names the first such time in grid order, and comes
+        # without a RuntimeWarning
+        sched = build_general_schedule(0.8, 0.8, 1.0, 1.0, 1.0, 6.0)
+        want = f"^closed-form covariance is not finite at t = {t}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=want):
+                closed_form_covariance(G, np.eye(2), sched, 0.01, grid)
 
     @SCHEDULES
     def test_eigenbasis_matches_node_loop(self, make_sched):
@@ -610,6 +650,14 @@ class TestValidation:
         sched = warmup_cosine_schedule(0.7, 0.8, 6.0)
         with pytest.raises(ValueError, match="within"):
             route(np.eye(2), np.eye(2), sched, 0.01, [float("nan")])
+
+    def test_one_shot_grid_feeds_both_routes(self):
+        sched = warmup_cosine_schedule(0.7, 0.8, 6.0)
+        ga = gaussian_approx(isotropic_quadratic(2), NoiseModel.isotropic(2, 1.0), sched,
+                             np.zeros(2), "sgd", iter([1.0, 3.0, 6.0]), eta0=0.01)
+        assert ga.t_grid.tolist() == [1.0, 3.0, 6.0]
+        assert len(ga.P_ode) == len(ga.P_closed) == 3
+        assert ga.max_route_gap() <= 1e-9
 
     def test_nan_grid_time_rejected_by_gaussian_approx(self):
         sched = warmup_cosine_schedule(0.7, 0.8, 6.0)

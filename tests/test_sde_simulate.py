@@ -212,6 +212,26 @@ class TestSgdSimulation:
         with pytest.raises(ValueError, match="x0 must be finite"):
             SdeConfig(schedule=sched, eta0=0.01, n_paths=2, x0=np.array([0.0, bad]))
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_x0_of_the_wrong_shape_refused_before_any_buffer(self, size):
+        # numpy would broadcast a length-1 x0 to every coordinate; 100k
+        # paths would allocate megabytes of results
+        obj, noise = isotropic_quadratic(4), NoiseModel.isotropic(4, 1.0)
+        cfg = SdeConfig(schedule=constant_schedule(0.1, 1.0), eta0=0.01, n_paths=100_000,
+                        seed=0, x0=np.ones(size))
+        want = (fr"^x0 has shape \({size},\), but objective 'quadratic' "
+                r"takes points of shape \(4,\)$")
+        with pytest.raises(ValueError, match=want):
+            simulate(obj, noise, cfg)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=want):
+                simulate_many([(obj, cfg), (obj, replace(cfg, x0=None))], noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     @pytest.mark.parametrize("field, value", [
         ("c1", -1.0), ("c1", math.nan), ("c1", math.inf), ("c2", -1.0), ("c2", math.nan),
         ("c2", math.inf), ("eps", math.nan), ("eps", math.inf),
